@@ -127,10 +127,14 @@ def test_perf_gate_on_own_report(seed_base):
     slipped["component_speedups"]["service_latency"]["concurrency"][-1][
         "speedup_batched"
     ] *= 0.5
+    for name in ("awg_compile", "lossy_replay"):
+        slipped["component_speedups"][name]["speedup_vs_reference"] *= 0.5
     failures = check_perf_regression(slipped, report)
     assert any("qrm@16 speedup_vs_reference" in failure for failure in failures)
     assert any("batched_qrm@16" in failure for failure in failures)
     assert any("service_latency@16" in failure for failure in failures)
+    assert any("awg_compile@16" in failure for failure in failures)
+    assert any("lossy_replay@16" in failure for failure in failures)
 
     outcome = evaluate_gate(slipped, report)
     assert not outcome.ok
@@ -173,6 +177,20 @@ def test_speedup_block_shape(seed_base):
         "speedup_vs_seed",
         "speedup_vs_reference",
     }
+
+
+def test_loop_consumer_speedup_block_shapes(seed_base):
+    from repro.analysis.perf import (
+        measure_awg_compile_speedup,
+        measure_lossy_replay_speedup,
+    )
+
+    for measure in (measure_awg_compile_speedup, measure_lossy_replay_speedup):
+        block = measure(size=16, trials=1, master_seed=seed_base)
+        assert (block["size"], block["fill"], block["trials"]) == (16, 0.5, 1)
+        assert block["vectorized_ms"]["mean"] > 0
+        assert block["reference_ms"]["mean"] > 0
+        assert block["speedup_vs_reference"] > 0
 
 
 def test_guarded_drain_speedup_block_shape(seed_base):

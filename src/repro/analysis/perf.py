@@ -13,8 +13,8 @@ vectorised scheduler vs. the live per-command reference oracle
 pre-vectorization seed implementation
 (:mod:`repro.analysis.seed_baseline`) — plus one *component speedup*
 entry per additionally vectorised stage (repair, Tetris, PSCA, MTA1,
-the guarded pipelined-mode drain, and the masked QRM+repair path on a
-ring target), each timed against its live
+the guarded pipelined-mode drain, the masked QRM+repair path on a
+ring target, AWG compilation and lossy replay), each timed against its live
 ``*_reference`` oracle, and one per subsystem-level before/after pair
 (cross-trial batching, service micro-batching, and the closed-loop
 pipeline's stage overlap).  Both the "before" and
@@ -49,18 +49,19 @@ from repro.baselines.base import DEFAULT_ALGORITHMS, get_algorithm
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
-#: Bump when the JSON layout changes (v7: the ``masked_qrm`` component
-#: times the vectorised QRM+repair path on a non-rectangular ring
-#: target — mask-derived per-line scan limits plus mask-aware repair —
-#: against the per-command reference composition, and records the mask
-#: label and its site count next to the usual speedup block).
-BENCH_SCHEMA_VERSION = 7
+#: Bump when the JSON layout changes (v8: the ``awg_compile`` and
+#: ``lossy_replay`` components time the two schedule consumers of the
+#: closed loop — AWG compilation and stochastic-loss replay, both run
+#: from the schedule's columnar table — against their move-by-move
+#: object walkers, on QRM first-frame schedules).
+BENCH_SCHEMA_VERSION = 8
 
 #: Components with a live before/after speedup measurement.  All but
 #: ``batched_qrm``, ``service_latency`` and ``pipeline_latency`` time a
 #: vectorised path against its per-command reference oracle
 #: (``masked_qrm`` does so on a non-rectangular ring target, covering
-#: the mask-derived scan limits and mask-aware repair);
+#: the mask-derived scan limits and mask-aware repair; ``awg_compile``
+#: and ``lossy_replay`` time the loop's schedule consumers);
 #: ``batched_qrm`` times the cross-trial batched engine against serial
 #: single-trial scheduling, ``service_latency`` times the scheduling
 #: service with micro-batching on against the same service with
@@ -74,6 +75,8 @@ COMPONENT_NAMES = (
     "mta1",
     "guarded_drain",
     "masked_qrm",
+    "awg_compile",
+    "lossy_replay",
     "batched_qrm",
     "service_latency",
     "pipeline_latency",
@@ -542,6 +545,73 @@ def measure_masked_qrm_speedup(
     return block
 
 
+def _first_frame_schedules(size: int, fill: float, master_seed: int):
+    """Input maker: trial ``index``'s load and its QRM first-frame schedule."""
+    from repro.core.qrm import QrmScheduler
+
+    geometry = ArrayGeometry.square(size)
+    scheduler = QrmScheduler(geometry)
+
+    def make_input(index: int) -> tuple:
+        array = load_uniform(geometry, fill, rng=master_seed + index)
+        return array, scheduler.schedule(array).schedule, master_seed + index
+
+    return make_input
+
+
+def measure_awg_compile_speedup(
+    size: int = 64,
+    fill: float = 0.5,
+    trials: int = 3,
+    master_seed: int = 0,
+) -> dict:
+    """Time AWG compilation of QRM first-frame schedules, both ways.
+
+    The vectorised side is :func:`~repro.awg.compiler.compile_schedule`
+    (one NumPy pass over the schedule table, table build included); the
+    reference is the move-by-move object walker
+    :func:`~repro.awg.compiler.compile_schedule_reference`.
+    """
+    from repro.awg.compiler import compile_schedule, compile_schedule_reference
+
+    timings = _interleaved_timings(
+        trials,
+        _first_frame_schedules(size, fill, master_seed),
+        lambda trial_input: compile_schedule(trial_input[1]),
+        lambda trial_input: compile_schedule_reference(trial_input[1]),
+    )
+    return _speedup_block(size, fill, timings)
+
+
+def measure_lossy_replay_speedup(
+    size: int = 64,
+    fill: float = 0.5,
+    trials: int = 3,
+    master_seed: int = 0,
+) -> dict:
+    """Time stochastic-loss replay of QRM first-frame schedules, both ways.
+
+    Both sides replay the trial's schedule on its loaded array under
+    the default :class:`~repro.physics.loss.LossModel`, from generators
+    seeded alike: :func:`~repro.physics.loss.simulate_losses` (the
+    table-driven move applier, one draw call per move) against the
+    site-by-site :func:`~repro.physics.loss.simulate_losses_reference`.
+    """
+    from repro.physics.loss import simulate_losses, simulate_losses_reference
+
+    def replay(simulate, trial_input) -> None:
+        array, schedule, seed = trial_input
+        simulate(array, schedule, rng=seed)
+
+    timings = _interleaved_timings(
+        trials,
+        _first_frame_schedules(size, fill, master_seed),
+        lambda trial_input: replay(simulate_losses, trial_input),
+        lambda trial_input: replay(simulate_losses_reference, trial_input),
+    )
+    return _speedup_block(size, fill, timings)
+
+
 def measure_batched_qrm_speedup(
     size: int = 64,
     fill: float = 0.5,
@@ -870,6 +940,8 @@ def measure_component_speedups(
         "repair": measure_repair_speedup(size, fill, trials, master_seed),
         "guarded_drain": measure_guarded_drain_speedup(size, fill, trials, master_seed),
         "masked_qrm": measure_masked_qrm_speedup(size, fill, trials, master_seed),
+        "awg_compile": measure_awg_compile_speedup(size, fill, trials, master_seed),
+        "lossy_replay": measure_lossy_replay_speedup(size, fill, trials, master_seed),
     }
     for component in ("tetris", "psca", "mta1"):
         blocks[component] = measure_baseline_speedup(

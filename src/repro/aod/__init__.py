@@ -27,6 +27,7 @@ from repro.aod.serialize import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from repro.aod.table import ScheduleTable
 from repro.aod.timing import DEFAULT_MOVE_TIMING, MoveTimingModel
 from repro.aod.validator import ValidationReport, require_valid, validate_schedule
 
@@ -43,6 +44,7 @@ __all__ = [
     "MoveTimingModel",
     "OUT_OF_BOUNDS",
     "ParallelMove",
+    "ScheduleTable",
     "TONE_BUDGET",
     "ValidationReport",
     "Violation",

@@ -126,90 +126,85 @@ def apply_parallel_move(grid: np.ndarray, move: ParallelMove) -> int:
     return moved
 
 
-#: Below this many shifts the flat-array setup of the batched applier
-#: costs more than the per-shift loop it replaces.
-_BATCH_MIN_SHIFTS = 4
+class MoveApplier:
+    """Applies one schedule's moves to one grid, from its table.
 
+    Semantically identical to calling :func:`apply_parallel_move` move by
+    move (which is itself property-tested against the site-by-site
+    reference), but the per-shift and per-site work happens once, up
+    front, for the whole schedule: every selected site of every shift
+    becomes a flat source index into ``grid`` with its flat destination,
+    and every shift is checked against the grid bounds.  :meth:`apply`
+    then costs one gather, one check and one scatter per move, however
+    many lines the move drives.
 
-def apply_parallel_move_batch(grid: np.ndarray, move: ParallelMove) -> int:
-    """Apply ``move`` to ``grid`` in place, vectorised across its shifts.
-
-    Semantically identical to :func:`apply_parallel_move` (which is
-    itself property-tested against the site-by-site reference): the
-    lines of one move are distinct, so every shift can be planned from
-    one flat gather over the concatenated spans and scattered back in
-    two fancy-indexed writes.  Schedule replay and validation call this
-    — a wide QRM round touches dozens of lines per move, and the
-    per-shift Python loop dominates replay time otherwise.
-
-    Any detected violation delegates to :func:`apply_parallel_move` on
+    A move the table cannot vouch for — a shift outside the grid, a
+    selected site whose destination would leave its line, or an atom
+    landing on a static one — goes to :func:`apply_parallel_move` on
     the still-untouched grid, so the raised :class:`MoveError` (message,
-    offending shift) is exactly the per-shift path's.
+    offending shift) is exactly the per-shift path's.  ``grid`` must be
+    C-contiguous (every :class:`AtomArray` grid is): the applier writes
+    through a flat view of it.
     """
-    shifts = move.shifts
-    if len(shifts) < _BATCH_MIN_SHIFTS or any(
-        s.steps != move.steps or s.direction is not move.direction for s in shifts
-    ):
-        # Small moves, and trusted bundles that violated the uniform
-        # direction/steps contract, keep the per-shift semantics (which
-        # honour each shift's own fields) rather than silently applying
-        # the move-level displacement to every line.
-        return apply_parallel_move(grid, move)
-    height, width = grid.shape
-    horizontal = move.direction.is_horizontal
-    n_lines = height if horizontal else width
-    size = width if horizontal else height
 
-    lines = np.fromiter((s.line for s in shifts), dtype=np.intp, count=len(shifts))
-    starts = np.fromiter(
-        (s.span_start for s in shifts), dtype=np.intp, count=len(shifts)
-    )
-    stops = np.fromiter((s.span_stop for s in shifts), dtype=np.intp, count=len(shifts))
-    lengths = stops - starts
-    if (
-        lines.min() < 0
-        or lines.max() >= n_lines
-        or starts.min() < 0
-        or stops.max() > size
-        or lengths.min() <= 0
-    ):
-        return apply_parallel_move(grid, move)
-
-    dr, dc = move.direction.delta
-    k = move.steps * (dr + dc)
-    seg_start = np.zeros(lines.size, dtype=np.intp)
-    np.cumsum(lengths[:-1], out=seg_start[1:])
-    ramp = np.arange(int(lengths.sum())) - np.repeat(seg_start, lengths)
-    start_rep = np.repeat(starts, lengths)
-    stop_rep = np.repeat(stops, lengths)
-    pos = start_rep + ramp
-    line_rep = np.repeat(lines, lengths)
-    occupied = grid[line_rep, pos] if horizontal else grid[pos, line_rep]
-    src = pos[occupied]
-    if not src.size:
-        return 0
-    src_lines = line_rep[occupied]
-    dst = src + k
-    if dst.min() < 0 or dst.max() >= size:
-        return apply_parallel_move(grid, move)
-    # A destination outside its own (contiguous) span must be empty.
-    outside = (dst < start_rep[occupied]) | (dst >= stop_rep[occupied])
-    if outside.any():
-        landing = (
-            grid[src_lines[outside], dst[outside]]
-            if horizontal
-            else grid[dst[outside], src_lines[outside]]
+    def __init__(self, grid: np.ndarray, schedule: MoveSchedule) -> None:
+        self.grid = grid
+        self.flat = grid.reshape(-1)
+        self._moves = schedule.moves
+        table = schedule.table()
+        height, width = grid.shape
+        shift_move = table.shift_move
+        horizontal = table.horizontal[shift_move]
+        size = np.where(horizontal, width, height)
+        start, stop, line = table.span_start, table.span_stop, table.line
+        shift = table.shift_displacement
+        lengths = np.maximum(stop - start, 0)
+        in_grid = (
+            (line >= 0)
+            & (line < np.where(horizontal, height, width))
+            & (start >= 0)
+            & (stop <= size)
         )
-        if landing.any():
-            return apply_parallel_move(grid, move)
+        leaves = (lengths > 0) & ((start + shift < 0) | (stop - 1 + shift >= size))
+        per_shift = np.zeros(len(table), dtype=bool)
+        per_shift[shift_move[~in_grid | leaves]] = True
+        self._per_shift = per_shift.tolist()
+        lengths[~in_grid] = 0
+        shift_sites = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=shift_sites[1:])
+        self._site_offsets = shift_sites[table.offsets].tolist()
 
-    if horizontal:
-        grid[src_lines, src] = False
-        grid[src_lines, dst] = True
-    else:
-        grid[src, src_lines] = False
-        grid[dst, src_lines] = True
-    return int(src.size)
+        # Per selected site, from its shift: flat source and destination
+        # (the stride along a line differs by axis), and whether the
+        # destination falls outside the shift's span — such a landing
+        # site must be empty.
+        stride = np.where(horizontal, 1, width)
+        ramp = np.arange(shift_sites[-1]) - np.repeat(shift_sites[:-1], lengths)
+        first = np.where(horizontal, line * width, line) + start * stride
+        self._src = np.repeat(first, lengths) + ramp * np.repeat(stride, lengths)
+        self._dst = self._src + np.repeat(shift * stride, lengths)
+        landing = ramp + np.repeat(shift, lengths)
+        self._outside = (landing < 0) | (landing >= np.repeat(lengths, lengths))
+
+    def apply(self, index: int) -> np.ndarray:
+        """Apply move ``index`` in place; returns its atoms' landing sites.
+
+        Landing sites are flat indices into ``grid`` (see :attr:`flat`),
+        in shift order and, within a shift, in increasing-index order —
+        the order :meth:`LineShift.sites` enumerates their sources.
+        """
+        a, b = self._site_offsets[index], self._site_offsets[index + 1]
+        src = self._src[a:b]
+        dst = self._dst[a:b]
+        flat = self.flat
+        occupied = flat[src]
+        landing = dst[occupied]
+        if self._per_shift[index] or (occupied & self._outside[a:b] & flat[dst]).any():
+            apply_parallel_move(self.grid, self._moves[index])
+        else:
+            flat[src[occupied]] = False
+            flat[landing] = True
+        return landing
 
 
 @dataclass
@@ -240,13 +235,14 @@ def execute_schedule(
     skipped, which is what the validator uses to diagnose bad schedules.
     Constraint checking is skipped when ``constraints`` is None.
 
-    Moves are applied through :func:`apply_parallel_move_batch`, which
-    plans every shift of one move with flat array arithmetic — replaying
-    the wide parallel moves the vectorised schedulers emit would pay a
-    per-shift Python loop otherwise.
+    Moves are applied through a :class:`MoveApplier`, which plans every
+    site of the schedule up front — replaying the wide parallel moves
+    the vectorised schedulers emit would pay a per-shift Python loop
+    otherwise.
     """
     array = initial.copy()
     report = ExecutionReport()
+    applier = MoveApplier(array.grid, schedule)
     for index, move in enumerate(schedule):
         if constraints is not None:
             for violation in check_parallel_move(array.grid, move, constraints):
@@ -254,7 +250,7 @@ def execute_schedule(
                 if strict:
                     raise MoveError(f"move {index} violates constraints: {violation}")
         try:
-            moved = apply_parallel_move_batch(array.grid, move)
+            moved = applier.apply(index).size
         except MoveError:
             if strict:
                 raise

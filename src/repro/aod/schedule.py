@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.aod.move import ParallelMove
+from repro.aod.table import ScheduleTable
 from repro.lattice.geometry import ArrayGeometry, Direction
 
 
@@ -38,6 +39,10 @@ class MoveSchedule:
 
     def __getitem__(self, index: int) -> ParallelMove:
         return self.moves[index]
+
+    def table(self) -> ScheduleTable:
+        """This schedule in columnar form, built afresh on every call."""
+        return ScheduleTable.from_moves(self.moves)
 
     # -- intrinsic statistics ---------------------------------------------
 

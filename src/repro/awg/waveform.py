@@ -12,7 +12,8 @@ amplitudes normalised to [0, 1] of full scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,21 +82,51 @@ class Segment:
         return envelope * out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WaveformProgram:
-    """An ordered list of segments covering a whole move schedule."""
+    """An ordered run of segments covering a whole move schedule, by column.
 
-    segments: list[Segment] = field(default_factory=list)
+    Segment ``i`` is ``labels[i]``, lasts ``durations[i]`` µs under the
+    envelope ``amplitude_start[i] -> amplitude_end[i]``, and plays tones
+    ``tone_offsets[i]:tone_offsets[i + 1]`` of the flat ``start_mhz`` /
+    ``end_mhz`` columns.  :attr:`segments` presents the same program as
+    :class:`Segment` objects.
+    """
 
-    def append(self, segment: Segment) -> None:
-        self.segments.append(segment)
+    labels: Sequence[str]
+    durations: np.ndarray
+    amplitude_start: np.ndarray
+    amplitude_end: np.ndarray
+    tone_offsets: np.ndarray
+    start_mhz: np.ndarray
+    end_mhz: np.ndarray
 
-    def extend(self, segments: list[Segment]) -> None:
-        self.segments.extend(segments)
+    @classmethod
+    def from_segments(cls, segments: Sequence[Segment]) -> WaveformProgram:
+        """Pack ``segments`` into columns, in order."""
+        tone_offsets = np.zeros(len(segments) + 1, dtype=np.intp)
+        tone_offsets[1:] = np.cumsum([len(s.tones) for s in segments], dtype=np.intp)
+        tones = [tone for s in segments for tone in s.tones]
+        return cls(
+            labels=[s.label for s in segments],
+            durations=np.array([s.duration_us for s in segments], dtype=float),
+            amplitude_start=np.array([s.amplitude_start for s in segments], float),
+            amplitude_end=np.array([s.amplitude_end for s in segments], float),
+            tone_offsets=tone_offsets,
+            start_mhz=np.array([t.start_mhz for t in tones], dtype=float),
+            end_mhz=np.array([t.end_mhz for t in tones], dtype=float),
+        )
+
+    @property
+    def segments(self) -> SegmentView:
+        """Read-only sequence of the program's :class:`Segment` objects."""
+        return SegmentView(self)
 
     @property
     def total_duration_us(self) -> float:
-        return sum(segment.duration_us for segment in self.segments)
+        # Builtin sum in segment order, not np.sum (pairwise): the same
+        # float as adding the segments' durations one by one.
+        return sum(self.durations.tolist())
 
     def n_samples(self, sample_rate_msps: float) -> int:
         return sum(s.n_samples(sample_rate_msps) for s in self.segments)
@@ -107,4 +138,34 @@ class WaveformProgram:
         return np.concatenate([s.synthesize(sample_rate_msps) for s in self.segments])
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self.labels)
+
+
+class SegmentView(Sequence):
+    """A :class:`WaveformProgram`'s segments, built on access.
+
+    ``len()`` is O(1); item ``i`` is a fresh :class:`Segment` holding
+    the program's columns at row ``i``.
+    """
+
+    __slots__ = ("_program",)
+
+    def __init__(self, program: WaveformProgram) -> None:
+        self._program = program
+
+    def __len__(self) -> int:
+        return len(self._program)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        p = self._program
+        a, b = p.tone_offsets[i], p.tone_offsets[i + 1]
+        return Segment(
+            label=p.labels[i],
+            duration_us=float(p.durations[i]),
+            tones=tuple(map(Tone, p.start_mhz[a:b].tolist(), p.end_mhz[a:b].tolist())),
+            amplitude_start=float(p.amplitude_start[i]),
+            amplitude_end=float(p.amplitude_end[i]),
+        )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.aod.executor import apply_parallel_move
+from repro.aod.executor import MoveApplier, apply_parallel_move
 from repro.aod.schedule import MoveSchedule
 from repro.aod.timing import DEFAULT_MOVE_TIMING, MoveTimingModel
 from repro.errors import ConfigurationError
@@ -126,7 +126,65 @@ def simulate_losses(
     hazard of the move's duration and every *moved* atom additionally
     faces the hand-off/transport hazard.  Losing atoms only ever empties
     traps, so the remaining schedule stays executable (suffix shifts
-    tolerate empty selected traps).
+    tolerate empty selected traps).  An invalid move raises
+    :class:`~repro.errors.MoveError`, exactly as
+    :func:`~repro.aod.executor.execute_schedule` would.
+
+    Moves run through a :class:`~repro.aod.executor.MoveApplier`, and
+    each move draws its hand-off losses with one ``gen.random(n)`` — the
+    same stream as the ``n`` scalar draws of
+    :func:`simulate_losses_reference`, so the two agree bit for bit
+    (grid, counters, duration and generator state).
+    """
+    gen = as_rng(rng)
+    array = initial.copy()
+    report = LossReport(
+        atoms_initial=array.n_atoms,
+        atoms_final=array.n_atoms,
+        final_array=array,
+    )
+    applier = MoveApplier(array.grid, schedule)
+    cells = applier.flat
+    for index, move in enumerate(schedule):
+        duration = timing.move_duration_us(move) + timing.settle_us
+        report.duration_us += duration
+        landing = applier.apply(index)
+
+        # Hand-off and transport loss for the moved atoms.
+        p_move_loss = 1.0 - loss.move_survival(move.steps)
+        if p_move_loss > 0 and landing.size:
+            lost = landing[gen.random(landing.size) < p_move_loss]
+            cells[lost] = False
+            report.lost_transfer += lost.size
+
+        # Vacuum decay for everyone, over this move's duration.
+        p_decay = 1.0 - loss.vacuum_survival(duration)
+        if p_decay > 0:
+            # One draw per atom in row-major order; decays are rare, so
+            # the atoms are only located when one happens.
+            decayed = np.flatnonzero(gen.random(np.count_nonzero(cells)) < p_decay)
+            if decayed.size:
+                cells[np.flatnonzero(cells)[decayed]] = False
+                report.lost_vacuum += decayed.size
+
+    report.atoms_final = array.n_atoms
+    return report
+
+
+def simulate_losses_reference(
+    initial: AtomArray,
+    schedule: MoveSchedule,
+    loss: LossModel = DEFAULT_LOSS_MODEL,
+    timing: MoveTimingModel = DEFAULT_MOVE_TIMING,
+    rng: int | np.random.Generator | None = None,
+) -> LossReport:
+    """Site-by-site object walker kept as the oracle for :func:`simulate_losses`.
+
+    Each move is applied first (so an invalid one raises its
+    :class:`~repro.errors.MoveError` before any site is read), then its
+    moved atoms are found by walking every shift's sites on a copy of
+    the grid from before the move, and each draws its own scalar
+    ``gen.random()``.
     """
     gen = as_rng(rng)
     array = initial.copy()
@@ -140,12 +198,13 @@ def simulate_losses(
         report.duration_us += duration
 
         # Which sites does this move displace?
+        before = array.grid.copy()
+        apply_parallel_move(array.grid, move)
         moved_sites: list[tuple[int, int]] = []
         for shift in move.shifts:
             for site in shift.sites():
-                if array.grid[site]:
+                if before[site]:
                     moved_sites.append(shift.destination(site))
-        apply_parallel_move(array.grid, move)
 
         # Hand-off and transport loss for the moved atoms.
         p_move_loss = 1.0 - loss.move_survival(move.steps)

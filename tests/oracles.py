@@ -18,7 +18,9 @@ on:
 Used by ``test_pass_equivalence.py`` (QRM pass, guarded drain x
 ``s_en``), ``test_repair_equivalence.py`` (repair stage),
 ``test_baseline_equivalence.py`` (Tetris/PSCA/MTA1),
-``test_executor_batch.py`` (batched replay), ``test_pipeline.py``
+``test_executor_batch.py`` (table-driven replay),
+``test_table_equivalence.py`` (AWG compile and lossy replay vs their
+object walkers), ``test_pipeline.py``
 (pipelined vs sequential closed-loop drivers, via
 :func:`pipeline_configs`), and — via the :func:`campaign_specs` grids —
 ``test_journal.py`` (journal crash-consistency against the clean-run

@@ -165,10 +165,28 @@ class TestCompiler:
 
 
 class TestWaveformProgram:
-    def test_append_extend(self):
-        program = WaveformProgram()
+    def test_from_segments(self):
         seg = Segment("a", 1.0, ())
-        program.append(seg)
-        program.extend([seg, seg])
+        program = WaveformProgram.from_segments([seg, seg, seg])
         assert len(program) == 3
         assert program.total_duration_us == 3.0
+
+    def test_segments_view_round_trips(self):
+        segments = [
+            Segment("a", 1.5, (Tone(1.0, 2.0), Tone(3.0, 3.0)), 0.0, 1.0),
+            Segment("b", 0.25, ()),
+            Segment("c", 2.0, (Tone(5.0, 4.5),), 1.0, 0.0),
+        ]
+        view = WaveformProgram.from_segments(segments).segments
+        assert len(view) == 3
+        assert list(view) == segments
+        assert view[-1] == segments[-1]
+        assert view[1:] == segments[1:]
+        with pytest.raises(IndexError):
+            view[3]
+
+    def test_segments_view_is_read_only(self):
+        view = WaveformProgram.from_segments([Segment("a", 1.0, ())]).segments
+        assert not hasattr(view, "append")
+        with pytest.raises(TypeError):
+            view[0] = Segment("b", 1.0, ())

@@ -90,6 +90,28 @@ def test_committed_bench_batched_qrm_hits_the_speedup_bar(committed_payload):
         assert entry["amortized_ms"]["mean"] > 0
 
 
+def test_committed_bench_times_the_loop_schedule_consumers(committed_payload):
+    # AWG compilation and lossy replay are timed from the schedule table
+    # against their object walkers on 64x64 QRM first-frame schedules.
+    components = committed_payload["component_speedups"]
+    for name in ("awg_compile", "lossy_replay"):
+        block = components[name]
+        assert (block["size"], block["fill"]) == (64, 0.5)
+        assert block["speedup_vs_reference"] > 2.0
+
+
+@pytest.mark.parametrize("name", ["awg_compile", "lossy_replay"])
+def test_validator_rejects_incomplete_consumer_blocks(committed_payload, name):
+    broken = json.loads(json.dumps(committed_payload))
+    del broken["component_speedups"][name]["reference_ms"]
+    with pytest.raises(ValueError, match=name):
+        validate_bench_report(broken)
+    missing = json.loads(json.dumps(committed_payload))
+    del missing["component_speedups"][name]
+    with pytest.raises(ValueError, match="incomplete"):
+        validate_bench_report(missing)
+
+
 def test_committed_bench_covers_mta1_on_the_full_grid(committed_payload):
     # The headline QRM-vs-MTA1 comparison must be regenerable at scale:
     # mta1 rides the whole default grid and is never in the skip list.

@@ -1,11 +1,12 @@
-"""Batched move application: identical to the per-shift executor.
+"""Table-driven move application: identical to the per-shift executor.
 
-:func:`repro.aod.executor.apply_parallel_move_batch` plans every shift
-of one move with flat array arithmetic.  It must agree with
-:func:`apply_parallel_move` (and therefore with the site-by-site
-reference) on the resulting grid, the displaced-atom count, and —
-because failures delegate to the per-shift path on the untouched grid —
-on the exact :class:`~repro.errors.MoveError` raised.
+:class:`repro.aod.executor.MoveApplier` plans every site of a schedule
+up front from its :class:`~repro.aod.table.ScheduleTable` and then
+applies each move with one gather, one check and one scatter.  It must
+agree with :func:`apply_parallel_move` (and therefore with the
+site-by-site reference) on the resulting grid, the displaced-atom
+count, and — because violations delegate to the per-shift path on the
+untouched grid — on the exact :class:`~repro.errors.MoveError` raised.
 """
 
 from __future__ import annotations
@@ -15,18 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import atom_arrays
 
-from repro.aod.executor import (
-    apply_parallel_move,
-    apply_parallel_move_batch,
-    execute_schedule,
-)
+from repro.aod.executor import MoveApplier, apply_parallel_move, execute_schedule
 from repro.aod.move import LineShift, ParallelMove
+from repro.aod.schedule import MoveSchedule
 from repro.baselines.tetris import TetrisScheduler
 from repro.core.qrm import QrmScheduler
 from repro.errors import MoveError
-from repro.lattice.geometry import Direction
+from repro.lattice.geometry import ArrayGeometry, Direction
 
 GRID_N = 10
+GEOMETRY = ArrayGeometry.square(GRID_N)
 
 
 @st.composite
@@ -39,13 +38,17 @@ def grids(draw):
 
 @st.composite
 def moves(draw):
-    """Wide moves (up to 8 lines) so the batched path actually engages."""
+    """Wide moves (up to 8 lines), spans reaching both grid edges.
+
+    One move in four may also reach one line or site past the grid.
+    """
     direction = draw(st.sampled_from(list(Direction)))
     steps = draw(st.integers(1, 3))
     n_lines = draw(st.integers(1, 8))
+    reach = GRID_N + draw(st.sampled_from((0, 0, 0, 1)))
     lines = draw(
         st.lists(
-            st.integers(0, GRID_N - 1),
+            st.integers(0, reach - 1),
             min_size=n_lines,
             max_size=n_lines,
             unique=True,
@@ -53,12 +56,24 @@ def moves(draw):
     )
     shifts = []
     for line in lines:
-        start = draw(st.integers(0, GRID_N - 2))
-        stop = draw(st.integers(start + 1, GRID_N - 1))
+        start = draw(st.integers(0, reach - 1))
+        stop = draw(st.integers(start + 1, reach))
         shifts.append(
             LineShift(direction, line, span_start=start, span_stop=stop, steps=steps)
         )
     return ParallelMove.of(shifts)
+
+
+def _apply(apply, grid, move):
+    """(moved count or None, error message or None) of one application."""
+    try:
+        return apply(grid, move), None
+    except MoveError as exc:
+        return None, str(exc)
+
+
+def _table_apply(grid, move):
+    return MoveApplier(grid, MoveSchedule(GEOMETRY, moves=[move])).apply(0).size
 
 
 @given(grids(), moves())
@@ -66,32 +81,46 @@ def moves(draw):
 def test_batched_executor_equals_per_shift(grid, move):
     batched = grid.copy()
     per_shift = grid.copy()
-    batched_error = per_shift_error = None
-    moved_batched = moved_per_shift = -1
-    try:
-        moved_batched = apply_parallel_move_batch(batched, move)
-    except MoveError as exc:
-        batched_error = str(exc)
-    try:
-        moved_per_shift = apply_parallel_move(per_shift, move)
-    except MoveError as exc:
-        per_shift_error = str(exc)
+    expected = _apply(apply_parallel_move, per_shift, move)
+    assert _apply(_table_apply, batched, move) == expected
+    # On error both grids are untouched; otherwise both moved alike.
+    assert np.array_equal(batched, per_shift)
 
-    assert batched_error == per_shift_error
-    if batched_error is None:
-        assert moved_batched == moved_per_shift
-        assert np.array_equal(batched, per_shift)
-    else:
-        # Delegation happens before any mutation.
-        assert np.array_equal(batched, grid)
+
+@given(grids(), st.lists(moves(), min_size=1, max_size=6))
+@settings(max_examples=150)
+def test_applier_tracks_the_grid_across_a_schedule(grid, schedule_moves):
+    # Sites are planned once for the whole schedule, so every later
+    # move must see the grid the earlier ones (and failures) left.
+    live = grid.copy()
+    applier = MoveApplier(live, MoveSchedule(GEOMETRY, moves=schedule_moves))
+    per_shift = grid.copy()
+    for index, move in enumerate(schedule_moves):
+        before = live.copy()
+        expected = _apply(apply_parallel_move, per_shift, move)
+        landing = None
+        try:
+            landing = applier.apply(index)
+            got = (landing.size, None)
+        except MoveError as exc:
+            got = (None, str(exc))
+        assert got == expected
+        assert np.array_equal(live, per_shift)
+        if landing is not None:
+            # Landing sites are occupied now and were the destinations
+            # of atoms the move carried.
+            assert applier.flat[landing].all()
+            assert np.unique(landing).size == landing.size
+        else:
+            assert np.array_equal(live, before)
 
 
 def test_nonuniform_trusted_bundle_keeps_per_shift_semantics():
     # ParallelMove.trusted skips the uniform-steps validation; a buggy
     # bulk producer could bundle a shift whose own steps differ from
-    # the move's.  The batch path must fall back to the per-shift
-    # executor (which honours each shift's fields) instead of silently
-    # applying the move-level displacement everywhere.
+    # the move's.  The table applier must honour each shift's own fields
+    # (as the per-shift executor does) instead of silently applying the
+    # move-level displacement everywhere.
     grid = np.zeros((8, 8), dtype=bool)
     grid[[0, 1, 2, 3], 0] = True
     rogue = ParallelMove.trusted(
@@ -104,9 +133,8 @@ def test_nonuniform_trusted_bundle_keeps_per_shift_semantics():
     )
     batched = grid.copy()
     per_shift = grid.copy()
-    assert apply_parallel_move_batch(batched, rogue) == apply_parallel_move(
-        per_shift, rogue
-    )
+    applier = MoveApplier(batched, MoveSchedule(ArrayGeometry.square(8), moves=[rogue]))
+    assert applier.apply(0).size == apply_parallel_move(per_shift, rogue)
     assert np.array_equal(batched, per_shift)
     assert batched[3, 2] and not batched[3, 1]  # the rogue shift moved 2
 
@@ -114,7 +142,7 @@ def test_nonuniform_trusted_bundle_keeps_per_shift_semantics():
 @given(atom_arrays())
 @settings(max_examples=20, deadline=None)
 def test_schedule_replay_matches_scheduler_final(array):
-    """End-to-end: batched replay reproduces each scheduler's final grid."""
+    """End-to-end: table-driven replay reproduces each scheduler's final grid."""
     for scheduler in (
         QrmScheduler(array.geometry),
         TetrisScheduler(array.geometry),

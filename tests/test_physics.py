@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.aod.executor import execute_schedule
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.aod.timing import MoveTimingModel
 from repro.core.qrm import QrmScheduler
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MoveError
+from repro.lattice.array import AtomArray
 from repro.lattice.geometry import Direction
 from repro.lattice.loading import load_uniform
 from repro.physics.loss import (
     LossModel,
     expected_atom_survival,
     simulate_losses,
+    simulate_losses_reference,
 )
 
 
@@ -118,3 +121,18 @@ class TestSimulateLosses:
         # simulate_losses raises if any move becomes invalid.
         report = simulate_losses(array, schedule, loss=loss, rng=4)
         assert report.atoms_final >= 0
+
+    @pytest.mark.parametrize(
+        "shift",
+        [LineShift(Direction.EAST, 9, 0, 3), LineShift(Direction.EAST, 2, 5, 10)],
+        ids=["line-outside", "span-past-edge"],
+    )
+    @pytest.mark.parametrize("simulate", [simulate_losses, simulate_losses_reference])
+    def test_out_of_grid_shift_raises_move_error(self, geo8, shift, simulate):
+        array = AtomArray.full(geo8)
+        schedule = MoveSchedule(geo8, moves=[ParallelMove.of([shift])])
+        with pytest.raises(MoveError) as raised:
+            simulate(array, schedule, rng=0)
+        with pytest.raises(MoveError) as expected:
+            execute_schedule(array, schedule, constraints=None)
+        assert str(raised.value) == str(expected.value)

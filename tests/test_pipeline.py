@@ -18,11 +18,15 @@ CLI surface.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from oracles import campaign_specs, pipeline_configs
+from repro.aod.move import LineShift, ParallelMove
+from repro.aod.schedule import MoveSchedule
 from repro.campaign import (
     CampaignSpec,
     ExperimentCampaign,
@@ -36,8 +40,11 @@ from repro.campaign import (
 )
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.lattice.array import AtomArray
+from repro.lattice.geometry import Direction
 from repro.physics.loss import LossModel
 from repro.pipeline import PIPELINE_MODES, PipelineConfig, run_pipeline
+from repro.pipeline.stages import CycleRecord, FrameState, stage_replay
 from repro.timing.latency import (
     BUDGETED_STAGES,
     PIPELINE_STAGES,
@@ -176,6 +183,49 @@ class TestClosedLoop:
         assert len(payload["trace_digest"]) == 64
         stages = {s["stage"] for s in payload["stage_report"]["stages"]}
         assert stages <= set(PIPELINE_STAGES)
+
+    @pytest.mark.parametrize(
+        "size, digest",
+        [
+            (16, "141cd390545f3c5fa2a6b783e72f559d2ce5760d1903f1a120d8424de8dc84e5"),
+            (32, "124e8da0b65c8c115f050ab57559e0ae7417f15b15df198707d926eff11d789f"),
+        ],
+    )
+    def test_lossy_trace_is_pinned(self, size, digest):
+        # The loss stream (which atoms each draw hits, in which order)
+        # drifts in both modes at once if replay changes, which the
+        # pipelined-vs-sequential test cannot see; these digests pin it.
+        config = PipelineConfig(
+            size=size, fill=0.5, shots=4, cycles=3, master_seed=0, loss=LossModel()
+        )
+        assert run_pipeline(config, "sequential").trace_digest() == digest
+
+    def test_replay_falls_back_on_out_of_grid_shift(self):
+        # A schedule naming a line outside the grid must take the
+        # non-strict fallback (skipping the move), not crash the loop.
+        config = PipelineConfig(size=8, loss=LossModel())
+        geometry = config.geometry()
+        truth = AtomArray.full(geometry)
+        bad = ParallelMove.of([LineShift(Direction.EAST, 9, 0, 3)])
+        state = FrameState(
+            shot=0,
+            cycle=0,
+            truth=truth,
+            camera_rng=np.random.default_rng(0),
+            loss_rng=np.random.default_rng(1),
+        )
+        state.record = CycleRecord(
+            shot=0,
+            cycle=0,
+            occupancy=truth.grid.copy(),
+            threshold=0.0,
+            converged_at_detect=False,
+        )
+        state.result = SimpleNamespace(schedule=MoveSchedule(geometry, moves=[bad]))
+        stage_replay(state, config)
+        assert state.record.replay_fallback
+        assert state.truth == truth
+        assert state.record.lost_atoms == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,204 @@
+"""Schedule-table consumers vs their object-walker oracles.
+
+AWG compilation and lossy replay run as NumPy passes over a schedule's
+:class:`~repro.aod.table.ScheduleTable`; each keeps the move-by-move
+walker it replaced as a ``*_reference`` oracle and must match it bit
+for bit:
+
+* :func:`~repro.awg.compiler.compile_schedule` vs
+  :func:`~repro.awg.compiler.compile_schedule_reference` — every
+  segment (label, duration, tones, envelope, settle gaps), the total
+  duration, and the exact :class:`~repro.errors.WaveformError` when a
+  tone index overflows its map or a segment would last no time;
+* :func:`~repro.physics.loss.simulate_losses` vs
+  :func:`~repro.physics.loss.simulate_losses_reference` — final grid,
+  loss counters, duration, the generator's state afterwards, and the
+  exact :class:`~repro.errors.MoveError` when a move is invalid for the
+  array it replays on.
+
+Inputs are schedules of every registered algorithm (wide QRM rounds,
+single-site MTA1 and repair moves) on rectangular and masked
+geometries, under drawn tone maps, timing and loss models.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import atom_arrays, masked_atom_arrays
+
+from repro.aod.move import LineShift, ParallelMove
+from repro.aod.schedule import MoveSchedule
+from repro.aod.timing import MoveTimingModel
+from repro.awg.compiler import compile_schedule, compile_schedule_reference
+from repro.awg.tones import AodToneConfig, ToneMap
+from repro.baselines.base import get_algorithm, list_algorithms, supports_geometry
+from repro.errors import MoveError, WaveformError
+from repro.lattice.array import AtomArray
+from repro.lattice.geometry import Direction
+from repro.physics.loss import LossModel, simulate_losses, simulate_losses_reference
+
+
+@st.composite
+def schedules(draw):
+    """``(array, schedule)``: any registered algorithm on a drawn array."""
+    array = draw(st.one_of(atom_arrays(), masked_atom_arrays()))
+    names = [n for n in list_algorithms() if supports_geometry(n, array.geometry)]
+    name = draw(st.sampled_from(names))
+    return array, get_algorithm(name, array.geometry).schedule(array).schedule
+
+
+durations = st.one_of(
+    st.sampled_from((0.0, 1.0, 50.0, 300.0)),
+    st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+)
+
+timings = st.builds(
+    MoveTimingModel,
+    pickup_us=durations,
+    drop_us=durations,
+    transfer_us_per_site=durations,
+    settle_us=durations,
+)
+
+tone_maps = st.builds(
+    ToneMap,
+    base_mhz=st.floats(min_value=10.0, max_value=200.0),
+    spacing_mhz=st.floats(min_value=0.01, max_value=2.0),
+    n_sites=st.integers(min_value=4, max_value=256),
+)
+
+tone_configs = st.one_of(
+    st.just(AodToneConfig()),
+    st.builds(AodToneConfig, rows=tone_maps, cols=tone_maps),
+)
+
+loss_models = st.builds(
+    LossModel,
+    vacuum_lifetime_s=st.sampled_from((30.0, 0.05, 1e-3)),
+    loss_per_transfer=st.sampled_from((0.0, 2e-3, 0.2)),
+    loss_per_site=st.sampled_from((0.0, 1e-4, 0.05)),
+)
+
+
+def _compiled(compile, schedule, tones, timing):
+    """Everything a compiled program exposes, or the error it raised."""
+    try:
+        program = compile(schedule, tones, timing)
+    except WaveformError as exc:
+        return "error", str(exc)
+    return len(program), list(program.segments), program.total_duration_us
+
+
+def _replayed(simulate, array, schedule, loss, timing, seed):
+    """Everything a loss replay reports, or the error it raised."""
+    gen = np.random.default_rng(seed)
+    try:
+        report = simulate(array, schedule, loss, timing, gen)
+    except MoveError as exc:
+        return "error", str(exc), gen.bit_generator.state
+    return (
+        report.final_array.grid.tobytes(),
+        report.atoms_final,
+        report.lost_transfer,
+        report.lost_vacuum,
+        report.duration_us,
+        gen.bit_generator.state,
+    )
+
+
+@given(schedules(), tone_configs, timings)
+@settings(max_examples=120, deadline=None)
+def test_compile_schedule_matches_reference(scheduled, tones, timing):
+    _, schedule = scheduled
+    ours = _compiled(compile_schedule, schedule, tones, timing)
+    assert ours == _compiled(compile_schedule_reference, schedule, tones, timing)
+
+
+@given(schedules(), loss_models, timings, st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_simulate_losses_matches_reference(scheduled, loss, timing, seed, perturb):
+    array, schedule = scheduled
+    if perturb:
+        # A detection error: the schedule replays on an array it was not
+        # computed for, so some moves collide or strand atoms.
+        flips = np.random.default_rng(seed).random(array.geometry.shape) < 0.1
+        array = AtomArray(array.geometry, array.grid ^ flips)
+    replay = (array, schedule, loss, timing, seed)
+    ours = _replayed(simulate_losses, *replay)
+    assert ours == _replayed(simulate_losses_reference, *replay)
+
+
+def _qrm_schedule(geometry, seed=0):
+    array = AtomArray(
+        geometry, np.random.default_rng(seed).random(geometry.shape) < 0.5
+    )
+    return get_algorithm("qrm", geometry).schedule(array).schedule
+
+
+@pytest.mark.parametrize(
+    "tones, timing",
+    [
+        (AodToneConfig(rows=ToneMap(n_sites=6)), MoveTimingModel()),
+        (AodToneConfig(cols=ToneMap(n_sites=11)), MoveTimingModel()),
+        (AodToneConfig(), MoveTimingModel(transfer_us_per_site=0)),
+        (AodToneConfig(), MoveTimingModel(pickup_us=0)),
+        (AodToneConfig(), MoveTimingModel(drop_us=0)),
+    ],
+    ids=["row-overflow", "chirp-overflow", "transport-0", "pickup-0", "drop-0"],
+)
+def test_compile_errors_match_reference(geo20, tones, timing):
+    schedule = _qrm_schedule(geo20)
+    with pytest.raises(WaveformError) as ours:
+        compile_schedule(schedule, tones, timing)
+    with pytest.raises(WaveformError) as reference:
+        compile_schedule_reference(schedule, tones, timing)
+    assert str(ours.value) == str(reference.value)
+
+
+def test_table_columns_match_the_objects(geo20):
+    schedule = _qrm_schedule(geo20)
+    state = dict(vars(schedule))
+    table = schedule.table()
+    assert vars(schedule) == state  # built afresh, never cached
+    assert table is not schedule.table()
+    assert len(table) == len(schedule)
+    assert table.n_shifts == schedule.n_line_shifts
+    shifts = [shift for move in schedule for shift in move.shifts]
+    assert table.line.tolist() == [s.line for s in shifts]
+    assert table.span_start.tolist() == [s.span_start for s in shifts]
+    assert table.span_stop.tolist() == [s.span_stop for s in shifts]
+    for index, move in enumerate(schedule):
+        dr, dc = move.direction.delta
+        assert table.horizontal[index] == move.is_horizontal
+        assert table.steps[index] == move.steps
+        assert table.displacement[index] == move.steps * (dr + dc)
+        a, b = table.offsets[index], table.offsets[index + 1]
+        assert b - a == len(move.shifts)
+        assert (table.shift_displacement[a:b] == table.displacement[index]).all()
+
+
+def test_empty_schedule_table_and_program(geo8):
+    schedule = MoveSchedule(geo8)
+    assert len(schedule.table()) == 0
+    program = compile_schedule(schedule)
+    assert len(program.segments) == 0
+    assert program.total_duration_us == 0
+
+
+def test_trusted_bundle_compiles_like_the_reference(geo8):
+    # compile_move reads the move's direction and steps, not the shifts'.
+    rogue = ParallelMove.trusted(
+        Direction.SOUTH,
+        steps=1,
+        shifts=(
+            LineShift(Direction.SOUTH, 5, 0, 3),
+            LineShift(Direction.SOUTH, 1, 2, 6, steps=2),
+        ),
+    )
+    schedule = MoveSchedule(geo8, moves=[rogue, rogue])
+    tones, timing = AodToneConfig(), MoveTimingModel()
+    ours = _compiled(compile_schedule, schedule, tones, timing)
+    assert ours == _compiled(compile_schedule_reference, schedule, tones, timing)
