@@ -568,9 +568,10 @@ def measure_awg_compile_speedup(
     """Time AWG compilation of QRM first-frame schedules, both ways.
 
     The vectorised side is :func:`~repro.awg.compiler.compile_schedule`
-    (one NumPy pass over the schedule table, table build included); the
-    reference is the move-by-move object walker
-    :func:`~repro.awg.compiler.compile_schedule_reference`.
+    (one NumPy pass over the schedule's stored table); the reference is
+    the move-by-move object walker
+    :func:`~repro.awg.compiler.compile_schedule_reference`, which pays
+    for building the move objects it walks.
     """
     from repro.awg.compiler import compile_schedule, compile_schedule_reference
 
@@ -595,7 +596,8 @@ def measure_lossy_replay_speedup(
     the default :class:`~repro.physics.loss.LossModel`, from generators
     seeded alike: :func:`~repro.physics.loss.simulate_losses` (the
     table-driven move applier, one draw call per move) against the
-    site-by-site :func:`~repro.physics.loss.simulate_losses_reference`.
+    site-by-site :func:`~repro.physics.loss.simulate_losses_reference`
+    (move objects built included).
     """
     from repro.physics.loss import simulate_losses, simulate_losses_reference
 
@@ -653,8 +655,7 @@ def measure_batched_qrm_speedup(
         for index in range(n_max)
     ]
 
-    # Warm-up: populate the move interner and touch both code paths
-    # before timing anything.
+    # Warm-up: touch both code paths before timing anything.
     batched.schedule_batch(arrays[:1])
     serial.schedule(arrays[0])
 

@@ -176,6 +176,7 @@ def seed_run_pass(
     """The seed ``run_pass``: dict-of-lists rounds, heterogeneous keys."""
     outcome = PassOutcome(phase=phase)
     axis = 0 if phase is Phase.ROW else 1
+    moves: list[ParallelMove] = []
 
     states: list[_SeedLineState] = []
     for quadrant in QUADRANT_ORDER:
@@ -265,10 +266,11 @@ def seed_run_pass(
                         tag += f"-{key[2].value}"
                     move = ParallelMove.of(shifts, tag=tag)
                     apply_parallel_move(grid, move)
-                    outcome.moves.append(move)
+                    moves.append(move)
                     outcome.n_executed += len(shifts)
         round_index += 1
         if round_index > array.geometry.width + array.geometry.height:
             raise RuntimeError("pass failed to drain its command lists")
 
+    outcome.record_moves(moves)
     return outcome

@@ -142,15 +142,16 @@ class MoveApplier:
     selected site whose destination would leave its line, or an atom
     landing on a static one — goes to :func:`apply_parallel_move` on
     the still-untouched grid, so the raised :class:`MoveError` (message,
-    offending shift) is exactly the per-shift path's.  ``grid`` must be
-    C-contiguous (every :class:`AtomArray` grid is): the applier writes
-    through a flat view of it.
+    offending shift) is exactly the per-shift path's; that is the only
+    place a move object is built.  ``grid`` must be C-contiguous (every
+    :class:`AtomArray` grid is): the applier writes through a flat view
+    of it.
     """
 
     def __init__(self, grid: np.ndarray, schedule: MoveSchedule) -> None:
         self.grid = grid
         self.flat = grid.reshape(-1)
-        self._moves = schedule.moves
+        self._schedule = schedule
         table = schedule.table()
         height, width = grid.shape
         shift_move = table.shift_move
@@ -200,7 +201,7 @@ class MoveApplier:
         occupied = flat[src]
         landing = dst[occupied]
         if self._per_shift[index] or (occupied & self._outside[a:b] & flat[dst]).any():
-            apply_parallel_move(self.grid, self._moves[index])
+            apply_parallel_move(self.grid, self._schedule[index])
         else:
             flat[src[occupied]] = False
             flat[landing] = True
@@ -238,14 +239,15 @@ def execute_schedule(
     Moves are applied through a :class:`MoveApplier`, which plans every
     site of the schedule up front — replaying the wide parallel moves
     the vectorised schedulers emit would pay a per-shift Python loop
-    otherwise.
+    otherwise.  Only the constraint checks need move objects.
     """
     array = initial.copy()
     report = ExecutionReport()
     applier = MoveApplier(array.grid, schedule)
-    for index, move in enumerate(schedule):
-        if constraints is not None:
-            for violation in check_parallel_move(array.grid, move, constraints):
+    moves = schedule.moves if constraints is not None else None
+    for index in range(len(schedule)):
+        if moves is not None:
+            for violation in check_parallel_move(array.grid, moves[index], constraints):
                 report.violations.append((index, violation))
                 if strict:
                     raise MoveError(f"move {index} violates constraints: {violation}")

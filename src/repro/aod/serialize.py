@@ -12,8 +12,9 @@ from typing import Any
 
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
-from repro.errors import ScheduleValidationError
+from repro.errors import MoveError, ReproError, ScheduleValidationError
 from repro.lattice.geometry import ArrayGeometry, Direction
+from repro.lattice.mask import TargetMask
 
 FORMAT_VERSION = 1
 
@@ -30,17 +31,54 @@ def _shift_to_dict(shift: LineShift) -> dict[str, Any]:
     }
 
 
-def _shift_from_dict(data: dict[str, Any]) -> LineShift:
-    try:
-        return LineShift(
-            direction=Direction(data["dir"]),
-            line=int(data["line"]),
-            span_start=int(data["start"]),
-            span_stop=int(data["stop"]),
-            steps=int(data.get("steps", 1)),
+#: Largest magnitude an integer field may carry: the columnar schedule
+#: stores fields as machine integers, and no trap index comes near it.
+MAX_INTEGER = 2**31 - 1
+
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+#: The integer fields of a shift record, with their defaults.
+_SHIFT_INTEGERS = (("line", None), ("start", None), ("stop", None), ("steps", 1))
+
+
+def _checked(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a ``kind``, else :class:`ScheduleValidationError`.
+
+    Integers must be genuine JSON integers within :data:`MAX_INTEGER`:
+    ``1.5``, ``true`` and ``"3"`` are rejected, not coerced.
+    """
+    if kind is int:
+        valid = type(value) is int and -MAX_INTEGER <= value <= MAX_INTEGER
+    else:
+        valid = isinstance(value, kind)
+    if not valid:
+        raise ScheduleValidationError(
+            f"{what} must be {_KIND_NAMES[kind]}, got {value!r}"
         )
-    except (KeyError, ValueError) as exc:
+    return value
+
+
+def _shift_from_dict(data: Any) -> LineShift:
+    record = _checked(data, dict, "a shift record")
+    direction = _checked(record.get("dir"), str, "a shift's 'dir'")
+    line, start, stop, steps = (
+        _checked(record.get(key, default), int, f"a shift's {key!r}")
+        for key, default in _SHIFT_INTEGERS
+    )
+    try:
+        return LineShift(Direction(direction), line, start, stop, steps)
+    except (ValueError, MoveError) as exc:
         raise ScheduleValidationError(f"malformed shift record: {data}") from exc
+
+
+def _move_from_dict(data: Any) -> ParallelMove:
+    record = _checked(data, dict, "a move record")
+    shifts = _checked(record.get("shifts"), list, "a move's 'shifts'")
+    tag = _checked(record.get("tag", ""), str, "a move's 'tag'")
+    try:
+        return ParallelMove.of([_shift_from_dict(s) for s in shifts], tag=tag)
+    except MoveError as exc:
+        raise ScheduleValidationError(f"malformed move record: {exc}") from exc
 
 
 def schedule_to_dict(schedule: MoveSchedule) -> dict[str, Any]:
@@ -76,35 +114,39 @@ def schedule_to_dict(schedule: MoveSchedule) -> dict[str, Any]:
     }
 
 
-def schedule_from_dict(data: dict[str, Any]) -> MoveSchedule:
-    """Inverse of :func:`schedule_to_dict`."""
+def schedule_from_dict(data: Any) -> MoveSchedule:
+    """Inverse of :func:`schedule_to_dict`.
+
+    Any malformed document — a root, geometry, move or shift that is not
+    an object, a missing field, a number that is not an integer, a tag
+    or algorithm that is not a string, or values no geometry or move
+    accepts — raises :class:`~repro.errors.ScheduleValidationError`.
+    """
+    data = _checked(data, dict, "a schedule document")
     version = data.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ScheduleValidationError(
             f"unsupported schedule format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    geo = _checked(data.get("geometry"), dict, "the 'geometry'")
+    extents = [
+        _checked(geo.get(name), int, f"the geometry's {name!r}")
+        for name in ("width", "height", "target_width", "target_height")
+    ]
+    rows = geo.get("mask")
+    if rows is not None and not all(
+        isinstance(row, str) for row in _checked(rows, list, "a mask")
+    ):
+        raise ScheduleValidationError(f"a mask must be row strings, got {rows!r}")
     try:
-        geo = data["geometry"]
-        mask = None
-        if geo.get("mask") is not None:
-            from repro.lattice.mask import TargetMask
-
-            mask = TargetMask.from_rows(list(geo["mask"]))
-        geometry = ArrayGeometry(
-            width=int(geo["width"]),
-            height=int(geo["height"]),
-            target_width=int(geo["target_width"]),
-            target_height=int(geo["target_height"]),
-            mask=mask,
-        )
-        schedule = MoveSchedule(geometry, algorithm=data.get("algorithm", ""))
-        for move_data in data["moves"]:
-            shifts = [_shift_from_dict(s) for s in move_data["shifts"]]
-            schedule.append(ParallelMove.of(shifts, tag=move_data.get("tag", "")))
-    except (KeyError, TypeError) as exc:
-        raise ScheduleValidationError("malformed schedule document") from exc
-    return schedule
+        mask = None if rows is None else TargetMask.from_rows(rows)
+        geometry = ArrayGeometry(*extents, mask=mask)
+    except ReproError as exc:
+        raise ScheduleValidationError(f"malformed geometry: {exc}") from exc
+    algorithm = _checked(data.get("algorithm", ""), str, "the 'algorithm'")
+    moves = _checked(data.get("moves"), list, "the 'moves'")
+    return MoveSchedule(geometry, algorithm, [_move_from_dict(m) for m in moves])
 
 
 def dumps(schedule: MoveSchedule, indent: int | None = None) -> str:

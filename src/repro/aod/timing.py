@@ -46,13 +46,21 @@ class MoveTimingModel:
 
     def move_duration_us(self, move: ParallelMove) -> float:
         """Duration of one parallel move (all lines ramp together)."""
-        return (self.pickup_us + move.steps * self.transfer_us_per_site + self.drop_us)
+        return self.steps_duration_us(move.steps)
+
+    def steps_duration_us(self, steps: int) -> float:
+        """Duration of one parallel move of ``steps`` sites."""
+        return self.pickup_us + steps * self.transfer_us_per_site + self.drop_us
 
     def schedule_motion_us(self, schedule: MoveSchedule) -> float:
-        """Total wall time for the atoms to execute ``schedule``."""
+        """Total wall time for the atoms to execute ``schedule``.
+
+        Read off the schedule's table; summed move by move in order.
+        """
         if not len(schedule):
             return 0.0
-        total = sum(self.move_duration_us(move) for move in schedule)
+        steps = schedule.table().steps.tolist()
+        total = sum(map(self.steps_duration_us, steps))
         total += self.settle_us * (len(schedule) - 1)
         return total
 

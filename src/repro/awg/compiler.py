@@ -158,23 +158,6 @@ def _compiles_cleanly(
     )
 
 
-def _span_union(
-    table: ScheduleTable, shift_move: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(move, index)`` of every span-axis tone: each move's union of spans.
-
-    A difference array per move (+1 at each span start, -1 at each
-    stop) whose running sum is positive exactly on covered indices;
-    entries come out grouped by move, indices ascending.
-    """
-    n = len(table)
-    width = int(table.span_stop.max(initial=0)) + 1
-    row = shift_move * width
-    edges = np.bincount(row + table.span_start, minlength=n * width)
-    edges -= np.bincount(row + table.span_stop, minlength=n * width)
-    return np.nonzero(np.cumsum(edges.reshape(n, width), axis=1) > 0)
-
-
 def _frequencies(
     tones: AodToneConfig, on_rows: np.ndarray, indices: np.ndarray
 ) -> np.ndarray:
@@ -231,7 +214,9 @@ def compile_schedule(
     per = 4 if timing.settle_us > 0 else 3
     n_segments = n * per - (per == 4)
     n_lines = np.diff(table.offsets)
-    cross_move, cross = _span_union(table, shift_move)
+    cross_move, cross = table.span_union()
+    horizontal = table.horizontal
+    displacement = table.displacement
     n_cross = np.bincount(cross_move, minlength=n)
     move_tones = n_lines + n_cross
     counts = np.zeros((n, per), dtype=np.intp)
@@ -244,7 +229,7 @@ def compile_schedule(
 
     # Pickup and drop list row tones before column tones; transport
     # lists the static line tones before the chirped span tones.
-    line_h = table.horizontal[shift_move]
+    line_h = horizontal[shift_move]
     line_rank = np.arange(table.n_shifts) - table.offsets[shift_move]
     line_slots = _slots(
         first[shift_move] + line_rank,
@@ -255,7 +240,7 @@ def compile_schedule(
     lines = table.line[np.lexsort((table.line, shift_move))]
     line_mhz = _frequencies(tones, line_h, lines)
 
-    cross_h = table.horizontal[cross_move]
+    cross_h = horizontal[cross_move]
     cross_lines = n_lines[cross_move]
     cross_rank = np.arange(len(cross)) - cross_first[cross_move]
     cross_slots = _slots(
@@ -265,7 +250,7 @@ def compile_schedule(
         cross_lines,
     )
     picked = _frequencies(tones, ~cross_h, cross)
-    dropped = _frequencies(tones, ~cross_h, cross + table.displacement[cross_move])
+    dropped = _frequencies(tones, ~cross_h, cross + displacement[cross_move])
 
     slots = np.concatenate(line_slots + cross_slots)
     start_mhz = np.empty(tone_offsets[-1])

@@ -114,19 +114,21 @@ class Mta1Scheduler:
 
     def _analyse(self, array: AtomArray) -> RearrangementResult:
         live = array.copy()
-        moves = MoveSchedule(self.geometry, algorithm=self.name)
+        moves: list[ParallelMove] = []
         ops, unresolved = self._route_defects(live, moves)
         return RearrangementResult(
             algorithm=self.name,
             initial=array.copy(),
             final=live,
-            schedule=moves,
+            schedule=MoveSchedule(self.geometry, self.name, moves),
             converged=unresolved == 0,
             analysis_ops=ops,
             unresolved_defects=unresolved,
         )
 
-    def _route_defects(self, live: AtomArray, moves: MoveSchedule) -> tuple[int, int]:
+    def _route_defects(
+        self, live: AtomArray, moves: list[ParallelMove]
+    ) -> tuple[int, int]:
         """Serve every target defect centre-outward; returns (ops, unresolved).
 
         Vectorised implementation: emits exactly the moves of
@@ -236,7 +238,9 @@ class Mta1SchedulerReference(Mta1Scheduler):
     tests enforce it.
     """
 
-    def _route_defects(self, live: AtomArray, moves: MoveSchedule) -> tuple[int, int]:
+    def _route_defects(
+        self, live: AtomArray, moves: list[ParallelMove]
+    ) -> tuple[int, int]:
         grid = live.grid
         target = self.geometry.target_region
         centre = (

@@ -59,7 +59,9 @@ class PscaScheduler:
 
     # -- planning helpers -----------------------------------------------
 
-    def _round(self, array: AtomArray, schedule: MoveSchedule, vertical: bool) -> int:
+    def _round(
+        self, array: AtomArray, schedule: list[ParallelMove], vertical: bool
+    ) -> int:
         """One full re-scan + batched execution; returns shifts done.
 
         Each half of every line is scanned for its innermost hole with
@@ -165,7 +167,7 @@ class PscaScheduler:
 
     def _analyse(self, array: AtomArray) -> RearrangementResult:
         live = array.copy()
-        moves = MoveSchedule(self.geometry, algorithm=self.name)
+        moves: list[ParallelMove] = []
         ops = 0
         converged = False
         for _ in range(self.max_phases):
@@ -189,7 +191,7 @@ class PscaScheduler:
             algorithm=self.name,
             initial=array.copy(),
             final=live,
-            schedule=moves,
+            schedule=MoveSchedule(self.geometry, self.name, moves),
             converged=converged,
             analysis_ops=ops,
         )
@@ -204,7 +206,9 @@ class PscaSchedulerReference(PscaScheduler):
     — the differential property tests enforce it.
     """
 
-    def _round(self, array: AtomArray, schedule: MoveSchedule, vertical: bool) -> int:
+    def _round(
+        self, array: AtomArray, schedule: list[ParallelMove], vertical: bool
+    ) -> int:
         groups = self._plan_lines(array.grid, vertical)
         return self._emit_batches(array, schedule, groups, vertical)
 
@@ -255,7 +259,7 @@ class PscaSchedulerReference(PscaScheduler):
     def _emit_batches(
         self,
         array: AtomArray,
-        schedule: MoveSchedule,
+        schedule: list[ParallelMove],
         groups: dict[tuple[Direction, int], list[int]],
         vertical: bool,
     ) -> int:

@@ -62,7 +62,9 @@ class TetrisScheduler:
 
     # -- helpers -----------------------------------------------------------
 
-    def _compress_row(self, array: AtomArray, schedule: MoveSchedule, row: int) -> int:
+    def _compress_row(
+        self, array: AtomArray, schedule: list[ParallelMove], row: int
+    ) -> int:
         """Fully compact ``row`` toward the centre columns; returns ops.
 
         One :func:`scan_line` per half replaces the reference's re-scan
@@ -120,7 +122,7 @@ class TetrisScheduler:
         return width * (rounds.size + 1)
 
     def _pull_defects(
-        self, array: AtomArray, schedule: MoveSchedule, row: int, outboard: int
+        self, array: AtomArray, schedule: list[ParallelMove], row: int, outboard: int
     ) -> tuple[int, int]:
         """Pull atoms into ``row``'s empty target sites from outboard rows.
 
@@ -176,7 +178,7 @@ class TetrisScheduler:
 
     def _analyse(self, array: AtomArray) -> RearrangementResult:
         live = array.copy()
-        moves = MoveSchedule(self.geometry, algorithm=self.name)
+        moves: list[ParallelMove] = []
         target = self.geometry.target_region
         half = self.geometry.height // 2
         ops = 0
@@ -199,7 +201,7 @@ class TetrisScheduler:
             algorithm=self.name,
             initial=array.copy(),
             final=live,
-            schedule=moves,
+            schedule=MoveSchedule(self.geometry, self.name, moves),
             converged=unresolved == 0,
             analysis_ops=ops,
             unresolved_defects=unresolved,
@@ -215,7 +217,9 @@ class TetrisSchedulerReference(TetrisScheduler):
     differential property tests enforce it.
     """
 
-    def _compress_row(self, array: AtomArray, schedule: MoveSchedule, row: int) -> int:
+    def _compress_row(
+        self, array: AtomArray, schedule: list[ParallelMove], row: int
+    ) -> int:
         grid = array.grid
         width = self.geometry.width
         half = width // 2
@@ -256,7 +260,7 @@ class TetrisSchedulerReference(TetrisScheduler):
         return None
 
     def _pull_defects(
-        self, array: AtomArray, schedule: MoveSchedule, row: int, outboard: int
+        self, array: AtomArray, schedule: list[ParallelMove], row: int, outboard: int
     ) -> tuple[int, int]:
         grid = array.grid
         target = self.geometry.target_region

@@ -2,7 +2,6 @@
 
 from repro.core.batch import BatchQrmScheduler
 from repro.core.passes import (
-    MoveInterner,
     Phase,
     PassOutcome,
     batch_order_key,
@@ -30,7 +29,6 @@ __all__ = [
     "BatchQrmScheduler",
     "IterationStats",
     "LineScanResult",
-    "MoveInterner",
     "PassOutcome",
     "Phase",
     "QrmScheduler",

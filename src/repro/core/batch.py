@@ -35,9 +35,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.aod.schedule import MoveSchedule
 from repro.config import DEFAULT_QRM_PARAMETERS, QrmParameters, ScanMode
-from repro.core.passes import MoveInterner, Phase, run_pass_batch
+from repro.core.passes import Phase, run_pass_batch, schedule_from_outcomes
 from repro.core.result import IterationStats, RearrangementResult
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Quadrant
@@ -48,9 +47,8 @@ class BatchQrmScheduler:
 
     The batch-first counterpart of :class:`~repro.core.qrm.QrmScheduler`
     (always the vectorised pass — the reference oracle stays
-    single-trial).  One instance holds a :class:`MoveInterner`, so
-    repeated ``schedule_batch`` calls on the same geometry keep sharing
-    the interned shift/tag objects.
+    single-trial).  An instance holds no per-call state, so repeated
+    ``schedule_batch`` calls on one engine are independent.
     """
 
     name = "qrm"
@@ -66,7 +64,6 @@ class BatchQrmScheduler:
         self.params = params
         self.frames = {q: geometry.quadrant_frame(q) for q in Quadrant}
         self._scan_limits = resolve_scan_limits(geometry, params.scan_limit)
-        self._interner = MoveInterner()
 
     # -- public API --------------------------------------------------------
 
@@ -104,10 +101,6 @@ class BatchQrmScheduler:
     ) -> list[RearrangementResult]:
         n_trials = len(batch)
         live = np.stack([array.grid for array in batch])
-        moves = [
-            MoveSchedule(self.geometry, algorithm=self.name)
-            for _ in range(n_trials)
-        ]
         iteration_stats: list[list[IterationStats]] = [[] for _ in range(n_trials)]
         pass_records: list[list] = [[] for _ in range(n_trials)]
         converged = [False] * n_trials
@@ -131,7 +124,6 @@ class BatchQrmScheduler:
                 merge_mirror=self.params.merge_mirror_quadrants,
                 guard=False,
                 scan_limit=self._scan_limits[Phase.ROW],
-                interner=self._interner,
             )
             col_outcomes = run_pass_batch(
                 sub,
@@ -141,7 +133,6 @@ class BatchQrmScheduler:
                 merge_mirror=self.params.merge_mirror_quadrants,
                 guard=pipelined,
                 scan_limit=self._scan_limits[Phase.COLUMN],
-                interner=self._interner,
             )
             if sub is not live:
                 live[active] = sub
@@ -150,8 +141,6 @@ class BatchQrmScheduler:
             for k, trial in enumerate(active.tolist()):
                 row_outcome = row_outcomes[k]
                 col_outcome = col_outcomes[k]
-                moves[trial].extend(row_outcome.moves)
-                moves[trial].extend(col_outcome.moves)
                 pass_records[trial].extend((row_outcome, col_outcome))
                 analysis_ops[trial] += (
                     row_outcome.n_scanned_bits
@@ -184,24 +173,30 @@ class BatchQrmScheduler:
         results: list[RearrangementResult] = []
         for trial in range(n_trials):
             final = AtomArray(self.geometry, live[trial])
-            result = RearrangementResult(
-                algorithm=self.name,
-                initial=batch[trial].copy(),
-                final=final,
-                schedule=moves[trial],
-                iterations=iteration_stats[trial],
-                converged=converged[trial],
-                analysis_ops=analysis_ops[trial],
-                pass_outcomes=pass_records[trial],
-            )
+            repair_moves: list = []
+            unresolved = 0
             if self.params.enable_repair:
                 from repro.core.repair import repair_defects
 
                 repair_outcome = repair_defects(
                     final, max_moves=self.params.max_repair_moves
                 )
-                moves[trial].extend(repair_outcome.moves)
-                result.repair_moves = len(repair_outcome.moves)
-                result.unresolved_defects = repair_outcome.unresolved
-            results.append(result)
+                repair_moves = repair_outcome.moves
+                unresolved = repair_outcome.unresolved
+            results.append(
+                RearrangementResult(
+                    algorithm=self.name,
+                    initial=batch[trial].copy(),
+                    final=final,
+                    schedule=schedule_from_outcomes(
+                        self.geometry, self.name, pass_records[trial], repair_moves
+                    ),
+                    iterations=iteration_stats[trial],
+                    converged=converged[trial],
+                    analysis_ops=analysis_ops[trial],
+                    repair_moves=len(repair_moves),
+                    unresolved_defects=unresolved,
+                    pass_outcomes=pass_records[trial],
+                )
+            )
         return results

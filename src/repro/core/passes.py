@@ -1,9 +1,9 @@
 """Building and executing the per-pass move batches of QRM.
 
 A *pass* turns the scan results of all four quadrants into an ordered
-list of :class:`~repro.aod.move.ParallelMove` batches and executes them
-on the live grid as it goes (the scheduler must track the true occupancy
-to emit a schedule that replays cleanly).
+list of parallel-move batches and executes them on the live grid as it
+goes (the scheduler must track the true occupancy to emit a schedule
+that replays cleanly).
 
 Batching implements the paper's Row Combination Unit (Sec. IV-C):
 
@@ -22,20 +22,23 @@ Two implementations share these semantics: :func:`run_pass_reference`
 is the per-line, per-command state machine kept as the behavioural
 oracle, and :func:`run_pass` is the production path, which drains whole
 rounds as NumPy arrays (one batched :func:`~repro.core.scan.scan_quadrant`
-per quadrant, affine span arithmetic, group-by via ``lexsort``).  The
-two are property-tested to emit bit-identical schedules.
+per quadrant, affine span arithmetic, group-by via one sort) and writes
+its moves straight into :class:`~repro.aod.table.ScheduleTable` columns
+— the reference emits :class:`~repro.aod.move.ParallelMove` objects.
+The two are property-tested to emit bit-identical schedules.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.aod.executor import apply_parallel_move
 from repro.aod.move import LineShift, ParallelMove
+from repro.aod.schedule import MoveSchedule
+from repro.aod.table import DIRECTION_CODE, ScheduleTable
 from repro.core.scan import (
     LineScanResult,
     scan_axis,
@@ -43,7 +46,7 @@ from repro.core.scan import (
     scan_quadrant_batch,
 )
 from repro.lattice.array import AtomArray
-from repro.lattice.geometry import Direction, Quadrant, QuadrantFrame
+from repro.lattice.geometry import ArrayGeometry, Direction, Quadrant, QuadrantFrame
 
 
 class Phase(enum.Enum):
@@ -86,13 +89,16 @@ def batch_order_key(hole: int, quadrant: Quadrant | None = None) -> tuple[int, i
 class PassOutcome:
     """Statistics and moves produced by one pass.
 
-    ``line_commands`` holds, per quadrant, the command count of every
-    scanned line in scan order (zeros included) — the FPGA cycle model
-    uses it to size the recorder/combiner token streams.
+    The moves are stored as a :class:`~repro.aod.table.ScheduleTable`
+    plus one tag per move; :attr:`moves` builds them as objects on
+    request.  ``line_commands`` holds, per quadrant, the command count
+    of every scanned line in scan order (zeros included) — the FPGA
+    cycle model uses it to size the recorder/combiner token streams.
     """
 
     phase: Phase
-    moves: list[ParallelMove] = field(default_factory=list)
+    table: ScheduleTable = field(default_factory=ScheduleTable.empty)
+    tags: tuple[str, ...] = ()
     n_commands: int = 0
     n_executed: int = 0
     n_skipped_stale: int = 0
@@ -101,11 +107,42 @@ class PassOutcome:
     line_commands: dict[Quadrant, list[int]] = field(default_factory=dict)
 
     @property
+    def moves(self) -> list[ParallelMove]:
+        """The pass's moves as new objects (built on each access)."""
+        return self.table.moves(self.tags)
+
+    @property
     def n_batches(self) -> int:
-        return len(self.moves)
+        return len(self.table)
+
+    def record_moves(self, moves: list[ParallelMove]) -> None:
+        """Store the moves of a pass runner that emits objects."""
+        self.table = ScheduleTable.from_moves(moves)
+        self.tags = tuple(move.tag for move in moves)
 
     def lines_with_commands(self, quadrant: Quadrant) -> int:
         return sum(1 for n in self.line_commands.get(quadrant, []) if n)
+
+
+def schedule_from_outcomes(
+    geometry: ArrayGeometry,
+    algorithm: str,
+    outcomes: list[PassOutcome],
+    repair_moves: list[ParallelMove] = (),
+) -> MoveSchedule:
+    """The schedule of ``outcomes`` in pass order, then ``repair_moves``.
+
+    The pass tables are concatenated once; the repair stage's move
+    objects are flattened once on the way in.
+    """
+    tables = [outcome.table for outcome in outcomes]
+    tags = [tag for outcome in outcomes for tag in outcome.tags]
+    if repair_moves:
+        tables.append(ScheduleTable.from_moves(repair_moves))
+        tags.extend(move.tag for move in repair_moves)
+    return MoveSchedule.from_table(
+        geometry, ScheduleTable.concat(tables), tags, algorithm=algorithm
+    )
 
 
 @dataclass
@@ -210,6 +247,13 @@ def _direction_order(phase: Phase) -> tuple[Direction, Direction]:
     return (Direction.SOUTH, Direction.NORTH)
 
 
+#: :data:`~repro.aod.table.DIRECTIONS` codes of each phase's direction ranks.
+_DIRECTION_CODES = {
+    phase: np.array([DIRECTION_CODE[d] for d in _direction_order(phase)], dtype=np.int8)
+    for phase in Phase
+}
+
+
 def _quadrant_limit(scan_limit, quadrant):
     """Resolve the ``s_en`` bound for one quadrant's scan.
 
@@ -241,6 +285,7 @@ def run_pass_reference(
     """
     outcome = PassOutcome(phase=phase)
     axis = 0 if phase is Phase.ROW else 1
+    moves: list[ParallelMove] = []
 
     states: list[_LineState] = []
     for quadrant in QUADRANT_ORDER:
@@ -331,13 +376,14 @@ def run_pass_reference(
                         tag += f"-{key[2].value}"
                     move = ParallelMove.of(shifts, tag=tag)
                     apply_parallel_move(grid, move)
-                    outcome.moves.append(move)
+                    moves.append(move)
                     outcome.n_executed += len(shifts)
         round_index += 1
         if round_index > array.geometry.width + array.geometry.height:
             # Safety net: each line has at most n_positions commands.
             raise RuntimeError("pass failed to drain its command lists")
 
+    outcome.record_moves(moves)
     return outcome
 
 
@@ -510,10 +556,30 @@ def _apply_guarded_compaction(
         grid[new_coord, line_rep[atoms]] = True
 
 
-def _emit_round_groups(
-    outcome: PassOutcome,
+def _unique_keys(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(packed, return_index=True, return_inverse=True)[1:]``.
+
+    One plain argsort plus linear passes — several times cheaper than
+    ``np.unique``'s bookkeeping.  The returned index points at *an*
+    occurrence of each key rather than the first, which is equivalent
+    here: every field the caller unpacks is fully determined by the key.
+    """
+    order = np.argsort(packed)
+    sorted_keys = packed[order]
+    boundary = np.empty(sorted_keys.size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
+    inverse = np.empty(sorted_keys.size, dtype=np.intp)
+    inverse[order] = np.cumsum(boundary) - 1
+    return order[boundary], inverse
+
+
+def _emit_columns(
+    outcomes: list[PassOutcome],
     phase: Phase,
     merge_mirror: bool,
+    extent: int,
+    trial_of: np.ndarray,
     round_of: np.ndarray,
     dir_rank: np.ndarray,
     cur: np.ndarray,
@@ -522,63 +588,101 @@ def _emit_round_groups(
     span_start: np.ndarray,
     span_stop: np.ndarray,
 ) -> None:
-    """Order, group, and materialise the given commands as moves.
+    """Order and group the given commands into each trial's move columns.
 
-    The arrays are parallel, one entry per command; the batch order is
-    (round, direction, :func:`batch_order_key`), with shifts inside one
-    batch ascending by full-array line.  Mirror-merged mode drops the
-    quadrant from the group identity, so mirror lines sharing a hole
-    fuse into one :class:`~repro.aod.move.ParallelMove`.  Grid
-    application is the caller's job (net compaction or round scatter).
+    The arrays are parallel, one entry per executed command, and
+    ``trial_of`` indexes ``outcomes`` (a single trial is a batch of
+    one); ``extent`` is the grid's longer side, which bounds every line,
+    hole and round index.  The batch order is (trial, round, direction,
+    :func:`batch_order_key`), with shifts inside one batch ascending by
+    full-array line.  Mirror-merged mode drops the quadrant from the
+    group identity, so mirror lines sharing a hole fuse into one move.
+    The full-array line is unique within any (round, direction,
+    hole[, quadrant]) group, so the keys order the commands totally and
+    each trial's moves are bit-identical to emitting that trial alone.
+
+    Each outcome receives its trial's moves as a
+    :class:`~repro.aod.table.ScheduleTable` whose columns are slices of
+    the pass's, plus one tag per move; each distinct tag string is built
+    once and shared.  No move object is built.  Grid application is the
+    caller's job (net compaction or the guarded gather/scatter).
     """
     n = cur.size
     if not n:
         return
-    directions = _direction_order(phase)
-    if merge_mirror:
-        order = np.lexsort((line_full, cur, dir_rank, round_of))
-        group_keys = (round_of, dir_rank, cur)
-    else:
-        order = np.lexsort((line_full, quad_rank, cur, dir_rank, round_of))
-        group_keys = (round_of, dir_rank, cur, quad_rank)
-    sorted_keys = [key[order] for key in group_keys]
-    boundary = np.zeros(n, dtype=bool)
-    boundary[0] = True
-    for key in sorted_keys:
-        boundary[1:] |= key[1:] != key[:-1]
-    starts = np.nonzero(boundary)[0]
-    ends = np.append(starts[1:], n)
+    keys = (trial_of, round_of, dir_rank, cur)
+    if not merge_mirror:
+        keys += (quad_rank,)
 
-    # Bulk-convert to Python scalars once; per-element ndarray indexing
-    # in the group loop would dominate the pass otherwise.
-    round_s = sorted_keys[0].tolist()
-    dir_s = sorted_keys[1].tolist()
-    cur_s = sorted_keys[2].tolist()
-    quad_values = (
-        None
-        if merge_mirror
-        else [_RANK_TO_QUADRANT[r].value for r in sorted_keys[3].tolist()]
-    )
-    line_s = line_full[order].tolist()
-    start_s = span_start[order].tolist()
-    stop_s = span_stop[order].tolist()
-    phase_label = phase.value
-    make_shift = LineShift.trusted
-    make_move = ParallelMove.trusted
-    append_move = outcome.moves.append
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        direction = directions[dir_s[lo]]
-        shifts = tuple(
-            [
-                make_shift(direction, line_s[i], start_s[i], stop_s[i])
-                for i in range(lo, hi)
-            ]
+    # Sort by (trial, round, dir, cur[, quad], line) — one argsort over a
+    # single packed int64 key when the coordinates fit the 13-bit fields
+    # (any realistic trap array), falling back to the equivalent lexsort
+    # otherwise.  The keys are unique (the line is unique within a
+    # group), so sort kind is irrelevant.
+    if extent <= 8192 and len(outcomes) <= 1 << 22:
+        trial = trial_of.astype(np.int64)
+        group = (((trial << 13 | round_of) << 1 | dir_rank) << 13) | cur
+        if not merge_mirror:
+            group = group << 2 | quad_rank
+        order = np.argsort(group << 13 | line_full)
+        sorted_group = group[order]
+        new_move = sorted_group[1:] != sorted_group[:-1]
+    else:
+        order = np.lexsort((line_full,) + keys[::-1])
+        new_move = np.zeros(n - 1, dtype=bool)
+        for key in keys:
+            sorted_key = key[order]
+            new_move |= sorted_key[1:] != sorted_key[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], new_move)))
+    first = order[starts]  # one command per move, carrying its keys
+
+    # Tags: one (round, hole[, quadrant]) key per move; each distinct
+    # tag string is built once.
+    move_round = round_of[first].astype(np.int64)
+    move_cur = cur[first]
+    tag_key = (move_round << 31 | move_cur) << 2
+    if not merge_mirror:
+        tag_key |= quad_rank[first]
+    distinct, inverse = _unique_keys(tag_key)
+    label = phase.value
+    names = [
+        f"{label}-k{r}-h{h}"
+        for r, h in zip(move_round[distinct].tolist(), move_cur[distinct].tolist())
+    ]
+    if not merge_mirror:
+        names = [
+            f"{name}-{_RANK_TO_QUADRANT[q].value}"
+            for name, q in zip(names, quad_rank[first[distinct]].tolist())
+        ]
+    tags = list(map(names.__getitem__, inverse.tolist()))
+
+    shift_direction = _DIRECTION_CODES[phase][dir_rank[order]]
+    move_direction = shift_direction[starts]
+    ones = np.ones(n, dtype=np.intp)  # every QRM shift moves one step
+    line = line_full[order]
+    start = span_start[order]
+    stop = span_stop[order]
+
+    # Trial is the outermost key, so each trial's moves and shifts are
+    # contiguous runs.
+    offsets = np.append(starts, n)
+    bounds = np.searchsorted(trial_of[first], np.arange(len(outcomes) + 1)).tolist()
+    for outcome, m0, m1 in zip(outcomes, bounds, bounds[1:]):
+        if m0 == m1:
+            continue
+        s0, s1 = int(offsets[m0]), int(offsets[m1])
+        outcome.table = ScheduleTable(
+            direction=move_direction[m0:m1],
+            steps=ones[: m1 - m0],
+            offsets=offsets[m0 : m1 + 1] - s0,
+            shift_direction=shift_direction[s0:s1],
+            shift_steps=ones[s0:s1],
+            line=line[s0:s1],
+            span_start=start[s0:s1],
+            span_stop=stop[s0:s1],
         )
-        tag = f"{phase_label}-k{round_s[lo]}-h{cur_s[lo]}"
-        if quad_values is not None:
-            tag += f"-{quad_values[lo]}"
-        append_move(make_move(direction, 1, shifts, tag))
-        outcome.n_executed += hi - lo
+        outcome.tags = tuple(tags[m0:m1])
+        outcome.n_executed += s1 - s0
 
 
 def run_pass(
@@ -604,12 +708,13 @@ def run_pass(
     entire drain order is statically known — every state consumes one
     command per round, so command ``k`` of a line executes in round
     ``k`` with ``k`` earlier shifts applied — and the full pass reduces
-    to one ``lexsort``.  With the guard, each command's fate is *still*
-    closed-form, because a command's stale/empty checks only ever read
-    its own half-line, whose within-pass evolution is fully determined
-    by the pass-start occupancy (see the derivation inline below) — so
-    guarded passes, too, apply one gather/scatter total instead of one
-    per round.
+    to one sort, in the columnar emitter :func:`run_pass_batch` shares
+    (a single trial is a batch of one).  With the guard, each command's
+    fate is *still* closed-form, because a command's stale/empty checks
+    only ever read its own half-line, whose within-pass evolution is
+    fully determined by the pass-start occupancy (see the derivation
+    inline below) — so guarded passes, too, apply one gather/scatter
+    total instead of one per round.
     """
     outcome = PassOutcome(phase=phase)
     table, scans = _build_command_table(outcome, frames, phase, scan_source, scan_limit)
@@ -633,10 +738,12 @@ def run_pass(
         span_sign = table.span_sign[state_of]
         a = span_base + span_sign * (cur + 1)
         b = span_base + span_sign * (table.n_positions[state_of] - round_of - 1)
-        _emit_round_groups(
-            outcome,
+        _emit_columns(
+            [outcome],
             phase,
             merge_mirror,
+            extent=max(grid.shape),
+            trial_of=np.zeros(round_of.size, dtype=np.intp),
             round_of=round_of,
             dir_rank=table.dir_rank[state_of],
             cur=cur,
@@ -712,10 +819,12 @@ def run_pass(
         sign = span_sign[alive]
         a = span_base[alive] + sign * (cur + 1)
         b = span_base[alive] + sign * (n_positions[alive] - executed_before[alive] - 1)
-        _emit_round_groups(
-            outcome,
+        _emit_columns(
+            [outcome],
             phase,
             merge_mirror,
+            extent=max(grid.shape),
+            trial_of=np.zeros(alive.size, dtype=np.intp),
             round_of=round_of[alive],
             dir_rank=table.dir_rank[state_of[alive]],
             cur=cur,
@@ -745,105 +854,6 @@ def run_pass(
 # ---------------------------------------------------------------------------
 # Cross-trial batched pass
 # ---------------------------------------------------------------------------
-
-
-class MoveInterner:
-    """Cross-trial cache for the batched pass's emitted move objects.
-
-    Same-geometry trials share most of their (direction, line, span)
-    shift combinations and (phase, round, hole) tags, so the batched
-    emission deduplicates with one ``np.unique`` over packed integer
-    keys and constructs each distinct ``LineShift``/tag string exactly
-    once — every later occurrence, in any trial of any batch served by
-    this interner, reuses the same object.  The shifts are frozen value
-    types compared by field (and tags are plain strings), so sharing one
-    instance across trials preserves bit-identity with the single-trial
-    schedules while skipping the Python-object construction cost, which
-    is the part of a pass that raw NumPy batching cannot amortise.
-
-    Keys are the packed integers of :func:`_emit_round_groups_batch`:
-    shifts pack (global direction rank, line, span start, span stop) and
-    tags pack (phase, quadrant, round, hole), so the two phases can
-    never collide.  Packing uses 20-bit coordinate fields — far beyond
-    any realistic trap-array extent.
-
-    Shifts are stored as a sorted key array with a parallel object
-    array, so a warm lookup is one ``np.searchsorted`` plus one fancy
-    index — no per-object Python work at all.  Tags are a plain dict
-    (there are only a handful of distinct ones).
-    """
-
-    __slots__ = ("shift_keys", "shift_objs", "tags")
-
-    def __init__(self) -> None:
-        self.shift_keys = np.empty(0, dtype=np.int64)
-        self.shift_objs = np.empty(0, dtype=object)
-        self.tags: dict[int, str] = {}
-
-    def lookup_shifts(
-        self,
-        uniq: np.ndarray,
-        d_first: np.ndarray,
-        line_first: np.ndarray,
-        a_first: np.ndarray,
-        b_first: np.ndarray,
-        directions: tuple,
-    ) -> np.ndarray:
-        """Object array parallel to ``uniq``; builds and caches misses.
-
-        ``uniq`` is the ascending packed-key array of the distinct
-        shifts; the ``*_first`` arrays carry each key's unpacked fields.
-        """
-        keys = self.shift_keys
-        known = np.zeros(uniq.size, dtype=bool)
-        objs = np.empty(uniq.size, dtype=object)
-        if keys.size:
-            pos = np.searchsorted(keys, uniq)
-            in_bounds = pos < keys.size
-            known[in_bounds] = keys[pos[in_bounds]] == uniq[in_bounds]
-            hits = np.nonzero(known)[0]
-            if hits.size:
-                objs[hits] = self.shift_objs[pos[hits]]
-        new_idx = np.nonzero(~known)[0]
-        if new_idx.size:
-            make_shift = LineShift.trusted
-            new_objs = [
-                make_shift(directions[d], line, a, b)
-                for d, line, a, b in zip(
-                    d_first[new_idx].tolist(),
-                    line_first[new_idx].tolist(),
-                    a_first[new_idx].tolist(),
-                    b_first[new_idx].tolist(),
-                )
-            ]
-            objs[new_idx] = new_objs
-            merged_keys = np.concatenate([keys, uniq[new_idx]])
-            merged_objs = np.concatenate(
-                [self.shift_objs, np.array(new_objs, dtype=object)]
-            )
-            order = np.argsort(merged_keys)
-            self.shift_keys = merged_keys[order]
-            self.shift_objs = merged_objs[order]
-        return objs
-
-
-def _unique_keys(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique(packed, return_index=True, return_inverse=True)``, faster.
-
-    One plain argsort plus linear passes — several times cheaper than
-    ``np.unique``'s bookkeeping.  The returned index points at *an*
-    occurrence of each key rather than the first, which is equivalent
-    here: every field the callers unpack is fully determined by the key.
-    """
-    order = np.argsort(packed)
-    sorted_keys = packed[order]
-    boundary = np.empty(sorted_keys.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:])
-    first_sorted = np.nonzero(boundary)[0]
-    inverse = np.empty(sorted_keys.size, dtype=np.intp)
-    inverse[order] = np.cumsum(boundary) - 1
-    return sorted_keys[first_sorted], order[first_sorted], inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -1002,160 +1012,6 @@ def _apply_guarded_compaction_batch(
         grids[trial_rep[atoms], new_coord, line_rep[atoms]] = True
 
 
-def _emit_round_groups_batch(
-    outcomes: list[PassOutcome],
-    phase: Phase,
-    merge_mirror: bool,
-    trial_of: np.ndarray,
-    round_of: np.ndarray,
-    dir_rank: np.ndarray,
-    cur: np.ndarray,
-    quad_rank: np.ndarray,
-    line_full: np.ndarray,
-    span_start: np.ndarray,
-    span_stop: np.ndarray,
-    interner: MoveInterner,
-) -> None:
-    """Batched :func:`_emit_round_groups`: trial is the outermost key.
-
-    Prepending ``trial_of`` to the lexsort keeps every trial's commands
-    contiguous and, inside a trial, ordered by exactly the single-trial
-    key tuple — and since the full-array line is unique within any
-    (round, direction, hole[, quadrant]) group, that order is totally
-    determined by the keys, so each trial's batch sequence is
-    bit-identical to its own single-trial emission.
-
-    The Python-object side is deduplicated, not looped: shifts and tags
-    are reduced to packed integer keys, ``np.unique`` finds the distinct
-    ones, each distinct object is built (or fetched from the
-    :class:`MoveInterner`) once, and the full per-command object array
-    comes back through one fancy index — so the per-command Python cost
-    collapses to the per-*unique* cost, which across a batch of similar
-    trials is a small fraction of the command count.
-    """
-    n = cur.size
-    if not n:
-        return
-    directions = _direction_order(phase)
-
-    # Sort by (trial, round, dir, cur[, quad], line) — one argsort over a
-    # single packed int64 key when the coordinates fit the 13-bit fields
-    # (any realistic trap array), falling back to the equivalent
-    # five/six-key lexsort otherwise.  The packed keys are unique (the
-    # line is unique within a group), so sort kind is irrelevant.
-    trial64 = trial_of.astype(np.int64)
-    packable = (
-        int(line_full.max()) < 8192
-        and int(cur.max()) < 8192
-        and int(round_of.max()) < 8192
-        and int(trial64.max()) < 1 << 22
-    )
-    if packable:
-        key = (((trial64 << 13) | round_of) << 1 | dir_rank) << 13 | cur
-        if not merge_mirror:
-            key = (key << 2) | quad_rank
-        order = np.argsort((key << 13) | line_full)
-    elif merge_mirror:
-        order = np.lexsort((line_full, cur, dir_rank, round_of, trial_of))
-    else:
-        order = np.lexsort((line_full, quad_rank, cur, dir_rank, round_of, trial_of))
-    if merge_mirror:
-        group_keys = (trial_of, round_of, dir_rank, cur)
-    else:
-        group_keys = (trial_of, round_of, dir_rank, cur, quad_rank)
-    sorted_keys = [key[order] for key in group_keys]
-    boundary = np.zeros(n, dtype=bool)
-    boundary[0] = True
-    for key in sorted_keys:
-        boundary[1:] |= key[1:] != key[:-1]
-    starts = np.nonzero(boundary)[0]
-    ends = np.append(starts[1:], n)
-
-    # Interned shifts: pack (direction, line, span) into one int64 per
-    # command, unique it, and resolve the distinct keys through the
-    # interner (warm keys never touch Python).  The phase offset makes
-    # the direction rank global (row pass directions 0-1, column pass
-    # 2-3), so one flat cache serves both phases.
-    phase_offset = 0 if phase is Phase.ROW else 2
-    d_sorted = sorted_keys[2].astype(np.int64)
-    line_sorted = line_full[order].astype(np.int64)
-    a_sorted = span_start[order].astype(np.int64)
-    b_sorted = span_stop[order].astype(np.int64)
-    packed = (
-        ((d_sorted + phase_offset) << 60)
-        | (line_sorted << 40)
-        | (a_sorted << 20)
-        | b_sorted
-    )
-    uniq, first_idx, inverse = _unique_keys(packed)
-    shift_objs = interner.lookup_shifts(
-        uniq,
-        d_sorted[first_idx],
-        line_sorted[first_idx],
-        a_sorted[first_idx],
-        b_sorted[first_idx],
-        directions,
-    )
-    shifts_all = shift_objs[inverse]
-
-    # Interned tags: one packed key per *group*, deduplicated the same
-    # way (a dict suffices — distinct tags are few).
-    g_round = sorted_keys[1][starts].astype(np.int64)
-    g_cur = sorted_keys[3][starts].astype(np.int64)
-    phase_bit = np.int64(0 if phase is Phase.ROW else 1)
-    tag_packed = (phase_bit << 62) | (g_round << 22) | g_cur
-    if not merge_mirror:
-        g_quad = sorted_keys[4][starts].astype(np.int64)
-        tag_packed |= (g_quad + 1) << 44
-    t_uniq, t_first, t_inv = _unique_keys(tag_packed)
-    tag_cache = interner.tags
-    phase_label = phase.value
-    new_round = g_round[t_first].tolist()
-    new_cur = g_cur[t_first].tolist()
-    new_quad = None if merge_mirror else sorted_keys[4][starts][t_first].tolist()
-    tag_objs = np.empty(t_uniq.size, dtype=object)
-    for i, key in enumerate(t_uniq.tolist()):
-        tag = tag_cache.get(key)
-        if tag is None:
-            tag = f"{phase_label}-k{new_round[i]}-h{new_cur[i]}"
-            if new_quad is not None:
-                tag += f"-{_RANK_TO_QUADRANT[new_quad[i]].value}"
-            tag_cache[key] = tag
-        tag_objs[i] = tag
-
-    # Assemble the moves through C-speed map chains: slice each group's
-    # interned shifts out of one flat list, zip with the interned tags
-    # and direction objects, and hand each trial its contiguous run of
-    # finished moves in one extend.
-    starts_l = starts.tolist()
-    ends_l = ends.tolist()
-    shifts_list = shifts_all.tolist()
-    span_tuples = list(
-        map(tuple, map(shifts_list.__getitem__, map(slice, starts_l, ends_l)))
-    )
-    dir_objs = np.array(directions, dtype=object)
-    moves_all = list(
-        map(
-            ParallelMove.trusted,
-            dir_objs[sorted_keys[2][starts]].tolist(),
-            itertools.repeat(1),
-            span_tuples,
-            tag_objs[t_inv].tolist(),
-        )
-    )
-    g_trial = sorted_keys[0][starts]
-    trial_breaks = np.nonzero(g_trial[1:] != g_trial[:-1])[0] + 1
-    bounds = np.concatenate(([0], trial_breaks, [g_trial.size])).tolist()
-    moves_of = [outcome.moves for outcome in outcomes]
-    for trial, lo, hi in zip(
-        g_trial[bounds[:-1]].tolist(), bounds[:-1], bounds[1:]
-    ):
-        moves_of[trial].extend(moves_all[lo:hi])
-    executed = np.bincount(sorted_keys[0], minlength=len(outcomes))
-    for outcome, count in zip(outcomes, executed.tolist()):
-        outcome.n_executed += count
-
-
 def run_pass_batch(
     grids: np.ndarray,
     frames: dict[Quadrant, QuadrantFrame],
@@ -1164,7 +1020,6 @@ def run_pass_batch(
     merge_mirror: bool = True,
     guard: bool = False,
     scan_limit=None,
-    interner: MoveInterner | None = None,
 ) -> list[PassOutcome]:
     """One pass over a whole stack of trials, one per-trial outcome each.
 
@@ -1182,8 +1037,6 @@ def run_pass_batch(
     """
     n_trials = int(grids.shape[0])
     outcomes = [PassOutcome(phase=phase) for _ in range(n_trials)]
-    if interner is None:
-        interner = MoveInterner()
     table, scans = _build_batch_command_table(
         outcomes, frames, phase, scan_source, scan_limit
     )
@@ -1203,10 +1056,11 @@ def run_pass_batch(
         span_sign = table.span_sign[state_of]
         a = span_base + span_sign * (cur + 1)
         b = span_base + span_sign * (table.n_positions[state_of] - round_of - 1)
-        _emit_round_groups_batch(
+        _emit_columns(
             outcomes,
             phase,
             merge_mirror,
+            extent=max(grids.shape[1:]),
             trial_of=trial_of_cmd,
             round_of=round_of,
             dir_rank=table.dir_rank[state_of],
@@ -1215,7 +1069,6 @@ def run_pass_batch(
             line_full=table.line_full[state_of],
             span_start=np.minimum(a, b),
             span_stop=np.maximum(a, b) + 1,
-            interner=interner,
         )
         for frame, scan in scans:
             if scan.n_commands:
@@ -1285,10 +1138,11 @@ def run_pass_batch(
         sign = span_sign[alive]
         a = span_base[alive] + sign * (cur + 1)
         b = span_base[alive] + sign * (n_positions[alive] - executed_before[alive] - 1)
-        _emit_round_groups_batch(
+        _emit_columns(
             outcomes,
             phase,
             merge_mirror,
+            extent=max(grids.shape[1:]),
             trial_of=trial_of_cmd[alive],
             round_of=round_of[alive],
             dir_rank=table.dir_rank[state_of[alive]],
@@ -1297,7 +1151,6 @@ def run_pass_batch(
             line_full=line_full[alive],
             span_start=np.minimum(a, b),
             span_stop=np.maximum(a, b) + 1,
-            interner=interner,
         )
         touched = np.unique(state_of[alive])
         seg_index = np.zeros(table.n_states, dtype=np.intp)

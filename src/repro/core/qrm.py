@@ -24,14 +24,13 @@ from __future__ import annotations
 import warnings
 from typing import Callable, Iterable
 
-from repro.aod.schedule import MoveSchedule
 from repro.config import (
     DEFAULT_QRM_PARAMETERS,
     MASK_SCAN_LIMIT,
     QrmParameters,
     ScanMode,
 )
-from repro.core.passes import Phase, PassOutcome, run_pass
+from repro.core.passes import Phase, PassOutcome, run_pass, schedule_from_outcomes
 from repro.core.result import IterationStats, RearrangementResult, timed_schedule
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Quadrant
@@ -97,11 +96,10 @@ class QrmScheduler:
         :class:`~repro.core.batch.BatchQrmScheduler`, whose per-trial
         results are bit-identical to looping :meth:`schedule` but amortise
         NumPy dispatch across the stack.  The engine is constructed once
-        and kept on the instance: its ``MoveInterner`` tables only pay off
-        when they survive across calls, which is what makes a cached
-        scheduler in the service's per-geometry LRU actually *warm*.  Any
-        other ``pass_runner`` (the per-command reference oracle) falls
-        back to the loop — the oracle stays strictly single-trial.
+        and kept on the instance, so a cached scheduler in the service's
+        per-geometry LRU reuses it across calls.  Any other
+        ``pass_runner`` (the per-command reference oracle) falls back to
+        the loop — the oracle stays strictly single-trial.
         """
         if self.pass_runner is run_pass:
             if self._batch_engine is None:
@@ -113,7 +111,6 @@ class QrmScheduler:
 
     def _analyse(self, array: AtomArray) -> RearrangementResult:
         live = array.copy()
-        moves = MoveSchedule(self.geometry, algorithm=self.name)
         iteration_stats: list[IterationStats] = []
         pass_records: list = []
         converged = False
@@ -143,8 +140,6 @@ class QrmScheduler:
                 scan_limit=self._scan_limits[Phase.COLUMN],
             )
 
-            moves.extend(row_outcome.moves)
-            moves.extend(col_outcome.moves)
             pass_records.extend((row_outcome, col_outcome))
             analysis_ops += (
                 row_outcome.n_scanned_bits
@@ -169,28 +164,31 @@ class QrmScheduler:
                 converged = True
                 break
 
-        result = RearrangementResult(
-            algorithm=self.name,
-            initial=array.copy(),
-            final=live,
-            schedule=moves,
-            iterations=iteration_stats,
-            converged=converged,
-            analysis_ops=analysis_ops,
-            pass_outcomes=pass_records,
-        )
-
+        repair_moves: list = []
+        unresolved = 0
         if self.params.enable_repair:
             from repro.core.repair import repair_defects
 
             repair_outcome = repair_defects(
                 live, max_moves=self.params.max_repair_moves
             )
-            moves.extend(repair_outcome.moves)
-            result.repair_moves = len(repair_outcome.moves)
-            result.unresolved_defects = repair_outcome.unresolved
+            repair_moves = repair_outcome.moves
+            unresolved = repair_outcome.unresolved
 
-        return result
+        return RearrangementResult(
+            algorithm=self.name,
+            initial=array.copy(),
+            final=live,
+            schedule=schedule_from_outcomes(
+                self.geometry, self.name, pass_records, repair_moves
+            ),
+            iterations=iteration_stats,
+            converged=converged,
+            analysis_ops=analysis_ops,
+            repair_moves=len(repair_moves),
+            unresolved_defects=unresolved,
+            pass_outcomes=pass_records,
+        )
 
 
 def rearrange(

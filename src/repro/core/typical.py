@@ -55,7 +55,7 @@ class TypicalScheduler:
 
     # -- one-step rounds ----------------------------------------------------
 
-    def _horizontal_round(self, array: AtomArray, schedule: MoveSchedule) -> int:
+    def _horizontal_round(self, array: AtomArray, schedule: list[ParallelMove]) -> int:
         """One simultaneous-move block per hole column; returns shifts done."""
         grid = array.grid
         height, width = grid.shape
@@ -93,7 +93,7 @@ class TypicalScheduler:
             n_shifts += len(shifts)
         return n_shifts
 
-    def _vertical_round(self, array: AtomArray, schedule: MoveSchedule) -> int:
+    def _vertical_round(self, array: AtomArray, schedule: list[ParallelMove]) -> int:
         grid = array.grid
         height, width = grid.shape
         half = height // 2
@@ -140,7 +140,7 @@ class TypicalScheduler:
 
     def _analyse(self, array: AtomArray) -> RearrangementResult:
         live = array.copy()
-        moves = MoveSchedule(self.geometry, algorithm=self.name)
+        moves: list[ParallelMove] = []
         ops = 0
         converged = False
         for _ in range(self.max_phases):
@@ -165,7 +165,7 @@ class TypicalScheduler:
             algorithm=self.name,
             initial=array.copy(),
             final=live,
-            schedule=moves,
+            schedule=MoveSchedule(self.geometry, self.name, moves),
             converged=converged,
             analysis_ops=ops,
         )

@@ -134,7 +134,8 @@ def simulate_losses(
     each move draws its hand-off losses with one ``gen.random(n)`` — the
     same stream as the ``n`` scalar draws of
     :func:`simulate_losses_reference`, so the two agree bit for bit
-    (grid, counters, duration and generator state).
+    (grid, counters, duration and generator state).  Step counts come
+    from the schedule's table; no move object is built.
     """
     gen = as_rng(rng)
     array = initial.copy()
@@ -145,13 +146,13 @@ def simulate_losses(
     )
     applier = MoveApplier(array.grid, schedule)
     cells = applier.flat
-    for index, move in enumerate(schedule):
-        duration = timing.move_duration_us(move) + timing.settle_us
+    for index, steps in enumerate(schedule.table().steps.tolist()):
+        duration = timing.steps_duration_us(steps) + timing.settle_us
         report.duration_us += duration
         landing = applier.apply(index)
 
         # Hand-off and transport loss for the moved atoms.
-        p_move_loss = 1.0 - loss.move_survival(move.steps)
+        p_move_loss = 1.0 - loss.move_survival(steps)
         if p_move_loss > 0 and landing.size:
             lost = landing[gen.random(landing.size) < p_move_loss]
             cells[lost] = False

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
+from repro.aod.move import ParallelMove
 from repro.aod.timing import DEFAULT_MOVE_TIMING, MoveTimingModel
 from repro.detection.camera import CameraConfig, DEFAULT_CAMERA
 from repro.errors import ConfigurationError, MoveError
@@ -119,7 +121,7 @@ class CycleRecord:
     occupancy: np.ndarray
     threshold: float
     converged_at_detect: bool
-    moves: list = field(default_factory=list)
+    moves: Iterable[ParallelMove] = field(default_factory=list)  # the schedule
     n_moves: int = 0
     iterations: int = 0
     analysis_ops: int = 0
@@ -245,7 +247,7 @@ def stage_schedule(
     state.schedule_us = (time.perf_counter() - start) * 1e6
     record = state.record
     result = state.result
-    record.moves = list(result.schedule)
+    record.moves = result.schedule  # objects are built only for the trace
     record.n_moves = result.n_moves
     record.iterations = result.iterations_used
     record.analysis_ops = result.analysis_ops

@@ -16,8 +16,7 @@ BatchQrmScheduler` cost instead of N serial dispatch sequences.
   timeout/retry-with-backoff) and the :class:`RemoteAlgorithm` proxy
   that makes the service a drop-in scheduler;
 * :mod:`repro.service.cache` — the warm per-geometry LRU of scheduler
-  instances (``QuadrantFrame`` coefficients, batch engines,
-  ``MoveInterner`` tables);
+  instances (``QuadrantFrame`` coefficients, batch engines);
 * :mod:`repro.service.executor` — the campaign executor that runs a
   whole :class:`~repro.campaign.engine.ExperimentCampaign` as a client
   of the service;

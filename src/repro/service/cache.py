@@ -2,13 +2,12 @@
 
 Scheduler construction is not free: a :class:`~repro.core.qrm.
 QrmScheduler` derives four :class:`~repro.lattice.geometry.
-QuadrantFrame` affine coefficient sets, and its batch engine
-additionally owns a :class:`~repro.core.passes.MoveInterner` whose
-interned shift/tag tables only pay off when they survive across calls.
-The service therefore keys live scheduler instances by the full
-scheduling identity — geometry extents, algorithm name, parameter
-overrides — in a small LRU, so steady-state requests for the hot
-geometries never re-derive any of it.
+QuadrantFrame` affine coefficient sets and resolves its scan limits,
+and it builds its batch engine on first use.  The service therefore
+keys live scheduler instances by the full scheduling identity —
+geometry extents, algorithm name, parameter overrides — in a small
+LRU, so steady-state requests for the hot geometries never re-derive
+any of it.
 
 :class:`SchedulerKey` is that identity as a hashable value object; it
 doubles as the request vocabulary (clients ship its payload dict next
@@ -59,13 +58,20 @@ class SchedulerKey(NamedTuple):
         params = payload.get("params") or {}
         qrm = payload.get("qrm")
         mask = payload.get("mask")
-        return cls(
-            geometry=geometry,
-            algorithm=str(payload.get("algorithm", "qrm")),
-            params=tuple(sorted(params.items())),
-            qrm=tuple(sorted(qrm.items())) if qrm is not None else None,
-            mask=str(mask) if mask is not None else None,
-        )
+        try:
+            key = cls(
+                geometry=geometry,
+                algorithm=str(payload.get("algorithm", "qrm")),
+                params=tuple(sorted(params.items())),
+                qrm=tuple(sorted(qrm.items())) if qrm is not None else None,
+                mask=str(mask) if mask is not None else None,
+            )
+            hash(key)  # the micro-batcher groups requests by key
+        except (AttributeError, TypeError) as exc:
+            raise ConfigurationError(
+                "'params' and 'qrm' must map names to hashable values"
+            ) from exc
+        return key
 
     def to_payload(self) -> dict[str, Any]:
         """The wire request dict (inverse of :meth:`from_payload`)."""

@@ -23,7 +23,7 @@ adaptive batching without timers under load.  Batching off is just
 
 Schedulers come from the warm :class:`~repro.service.cache.
 SchedulerCache`, so the hot geometries keep their ``QuadrantFrame``
-coefficients, batch engines and ``MoveInterner`` tables across waves.
+coefficients and batch engines across waves.
 
 A native batch call that raises falls back to scheduling the group's
 arrays one by one, so only the offending request gets an error frame —
@@ -168,7 +168,7 @@ class SchedulingService:
     async def start(self) -> None:
         self._queue = asyncio.Queue()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_JSON_LINE
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
@@ -253,14 +253,16 @@ class SchedulingService:
         connection: _Connection,
         first: bytes,
     ) -> None:
-        line = first + await reader.readline()
-        while line.strip():
-            if len(line) > MAX_JSON_LINE:
-                raise ConfigurationError(
-                    f"JSON request exceeds {MAX_JSON_LINE} bytes"
-                )
+        line = await _read_json_line(reader)
+        if line is not None:
+            line = first + line
+        while line is None or line.strip():
             request_id = None
             try:
+                if line is None or len(line) > MAX_JSON_LINE:
+                    raise ConfigurationError(
+                        f"JSON request exceeds {MAX_JSON_LINE} bytes"
+                    )
                 request = decode_json_request(line)
                 request_id = request.get("id")
                 await self._enqueue(
@@ -270,7 +272,7 @@ class SchedulingService:
                 request_id = getattr(exc, "request_id", request_id)
                 await connection.send_error(request_id, str(exc))
                 self.stats["errors"] += 1
-            line = await reader.readline()
+            line = await _read_json_line(reader)
 
     async def _enqueue(
         self, connection: _Connection, op: str, request_id: Any, payload: Any
@@ -357,11 +359,11 @@ class SchedulingService:
         for key, group in groups.items():
             try:
                 scheduler = self.cache.get(key)
-            except ReproError as exc:
+            except Exception as exc:  # e.g. parameters the factory rejects
                 for request in group:
                     self.stats["errors"] += 1
                     await request.connection.send_error(
-                        request.request_id, f"{type(exc).__name__}: {exc}"
+                        request.request_id, format_error(exc)
                     )
                 continue
             for start in range(0, len(group), self.max_batch_size):
@@ -401,6 +403,27 @@ class SchedulingService:
                 # dominate the pickle size — never ship them.
                 result.pass_outcomes = []
                 await request.connection.send_ok(request.request_id, result)
+
+
+async def _read_json_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next JSON request line (``b""`` at EOF).
+
+    A line over the reader's limit (:data:`MAX_JSON_LINE`) is read to
+    its end and dropped, returning None, so the connection stays in
+    step with the client's lines.
+    """
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            # The unread line stays buffered; drop what was scanned.
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        return None if oversized else line
 
 
 class ServiceThread:

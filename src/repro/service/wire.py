@@ -37,12 +37,13 @@ from repro.campaign.protocol import (
     PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 
 _HEADER = struct.Struct(">I")
 
 #: Ceiling on one JSON front-door line (grids arrive as nested lists,
 #: which are ~2 bytes per site — far below this for any real geometry).
+#: The server's stream reader is built with this line limit.
 MAX_JSON_LINE = 8 * 1024 * 1024
 
 
@@ -149,6 +150,20 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
     request = {"op": op, "id": data.get("id")}
     if op != "schedule":
         return request
+    try:
+        request.update(_schedule_fields(data, reject))
+    except ReproError as exc:  # e.g. a GeometryError: still correlated
+        exc.request_id = request["id"]
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        # A field of the wrong type or shape (``"size": "abc"``, a
+        # ragged grid, ``1e400``): one error line, connection kept.
+        raise reject(f"malformed schedule request: {exc}", exc) from None
+    return request
+
+
+def _schedule_fields(data: dict[str, Any], reject) -> dict[str, Any]:
+    """The schedule-specific fields of a decoded JSON request."""
     if "grid" not in data:
         raise reject("a schedule request needs a 'grid'")
     grid = np.asarray(data["grid"], dtype=bool)
@@ -205,7 +220,7 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
         )
     else:
         raise reject("a schedule request needs either 'geometry' or 'size'")
-    request.update(
+    fields = dict(
         geometry=geometry,
         algorithm=data.get("algorithm", "qrm"),
         params=data.get("params") or {},
@@ -213,8 +228,8 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
         grid=grid,
     )
     if mask_token is not None:
-        request["mask"] = mask_token
-    return request
+        fields["mask"] = mask_token
+    return fields
 
 
 def encode_json_response(request_id: Any, result: Any) -> bytes:

@@ -92,19 +92,26 @@ class TestBatchedEngineEquivalence:
         ]
         _assert_batch_matches_serial(geometry, arrays, QrmParameters())
 
-    def test_interner_reuse_across_calls_changes_nothing(self):
+    def test_engine_reuse_across_calls(self):
         geometry = ArrayGeometry.square(12, 6)
         params = QrmParameters()
-        batched = BatchQrmScheduler(geometry, params)
+        engine = BatchQrmScheduler(geometry, params)
         serial = QrmScheduler(geometry, params)
-        for seed in range(4):  # same engine, four successive batches
-            arrays = [
+        batches = [
+            [
                 load_uniform(geometry, 0.5, rng=np.random.default_rng(10 * seed + k))
                 for k in range(3)
             ]
-            expected = [serial.schedule(array) for array in arrays]
-            for ours, reference in zip(batched.schedule_batch(arrays), expected):
+            for seed in range(4)
+        ]
+        first = [engine.schedule_batch(arrays) for arrays in batches]
+        # The same engine, every batch again: nothing carries over.
+        for arrays, results in zip(batches, first):
+            again = engine.schedule_batch(arrays)
+            for ours, repeat, array in zip(results, again, arrays):
+                reference = serial.schedule(array)
                 assert_results_identical(ours, reference)
+                assert_results_identical(repeat, reference)
 
     def test_empty_batch(self):
         assert BatchQrmScheduler(ArrayGeometry.square(8)).schedule_batch([]) == []

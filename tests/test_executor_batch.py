@@ -130,10 +130,15 @@ def test_nonuniform_trusted_bundle_keeps_per_shift_semantics():
             LineShift(Direction.EAST, line, 0, 1, steps=2 if line == 3 else 1)
             for line in range(4)
         ),
+        tag="rogue",
     )
+    schedule = MoveSchedule(ArrayGeometry.square(8), moves=[rogue])
+    # Stored as columns, the bundle comes back field for field, tag too.
+    assert schedule.moves == [rogue] and schedule[0].tag == "rogue"
+    assert schedule[0].shifts[3].steps == 2
     batched = grid.copy()
     per_shift = grid.copy()
-    applier = MoveApplier(batched, MoveSchedule(ArrayGeometry.square(8), moves=[rogue]))
+    applier = MoveApplier(batched, schedule)
     assert applier.apply(0).size == apply_parallel_move(per_shift, rogue)
     assert np.array_equal(batched, per_shift)
     assert batched[3, 2] and not batched[3, 1]  # the rogue shift moved 2

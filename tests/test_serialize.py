@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aod.serialize import (
     FORMAT_VERSION,
@@ -16,7 +19,7 @@ from repro.aod.serialize import (
     schedule_to_dict,
 )
 from repro.core.qrm import QrmScheduler
-from repro.errors import ScheduleValidationError
+from repro.errors import ReproError, ScheduleValidationError
 from repro.lattice.loading import load_uniform
 
 
@@ -113,3 +116,135 @@ class TestCrossAlgorithm:
         result = get_algorithm(name, geo20).schedule(array)
         recovered = loads(dumps(result.schedule))
         assert recovered.moves == result.schedule.moves
+
+
+@functools.lru_cache(maxsize=None)
+def _document_text(masked: bool = False) -> str:
+    from repro.lattice.geometry import ArrayGeometry
+    from repro.lattice.mask import TargetMask
+
+    if masked:
+        geometry = ArrayGeometry.with_mask(8, 8, TargetMask.ring(8, 8, 3.0, 1.0))
+    else:
+        geometry = ArrayGeometry.square(8, 4)
+    array = load_uniform(geometry, 0.5, rng=3)
+    return dumps(QrmScheduler(geometry).schedule(array).schedule)
+
+
+def _document(masked: bool = False) -> dict:
+    """A fresh copy of a small valid schedule document."""
+    return json.loads(_document_text(masked))
+
+
+def _with(path: tuple, value):
+    """The base document with the value at ``path`` replaced."""
+    data = _document()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "5",
+            "null",
+            '"schedule"',
+            json.dumps(_with(("geometry",), [8, 8, 4, 4])),
+            json.dumps(_with(("geometry", "width"), "x")),
+            json.dumps(_with(("geometry", "width"), 8.0)),
+            json.dumps(_with(("geometry", "mask"), "####")),
+            json.dumps(_with(("version",), True)),
+            json.dumps(_with(("algorithm",), 5)),
+            json.dumps(_with(("moves",), {"0": {}})),
+            json.dumps(_with(("moves", 0), 5)),
+            json.dumps(_with(("moves", 0, "shifts", 0), [0, 1])),
+            json.dumps(_with(("moves", 0, "shifts", 0, "line"), 1.5)),
+            json.dumps(_with(("moves", 0, "shifts", 0, "line"), True)),
+            json.dumps(_with(("moves", 0, "shifts", 0, "line"), "3")),
+            json.dumps(_with(("moves", 0, "shifts", 0, "line"), 2**64)),
+            json.dumps(_with(("moves", 0, "shifts", 0, "steps"), 0)),
+            json.dumps(_with(("moves", 0, "shifts", 0, "steps"), True)),
+            json.dumps(_with(("moves", 0, "shifts", 0, "steps"), 1.0)),
+            json.dumps(_with(("moves", 0, "shifts", 0, "steps"), "1")),
+            json.dumps(_with(("moves", 0, "tag"), 5)),
+            json.dumps(_with(("moves", 0, "shifts"), [])),
+        ],
+    )
+    def test_rejected_with_a_typed_error(self, text):
+        with pytest.raises(ScheduleValidationError):
+            loads(text)
+
+
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.floats(),
+        st.text(max_size=6),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+def _load_or_reject(text: str) -> None:
+    """Either a schedule that round-trips exactly, or a :class:`ReproError`."""
+    try:
+        schedule = loads(text)
+    except ReproError:
+        return
+    again = loads(dumps(schedule))
+    assert again == schedule
+    assert again.tags == schedule.tags
+    assert dumps(again) == dumps(schedule)
+
+
+def _slots(node, path=()):
+    """The path of every value in a JSON document."""
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _slots(child, path + (key,))
+
+
+@st.composite
+def _mutated_documents(draw) -> dict:
+    data = _document(masked=draw(st.booleans()))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        paths = [path for path in _slots(data) if path]
+        path = draw(st.sampled_from(paths))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(
+                st.one_of(
+                    st.sampled_from([1.5, True, "3", -1, 0, 2**40, None, [], {}]),
+                    _json_values,
+                )
+            )
+    return data
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=200, deadline=None)
+    @given(value=_json_values)
+    def test_arbitrary_json_loads_or_raises_repro_error(self, value):
+        _load_or_reject(json.dumps(value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_mutated_documents())
+    def test_mutated_documents_load_or_raise_repro_error(self, data):
+        _load_or_reject(json.dumps(data))

@@ -21,7 +21,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.aod.serialize import schedule_to_dict
 from repro.baselines.base import register_algorithm, unregister_algorithm
 from repro.campaign.engine import ExperimentCampaign
 from repro.campaign.executors import make_executor
@@ -39,6 +42,7 @@ from repro.service import (
     serve_in_thread,
 )
 from repro.service.executor import parse_address
+from repro.service.wire import MAX_JSON_LINE
 
 from tests.oracles import assert_results_identical
 
@@ -255,6 +259,120 @@ def test_json_front_door_stats_and_errors(server):
     assert bad["ok"] is False and "grid" in bad["error"]
     # Validation errors still echo the request id for correlation.
     assert bad["id"] == 3
+
+
+def json_lines(address, lines: list[bytes], n_responses: int) -> list[dict]:
+    """Send raw request lines on one connection; read ``n_responses``."""
+    with socket.create_connection(address, timeout=30.0) as sock:
+        with sock.makefile("rwb") as stream:
+            stream.write(b"".join(line + b"\n" for line in lines))
+            stream.flush()
+            return [json.loads(stream.readline()) for _ in range(n_responses)]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        b'"size": "abc"',
+        b'"size": [8]',
+        b'"size": 1e400',
+        b'"size": 8, "target": "x"',
+        b'"geometry": {"width": "w", "height": 8, "target_width": 4, '
+        b'"target_height": 4}',
+        b'"size": 8, "grid": [[0, 1], [0]]',
+        b'"size": 8, "params": [1]',
+        b'"size": 8, "params": {"no_such_parameter": 1}',
+    ],
+)
+def test_json_front_door_rejects_malformed_fields_and_keeps_serving(server, fields):
+    grid = b'"grid": ' + json.dumps(np.zeros((8, 8), int).tolist()).encode()
+    body = fields if b'"grid"' in fields else fields + b", " + grid
+    responses = json_lines(
+        server.address, [b'{"id": 5, ' + body + b"}", b'{"id": 6, "op": "ping"}'], 2
+    )
+    # A request that decodes answers from the dispatcher, after the ping.
+    bad, ping = sorted(responses, key=lambda response: response["id"])
+    assert bad["id"] == 5 and bad["ok"] is False and bad["error"]
+    assert ping == {"id": 6, "ok": True, "value": "pong"}
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.text(max_size=4),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+_grids = st.lists(st.lists(st.integers(0, 1), max_size=5), max_size=5)
+
+
+@st.composite
+def _json_requests(draw) -> dict:
+    """A schedule request whose fields hold drawn values of any JSON type."""
+    request = {}
+    for name in ("size", "target", "algorithm", "mask", "params", "qrm"):
+        if draw(st.booleans()):
+            request[name] = draw(st.one_of(st.integers(0, 12), _json_values))
+    if draw(st.booleans()):
+        request["geometry"] = draw(
+            st.one_of(
+                _json_values,
+                st.fixed_dictionaries(
+                    {
+                        name: st.one_of(st.integers(0, 12), _json_values)
+                        for name in ("width", "height", "target_width", "target_height")
+                    }
+                ),
+            )
+        )
+    request["grid"] = draw(st.one_of(_grids, _json_values))
+    return request
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests=st.lists(_json_requests(), min_size=1, max_size=4))
+def test_json_front_door_answers_every_drawn_request(server, requests):
+    lines = [
+        json.dumps({"id": index, **request}).encode()
+        for index, request in enumerate(requests)
+    ]
+    ping_id = len(requests)
+    lines.append(json.dumps({"id": ping_id, "op": "ping"}).encode())
+    responses = json_lines(server.address, lines, len(lines))
+    # Schedules answer from the dispatcher, errors and pings from the
+    # reader, so responses may come back out of order — but exactly one
+    # per line, each carrying its id.
+    assert sorted(response["id"] for response in responses) == list(range(len(lines)))
+    assert {"id": ping_id, "ok": True, "value": "pong"} in responses
+
+
+def test_json_front_door_serves_requests_over_64_kib(server):
+    geometry = ArrayGeometry.square(192)
+    array = load_uniform(geometry, 0.5, rng=0)
+    line = json.dumps(
+        {"id": 1, "size": 192, "grid": array.grid.astype(int).tolist()}
+    ).encode()
+    assert len(line) > 64 * 1024
+    (response,) = json_lines(server.address, [line], 1)
+    local = resolve_scheduler(key_for(geometry)).schedule(array)
+    assert response["ok"] is True
+    assert response["schedule"] == schedule_to_dict(local.schedule)
+
+
+def test_json_front_door_answers_an_over_limit_line(server):
+    line = b'{"id": 1, "grid": [' + b"0, " * (MAX_JSON_LINE // 3) + b"0]}"
+    assert len(line) > MAX_JSON_LINE
+    error, ping = json_lines(server.address, [line, b'{"id": 2, "op": "ping"}'], 2)
+    assert error["ok"] is False and str(MAX_JSON_LINE) in error["error"]
+    assert ping == {"id": 2, "ok": True, "value": "pong"}
 
 
 # ---------------------------------------------------------------------------
