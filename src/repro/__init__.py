@@ -8,9 +8,10 @@ Public API highlights
 ``get_algorithm`` / ``schedule_batch``
     the algorithm registry (resolve any scheduler by name) and the
     batch-first dispatch that amortises analysis across trials;
-``QrmScheduler`` / ``BatchQrmScheduler``
+``QrmScheduler``
     the paper's algorithm, emitting validated ``MoveSchedule`` objects
-    (single-trial and cross-trial batched engines);
+    (one engine: ``schedule`` is a batch of one, ``schedule_batch``
+    stacks same-geometry arrays into one analysis);
 ``QrmAccelerator``
     the cycle-level FPGA model reporting latency at 250 MHz;
 ``validate_schedule``
@@ -36,13 +37,7 @@ from repro.aod import (
 from repro.baselines import get_algorithm, schedule_batch, supports_batch
 from repro.campaign import CampaignSpec, ExperimentCampaign, run_campaign
 from repro.config import DEFAULT_QRM_PARAMETERS, QrmParameters, ScanMode
-from repro.core import (
-    BatchQrmScheduler,
-    QrmScheduler,
-    RearrangementResult,
-    TypicalScheduler,
-    rearrange,
-)
+from repro.core import QrmScheduler, RearrangementResult, TypicalScheduler
 from repro.lattice import (
     ArrayGeometry,
     AtomArray,
@@ -60,7 +55,6 @@ __all__ = [
     "AodConstraints",
     "ArrayGeometry",
     "AtomArray",
-    "BatchQrmScheduler",
     "CampaignSpec",
     "DEFAULT_QRM_PARAMETERS",
     "ExperimentCampaign",
@@ -79,7 +73,6 @@ __all__ = [
     "execute_schedule",
     "get_algorithm",
     "load_uniform",
-    "rearrange",
     "render_array",
     "run_campaign",
     "render_side_by_side",

@@ -9,9 +9,7 @@ array sizes and fill fractions, and writes a machine-readable
 
 The report also carries a *speedup* block for the QRM hot path — the
 vectorised scheduler vs. the live per-command reference oracle
-(:func:`repro.core.passes.run_pass_reference`) and vs. the pinned
-pre-vectorization seed implementation
-(:mod:`repro.analysis.seed_baseline`) — plus one *component speedup*
+(:func:`repro.core.passes.run_pass_reference`) — plus one *component speedup*
 entry per additionally vectorised stage (repair, Tetris, PSCA, MTA1,
 the guarded pipelined-mode drain, the masked QRM+repair path on a
 ring target, AWG compilation and lossy replay), each timed against its live
@@ -49,12 +47,10 @@ from repro.baselines.base import DEFAULT_ALGORITHMS, get_algorithm
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
-#: Bump when the JSON layout changes (v8: the ``awg_compile`` and
-#: ``lossy_replay`` components time the two schedule consumers of the
-#: closed loop — AWG compilation and stochastic-loss replay, both run
-#: from the schedule's columnar table — against their move-by-move
-#: object walkers, on QRM first-frame schedules).
-BENCH_SCHEMA_VERSION = 8
+#: Bump when the JSON layout changes (v9: the QRM speedup block drops
+#: the pinned seed implementation — ``seed_ms`` and ``speedup_vs_seed``
+#: — and keeps the live reference oracle as its one "before").
+BENCH_SCHEMA_VERSION = 9
 
 #: Components with a live before/after speedup measurement.  All but
 #: ``batched_qrm``, ``service_latency`` and ``pipeline_latency`` time a
@@ -62,8 +58,8 @@ BENCH_SCHEMA_VERSION = 8
 #: (``masked_qrm`` does so on a non-rectangular ring target, covering
 #: the mask-derived scan limits and mask-aware repair; ``awg_compile``
 #: and ``lossy_replay`` time the loop's schedule consumers);
-#: ``batched_qrm`` times the cross-trial batched engine against serial
-#: single-trial scheduling, ``service_latency`` times the scheduling
+#: ``batched_qrm`` times QRM stacks of several trials against a batch
+#: of one (``schedule``), ``service_latency`` times the scheduling
 #: service with micro-batching on against the same service with
 #: batching off, and ``pipeline_latency`` times the closed-loop
 #: pipeline with stages overlapped across frames against the same loop
@@ -222,9 +218,7 @@ class PerfReport:
             parts.append(
                 f"QRM {s['size']}x{s['size']} hot path: "
                 f"vectorized {s['vectorized_ms']['mean']:.2f} ms, "
-                f"reference {s['reference_ms']['mean']:.2f} ms, "
-                f"seed (pre-PR) {s['seed_ms']['mean']:.2f} ms -> "
-                f"{s['speedup_vs_seed']:.1f}x vs seed, "
+                f"reference {s['reference_ms']['mean']:.2f} ms -> "
                 f"{s['speedup_vs_reference']:.1f}x vs reference"
             )
         for name, s in self.component_speedups.items():
@@ -302,23 +296,18 @@ def measure_qrm_speedup(
     trials: int = 3,
     master_seed: int = 0,
 ) -> dict:
-    """Time the QRM hot path under all three pass implementations.
+    """Time the QRM hot path under both pass implementations.
 
-    Returns a JSON-ready mapping with the vectorised, live-reference,
-    and pinned-seed ("pre-PR") timings plus their ratios — the
-    before/after record the vectorisation is judged by.
+    Returns a JSON-ready mapping with the vectorised and live-reference
+    timings plus their ratio — the before/after record the
+    vectorisation is judged by.
     """
-    from repro.analysis.seed_baseline import seed_run_pass
-    from repro.core.passes import run_pass, run_pass_reference
-    from repro.core.qrm import QrmScheduler
-
     geometry = ArrayGeometry.square(size)
     schedulers = {
-        "vectorized": QrmScheduler(geometry, pass_runner=run_pass),
-        "reference": QrmScheduler(geometry, pass_runner=run_pass_reference),
-        "seed": QrmScheduler(geometry, pass_runner=seed_run_pass),
+        "vectorized": get_algorithm("qrm", geometry),
+        "reference": get_algorithm("qrm-reference", geometry),
     }
-    # All three implementations are timed inside each trial (drift never
+    # Both implementations are timed inside each trial (drift never
     # lands on one side only), GC-swept before every timed region, and
     # swept twice so each minimum pools two well-separated moments —
     # the ratios below feed the CI regression gate.
@@ -339,11 +328,9 @@ def measure_qrm_speedup(
         "trials": trials,
         "vectorized_ms": summary_dict(timings["vectorized"]),
         "reference_ms": summary_dict(timings["reference"]),
-        "seed_ms": summary_dict(timings["seed"]),
-        # Ratios of minima, not means: a single disturbed repeat can
+        # A ratio of minima, not means: a single disturbed repeat can
         # double a mean on a shared box, while best-of minima are
-        # reproducible — and these ratios feed the CI regression gate.
-        "speedup_vs_seed": timings["seed"].minimum / timings["vectorized"].minimum,
+        # reproducible — and this ratio feeds the CI regression gate.
         "speedup_vs_reference": (
             timings["reference"].minimum / timings["vectorized"].minimum
         ),
@@ -466,22 +453,21 @@ def measure_guarded_drain_speedup(
     per-round reference, both draining copies of the same live grid.
     """
     from repro.core.passes import Phase, run_pass, run_pass_reference
-    from repro.lattice.array import AtomArray
     from repro.lattice.geometry import Quadrant
 
     geometry = ArrayGeometry.square(size)
     frames = {q: geometry.quadrant_frame(q) for q in Quadrant}
 
     def make_input(index: int) -> tuple:
-        array = load_uniform(geometry, fill, rng=master_seed + index)
-        snapshot = array.grid.copy()
-        run_pass(array, frames, Phase.ROW, scan_source=array.grid)
-        return array.grid, snapshot
+        live = load_uniform(geometry, fill, rng=master_seed + index).grid[None]
+        snapshot = live.copy()
+        run_pass(live, frames, Phase.ROW, scan_source=live)
+        return live, snapshot
 
     def run(pass_runner, trial_input) -> None:
         live, snapshot = trial_input
         pass_runner(
-            AtomArray(geometry, live),  # AtomArray copies on ingest
+            live.copy(),  # both drains start from the same live grid
             frames,
             Phase.COLUMN,
             scan_source=snapshot,
@@ -621,17 +607,18 @@ def measure_batched_qrm_speedup(
     trials: int = 3,
     master_seed: int = 0,
 ) -> dict:
-    """Time the cross-trial batched QRM engine against serial scheduling.
+    """Time QRM stacks of several trials against a batch of one.
 
-    Measures the *steady state*: one :class:`~repro.core.batch.
-    BatchQrmScheduler` and one serial :class:`~repro.core.qrm.
-    QrmScheduler` are reused across all repeats (matching how the
-    campaign engine drives them), with an unmeasured warm-up pass so the
-    interned shift/tag pool and allocator are hot before the clock
-    starts.  Batch sizes are timed smallest-first in isolated blocks —
-    a 128-trial stack's result churn evicts enough cache to poison an
-    adjacent small-batch repeat — with a serial repeat interleaved into
-    every block and an explicit GC sweep before each timed region.
+    Measures the *steady state*: one :class:`~repro.core.qrm.
+    QrmScheduler` is reused across all repeats (matching how the
+    campaign engine drives it), its ``schedule`` (a batch of one) on
+    the single side and its ``schedule_batch`` on the batched side,
+    with an unmeasured warm-up pass so the allocator is hot before the
+    clock starts.  Batch sizes are timed smallest-first in isolated
+    blocks — a 128-trial stack's result churn evicts enough cache to
+    poison an adjacent small-batch repeat — with a single-trial repeat
+    interleaved into every block and an explicit GC sweep before each
+    timed region.
     The whole sweep runs twice and ratios come from the pooled minima
     on both sides (2 x ``trials`` samples per batch size, spread over
     two well-separated moments) — the same best-of noise-suppression
@@ -643,21 +630,19 @@ def measure_batched_qrm_speedup(
     "speedup_vs_single"}, ...]}`` — amortised ms is whole-batch wall
     time divided by the batch size.
     """
-    from repro.core.batch import BatchQrmScheduler
     from repro.core.qrm import QrmScheduler
 
     geometry = ArrayGeometry.square(size)
-    serial = QrmScheduler(geometry)
-    batched = BatchQrmScheduler(geometry)
+    scheduler = QrmScheduler(geometry)
     n_max = max(batch_sizes)
     arrays = [
         load_uniform(geometry, fill, rng=master_seed + index)
         for index in range(n_max)
     ]
 
-    # Warm-up: touch both code paths before timing anything.
-    batched.schedule_batch(arrays[:1])
-    serial.schedule(arrays[0])
+    # Warm-up: touch both entry points before timing anything.
+    scheduler.schedule_batch(arrays[:1])
+    scheduler.schedule(arrays[0])
 
     single_ms: list[float] = []
     amortized_ms: dict[int, list[float]] = {n: [] for n in batch_sizes}
@@ -668,15 +653,15 @@ def measure_batched_qrm_speedup(
         for n in sorted(batch_sizes):
             # Re-establish this batch size's steady-state footprint
             # before its timed repeats (the previous block's differs).
-            batched.schedule_batch(arrays[:n])
+            scheduler.schedule_batch(arrays[:n])
             for index in range(trials):
                 gc.collect()
                 start = time.perf_counter()
-                serial.schedule(arrays[index % n_max])
+                scheduler.schedule(arrays[index % n_max])
                 single_ms.append((time.perf_counter() - start) * 1e3)
                 gc.collect()
                 start = time.perf_counter()
-                batched.schedule_batch(arrays[:n])
+                scheduler.schedule_batch(arrays[:n])
                 amortized_ms[n].append((time.perf_counter() - start) * 1e3 / n)
 
     single = Summary.of(single_ms)
@@ -1032,8 +1017,6 @@ _SPEEDUP_KEYS = (
     "trials",
     "vectorized_ms",
     "reference_ms",
-    "seed_ms",
-    "speedup_vs_seed",
     "speedup_vs_reference",
 )
 _COMPONENT_KEYS = (
@@ -1217,7 +1200,7 @@ def validate_bench_report(payload: dict) -> None:
         for key in _SPEEDUP_KEYS:
             if key not in speedup:
                 raise ValueError(f"speedup missing key {key!r}")
-        for key in ("vectorized_ms", "reference_ms", "seed_ms"):
+        for key in ("vectorized_ms", "reference_ms"):
             _check_summary(speedup[key], f"speedup.{key}")
         if speedup["speedup_vs_reference"] <= 0:
             raise ValueError("speedup.speedup_vs_reference must be positive")

@@ -10,7 +10,9 @@ therefore transfer between machines.  A fresh report passes when every
 ratio it shares with the baseline is within ``tolerance`` (default 15%)
 of the baseline's value; blocks present on only one side are skipped,
 because a smoke-grid report legitimately measures fewer cases than the
-committed full-grid artefact.
+committed full-grid artefact, and so are QRM ratios only one side
+carries (an artefact from an older schema may record a ratio that was
+since retired).
 
 :func:`check_perf_regression` returns the raw failure strings;
 :func:`evaluate_gate` wraps it in a :class:`GateOutcome` that also
@@ -38,6 +40,11 @@ def _comparable(fresh: Mapping | None, baseline: Mapping | None) -> bool:
         and fresh.get("size") == baseline.get("size")
         and fresh.get("fill") == baseline.get("fill")
     )
+
+
+def _ratio_keys(block: Mapping) -> set[str]:
+    """The ``speedup_vs_*`` ratios a QRM speedup block carries."""
+    return {key for key in block if key.startswith("speedup_vs_")}
 
 
 def check_perf_regression(
@@ -68,7 +75,7 @@ def check_perf_regression(
     base_speedup = baseline.get("speedup")
     if _comparable(fresh_speedup, base_speedup):
         size = fresh_speedup["size"]
-        for key in ("speedup_vs_seed", "speedup_vs_reference"):
+        for key in sorted(_ratio_keys(fresh_speedup) & _ratio_keys(base_speedup)):
             check(
                 f"qrm@{size} {key}",
                 fresh_speedup[key],
@@ -186,7 +193,18 @@ def _skip_notices(fresh: Mapping, baseline: Mapping) -> list[str]:
                 f"fill={base_block.get('fill')} in the baseline)"
             )
 
-    explain("qrm speedup", fresh.get("speedup"), baseline.get("speedup"))
+    fresh_speedup = fresh.get("speedup")
+    base_speedup = baseline.get("speedup")
+    explain("qrm speedup", fresh_speedup, base_speedup)
+    if _comparable(fresh_speedup, base_speedup):
+        fresh_keys = _ratio_keys(fresh_speedup)
+        for key in sorted(fresh_keys ^ _ratio_keys(base_speedup)):
+            where = (
+                "measured here but absent from the baseline"
+                if key in fresh_keys
+                else "in the baseline but not measured here"
+            )
+            notices.append(f"qrm speedup ratio {key!r}: {where}")
     fresh_components = fresh.get("component_speedups") or {}
     base_components = baseline.get("component_speedups") or {}
     for name in sorted(fresh_components.keys() | base_components.keys()):

@@ -1,15 +1,13 @@
 """QRM core: scan kernel, pass batching, schedulers, repair stage."""
 
-from repro.core.batch import BatchQrmScheduler
 from repro.core.passes import (
     Phase,
     PassOutcome,
     batch_order_key,
     run_pass,
-    run_pass_batch,
     run_pass_reference,
 )
-from repro.core.qrm import QrmScheduler, rearrange
+from repro.core.qrm import QrmScheduler
 from repro.core.repair import RepairOutcome, repair_defects
 from repro.core.result import IterationStats, RearrangementResult
 from repro.core.scan import (
@@ -26,7 +24,6 @@ from repro.core.scan import (
 from repro.core.typical import TypicalScheduler
 
 __all__ = [
-    "BatchQrmScheduler",
     "IterationStats",
     "LineScanResult",
     "PassOutcome",
@@ -41,10 +38,8 @@ __all__ = [
     "current_hole_position",
     "is_prefix_line",
     "is_young_diagram",
-    "rearrange",
     "repair_defects",
     "run_pass",
-    "run_pass_batch",
     "run_pass_reference",
     "scan_axis",
     "scan_line",

@@ -18,14 +18,16 @@ Batching implements the paper's Row Combination Unit (Sec. IV-C):
   in the pipelined scan mode) is skipped, as is a command whose span no
   longer holds any atom ("empty shifts are removed").
 
-Two implementations share these semantics: :func:`run_pass_reference`
-is the per-line, per-command state machine kept as the behavioural
-oracle, and :func:`run_pass` is the production path, which drains whole
-rounds as NumPy arrays (one batched :func:`~repro.core.scan.scan_quadrant`
-per quadrant, affine span arithmetic, group-by via one sort) and writes
-its moves straight into :class:`~repro.aod.table.ScheduleTable` columns
-— the reference emits :class:`~repro.aod.move.ParallelMove` objects.
-The two are property-tested to emit bit-identical schedules.
+Two implementations share these semantics and one signature — both
+run a pass over a ``(trial, row, col)`` stack of grids and return one
+outcome per trial: :func:`run_pass_reference` is the per-line,
+per-command state machine kept as the behavioural oracle, and
+:func:`run_pass` is the production path, which drains the whole stack
+as NumPy arrays (one :func:`~repro.core.scan.scan_quadrant` over every
+quadrant of every trial, affine span arithmetic, group-by via one sort)
+and writes its moves straight into :class:`~repro.aod.table.ScheduleTable`
+columns — the reference emits :class:`~repro.aod.move.ParallelMove`
+objects.  The two are property-tested to emit bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -39,13 +41,7 @@ from repro.aod.executor import apply_parallel_move
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.aod.table import DIRECTION_CODE, ScheduleTable
-from repro.core.scan import (
-    LineScanResult,
-    scan_axis,
-    scan_quadrant,
-    scan_quadrant_batch,
-)
-from repro.lattice.array import AtomArray
+from repro.core.scan import LineScanResult, scan_axis, scan_quadrant
 from repro.lattice.geometry import ArrayGeometry, Direction, Quadrant, QuadrantFrame
 
 
@@ -267,22 +263,41 @@ def _quadrant_limit(scan_limit, quadrant):
 
 
 def run_pass_reference(
-    array: AtomArray,
+    grids: np.ndarray,
     frames: dict[Quadrant, QuadrantFrame],
     phase: Phase,
     scan_source: np.ndarray,
     merge_mirror: bool = True,
     guard: bool = False,
     scan_limit=None,
-) -> PassOutcome:
+) -> list[PassOutcome]:
     """Per-line, per-command reference implementation of one pass.
 
     Semantically the seed scheduler: one :class:`_LineState` per line,
     drained command by command.  Kept as the oracle the vectorised
     :func:`run_pass` is property-tested against (bit-identical moves,
     tags, order, and statistics), and as the readable statement of the
-    drain semantics.
+    drain semantics.  Takes the same ``(trial, row, col)`` stacks as
+    :func:`run_pass` and drains them trial by trial.
     """
+    return [
+        _run_trial_reference(
+            grid, frames, phase, source, merge_mirror, guard, scan_limit
+        )
+        for grid, source in zip(grids, scan_source)
+    ]
+
+
+def _run_trial_reference(
+    grid: np.ndarray,
+    frames: dict[Quadrant, QuadrantFrame],
+    phase: Phase,
+    scan_source: np.ndarray,
+    merge_mirror: bool,
+    guard: bool,
+    scan_limit,
+) -> PassOutcome:
+    """:func:`run_pass_reference` on one trial's live grid, in place."""
     outcome = PassOutcome(phase=phase)
     axis = 0 if phase is Phase.ROW else 1
     moves: list[ParallelMove] = []
@@ -308,7 +323,6 @@ def run_pass_reference(
                     )
                 )
 
-    grid = array.grid
     round_index = 0
     while True:
         # Candidates for this round: every line's next pending command.
@@ -379,7 +393,7 @@ def run_pass_reference(
                     moves.append(move)
                     outcome.n_executed += len(shifts)
         round_index += 1
-        if round_index > array.geometry.width + array.geometry.height:
+        if round_index > sum(grid.shape):
             # Safety net: each line has at most n_positions commands.
             raise RuntimeError("pass failed to drain its command lists")
 
@@ -392,168 +406,88 @@ def run_pass_reference(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _CommandTable:
-    """All pending commands of one pass as flat per-state NumPy arrays.
+def _line_views(grids: np.ndarray, frames, phase: Phase) -> list[np.ndarray]:
+    """Every quadrant of a ``(trial, row, col)`` stack as line-major views.
 
-    One *state* is one line with at least one command.  Command ``k`` of
-    every state drains in round ``k``; ``holes_flat`` holds each state's
-    scanned hole positions contiguously in state order, so the flat index
-    of command ``k`` of state ``s`` is ``first_of[s] + k`` — with states
-    in scan order, simply ``np.repeat``/``arange`` arithmetic.  (State
-    order never reaches the schedule: batches are explicitly sorted by
-    round/direction/hole/line at emission.)
+    One ``(trial, line, position)`` view per quadrant, in
+    :data:`QUADRANT_ORDER` and quadrant-local orientation: lines are
+    local rows in the row phase and local columns in the column phase.
+    The views alias ``grids``, so writing through them writes the stack.
     """
-
-    n_holes: np.ndarray  # commands per state
-    holes_flat: np.ndarray  # concatenated scanned hole positions
-    line_full: np.ndarray  # full-array line index per state
-    span_base: np.ndarray  # affine base on the span axis, per state
-    span_sign: np.ndarray  # affine sign on the span axis, per state
-    n_positions: np.ndarray  # quadrant extent along the span axis
-    dir_rank: np.ndarray  # 0/1 index into _direction_order(phase)
-    quad_rank: np.ndarray  # QUADRANT_BATCH_RANK of the state's quadrant
-
-    @property
-    def n_states(self) -> int:
-        return int(self.n_holes.size)
+    views = [frames[quadrant].local_view(grids) for quadrant in QUADRANT_ORDER]
+    if phase is Phase.COLUMN:
+        views = [view.swapaxes(1, 2) for view in views]
+    return views
 
 
-def _build_command_table(
-    outcome: PassOutcome,
-    frames: dict[Quadrant, QuadrantFrame],
-    phase: Phase,
-    scan_source: np.ndarray,
-    scan_limit,
-) -> tuple[_CommandTable | None, list]:
-    """Scan all quadrants and flatten the per-line commands into arrays.
+def _fold(views: list[np.ndarray]) -> np.ndarray:
+    """The quadrant views as one ``(trial·quadrant·line, position)`` copy.
 
-    Also returns the per-quadrant ``(frame, QuadrantScan)`` pairs so the
-    unguarded drain can apply each quadrant's net compaction directly.
+    Folded line ``(t * 4 + q) * n_lines + u`` is local line ``u`` of
+    quadrant ``q`` of trial ``t``.  The four quadrants of an
+    :class:`~repro.lattice.geometry.ArrayGeometry` share one shape, so
+    their views stack.
     """
-    axis = 0 if phase is Phase.ROW else 1
+    return np.stack(views, axis=1).reshape(-1, views[0].shape[2])
+
+
+def _quadrant_constants(frames, phase: Phase) -> np.ndarray:
+    """Per-quadrant constants of a pass, one column per quadrant.
+
+    Rows: the affine base and sign of the full-array line, those of the
+    span axis, the rank of the inward direction in
+    :func:`_direction_order`, and the :data:`QUADRANT_BATCH_RANK`.
+    """
     first_direction = _direction_order(phase)[0]
-    chunks: list[tuple] = []
-    scans: list = []
+    columns = []
     for quadrant in QUADRANT_ORDER:
         frame = frames[quadrant]
-        limit = _quadrant_limit(scan_limit, quadrant)
-        scan = scan_quadrant(frame.extract(scan_source), axis, limit=limit)
-        scans.append((frame, scan))
-        outcome.line_commands[quadrant] = scan.line_counts.tolist()
-        outcome.n_scanned_bits += scan.n_scanned_bits
-        outcome.n_commands += scan.n_commands
-        if not scan.n_commands:
-            continue
-        lines = np.nonzero(scan.line_counts)[0]
         row_base, row_sign, col_base, col_sign = frame.affine
         if phase is Phase.ROW:
-            line_full = row_base + row_sign * lines
-            span_base, span_sign = col_base, col_sign
+            affine = (row_base, row_sign, col_base, col_sign)
             inward = frame.horizontal_inward
         else:
-            line_full = col_base + col_sign * lines
-            span_base, span_sign = row_base, row_sign
+            affine = (col_base, col_sign, row_base, row_sign)
             inward = frame.vertical_inward
-        n_states = lines.size
-        chunks.append(
-            (
-                scan.line_counts[lines],
-                scan.hole_positions,
-                line_full,
-                np.full(n_states, span_base),
-                np.full(n_states, span_sign),
-                np.full(n_states, scan.n_positions),
-                np.full(n_states, 0 if inward is first_direction else 1),
-                np.full(n_states, QUADRANT_BATCH_RANK[quadrant]),
-            )
-        )
-    if not chunks:
-        return None, scans
-    table = _CommandTable(
-        n_holes=np.concatenate([c[0] for c in chunks]),
-        holes_flat=np.concatenate([c[1] for c in chunks]),
-        line_full=np.concatenate([c[2] for c in chunks]),
-        span_base=np.concatenate([c[3] for c in chunks]),
-        span_sign=np.concatenate([c[4] for c in chunks]),
-        n_positions=np.concatenate([c[5] for c in chunks]),
-        dir_rank=np.concatenate([c[6] for c in chunks]),
-        quad_rank=np.concatenate([c[7] for c in chunks]),
-    )
-    return table, scans
+        rank = int(inward is not first_direction)
+        columns.append((*affine, rank, QUADRANT_BATCH_RANK[quadrant]))
+    return np.array(columns, dtype=np.intp).T
 
 
-def _apply_net_compaction(grid: np.ndarray, frame, scan) -> None:
-    """Write one quadrant's post-pass occupancy directly into ``grid``.
+def _folded_limit(scan_limit, n_trials: int):
+    """The ``s_en`` bound of a folded scan (see :func:`_fold`).
 
-    An unguarded pass executes *every* scanned command of a line, so its
-    net effect is closed-form: each atom slides inward by the number of
-    command holes scanned below it (holes at or beyond the ``s_en``
-    limit issue no command and block nothing).  Equivalent to replaying
-    the emitted moves one by one — property-tested against exactly that.
+    Scalars apply to every line as they are; a ``{Quadrant: per-line
+    bounds}`` mapping is laid out in folded line order, once per trial.
     """
-    local = scan.lines_view
-    consumed = np.zeros(local.shape, dtype=np.intp)
-    if scan.n_positions > 1:
-        holes_mask = np.zeros(local.shape, dtype=bool)
-        holes_mask[scan.hole_lines, scan.hole_positions] = True
-        np.cumsum(holes_mask[:, :-1], axis=1, out=consumed[:, 1:])
-    lines, positions = np.nonzero(local)
-    compacted = np.zeros_like(local)
-    compacted[lines, positions - consumed[lines, positions]] = True
-    if scan.axis == 1:
-        compacted = compacted.T
-    frame.insert(grid, compacted)
+    if isinstance(scan_limit, dict):
+        per_trial = np.concatenate([scan_limit[q] for q in QUADRANT_ORDER])
+        return np.tile(per_trial, n_trials)
+    return scan_limit
 
 
-def _apply_guarded_compaction(
-    grid: np.ndarray,
-    horizontal: bool,
-    lines: np.ndarray,
-    span_base: np.ndarray,
-    span_sign: np.ndarray,
-    n_positions: np.ndarray,
-    hole_seg: np.ndarray,
-    hole_pos: np.ndarray,
+def _compact(
+    views: list[np.ndarray], occupancy: np.ndarray, holes: np.ndarray
 ) -> None:
-    """Apply a guarded pass's net effect to ``grid`` in one gather/scatter.
+    """Write the net effect of executing the ``holes`` through ``views``.
 
-    ``lines``/``span_base``/``span_sign``/``n_positions`` describe the
-    half-line segments (one per state with at least one executed
-    command); ``hole_seg``/``hole_pos`` are the executed holes as
-    (segment index, pass-start local position) pairs.  The net effect of
-    a segment's executed commands is closed-form: each atom slides
-    inward by the number of executed holes inboard of it, and the
-    vacated outboard cells empty — the guarded analogue of
-    :func:`_apply_net_compaction`, against the live occupancy instead of
-    the scan source.  Segments are pairwise disjoint (one state per
-    quadrant half-line), so all of them gather and scatter at once.
+    ``occupancy`` and ``holes`` are folded stacks (see :func:`_fold`);
+    ``holes`` marks every hole whose command executes.  A pass executes
+    the commands of a line in ascending hole order, so its net effect is
+    closed-form: each atom slides inward by the number of executed holes
+    inboard of it, and the vacated outboard cells empty.  Executed holes
+    sit on empty cells, so the inclusive running count is exact at every
+    atom.  Equivalent to replaying the emitted moves one by one —
+    property-tested against exactly that.
     """
-    seg_start = np.zeros(lines.size, dtype=np.intp)
-    np.cumsum(n_positions[:-1], out=seg_start[1:])
-    total = int(n_positions.sum())
-    seg_rep = np.repeat(np.arange(lines.size), n_positions)
-    local = np.arange(total) - np.repeat(seg_start, n_positions)
-    base = span_base[seg_rep]
-    sign = span_sign[seg_rep]
-    line_rep = lines[seg_rep]
-    coord = base + sign * local
-    occupancy = grid[line_rep, coord] if horizontal else grid[coord, line_rep]
-    # consumed[i] = executed holes inboard of local position i.  Executed
-    # holes sit on empty cells, so the inclusive cumsum is exact at every
-    # atom position.
-    markers = np.zeros(total, dtype=np.intp)
-    markers[seg_start[hole_seg] + hole_pos] = 1
-    csum = np.cumsum(markers)
-    consumed = csum - (csum[seg_start] - markers[seg_start])[seg_rep]
-    atoms = np.nonzero(occupancy)[0]
-    new_coord = base[atoms] + sign[atoms] * (local[atoms] - consumed[atoms])
-    if horizontal:
-        grid[line_rep, coord] = False
-        grid[line_rep[atoms], new_coord] = True
-    else:
-        grid[coord, line_rep] = False
-        grid[new_coord, line_rep[atoms]] = True
+    consumed = np.cumsum(holes, axis=1).ravel()
+    # Flat indices: an atom never slides past its own line's start.
+    atoms = np.flatnonzero(occupancy)
+    compacted = np.zeros(occupancy.size, dtype=bool)
+    compacted[atoms - consumed[atoms]] = True
+    compacted = compacted.reshape(-1, len(views), *views[0].shape[1:])
+    for index, view in enumerate(views):
+        view[...] = compacted[:, index]
 
 
 def _unique_keys(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -591,12 +525,12 @@ def _emit_columns(
     """Order and group the given commands into each trial's move columns.
 
     The arrays are parallel, one entry per executed command, and
-    ``trial_of`` indexes ``outcomes`` (a single trial is a batch of
-    one); ``extent`` is the grid's longer side, which bounds every line,
-    hole and round index.  The batch order is (trial, round, direction,
-    :func:`batch_order_key`), with shifts inside one batch ascending by
-    full-array line.  Mirror-merged mode drops the quadrant from the
-    group identity, so mirror lines sharing a hole fuse into one move.
+    ``trial_of`` indexes ``outcomes``; ``extent`` is the grid's longer
+    side, which bounds every line, hole and round index.  The batch
+    order is (trial, round, direction, :func:`batch_order_key`), with
+    shifts inside one batch ascending by full-array line.  Mirror-merged
+    mode drops the quadrant from the group identity, so mirror lines
+    sharing a hole fuse into one move.
     The full-array line is unique within any (round, direction,
     hole[, quadrant]) group, so the keys order the commands totally and
     each trial's moves are bit-identical to emitting that trial alone.
@@ -605,7 +539,7 @@ def _emit_columns(
     :class:`~repro.aod.table.ScheduleTable` whose columns are slices of
     the pass's, plus one tag per move; each distinct tag string is built
     once and shared.  No move object is built.  Grid application is the
-    caller's job (net compaction or the guarded gather/scatter).
+    caller's job (:func:`_compact`).
     """
     n = cur.size
     if not n:
@@ -686,333 +620,6 @@ def _emit_columns(
 
 
 def run_pass(
-    array: AtomArray,
-    frames: dict[Quadrant, QuadrantFrame],
-    phase: Phase,
-    scan_source: np.ndarray,
-    merge_mirror: bool = True,
-    guard: bool = False,
-    scan_limit=None,
-) -> PassOutcome:
-    """Scan ``scan_source``, batch the commands, execute them on ``array``.
-
-    ``scan_source`` is the grid the scan reads — the live grid for a
-    fresh pass, or the iteration-start snapshot for the paper's pipelined
-    column pass.  ``guard=True`` enables the stale-command checks (hole
-    still empty, span still populated) against the live grid.
-    ``scan_limit`` forwards the ``s_en`` bound to the scans.
-
-    Vectorised implementation: emits exactly the schedule of
-    :func:`run_pass_reference` (bit-identical moves, tags, and order),
-    but drains whole passes as NumPy arrays.  Without the guard the
-    entire drain order is statically known — every state consumes one
-    command per round, so command ``k`` of a line executes in round
-    ``k`` with ``k`` earlier shifts applied — and the full pass reduces
-    to one sort, in the columnar emitter :func:`run_pass_batch` shares
-    (a single trial is a batch of one).  With the guard, each command's
-    fate is *still* closed-form, because a command's stale/empty checks
-    only ever read its own half-line, whose within-pass evolution is
-    fully determined by the pass-start occupancy (see the derivation
-    inline below) — so guarded passes, too, apply one gather/scatter
-    total instead of one per round.
-    """
-    outcome = PassOutcome(phase=phase)
-    table, scans = _build_command_table(outcome, frames, phase, scan_source, scan_limit)
-    if table is None:
-        return outcome
-    grid = array.grid
-    horizontal = phase is Phase.ROW
-
-    state_of = np.repeat(np.arange(table.n_states), table.n_holes)
-    first_of = np.zeros(table.n_states, dtype=np.intp)
-    np.cumsum(table.n_holes[:-1], out=first_of[1:])
-    round_of = np.arange(state_of.size) - first_of[state_of]
-
-    if not guard:
-        # Static drain: command k of every state runs in round k with
-        # executed == k, so cur/spans for the whole pass come from one
-        # sweep of flat array arithmetic, and the grid jumps straight to
-        # each quadrant's net compaction.
-        cur = table.holes_flat - round_of
-        span_base = table.span_base[state_of]
-        span_sign = table.span_sign[state_of]
-        a = span_base + span_sign * (cur + 1)
-        b = span_base + span_sign * (table.n_positions[state_of] - round_of - 1)
-        _emit_columns(
-            [outcome],
-            phase,
-            merge_mirror,
-            extent=max(grid.shape),
-            trial_of=np.zeros(round_of.size, dtype=np.intp),
-            round_of=round_of,
-            dir_rank=table.dir_rank[state_of],
-            cur=cur,
-            quad_rank=table.quad_rank[state_of],
-            line_full=table.line_full[state_of],
-            span_start=np.minimum(a, b),
-            span_stop=np.maximum(a, b) + 1,
-        )
-        for frame, scan in scans:
-            if scan.n_commands:
-                _apply_net_compaction(grid, frame, scan)
-        return outcome
-
-    # Guarded drain, closed form.  The guard of command k of a state
-    # depends only on that state's own half-line at pass start: commands
-    # execute in ascending scanned-hole order, so every shift executed
-    # before command k deleted an empty cell *inboard* of its hole h_k
-    # and appended an empty cell at the outboard end.  Hence the live
-    # cell the round-k stale check reads (local h_k - executed) is the
-    # pass-start cell at h_k, and the live span the empty check scans is
-    # exactly the pass-start suffix beyond h_k — neither depends on the
-    # round it runs in:
-    #
-    #   stale(k)  <=>  live-at-pass-start[h_k] occupied
-    #   empty(k)  <=>  no pass-start atom outboard of h_k
-    #
-    # so every command's fate, its executed-before count (a per-state
-    # cumulative sum of the fates), and the pass's net grid effect all
-    # come from one sweep of array arithmetic — no per-round loop.
-    holes = table.holes_flat
-    line_full = table.line_full[state_of]
-    span_base = table.span_base[state_of]
-    span_sign = table.span_sign[state_of]
-    n_positions = table.n_positions[state_of]
-
-    hole_coord = span_base + span_sign * holes
-    if horizontal:
-        stale = grid[line_full, hole_coord]
-        prefix = np.zeros((grid.shape[0], grid.shape[1] + 1), dtype=np.intp)
-        np.cumsum(grid, axis=1, out=prefix[:, 1:])
-    else:
-        stale = grid[hole_coord, line_full]
-        prefix = np.zeros((grid.shape[0] + 1, grid.shape[1]), dtype=np.intp)
-        np.cumsum(grid, axis=0, out=prefix[1:, :])
-
-    has_suffix = np.zeros(holes.size, dtype=bool)
-    inner = np.nonzero(holes + 1 < n_positions)[0]
-    if inner.size:
-        sign = span_sign[inner]
-        a = span_base[inner] + sign * (holes[inner] + 1)
-        b = span_base[inner] + sign * (n_positions[inner] - 1)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        if horizontal:
-            counts = prefix[line_full[inner], hi + 1] - prefix[line_full[inner], lo]
-        else:
-            counts = prefix[hi + 1, line_full[inner]] - prefix[lo, line_full[inner]]
-        has_suffix[inner] = counts > 0
-
-    executes = ~stale & has_suffix
-    outcome.n_skipped_stale = int(np.count_nonzero(stale))
-    outcome.n_skipped_empty = int(np.count_nonzero(~stale & ~has_suffix))
-
-    # Shifts executed before command k on its own line: the exclusive
-    # per-state running count of executing commands.
-    inclusive = np.cumsum(executes)
-    exclusive = inclusive - executes
-    executed_before = exclusive - exclusive[first_of][state_of]
-
-    alive = np.nonzero(executes)[0]
-    if alive.size:
-        cur = holes[alive] - executed_before[alive]
-        sign = span_sign[alive]
-        a = span_base[alive] + sign * (cur + 1)
-        b = span_base[alive] + sign * (n_positions[alive] - executed_before[alive] - 1)
-        _emit_columns(
-            [outcome],
-            phase,
-            merge_mirror,
-            extent=max(grid.shape),
-            trial_of=np.zeros(alive.size, dtype=np.intp),
-            round_of=round_of[alive],
-            dir_rank=table.dir_rank[state_of[alive]],
-            cur=cur,
-            quad_rank=table.quad_rank[state_of[alive]],
-            line_full=line_full[alive],
-            span_start=np.minimum(a, b),
-            span_stop=np.maximum(a, b) + 1,
-        )
-        # One gather/scatter applies the whole pass: compact each touched
-        # half-line around its executed holes.
-        touched = np.unique(state_of[alive])
-        seg_index = np.zeros(table.n_states, dtype=np.intp)
-        seg_index[touched] = np.arange(touched.size)
-        _apply_guarded_compaction(
-            grid,
-            horizontal,
-            lines=table.line_full[touched],
-            span_base=table.span_base[touched],
-            span_sign=table.span_sign[touched],
-            n_positions=table.n_positions[touched],
-            hole_seg=seg_index[state_of[alive]],
-            hole_pos=holes[alive],
-        )
-    return outcome
-
-
-# ---------------------------------------------------------------------------
-# Cross-trial batched pass
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class _BatchCommandTable(_CommandTable):
-    """:class:`_CommandTable` plus the owning trial of every state.
-
-    A state is one (trial, quadrant, line) with at least one command;
-    all closed-form drain arithmetic of the single-trial pass works
-    unchanged on the flattened multi-trial state list because it only
-    ever couples commands of the same state.
-    """
-
-    trial_of: np.ndarray = None  # trial index per state
-
-
-def _build_batch_command_table(
-    outcomes: list[PassOutcome],
-    frames: dict[Quadrant, QuadrantFrame],
-    phase: Phase,
-    scan_source: np.ndarray,
-    scan_limit,
-) -> tuple[_BatchCommandTable | None, list]:
-    """Scan all quadrants of all trials and flatten into one state table.
-
-    The batched analogue of :func:`_build_command_table`: one
-    :func:`~repro.core.scan.scan_quadrant_batch` per quadrant covers
-    every trial, and the per-state arrays gain a parallel ``trial_of``.
-    Also returns the ``(frame, BatchQuadrantScan)`` pairs for the
-    unguarded net compaction.
-    """
-    axis = 0 if phase is Phase.ROW else 1
-    first_direction = _direction_order(phase)[0]
-    chunks: list[tuple] = []
-    scans: list = []
-    for quadrant in QUADRANT_ORDER:
-        frame = frames[quadrant]
-        scan = scan_quadrant_batch(
-            frame.extract_batch(scan_source),
-            axis,
-            limit=_quadrant_limit(scan_limit, quadrant),
-        )
-        scans.append((frame, scan))
-        counts = scan.line_counts.tolist()
-        per_trial = scan.commands_per_trial().tolist()
-        n_scanned = scan.n_scanned_bits
-        for trial, outcome in enumerate(outcomes):
-            outcome.line_commands[quadrant] = counts[trial]
-            outcome.n_scanned_bits += n_scanned
-            outcome.n_commands += per_trial[trial]
-        if not scan.n_commands:
-            continue
-        # np.nonzero order is (trial, line)-lexicographic, matching the
-        # state-major layout of scan.hole_positions.
-        t_states, lines = np.nonzero(scan.line_counts)
-        row_base, row_sign, col_base, col_sign = frame.affine
-        if phase is Phase.ROW:
-            line_full = row_base + row_sign * lines
-            span_base, span_sign = col_base, col_sign
-            inward = frame.horizontal_inward
-        else:
-            line_full = col_base + col_sign * lines
-            span_base, span_sign = row_base, row_sign
-            inward = frame.vertical_inward
-        n_states = lines.size
-        chunks.append(
-            (
-                scan.line_counts[t_states, lines],
-                scan.hole_positions,
-                line_full,
-                np.full(n_states, span_base),
-                np.full(n_states, span_sign),
-                np.full(n_states, scan.n_positions),
-                np.full(n_states, 0 if inward is first_direction else 1),
-                np.full(n_states, QUADRANT_BATCH_RANK[quadrant]),
-                t_states,
-            )
-        )
-    if not chunks:
-        return None, scans
-    table = _BatchCommandTable(
-        n_holes=np.concatenate([c[0] for c in chunks]),
-        holes_flat=np.concatenate([c[1] for c in chunks]),
-        line_full=np.concatenate([c[2] for c in chunks]),
-        span_base=np.concatenate([c[3] for c in chunks]),
-        span_sign=np.concatenate([c[4] for c in chunks]),
-        n_positions=np.concatenate([c[5] for c in chunks]),
-        dir_rank=np.concatenate([c[6] for c in chunks]),
-        quad_rank=np.concatenate([c[7] for c in chunks]),
-        trial_of=np.concatenate([c[8] for c in chunks]),
-    )
-    return table, scans
-
-
-def _apply_net_compaction_batch(grids: np.ndarray, frame, scan) -> None:
-    """Batched :func:`_apply_net_compaction` over the trial axis.
-
-    Trials whose quadrant scanned zero commands are rewritten with their
-    own unchanged occupancy (consumed is identically zero there), so no
-    per-trial masking is needed.
-    """
-    local = scan.lines_view
-    consumed = np.zeros(local.shape, dtype=np.intp)
-    if scan.n_positions > 1:
-        np.cumsum(scan.holes_mask[:, :, :-1], axis=2, out=consumed[:, :, 1:])
-    trials, lines, positions = np.nonzero(local)
-    compacted = np.zeros_like(local)
-    compacted[trials, lines, positions - consumed[trials, lines, positions]] = True
-    if scan.axis == 1:
-        compacted = compacted.transpose(0, 2, 1)
-    frame.insert_batch(grids, compacted)
-
-
-def _apply_guarded_compaction_batch(
-    grids: np.ndarray,
-    horizontal: bool,
-    trials: np.ndarray,
-    lines: np.ndarray,
-    span_base: np.ndarray,
-    span_sign: np.ndarray,
-    n_positions: np.ndarray,
-    hole_seg: np.ndarray,
-    hole_pos: np.ndarray,
-) -> None:
-    """Batched :func:`_apply_guarded_compaction` over the trial axis.
-
-    Identical gather/scatter with ``trials`` as a third coordinate:
-    segments stay pairwise disjoint (one state per trial per quadrant
-    half-line), so every trial's half-lines compact in the same sweep.
-    """
-    seg_start = np.zeros(lines.size, dtype=np.intp)
-    np.cumsum(n_positions[:-1], out=seg_start[1:])
-    total = int(n_positions.sum())
-    seg_rep = np.repeat(np.arange(lines.size), n_positions)
-    local = np.arange(total) - np.repeat(seg_start, n_positions)
-    base = span_base[seg_rep]
-    sign = span_sign[seg_rep]
-    line_rep = lines[seg_rep]
-    trial_rep = trials[seg_rep]
-    coord = base + sign * local
-    occupancy = (
-        grids[trial_rep, line_rep, coord]
-        if horizontal
-        else grids[trial_rep, coord, line_rep]
-    )
-    markers = np.zeros(total, dtype=np.intp)
-    markers[seg_start[hole_seg] + hole_pos] = 1
-    csum = np.cumsum(markers)
-    consumed = csum - (csum[seg_start] - markers[seg_start])[seg_rep]
-    atoms = np.nonzero(occupancy)[0]
-    new_coord = base[atoms] + sign[atoms] * (local[atoms] - consumed[atoms])
-    if horizontal:
-        grids[trial_rep, line_rep, coord] = False
-        grids[trial_rep[atoms], line_rep[atoms], new_coord] = True
-    else:
-        grids[trial_rep, coord, line_rep] = False
-        grids[trial_rep[atoms], new_coord, line_rep[atoms]] = True
-
-
-def run_pass_batch(
     grids: np.ndarray,
     frames: dict[Quadrant, QuadrantFrame],
     phase: Phase,
@@ -1021,149 +628,129 @@ def run_pass_batch(
     guard: bool = False,
     scan_limit=None,
 ) -> list[PassOutcome]:
-    """One pass over a whole stack of trials, one per-trial outcome each.
+    """Scan ``scan_source``, batch the commands, execute them on ``grids``.
 
-    The cross-trial extension of :func:`run_pass`: ``grids`` stacks N
-    same-geometry live occupancy grids as ``(trial, row, col)`` and is
-    mutated in place; ``scan_source`` is the stack the scan reads (the
-    live stack, or the iteration-start snapshot stack in pipelined
-    mode).  Every cumsum, argsort, and gather/scatter of the
-    single-trial pass simply gains the leading trial axis — the drain
-    closed forms are untouched because they only ever couple commands of
-    the same (trial, line) state — so N trials cost one NumPy dispatch
-    sequence instead of N.  Per trial, the emitted moves, tags, order,
-    and statistics are bit-identical to :func:`run_pass` on that trial
-    alone (property-tested through the batch scheduler).
+    ``grids`` stacks same-geometry live occupancy grids as ``(trial,
+    row, col)`` and is mutated in place; one trial is a stack of one.
+    ``scan_source`` is the stack the scan reads — the live stack for a
+    fresh pass, or the iteration-start snapshot for the paper's
+    pipelined column pass.  ``guard=True`` enables the stale-command
+    checks (hole still empty, span still populated) against the live
+    grids.  ``scan_limit`` forwards the ``s_en`` bound to the scan.
+    Returns one :class:`PassOutcome` per trial.
+
+    Emits exactly the schedule of :func:`run_pass_reference` for every
+    trial (bit-identical moves, tags, order, and statistics), but drains
+    the whole stack as NumPy arrays.  Every quadrant of every trial is
+    one block of lines of a single :func:`~repro.core.scan.scan_quadrant`
+    call (see :func:`_fold`); the drain closed forms below only ever
+    couple commands of one line, so they hold on the folded line axis
+    unchanged.  Without the guard the entire drain order is statically
+    known — every line consumes one command per round, so command ``k``
+    of a line executes in round ``k`` with ``k`` earlier shifts applied.
+    With the guard, each command's fate is *still* closed-form, because
+    a command's stale/empty checks only ever read its own half-line,
+    whose within-pass evolution is fully determined by the pass-start
+    occupancy (see the derivation inline below).  Either way the pass
+    reduces to one sort (:func:`_emit_columns`) and one compaction
+    (:func:`_compact`).
     """
     n_trials = int(grids.shape[0])
     outcomes = [PassOutcome(phase=phase) for _ in range(n_trials)]
-    table, scans = _build_batch_command_table(
-        outcomes, frames, phase, scan_source, scan_limit
+    live_views = _line_views(grids, frames, phase)
+    source_views = (
+        live_views if scan_source is grids else _line_views(scan_source, frames, phase)
     )
-    if table is None:
+    n_quadrants = len(QUADRANT_ORDER)
+    n_lines, n_positions = live_views[0].shape[1:]
+    scan = scan_quadrant(
+        _fold(source_views), 0, limit=_folded_limit(scan_limit, n_trials)
+    )
+    line_counts = scan.line_counts.reshape(n_trials, n_quadrants, n_lines)
+    n_commands = line_counts.sum(axis=(1, 2)).tolist()
+    for outcome, counts, count in zip(outcomes, line_counts.tolist(), n_commands):
+        outcome.line_commands = dict(zip(QUADRANT_ORDER, counts))
+        outcome.n_scanned_bits = n_quadrants * n_lines * n_positions
+        outcome.n_commands = count
+    if not scan.n_commands:
         return outcomes
-    horizontal = phase is Phase.ROW
 
-    state_of = np.repeat(np.arange(table.n_states), table.n_holes)
-    first_of = np.zeros(table.n_states, dtype=np.intp)
-    np.cumsum(table.n_holes[:-1], out=first_of[1:])
-    round_of = np.arange(state_of.size) - first_of[state_of]
-    trial_of_cmd = table.trial_of[state_of]
+    hole_lines = scan.hole_lines
+    holes = scan.hole_positions
+    # Command k of a line drains in round k; first[u] is the flat index
+    # of folded line u's first command.
+    first = np.cumsum(scan.line_counts) - scan.line_counts
+    round_of = np.arange(holes.size) - first[hole_lines]
 
     if not guard:
-        cur = table.holes_flat - round_of
-        span_base = table.span_base[state_of]
-        span_sign = table.span_sign[state_of]
-        a = span_base + span_sign * (cur + 1)
-        b = span_base + span_sign * (table.n_positions[state_of] - round_of - 1)
-        _emit_columns(
-            outcomes,
-            phase,
-            merge_mirror,
-            extent=max(grids.shape[1:]),
-            trial_of=trial_of_cmd,
-            round_of=round_of,
-            dir_rank=table.dir_rank[state_of],
-            cur=cur,
-            quad_rank=table.quad_rank[state_of],
-            line_full=table.line_full[state_of],
-            span_start=np.minimum(a, b),
-            span_stop=np.maximum(a, b) + 1,
-        )
-        for frame, scan in scans:
-            if scan.n_commands:
-                _apply_net_compaction_batch(grids, frame, scan)
-        return outcomes
-
-    # Guarded drain: the per-command fate closed forms of run_pass hold
-    # per (trial, line) state, so the only change is the trial index on
-    # every live-grid read and write.
-    holes = table.holes_flat
-    line_full = table.line_full[state_of]
-    span_base = table.span_base[state_of]
-    span_sign = table.span_sign[state_of]
-    n_positions = table.n_positions[state_of]
-
-    hole_coord = span_base + span_sign * holes
-    if horizontal:
-        stale = grids[trial_of_cmd, line_full, hole_coord]
-        prefix = np.zeros(
-            (n_trials, grids.shape[1], grids.shape[2] + 1), dtype=np.intp
-        )
-        np.cumsum(grids, axis=2, out=prefix[:, :, 1:])
+        executed_before = round_of
+        occupancy, executed = scan.lines_view, scan.holes_mask
     else:
-        stale = grids[trial_of_cmd, hole_coord, line_full]
-        prefix = np.zeros(
-            (n_trials, grids.shape[1] + 1, grids.shape[2]), dtype=np.intp
+        # Guarded drain, closed form.  The guard of command k of a line
+        # depends only on that line at pass start: commands execute in
+        # ascending scanned-hole order, so every shift executed before
+        # command k deleted an empty cell *inboard* of its hole h_k and
+        # appended an empty cell at the outboard end.  Hence the live
+        # cell the round-k stale check reads (local h_k - executed) is
+        # the pass-start cell at h_k, and the live span the empty check
+        # scans is exactly the pass-start suffix beyond h_k — neither
+        # depends on the round it runs in:
+        #
+        #   stale(k)  <=>  live-at-pass-start[h_k] occupied
+        #   empty(k)  <=>  no pass-start atom outboard of h_k
+        #
+        # so every command's fate, its executed-before count (a per-line
+        # cumulative sum of the fates), and the pass's net grid effect
+        # all come from one sweep of array arithmetic.
+        occupancy = _fold(live_views)
+        # Any atom at or beyond each position: a non-stale command's own
+        # cell is empty, so this reads "anything outboard" for it.
+        atoms_from = np.logical_or.accumulate(occupancy[:, ::-1], axis=1)[:, ::-1]
+        stale = occupancy[hole_lines, holes]
+        empty = ~atoms_from[hole_lines, holes]
+        skips = np.bincount(
+            3 * (hole_lines // (n_quadrants * n_lines)) + stale + 2 * empty,
+            minlength=3 * n_trials,
         )
-        np.cumsum(grids, axis=1, out=prefix[:, 1:, :])
+        for outcome, (_, n_stale, n_empty) in zip(
+            outcomes, skips.reshape(n_trials, 3).tolist()
+        ):
+            outcome.n_skipped_stale = n_stale
+            outcome.n_skipped_empty = n_empty
+        executes = ~(stale | empty)
+        # Shifts executed before each command on its own line.
+        done = np.cumsum(executes) - executes
+        executed_before = done - done[first[hole_lines]]
+        alive = np.flatnonzero(executes)
+        if not alive.size:
+            return outcomes
+        hole_lines = hole_lines[alive]
+        holes = holes[alive]
+        round_of = round_of[alive]
+        executed_before = executed_before[alive]
+        executed = np.zeros_like(occupancy)
+        executed[hole_lines, holes] = True
 
-    has_suffix = np.zeros(holes.size, dtype=bool)
-    inner = np.nonzero(holes + 1 < n_positions)[0]
-    if inner.size:
-        sign = span_sign[inner]
-        a = span_base[inner] + sign * (holes[inner] + 1)
-        b = span_base[inner] + sign * (n_positions[inner] - 1)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        t_inner = trial_of_cmd[inner]
-        if horizontal:
-            counts = (
-                prefix[t_inner, line_full[inner], hi + 1]
-                - prefix[t_inner, line_full[inner], lo]
-            )
-        else:
-            counts = (
-                prefix[t_inner, hi + 1, line_full[inner]]
-                - prefix[t_inner, lo, line_full[inner]]
-            )
-        has_suffix[inner] = counts > 0
-
-    executes = ~stale & has_suffix
-    stale_counts = np.bincount(trial_of_cmd[stale], minlength=n_trials)
-    empty_counts = np.bincount(
-        trial_of_cmd[~stale & ~has_suffix], minlength=n_trials
+    folded_quadrant, line = np.divmod(hole_lines, n_lines)
+    trial_of, quadrant = np.divmod(folded_quadrant, n_quadrants)
+    constants = _quadrant_constants(frames, phase)[:, quadrant]
+    line_base, line_sign, span_base, span_sign, dir_rank, quad_rank = constants
+    cur = holes - executed_before
+    a = span_base + span_sign * (cur + 1)
+    b = span_base + span_sign * (n_positions - executed_before - 1)
+    _emit_columns(
+        outcomes,
+        phase,
+        merge_mirror,
+        extent=max(grids.shape[1:]),
+        trial_of=trial_of,
+        round_of=round_of,
+        dir_rank=dir_rank,
+        cur=cur,
+        quad_rank=quad_rank,
+        line_full=line_base + line_sign * line,
+        span_start=np.minimum(a, b),
+        span_stop=np.maximum(a, b) + 1,
     )
-    for trial, outcome in enumerate(outcomes):
-        outcome.n_skipped_stale = int(stale_counts[trial])
-        outcome.n_skipped_empty = int(empty_counts[trial])
-
-    inclusive = np.cumsum(executes)
-    exclusive = inclusive - executes
-    executed_before = exclusive - exclusive[first_of][state_of]
-
-    alive = np.nonzero(executes)[0]
-    if alive.size:
-        cur = holes[alive] - executed_before[alive]
-        sign = span_sign[alive]
-        a = span_base[alive] + sign * (cur + 1)
-        b = span_base[alive] + sign * (n_positions[alive] - executed_before[alive] - 1)
-        _emit_columns(
-            outcomes,
-            phase,
-            merge_mirror,
-            extent=max(grids.shape[1:]),
-            trial_of=trial_of_cmd[alive],
-            round_of=round_of[alive],
-            dir_rank=table.dir_rank[state_of[alive]],
-            cur=cur,
-            quad_rank=table.quad_rank[state_of[alive]],
-            line_full=line_full[alive],
-            span_start=np.minimum(a, b),
-            span_stop=np.maximum(a, b) + 1,
-        )
-        touched = np.unique(state_of[alive])
-        seg_index = np.zeros(table.n_states, dtype=np.intp)
-        seg_index[touched] = np.arange(touched.size)
-        _apply_guarded_compaction_batch(
-            grids,
-            horizontal,
-            trials=table.trial_of[touched],
-            lines=table.line_full[touched],
-            span_base=table.span_base[touched],
-            span_sign=table.span_sign[touched],
-            n_positions=table.n_positions[touched],
-            hole_seg=seg_index[state_of[alive]],
-            hole_pos=holes[alive],
-        )
+    _compact(live_views, occupancy, executed)
     return outcomes

@@ -21,8 +21,10 @@ target defects with individual atom moves; see :mod:`repro.core.repair`.
 
 from __future__ import annotations
 
-import warnings
+import time
 from typing import Callable, Iterable
+
+import numpy as np
 
 from repro.config import (
     DEFAULT_QRM_PARAMETERS,
@@ -31,12 +33,12 @@ from repro.config import (
     ScanMode,
 )
 from repro.core.passes import Phase, PassOutcome, run_pass, schedule_from_outcomes
-from repro.core.result import IterationStats, RearrangementResult, timed_schedule
+from repro.core.result import IterationStats, RearrangementResult
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Quadrant
 
 #: Signature of a pass implementation (run_pass / run_pass_reference).
-PassRunner = Callable[..., PassOutcome]
+PassRunner = Callable[..., list[PassOutcome]]
 
 
 def resolve_scan_limits(
@@ -59,13 +61,17 @@ def resolve_scan_limits(
 
 
 class QrmScheduler:
-    """Compute a rearrangement schedule with the quadrant method.
+    """Compute rearrangement schedules with the quadrant method.
 
-    ``pass_runner`` selects the pass implementation: the vectorised
+    One engine serves one array and a stack alike: :meth:`schedule_batch`
+    stacks same-geometry arrays into one ``(trial, row, col)`` analysis
+    and :meth:`schedule` is a batch of one.  ``pass_runner`` selects the
+    pass implementation: the vectorised
     :func:`~repro.core.passes.run_pass` by default, or
     :func:`~repro.core.passes.run_pass_reference` for the per-command
     oracle — the perf benchmark and the bit-identity property tests run
-    both and compare.
+    both and compare.  An instance holds no per-call state, so repeated
+    calls on one scheduler are independent.
     """
 
     name = "qrm"
@@ -81,133 +87,137 @@ class QrmScheduler:
         self.pass_runner = pass_runner
         self.frames = {q: geometry.quadrant_frame(q) for q in Quadrant}
         self._scan_limits = resolve_scan_limits(geometry, params.scan_limit)
-        self._batch_engine = None
 
     def schedule(self, array: AtomArray) -> RearrangementResult:
         """Analyse ``array`` and produce the full movement schedule."""
-        if array.geometry != self.geometry:
-            raise ValueError("array geometry does not match the scheduler's geometry")
-        return timed_schedule(lambda: self._analyse(array))
+        return self.schedule_batch([array])[0]
 
     def schedule_batch(self, arrays: Iterable[AtomArray]) -> list[RearrangementResult]:
-        """Batch-first entry point: schedule a stack of arrays in one call.
+        """Analyse a stack of same-geometry arrays in one call.
 
-        With the production pass runner this delegates to the cross-trial
-        :class:`~repro.core.batch.BatchQrmScheduler`, whose per-trial
-        results are bit-identical to looping :meth:`schedule` but amortise
-        NumPy dispatch across the stack.  The engine is constructed once
-        and kept on the instance, so a cached scheduler in the service's
-        per-geometry LRU reuses it across calls.  Any other
-        ``pass_runner`` (the per-command reference oracle) falls back to
-        the loop — the oracle stays strictly single-trial.
+        Results come back in input order, each bit-identical to
+        scheduling that array alone; the stack amortises NumPy dispatch
+        across trials (the software analogue of the paper's pipelined
+        data path, which keeps the shift kernel busy by streaming many
+        lines through one set of functional units).  ``wall_time_s`` of
+        each result is the *amortised* per-trial time — the whole call's
+        wall clock divided by the batch size — so batched and single
+        timings stay directly comparable.
         """
-        if self.pass_runner is run_pass:
-            if self._batch_engine is None:
-                from repro.core.batch import BatchQrmScheduler
+        batch = list(arrays)
+        if not batch:
+            return []
+        for array in batch:
+            if array.geometry != self.geometry:
+                raise ValueError(
+                    "array geometry does not match the scheduler's geometry"
+                )
+        start = time.perf_counter()
+        results = self._analyse_batch(batch)
+        amortised = (time.perf_counter() - start) / len(batch)
+        for result in results:
+            result.wall_time_s = amortised
+        return results
 
-                self._batch_engine = BatchQrmScheduler(self.geometry, self.params)
-            return self._batch_engine.schedule_batch(arrays)
-        return [self.schedule(array) for array in arrays]
-
-    def _analyse(self, array: AtomArray) -> RearrangementResult:
-        live = array.copy()
-        iteration_stats: list[IterationStats] = []
-        pass_records: list = []
-        converged = False
-        analysis_ops = 0
+    def _analyse_batch(self, batch: list[AtomArray]) -> list[RearrangementResult]:
+        n_trials = len(batch)
+        live = np.stack([array.grid for array in batch])
+        iteration_stats: list[list[IterationStats]] = [[] for _ in range(n_trials)]
+        pass_records: list[list[PassOutcome]] = [[] for _ in range(n_trials)]
+        converged = [False] * n_trials
+        analysis_ops = [0] * n_trials
         pipelined = self.params.scan_mode is ScanMode.PIPELINED
 
+        # Trials still iterating; a trial leaves once both passes of an
+        # iteration emit zero commands.  Because every trial starts at
+        # iteration 0 together and only ever *leaves*, the shared loop
+        # index below equals each trial's own iteration index.
+        active = np.arange(n_trials)
         for index in range(self.params.n_iterations):
-            snapshot = live.grid.copy() if pipelined else None
+            sub = live if active.size == n_trials else live[active]
+            snapshot = sub.copy() if pipelined else sub
 
-            row_outcome = self.pass_runner(
-                live,
+            row_outcomes = self.pass_runner(
+                sub,
                 self.frames,
                 Phase.ROW,
-                scan_source=live.grid,
+                scan_source=sub,
                 merge_mirror=self.params.merge_mirror_quadrants,
                 guard=False,
                 scan_limit=self._scan_limits[Phase.ROW],
             )
-            col_source = snapshot if pipelined else live.grid
-            col_outcome = self.pass_runner(
-                live,
+            col_outcomes = self.pass_runner(
+                sub,
                 self.frames,
                 Phase.COLUMN,
-                scan_source=col_source,
+                scan_source=snapshot,
                 merge_mirror=self.params.merge_mirror_quadrants,
                 guard=pipelined,
                 scan_limit=self._scan_limits[Phase.COLUMN],
             )
+            if sub is not live:
+                live[active] = sub
 
-            pass_records.extend((row_outcome, col_outcome))
-            analysis_ops += (
-                row_outcome.n_scanned_bits
-                + col_outcome.n_scanned_bits
-                + row_outcome.n_commands
-                + col_outcome.n_commands
-            )
-            iteration_stats.append(
-                IterationStats(
-                    index=index,
-                    n_row_commands=row_outcome.n_commands,
-                    n_col_commands=col_outcome.n_commands,
-                    n_row_batches=row_outcome.n_batches,
-                    n_col_batches=col_outcome.n_batches,
-                    n_skipped_stale=col_outcome.n_skipped_stale,
-                    n_skipped_empty=(
-                        row_outcome.n_skipped_empty + col_outcome.n_skipped_empty
-                    ),
+            still_active: list[int] = []
+            for trial, row_outcome, col_outcome in zip(
+                active.tolist(), row_outcomes, col_outcomes
+            ):
+                pass_records[trial].extend((row_outcome, col_outcome))
+                analysis_ops[trial] += (
+                    row_outcome.n_scanned_bits
+                    + col_outcome.n_scanned_bits
+                    + row_outcome.n_commands
+                    + col_outcome.n_commands
                 )
-            )
-            if row_outcome.n_commands == 0 and col_outcome.n_commands == 0:
-                converged = True
+                iteration_stats[trial].append(
+                    IterationStats(
+                        index=index,
+                        n_row_commands=row_outcome.n_commands,
+                        n_col_commands=col_outcome.n_commands,
+                        n_row_batches=row_outcome.n_batches,
+                        n_col_batches=col_outcome.n_batches,
+                        n_skipped_stale=col_outcome.n_skipped_stale,
+                        n_skipped_empty=(
+                            row_outcome.n_skipped_empty
+                            + col_outcome.n_skipped_empty
+                        ),
+                    )
+                )
+                if row_outcome.n_commands == 0 and col_outcome.n_commands == 0:
+                    converged[trial] = True
+                else:
+                    still_active.append(trial)
+            active = np.asarray(still_active, dtype=np.intp)
+            if not active.size:
                 break
 
-        repair_moves: list = []
-        unresolved = 0
-        if self.params.enable_repair:
-            from repro.core.repair import repair_defects
+        results: list[RearrangementResult] = []
+        for trial, array in enumerate(batch):
+            final = AtomArray(self.geometry, live[trial])
+            repair_moves: list = []
+            unresolved = 0
+            if self.params.enable_repair:
+                from repro.core.repair import repair_defects
 
-            repair_outcome = repair_defects(
-                live, max_moves=self.params.max_repair_moves
+                repair_outcome = repair_defects(
+                    final, max_moves=self.params.max_repair_moves
+                )
+                repair_moves = repair_outcome.moves
+                unresolved = repair_outcome.unresolved
+            results.append(
+                RearrangementResult(
+                    algorithm=self.name,
+                    initial=array.copy(),
+                    final=final,
+                    schedule=schedule_from_outcomes(
+                        self.geometry, self.name, pass_records[trial], repair_moves
+                    ),
+                    iterations=iteration_stats[trial],
+                    converged=converged[trial],
+                    analysis_ops=analysis_ops[trial],
+                    repair_moves=len(repair_moves),
+                    unresolved_defects=unresolved,
+                    pass_outcomes=pass_records[trial],
+                )
             )
-            repair_moves = repair_outcome.moves
-            unresolved = repair_outcome.unresolved
-
-        return RearrangementResult(
-            algorithm=self.name,
-            initial=array.copy(),
-            final=live,
-            schedule=schedule_from_outcomes(
-                self.geometry, self.name, pass_records, repair_moves
-            ),
-            iterations=iteration_stats,
-            converged=converged,
-            analysis_ops=analysis_ops,
-            repair_moves=len(repair_moves),
-            unresolved_defects=unresolved,
-            pass_outcomes=pass_records,
-        )
-
-
-def rearrange(
-    array: AtomArray,
-    params: QrmParameters = DEFAULT_QRM_PARAMETERS,
-) -> RearrangementResult:
-    """Deprecated one-call wrapper around :class:`QrmScheduler`.
-
-    .. deprecated::
-        Construct schedulers through the registry instead —
-        ``get_algorithm("qrm", array.geometry)`` — and prefer the batch
-        API (``schedule_batch``) for more than one array.  This shim
-        keeps old call sites working while they migrate.
-    """
-    warnings.warn(
-        "rearrange() is deprecated; resolve the scheduler through "
-        "repro.baselines.get_algorithm('qrm', geometry) and use "
-        "schedule()/schedule_batch() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return QrmScheduler(array.geometry, params).schedule(array)
+        return results

@@ -87,13 +87,12 @@ def timed_schedule(
 ) -> RearrangementResult:
     """Run one scheduler analysis and stamp its wall-clock on the result.
 
-    Every registered algorithm measures ``wall_time_s`` through this one
-    helper, so the field always covers the same span: the full analysis,
-    from the first scan to the completely built result (post-passes such
-    as QRM's repair stage included).  Schedulers previously hand-rolled
-    their own ``perf_counter`` scopes, which drifted subtly — QRM stamped
-    the field post-hoc after repair while the baselines stamped it inside
-    result construction.
+    Every single-array scheduler measures ``wall_time_s`` through this
+    one helper, so the field always covers the same span: the full
+    analysis, from the first scan to the completely built result.  QRM,
+    which schedules every array as part of a stack, stamps the same span
+    of its whole ``schedule_batch`` call (repair included) divided by
+    the batch size.
     """
     start = time.perf_counter()
     result = analyse()

@@ -226,17 +226,27 @@ class QuadrantFrame:
         """Full-array direction of a local shift toward smaller ``u``."""
         return Direction.SOUTH if self.quadrant.is_north else Direction.NORTH
 
-    def extract(self, grid: np.ndarray) -> np.ndarray:
-        """Return this quadrant of ``grid`` in local orientation (a copy)."""
+    def local_view(self, grid: np.ndarray) -> np.ndarray:
+        """This quadrant of ``grid`` in local orientation, as a view.
+
+        The flips act on the two trailing axes, so a ``(trial, row,
+        col)`` stack gives a ``(trial, u, v)`` view; writing through the
+        view writes ``grid``.
+        """
         block = grid[
+            ...,
             self.row0: self.row0 + self.n_rows,
             self.col0: self.col0 + self.n_cols,
         ]
         if self.flip_rows:
-            block = block[::-1, :]
+            block = block[..., ::-1, :]
         if self.flip_cols:
-            block = block[:, ::-1]
-        return np.ascontiguousarray(block)
+            block = block[..., ::-1]
+        return block
+
+    def extract(self, grid: np.ndarray) -> np.ndarray:
+        """Return this quadrant of ``grid`` in local orientation (a copy)."""
+        return np.ascontiguousarray(self.local_view(grid))
 
     def insert(self, grid: np.ndarray, local: np.ndarray) -> None:
         """Write a local-orientation block back into ``grid`` in place."""
@@ -245,51 +255,7 @@ class QuadrantFrame:
                 f"local block shape {local.shape} does not match quadrant "
                 f"{self.quadrant.value} ({self.n_rows}x{self.n_cols})"
             )
-        block = local
-        if self.flip_rows:
-            block = block[::-1, :]
-        if self.flip_cols:
-            block = block[:, ::-1]
-        grid[
-            self.row0: self.row0 + self.n_rows,
-            self.col0: self.col0 + self.n_cols,
-        ] = block
-
-    def extract_batch(self, grids: np.ndarray) -> np.ndarray:
-        """Batched :meth:`extract` over stacked ``(trial, row, col)`` grids.
-
-        Returns this quadrant of every trial in local orientation as one
-        contiguous ``(trial, u, v)`` copy — the flips act on the two
-        trailing axes, trial order is preserved.
-        """
-        block = grids[
-            :,
-            self.row0: self.row0 + self.n_rows,
-            self.col0: self.col0 + self.n_cols,
-        ]
-        if self.flip_rows:
-            block = block[:, ::-1, :]
-        if self.flip_cols:
-            block = block[:, :, ::-1]
-        return np.ascontiguousarray(block)
-
-    def insert_batch(self, grids: np.ndarray, local: np.ndarray) -> None:
-        """Batched :meth:`insert`: write every trial's local block back."""
-        if local.shape[1:] != (self.n_rows, self.n_cols):
-            raise GeometryError(
-                f"local block shape {local.shape[1:]} does not match quadrant "
-                f"{self.quadrant.value} ({self.n_rows}x{self.n_cols})"
-            )
-        block = local
-        if self.flip_rows:
-            block = block[:, ::-1, :]
-        if self.flip_cols:
-            block = block[:, :, ::-1]
-        grids[
-            :,
-            self.row0: self.row0 + self.n_rows,
-            self.col0: self.col0 + self.n_cols,
-        ] = block
+        self.local_view(grid)[...] = local
 
 
 @dataclass(frozen=True)

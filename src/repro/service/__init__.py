@@ -5,8 +5,9 @@ service (ROADMAP item 1): concurrent clients submit occupancy frames
 and stream back schedules, while the server's micro-batching loop
 groups same-geometry requests into one
 :func:`repro.baselines.base.schedule_batch` call per wake-up — so N
-concurrent clients pay the amortised :class:`~repro.core.batch.
-BatchQrmScheduler` cost instead of N serial dispatch sequences.
+concurrent clients pay the amortised cost of one QRM stack
+(:meth:`~repro.core.qrm.QrmScheduler.schedule_batch`) instead of N
+serial dispatch sequences.
 
 * :mod:`repro.service.server` — the asyncio server
   (:class:`SchedulingService`), its micro-batch dispatcher, and the
@@ -16,7 +17,7 @@ BatchQrmScheduler` cost instead of N serial dispatch sequences.
   timeout/retry-with-backoff) and the :class:`RemoteAlgorithm` proxy
   that makes the service a drop-in scheduler;
 * :mod:`repro.service.cache` — the warm per-geometry LRU of scheduler
-  instances (``QuadrantFrame`` coefficients, batch engines);
+  instances (``QuadrantFrame`` coefficients, scan limits);
 * :mod:`repro.service.executor` — the campaign executor that runs a
   whole :class:`~repro.campaign.engine.ExperimentCampaign` as a client
   of the service;

@@ -2,8 +2,8 @@
 
 Scheduler construction is not free: a :class:`~repro.core.qrm.
 QrmScheduler` derives four :class:`~repro.lattice.geometry.
-QuadrantFrame` affine coefficient sets and resolves its scan limits,
-and it builds its batch engine on first use.  The service therefore
+QuadrantFrame` affine coefficient sets and resolves its scan limits.
+The service therefore
 keys live scheduler instances by the full scheduling identity —
 geometry extents, algorithm name, parameter overrides — in a small
 LRU, so steady-state requests for the hot geometries never re-derive

@@ -15,7 +15,7 @@ campaign aggregates through this executor are byte-identical to the
 serial executor's CSV — the property the CI ``service-smoke`` job
 pins.  Batched campaigns (``--batch-size N``) submit each group as N
 concurrent requests, which the server's micro-batcher coalesces into
-one :class:`~repro.core.batch.BatchQrmScheduler` wave.
+one :meth:`~repro.core.qrm.QrmScheduler.schedule_batch` wave.
 """
 
 from __future__ import annotations

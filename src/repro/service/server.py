@@ -23,7 +23,7 @@ adaptive batching without timers under load.  Batching off is just
 
 Schedulers come from the warm :class:`~repro.service.cache.
 SchedulerCache`, so the hot geometries keep their ``QuadrantFrame``
-coefficients and batch engines across waves.
+coefficients and scan limits across waves.
 
 A native batch call that raises falls back to scheduling the group's
 arrays one by one, so only the offending request gets an error frame —

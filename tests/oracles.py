@@ -9,6 +9,9 @@ on:
 * Hypothesis strategies over geometry x fill x loss seeds
   (:func:`atom_arrays`, :func:`occupancy_grids`, :func:`geometries`),
   generating the scheduler inputs all differential tests share;
+* :func:`pass_of_stack` and :func:`pass_of_one`, which run one pass
+  over several arrays, or a single one, as one ``(trial, row, col)``
+  stack (both pass implementations take stacks);
 * schedule-identity assertion helpers
   (:func:`assert_moves_identical`, :func:`assert_results_identical`,
   :func:`assert_pass_outcomes_identical`,
@@ -215,6 +218,37 @@ def pipeline_configs(draw, max_shots: int = 3, max_cycles: int = 3):
         loss=LossModel(vacuum_lifetime_s=0.05) if lossy else None,
         queue_depth=draw(st.sampled_from((1, 2, 4))),
     )
+
+
+def pass_of_stack(runner, arrays, phase, scan_sources=None, **kwargs):
+    """Run one QRM pass of ``runner`` over ``arrays`` as one stack.
+
+    ``runner`` is :func:`~repro.core.passes.run_pass` or
+    :func:`~repro.core.passes.run_pass_reference`; the arrays share one
+    geometry and are updated in place, and ``scan_sources`` (one 2-D
+    grid per array) defaults to their live grids.  Returns one
+    :class:`~repro.core.passes.PassOutcome` per array, in order.
+    """
+    from repro.lattice.geometry import Quadrant
+
+    live = np.stack([array.grid for array in arrays])
+    source = live if scan_sources is None else np.stack(scan_sources)
+    frames = {q: arrays[0].geometry.quadrant_frame(q) for q in Quadrant}
+    outcomes = runner(live, frames, phase, scan_source=source, **kwargs)
+    for array, grid in zip(arrays, live):
+        array.grid[...] = grid
+    return outcomes
+
+
+def pass_of_one(runner, array: AtomArray, phase, scan_source=None, **kwargs):
+    """Run one QRM pass of ``runner`` over ``array`` as a stack of one.
+
+    See :func:`pass_of_stack`; ``scan_source`` is one 2-D grid.  Returns
+    the trial's :class:`~repro.core.passes.PassOutcome`.
+    """
+    sources = None if scan_source is None else [scan_source]
+    (outcome,) = pass_of_stack(runner, [array], phase, sources, **kwargs)
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Bit-identity of the cross-trial batched engine and the batch-first API.
+"""Bit-identity of batched QRM scheduling and the batch-first API.
 
-The batched QRM engine (:class:`repro.core.batch.BatchQrmScheduler`)
-stacks N same-geometry trials into one ``(trial, row, col)`` analysis;
-its differential oracle is N independent single-trial
-:class:`~repro.core.qrm.QrmScheduler` calls — same schedules, same tags,
-same iteration statistics, same convergence, same repair.  The suite
-also pins the API redesign around it: the registry's uniform factory
-signature and ``-reference`` keys, the loop fallback of
-:func:`repro.baselines.base.schedule_batch`, the campaign engine's
-batched execution (byte-identical aggregates, shared cache entries),
-and the deprecation shim on :func:`repro.core.qrm.rearrange`.
+:meth:`repro.core.qrm.QrmScheduler.schedule_batch` stacks N
+same-geometry trials into one ``(trial, row, col)`` analysis (a single
+array is a batch of one); its differential oracle is N independent
+``qrm-reference`` calls, which run the per-command
+:func:`~repro.core.passes.run_pass_reference` — same schedules, same
+tags, same pass outcomes, same iteration statistics, same convergence,
+same repair, for every batch size and for mask-derived per-line scan
+limits.  The suite also pins the API around it: the registry's uniform
+factory signature and ``-reference`` keys, the loop fallback of
+:func:`repro.baselines.base.schedule_batch`, and the campaign engine's
+batched execution (byte-identical aggregates, shared cache entries).
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    assert_pass_outcomes_identical,
     assert_results_identical,
     atom_arrays,
     campaign_specs,
     geometries,
+    masked_geometries,
     occupancy_grids,
     scan_limits,
 )
@@ -36,9 +39,8 @@ from repro.baselines.base import (
     supports_batch,
     unregister_algorithm,
 )
-from repro.config import QrmParameters, ScanMode
-from repro.core.batch import BatchQrmScheduler
-from repro.core.qrm import QrmScheduler, rearrange
+from repro.config import MASK_SCAN_LIMIT, QrmParameters, ScanMode
+from repro.core.qrm import QrmScheduler
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
@@ -52,16 +54,27 @@ def _batch_of(draw_grid, geometry, count):
     return [AtomArray(geometry, draw_grid(geometry)) for _ in range(count)]
 
 
-def _assert_batch_matches_serial(geometry, arrays, params):
-    serial = QrmScheduler(geometry, params)
-    batched = BatchQrmScheduler(geometry, params)
-    expected = [serial.schedule(array) for array in arrays]
-    actual = batched.schedule_batch(arrays)
+def _assert_batch_matches_reference(geometry, arrays, params):
+    reference = get_algorithm("qrm-reference", geometry, **vars(params))
+    expected = [reference.schedule(array) for array in arrays]
+    actual = QrmScheduler(geometry, params).schedule_batch(arrays)
     assert len(actual) == len(expected)
-    for ours, reference in zip(actual, expected):
-        assert_results_identical(ours, reference)
-        assert ours.iterations == reference.iterations
-        assert ours.repair_moves == reference.repair_moves
+    for ours, theirs in zip(actual, expected):
+        assert_results_identical(ours, theirs)
+        assert ours.iterations == theirs.iterations
+        assert ours.repair_moves == theirs.repair_moves
+        assert len(ours.pass_outcomes) == len(theirs.pass_outcomes)
+        for mine, other in zip(ours.pass_outcomes, theirs.pass_outcomes):
+            assert_pass_outcomes_identical(mine, other)
+
+
+def _draw_params(data, scan_limit):
+    return QrmParameters(
+        scan_mode=data.draw(st.sampled_from((ScanMode.PIPELINED, ScanMode.FRESH))),
+        merge_mirror_quadrants=data.draw(st.booleans()),
+        enable_repair=data.draw(st.booleans()),
+        scan_limit=scan_limit,
+    )
 
 
 class TestBatchedEngineEquivalence:
@@ -73,15 +86,21 @@ class TestBatchedEngineEquivalence:
             AtomArray(geometry, data.draw(occupancy_grids(geometry)))
             for _ in range(count)
         ]
-        params = QrmParameters(
-            scan_mode=data.draw(
-                st.sampled_from((ScanMode.PIPELINED, ScanMode.FRESH))
-            ),
-            merge_mirror_quadrants=data.draw(st.booleans()),
-            enable_repair=data.draw(st.booleans()),
-            scan_limit=data.draw(scan_limits()),
-        )
-        _assert_batch_matches_serial(geometry, arrays, params)
+        params = _draw_params(data, data.draw(scan_limits()))
+        _assert_batch_matches_reference(geometry, arrays, params)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), geometry=masked_geometries())
+    def test_masked_batches_with_per_line_limits(self, data, geometry):
+        # Mask-derived per-line s_en bounds differ per quadrant and line;
+        # the folded scan lays them out once per trial of the stack.
+        count = data.draw(st.sampled_from(BATCH_SIZES))
+        arrays = [
+            AtomArray(geometry, data.draw(occupancy_grids(geometry)))
+            for _ in range(count)
+        ]
+        params = _draw_params(data, MASK_SCAN_LIMIT)
+        _assert_batch_matches_reference(geometry, arrays, params)
 
     @pytest.mark.parametrize("fill", [0.3, 0.5, 0.7])
     def test_mixed_fill_stack_at_fixed_geometry(self, fill, rng):
@@ -90,13 +109,13 @@ class TestBatchedEngineEquivalence:
             load_uniform(geometry, fill, rng=np.random.default_rng(seed))
             for seed in range(8)
         ]
-        _assert_batch_matches_serial(geometry, arrays, QrmParameters())
+        _assert_batch_matches_reference(geometry, arrays, QrmParameters())
 
     def test_engine_reuse_across_calls(self):
         geometry = ArrayGeometry.square(12, 6)
         params = QrmParameters()
-        engine = BatchQrmScheduler(geometry, params)
-        serial = QrmScheduler(geometry, params)
+        engine = QrmScheduler(geometry, params)
+        reference = get_algorithm("qrm-reference", geometry)
         batches = [
             [
                 load_uniform(geometry, 0.5, rng=np.random.default_rng(10 * seed + k))
@@ -109,15 +128,15 @@ class TestBatchedEngineEquivalence:
         for arrays, results in zip(batches, first):
             again = engine.schedule_batch(arrays)
             for ours, repeat, array in zip(results, again, arrays):
-                reference = serial.schedule(array)
-                assert_results_identical(ours, reference)
-                assert_results_identical(repeat, reference)
+                expected = reference.schedule(array)
+                assert_results_identical(ours, expected)
+                assert_results_identical(repeat, expected)
 
     def test_empty_batch(self):
-        assert BatchQrmScheduler(ArrayGeometry.square(8)).schedule_batch([]) == []
+        assert QrmScheduler(ArrayGeometry.square(8)).schedule_batch([]) == []
 
     def test_geometry_mismatch_rejected(self):
-        batched = BatchQrmScheduler(ArrayGeometry.square(8))
+        batched = QrmScheduler(ArrayGeometry.square(8))
         stray = load_uniform(ArrayGeometry.square(10), 0.5, rng=0)
         with pytest.raises(ValueError, match="geometry"):
             batched.schedule_batch([stray])
@@ -125,7 +144,7 @@ class TestBatchedEngineEquivalence:
     def test_amortised_wall_time_convention(self):
         geometry = ArrayGeometry.square(12, 6)
         arrays = [load_uniform(geometry, 0.5, rng=seed) for seed in range(4)]
-        results = BatchQrmScheduler(geometry).schedule_batch(arrays)
+        results = QrmScheduler(geometry).schedule_batch(arrays)
         times = {result.wall_time_s for result in results}
         assert len(times) == 1  # every trial carries batch time / N
         assert times.pop() > 0
@@ -261,12 +280,6 @@ class TestRegistryRedesign:
             assert get_algorithm("legacy-test", ArrayGeometry.square(8)) is not None
         finally:
             unregister_algorithm("legacy-test")
-
-    def test_rearrange_is_deprecated(self):
-        array = load_uniform(ArrayGeometry.square(8, 4), 0.5, rng=0)
-        with pytest.deprecated_call():
-            result = rearrange(array)
-        assert result.schedule is not None
 
 
 class TestBatchedCampaign:

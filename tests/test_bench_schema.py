@@ -90,6 +90,26 @@ def test_committed_bench_batched_qrm_hits_the_speedup_bar(committed_payload):
         assert entry["amortized_ms"]["mean"] > 0
 
 
+def test_gate_compares_only_the_qrm_ratios_both_reports_carry(committed_payload):
+    # A v8 artefact's QRM block still carries the retired seed ratio; a
+    # v9 report gated against it (or the other way round) compares the
+    # shared ratio and names the one-sided one instead of raising.
+    from repro.analysis.perf_gate import evaluate_gate
+
+    v8 = json.loads(json.dumps(committed_payload))
+    v8["schema_version"] = 8
+    v8["speedup"]["seed_ms"] = dict(v8["speedup"]["reference_ms"])
+    v8["speedup"]["speedup_vs_seed"] = 15.0
+    for fresh, baseline in ((committed_payload, v8), (v8, committed_payload)):
+        outcome = evaluate_gate(fresh, baseline)
+        assert outcome.ok
+        assert any("'speedup_vs_seed'" in notice for notice in outcome.notices)
+    slipped = json.loads(json.dumps(committed_payload))
+    slipped["speedup"]["speedup_vs_reference"] *= 0.5
+    (failure,) = evaluate_gate(slipped, v8).failures
+    assert "speedup_vs_reference" in failure
+
+
 def test_committed_bench_times_the_loop_schedule_consumers(committed_payload):
     # AWG compilation and lossy replay are timed from the schedule table
     # against their object walkers on 64x64 QRM first-frame schedules.

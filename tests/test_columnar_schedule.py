@@ -41,7 +41,6 @@ from repro.awg.compiler import compile_schedule
 from repro.baselines.base import get_algorithm, list_algorithms, supports_geometry
 from repro.config import QrmParameters, ScanMode
 from repro.core import passes
-from repro.core.batch import BatchQrmScheduler
 from repro.core.passes import schedule_from_outcomes
 from repro.core.qrm import QrmScheduler
 from repro.core.repair import repair_defects
@@ -120,7 +119,7 @@ def test_loop_consumers_build_no_move_objects(construction_counts):
     arrays = [load_uniform(geometry, 0.5, rng=seed) for seed in range(3)]
     single = QrmScheduler(geometry)
     results = [single.schedule(array) for array in arrays]
-    results += BatchQrmScheduler(geometry).schedule_batch(arrays)
+    results += single.schedule_batch(arrays)
     loss = LossModel(vacuum_lifetime_s=0.05, loss_per_transfer=0.01)
     for result in results:
         assert len(result.schedule)
@@ -197,7 +196,7 @@ def test_emitter_lexsort_fallback_matches_the_packed_sort(array, merge, pipeline
         scan_mode=ScanMode.PIPELINED if pipelined else ScanMode.FRESH,
     )
     packed = QrmScheduler(array.geometry, params).schedule(array)
-    packed_batch = BatchQrmScheduler(array.geometry, params).schedule_batch([array] * 2)
+    packed_batch = QrmScheduler(array.geometry, params).schedule_batch([array] * 2)
     original = passes._emit_columns
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(
@@ -206,7 +205,7 @@ def test_emitter_lexsort_fallback_matches_the_packed_sort(array, merge, pipeline
             lambda *args, extent, **kwargs: original(*args, extent=10**6, **kwargs),
         )
         fallback = QrmScheduler(array.geometry, params).schedule(array)
-        fallback_batch = BatchQrmScheduler(array.geometry, params).schedule_batch(
+        fallback_batch = QrmScheduler(array.geometry, params).schedule_batch(
             [array] * 2
         )
     for ours, reference in zip([fallback, *fallback_batch], [packed, *packed_batch]):

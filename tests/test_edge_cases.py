@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import pass_of_one
 
 from repro.aod.validator import validate_schedule
 from repro.config import QrmParameters, ScanMode
@@ -77,9 +78,7 @@ class TestSingleAtomJourneys:
 
 class TestPassEdgeCases:
     def test_pass_on_full_grid_emits_nothing(self, geo8):
-        array = AtomArray.full(geo8)
-        frames = {q: geo8.quadrant_frame(q) for q in Quadrant}
-        outcome = run_pass(array, frames, Phase.ROW, scan_source=array.grid)
+        outcome = pass_of_one(run_pass, AtomArray.full(geo8), Phase.ROW)
         assert outcome.n_commands == 0
 
     def test_single_row_quadrants(self):
@@ -93,8 +92,7 @@ class TestPassEdgeCases:
 
     def test_lines_with_commands_accounting(self, geo8, rng):
         array = AtomArray(geo8, rng.random(geo8.shape) < 0.5)
-        frames = {q: geo8.quadrant_frame(q) for q in Quadrant}
-        outcome = run_pass(array, frames, Phase.ROW, scan_source=array.grid)
+        outcome = pass_of_one(run_pass, array, Phase.ROW)
         for quadrant in Quadrant:
             counted = outcome.lines_with_commands(quadrant)
             raw = sum(1 for n in outcome.line_commands[quadrant] if n > 0)

@@ -178,6 +178,22 @@ class TestQuadrantFrames:
             frame.insert(copy, local)
             assert np.array_equal(copy, grid)
 
+    @pytest.mark.parametrize("quadrant", list(Quadrant))
+    def test_local_view_of_stack(self, quadrant, rng):
+        geo = ArrayGeometry.square(10, 6)
+        frame = geo.quadrant_frame(quadrant)
+        stack = rng.random((3, *geo.shape)) < 0.5
+        view = frame.local_view(stack)
+        assert view.shape == (3, frame.n_rows, frame.n_cols)
+        for trial, grid in enumerate(stack):
+            assert np.array_equal(view[trial], frame.extract(grid))
+        # The view aliases the stack: writing it writes this quadrant only.
+        expected = stack.copy()
+        for grid in expected:
+            frame.insert(grid, ~frame.extract(grid))
+        view[...] = ~view
+        assert np.array_equal(stack, expected)
+
     def test_extract_orientation(self):
         geo = ArrayGeometry.square(4, 2)
         grid = np.zeros(geo.shape, dtype=bool)

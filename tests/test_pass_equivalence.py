@@ -1,11 +1,11 @@
 """Bit-identity of the vectorised pass against its reference oracles.
 
 The vectorised :func:`repro.core.passes.run_pass` must emit exactly the
-schedule of the per-command :func:`run_pass_reference` (and of the
-pinned pre-vectorization seed implementation): same moves, same tags,
-same order, same statistics, same final grid.  These tests enforce that
-for single passes and end-to-end schedules across scan modes, mirror
-merging, and the ``s_en`` bound.
+schedule of the per-command :func:`run_pass_reference`: same moves, same
+tags, same order, same statistics, same final grid.  These tests enforce
+that for single passes and end-to-end schedules, over one array and over
+stacks of several, across scan modes, mirror merging, and the ``s_en``
+bound.
 
 The identity assertions live in the shared :mod:`oracles` harness —
 this suite is the QRM instantiation of the repository-wide
@@ -23,10 +23,11 @@ from oracles import (
     assert_moves_identical,
     assert_pass_outcomes_identical,
     atom_arrays,
+    pass_of_one,
+    pass_of_stack,
     scan_limits,
 )
 
-from repro.analysis.seed_baseline import seed_run_pass
 from repro.config import QrmParameters, ScanMode
 from repro.core.passes import (
     QUADRANT_ORDER,
@@ -41,86 +42,71 @@ from repro.lattice.geometry import ArrayGeometry, Direction, Quadrant
 from repro.lattice.loading import load_uniform
 
 
-def _frames(geometry):
-    return {q: geometry.quadrant_frame(q) for q in Quadrant}
-
-
-PASS_RUNNERS = {"reference": run_pass_reference, "seed": seed_run_pass}
-
-
 class TestSinglePassEquivalence:
-    @pytest.mark.parametrize("oracle", sorted(PASS_RUNNERS))
+    """One pass over a stack of ``trials`` arrays == per-array reference.
+
+    A stack of three folds every trial into the line axis of one scan;
+    each trial must still match the reference pass run on it alone.
+    """
+
+    @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("phase", [Phase.ROW, Phase.COLUMN])
     @pytest.mark.parametrize("merge", [True, False])
     @pytest.mark.parametrize("limit", [None, 3])
-    def test_fresh_pass(self, oracle, phase, merge, limit, rng):
+    def test_fresh_pass(self, trials, phase, merge, limit, rng):
         geometry = ArrayGeometry.square(12, 8)
         for _ in range(10):
-            grid = rng.random(geometry.shape) < rng.uniform(0.1, 0.9)
-            ours = AtomArray(geometry, grid.copy())
-            theirs = AtomArray(geometry, grid.copy())
-            outcome = run_pass(
-                ours,
-                _frames(geometry),
-                phase,
-                scan_source=ours.grid,
-                merge_mirror=merge,
-                scan_limit=limit,
+            grids = [
+                rng.random(geometry.shape) < rng.uniform(0.1, 0.9)
+                for _ in range(trials)
+            ]
+            ours = [AtomArray(geometry, grid.copy()) for grid in grids]
+            outcomes = pass_of_stack(
+                run_pass, ours, phase, merge_mirror=merge, scan_limit=limit
             )
-            expected = PASS_RUNNERS[oracle](
-                theirs,
-                _frames(geometry),
-                phase,
-                scan_source=theirs.grid,
-                merge_mirror=merge,
-                scan_limit=limit,
-            )
-            assert_pass_outcomes_identical(outcome, expected)
-            assert np.array_equal(ours.grid, theirs.grid)
+            for outcome, array, grid in zip(outcomes, ours, grids):
+                theirs = AtomArray(geometry, grid.copy())
+                expected = pass_of_one(
+                    run_pass_reference,
+                    theirs,
+                    phase,
+                    merge_mirror=merge,
+                    scan_limit=limit,
+                )
+                assert_pass_outcomes_identical(outcome, expected)
+                assert np.array_equal(array.grid, theirs.grid)
 
-    @pytest.mark.parametrize("oracle", sorted(PASS_RUNNERS))
+    @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("merge", [True, False])
-    def test_guarded_column_pass_on_stale_snapshot(self, oracle, merge, rng):
+    def test_guarded_column_pass_on_stale_snapshot(self, trials, merge, rng):
         # The paper's pipelined mode: scan an iteration-start snapshot,
         # execute against a live grid the row pass already changed.
         geometry = ArrayGeometry.square(12, 8)
         for _ in range(10):
-            grid = rng.random(geometry.shape) < 0.5
-            snapshot = grid.copy()
-            ours = AtomArray(geometry, grid.copy())
-            theirs = AtomArray(geometry, grid.copy())
-            run_pass(
+            snapshots = [rng.random(geometry.shape) < 0.5 for _ in range(trials)]
+            ours = [AtomArray(geometry, grid.copy()) for grid in snapshots]
+            pass_of_stack(run_pass, ours, Phase.ROW, merge_mirror=merge)
+            outcomes = pass_of_stack(
+                run_pass,
                 ours,
-                _frames(geometry),
-                Phase.ROW,
-                scan_source=ours.grid,
-                merge_mirror=merge,
-            )
-            PASS_RUNNERS[oracle](
-                theirs,
-                _frames(geometry),
-                Phase.ROW,
-                scan_source=theirs.grid,
-                merge_mirror=merge,
-            )
-            outcome = run_pass(
-                ours,
-                _frames(geometry),
                 Phase.COLUMN,
-                scan_source=snapshot,
+                scan_sources=snapshots,
                 merge_mirror=merge,
                 guard=True,
             )
-            expected = PASS_RUNNERS[oracle](
-                theirs,
-                _frames(geometry),
-                Phase.COLUMN,
-                scan_source=snapshot.copy(),
-                merge_mirror=merge,
-                guard=True,
-            )
-            assert_pass_outcomes_identical(outcome, expected)
-            assert np.array_equal(ours.grid, theirs.grid)
+            for outcome, array, snapshot in zip(outcomes, ours, snapshots):
+                theirs = AtomArray(geometry, snapshot.copy())
+                pass_of_one(run_pass_reference, theirs, Phase.ROW, merge_mirror=merge)
+                expected = pass_of_one(
+                    run_pass_reference,
+                    theirs,
+                    Phase.COLUMN,
+                    scan_source=snapshot.copy(),
+                    merge_mirror=merge,
+                    guard=True,
+                )
+                assert_pass_outcomes_identical(outcome, expected)
+                assert np.array_equal(array.grid, theirs.grid)
 
 
 class TestGuardedDrainProperties:
@@ -137,28 +123,24 @@ class TestGuardedDrainProperties:
 
     @staticmethod
     def _run_both(array, phase, merge, limit):
-        geometry = array.geometry
-        frames = _frames(geometry)
         snapshot = array.grid.copy()
         ours = array.copy()
         theirs = array.copy()
         # Stale the live grids first, exactly as the pipelined mode does.
-        run_pass(ours, frames, Phase.ROW, scan_source=ours.grid, merge_mirror=merge)
-        run_pass_reference(
-            theirs, frames, Phase.ROW, scan_source=theirs.grid, merge_mirror=merge
-        )
-        outcome = run_pass(
+        pass_of_one(run_pass, ours, Phase.ROW, merge_mirror=merge)
+        pass_of_one(run_pass_reference, theirs, Phase.ROW, merge_mirror=merge)
+        outcome = pass_of_one(
+            run_pass,
             ours,
-            frames,
             phase,
             scan_source=snapshot,
             merge_mirror=merge,
             guard=True,
             scan_limit=limit,
         )
-        expected = run_pass_reference(
+        expected = pass_of_one(
+            run_pass_reference,
             theirs,
-            frames,
             phase,
             scan_source=snapshot.copy(),
             merge_mirror=merge,
@@ -203,20 +185,14 @@ class TestGuardedDrainProperties:
             snapshot = grid.copy()
             ours = AtomArray(geometry, grid.copy())
             theirs = AtomArray(geometry, grid.copy())
-            run_pass(ours, _frames(geometry), Phase.ROW, scan_source=ours.grid)
-            run_pass_reference(
-                theirs, _frames(geometry), Phase.ROW, scan_source=theirs.grid
+            pass_of_one(run_pass, ours, Phase.ROW)
+            pass_of_one(run_pass_reference, theirs, Phase.ROW)
+            outcome = pass_of_one(
+                run_pass, ours, Phase.ROW, scan_source=snapshot, guard=True
             )
-            outcome = run_pass(
-                ours,
-                _frames(geometry),
-                Phase.ROW,
-                scan_source=snapshot,
-                guard=True,
-            )
-            expected = run_pass_reference(
+            expected = pass_of_one(
+                run_pass_reference,
                 theirs,
-                _frames(geometry),
                 Phase.ROW,
                 scan_source=snapshot.copy(),
                 guard=True,
@@ -229,7 +205,7 @@ class TestGuardedDrainProperties:
 
 
 class TestEndToEndScheduleIdentity:
-    @pytest.mark.parametrize("oracle", sorted(PASS_RUNNERS))
+    @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize(
         "params",
         [
@@ -241,23 +217,26 @@ class TestEndToEndScheduleIdentity:
         ],
         ids=["pipelined", "fresh", "split", "s_en", "fresh-split"],
     )
-    def test_schedules_bit_identical(self, oracle, params, rng):
+    def test_schedules_bit_identical(self, trials, params, rng):
         for size in (8, 12, 20):
             geometry = ArrayGeometry.square(size)
-            array = load_uniform(
-                geometry,
-                float(rng.uniform(0.2, 0.8)),
-                rng=int(rng.integers(1 << 31)),
-            )
-            ours = QrmScheduler(geometry, params).schedule(array)
-            expected = QrmScheduler(
-                geometry, params, pass_runner=PASS_RUNNERS[oracle]
-            ).schedule(array)
-            assert_moves_identical(list(ours.schedule), list(expected.schedule))
-            assert np.array_equal(ours.final.grid, expected.final.grid)
-            assert ours.iterations == expected.iterations
-            assert ours.converged == expected.converged
-            assert ours.analysis_ops == expected.analysis_ops
+            arrays = [
+                load_uniform(
+                    geometry,
+                    float(rng.uniform(0.2, 0.8)),
+                    rng=int(rng.integers(1 << 31)),
+                )
+                for _ in range(trials)
+            ]
+            results = QrmScheduler(geometry, params).schedule_batch(arrays)
+            reference = QrmScheduler(geometry, params, pass_runner=run_pass_reference)
+            for ours, array in zip(results, arrays):
+                expected = reference.schedule(array)
+                assert_moves_identical(list(ours.schedule), list(expected.schedule))
+                assert np.array_equal(ours.final.grid, expected.final.grid)
+                assert ours.iterations == expected.iterations
+                assert ours.converged == expected.converged
+                assert ours.analysis_ops == expected.analysis_ops
 
 
 class TestBatchOrdering:
@@ -284,12 +263,8 @@ class TestBatchOrdering:
         geometry = ArrayGeometry.square(8, 4)
         grid = np.zeros(geometry.shape, dtype=bool)
         grid[[0, 0, 7, 7], [0, 7, 0, 7]] = True  # outermost corners
-        merged = run_pass(
-            AtomArray(geometry, grid.copy()),
-            _frames(geometry),
-            Phase.ROW,
-            scan_source=grid.copy(),
-            merge_mirror=True,
+        merged = pass_of_one(
+            run_pass, AtomArray(geometry, grid), Phase.ROW, merge_mirror=True
         )
         # Two moves per round — one per direction, each fusing the two
         # mirror quadrants of that side (EAST flushes before WEST).
@@ -311,12 +286,8 @@ class TestBatchOrdering:
         geometry = ArrayGeometry.square(8, 4)
         grid = np.zeros(geometry.shape, dtype=bool)
         grid[[0, 0, 7, 7], [0, 7, 0, 7]] = True
-        split = run_pass(
-            AtomArray(geometry, grid.copy()),
-            _frames(geometry),
-            Phase.ROW,
-            scan_source=grid.copy(),
-            merge_mirror=False,
+        split = pass_of_one(
+            run_pass, AtomArray(geometry, grid), Phase.ROW, merge_mirror=False
         )
         assert all(len(move) == 1 for move in split.moves)
         # Per round: EAST batches (west quadrants) first, NW before SW,
@@ -332,20 +303,8 @@ class TestBatchOrdering:
         grid = rng.random(geo20.shape) < 0.5
         merged_array = AtomArray(geo20, grid.copy())
         split_array = AtomArray(geo20, grid.copy())
-        merged = run_pass(
-            merged_array,
-            _frames(geo20),
-            Phase.ROW,
-            scan_source=merged_array.grid,
-            merge_mirror=True,
-        )
-        split = run_pass(
-            split_array,
-            _frames(geo20),
-            Phase.ROW,
-            scan_source=split_array.grid,
-            merge_mirror=False,
-        )
+        merged = pass_of_one(run_pass, merged_array, Phase.ROW, merge_mirror=True)
+        split = pass_of_one(run_pass, split_array, Phase.ROW, merge_mirror=False)
         assert merged.n_executed == split.n_executed
         assert merged.n_batches <= split.n_batches
         assert np.array_equal(merged_array.grid, split_array.grid)

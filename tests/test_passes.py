@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from oracles import pass_of_one
 
 from repro.core.passes import Phase, run_pass
 from repro.core.scan import is_prefix_line
@@ -10,18 +11,8 @@ from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Direction, Quadrant
 
 
-def _frames(geo):
-    return {q: geo.quadrant_frame(q) for q in Quadrant}
-
-
 def _run_row_pass(array, merge=True):
-    return run_pass(
-        array,
-        _frames(array.geometry),
-        Phase.ROW,
-        scan_source=array.grid,
-        merge_mirror=merge,
-    )
+    return pass_of_one(run_pass, array, Phase.ROW, merge_mirror=merge)
 
 
 class TestRowPass:
@@ -116,12 +107,8 @@ class TestColumnPassGuard:
         live_grid[0:4, 3] = True  # the hole is already filled
         array = AtomArray(geo8, live_grid)
         before = array.grid.copy()
-        outcome = run_pass(
-            array,
-            _frames(geo8),
-            Phase.COLUMN,
-            scan_source=snapshot,
-            guard=True,
+        outcome = pass_of_one(
+            run_pass, array, Phase.COLUMN, scan_source=snapshot, guard=True
         )
         assert outcome.n_skipped_stale + outcome.n_skipped_empty > 0
         assert outcome.n_executed == 0
@@ -129,13 +116,7 @@ class TestColumnPassGuard:
 
     def test_fresh_column_pass_compacts(self, geo8, rng):
         array = AtomArray(geo8, rng.random(geo8.shape) < 0.5)
-        run_pass(
-            array,
-            _frames(geo8),
-            Phase.COLUMN,
-            scan_source=array.grid,
-            guard=False,
-        )
+        pass_of_one(run_pass, array, Phase.COLUMN, guard=False)
         for frame in geo8.quadrant_frames():
             local = frame.extract(array.grid)
             for v in range(local.shape[1]):
@@ -144,13 +125,7 @@ class TestColumnPassGuard:
     def test_column_pass_preserves_column_membership(self, geo8, rng):
         array = AtomArray(geo8, rng.random(geo8.shape) < 0.5)
         before = array.col_counts().copy()
-        run_pass(
-            array,
-            _frames(geo8),
-            Phase.COLUMN,
-            scan_source=array.grid,
-            guard=False,
-        )
+        pass_of_one(run_pass, array, Phase.COLUMN, guard=False)
         assert np.array_equal(array.col_counts(), before)
 
 

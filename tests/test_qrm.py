@@ -7,7 +7,7 @@ import pytest
 
 from repro.aod.validator import validate_schedule
 from repro.config import QrmParameters, ScanMode
-from repro.core.qrm import QrmScheduler, rearrange
+from repro.core.qrm import QrmScheduler
 from repro.core.scan import is_young_diagram
 from repro.errors import ConfigurationError
 from repro.lattice.array import AtomArray
@@ -71,10 +71,6 @@ class TestScheduleBasics:
         assert result.analysis_ops > 0
         assert 1 <= result.iterations_used <= 4
         assert len(result.pass_outcomes) == 2 * result.iterations_used
-
-    def test_rearrange_convenience(self, array20):
-        result = rearrange(array20)
-        assert result.algorithm == "qrm"
 
 
 class TestConvergence:

@@ -93,3 +93,44 @@ class TestEdges:
     def test_scan_axis_delegates_to_quadrant_scan(self):
         grid = np.array([[1, 0, 1], [0, 0, 0]], dtype=bool)
         assert [r.hole_positions for r in scan_axis(grid, axis=0)] == [(1,), ()]
+
+
+@pytest.mark.parametrize("limit_kind", ["none", "scalar", "per-line"])
+@pytest.mark.parametrize("n_trials", [1, 3, 17])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_folded_trial_stack_scans_as_one_quadrant(axis, n_trials, limit_kind, rng):
+    # A (trial, line, position) stack folded to (trial·line, position) is
+    # one scan with more lines: divmod recovers (trial, line), and a
+    # per-line bound is tiled once per trial.
+    n_lines, n_positions = 5, 7
+    stack = rng.random((n_trials, n_lines, n_positions)) < rng.uniform(0.2, 0.8)
+    if limit_kind == "none":
+        limit = folded_limit = None
+    elif limit_kind == "scalar":
+        limit = folded_limit = 3
+    else:
+        limit = rng.integers(0, n_positions + 1, size=n_lines)
+        folded_limit = np.tile(limit, n_trials)
+    folded = stack.reshape(-1, n_positions)
+    if axis == 1:  # lines are the columns of the scanned grid
+        stack = stack.swapaxes(1, 2)
+        folded = folded.T
+    scan = scan_quadrant(folded, axis, limit=folded_limit)
+    assert scan.n_lines == n_trials * n_lines
+    trials, lines = np.divmod(scan.hole_lines, n_lines)
+    for trial in range(n_trials):
+        expected = scan_quadrant(stack[trial], axis, limit=limit)
+        ours = trials == trial
+        assert np.array_equal(lines[ours], expected.hole_lines)
+        assert np.array_equal(scan.hole_positions[ours], expected.hole_positions)
+        assert np.array_equal(
+            scan.line_counts.reshape(n_trials, n_lines)[trial], expected.line_counts
+        )
+        assert np.array_equal(
+            scan.holes_mask.reshape(n_trials, n_lines, n_positions)[trial],
+            expected.holes_mask,
+        )
+    assert np.array_equal(
+        np.flatnonzero(scan.holes_mask),
+        scan.hole_lines * n_positions + scan.hole_positions,
+    )
