@@ -14,8 +14,7 @@ entry per additionally vectorised stage (repair, Tetris, PSCA, MTA1,
 the guarded pipelined-mode drain, the masked QRM+repair path on a
 ring target, AWG compilation and lossy replay), each timed against its live
 ``*_reference`` oracle, and one per subsystem-level before/after pair
-(cross-trial batching, service micro-batching, and the closed-loop
-pipeline's stage overlap).  Both the "before" and
+(cross-trial batching and service micro-batching).  Both the "before" and
 "after" numbers of every vectorisation live in the same file, and
 :func:`validate_bench_report` pins the JSON layout so the artefact
 cannot silently drift.
@@ -47,23 +46,19 @@ from repro.baselines.base import DEFAULT_ALGORITHMS, get_algorithm
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
-#: Bump when the JSON layout changes (v9: the QRM speedup block drops
-#: the pinned seed implementation — ``seed_ms`` and ``speedup_vs_seed``
-#: — and keeps the live reference oracle as its one "before").
-BENCH_SCHEMA_VERSION = 9
+#: Bump when the JSON layout changes (v10: the ``pipeline_latency``
+#: component goes with the thread-per-stage pipeline driver it timed).
+BENCH_SCHEMA_VERSION = 10
 
 #: Components with a live before/after speedup measurement.  All but
-#: ``batched_qrm``, ``service_latency`` and ``pipeline_latency`` time a
-#: vectorised path against its per-command reference oracle
-#: (``masked_qrm`` does so on a non-rectangular ring target, covering
-#: the mask-derived scan limits and mask-aware repair; ``awg_compile``
-#: and ``lossy_replay`` time the loop's schedule consumers);
-#: ``batched_qrm`` times QRM stacks of several trials against a batch
-#: of one (``schedule``), ``service_latency`` times the scheduling
-#: service with micro-batching on against the same service with
-#: batching off, and ``pipeline_latency`` times the closed-loop
-#: pipeline with stages overlapped across frames against the same loop
-#: run to completion.
+#: ``batched_qrm`` and ``service_latency`` time a vectorised path
+#: against its per-command reference oracle (``masked_qrm`` does so on
+#: a non-rectangular ring target, covering the mask-derived scan limits
+#: and mask-aware repair; ``awg_compile`` and ``lossy_replay`` time the
+#: loop's schedule consumers); ``batched_qrm`` times QRM stacks of
+#: several trials against a batch of one (``schedule``), and
+#: ``service_latency`` times the scheduling service with micro-batching
+#: on against the same service with batching off.
 COMPONENT_NAMES = (
     "repair",
     "tetris",
@@ -75,7 +70,6 @@ COMPONENT_NAMES = (
     "lossy_replay",
     "batched_qrm",
     "service_latency",
-    "pipeline_latency",
 )
 
 DEFAULT_SIZES = (32, 64, 128)
@@ -232,15 +226,6 @@ class PerfReport:
                     f"batched_qrm {s['size']}x{s['size']}: "
                     f"single {s['single_ms']['mean']:.2f} ms/trial; "
                     f"amortised {per_batch}"
-                )
-                continue
-            if name == "pipeline_latency":
-                parts.append(
-                    f"pipeline_latency {s['size']}x{s['size']} "
-                    f"({s['shots']} shots x <= {s['cycles']} cycles): "
-                    f"sequential {s['sequential_ms']['mean']:.2f} ms, "
-                    f"pipelined {s['pipelined_ms']['mean']:.2f} ms -> "
-                    f"{s['overlap_speedup']:.2f}x overlap"
                 )
                 continue
             if name == "service_latency":
@@ -825,83 +810,6 @@ def measure_service_latency(
     }
 
 
-def measure_pipeline_latency(
-    size: int = 64,
-    fill: float = 0.5,
-    shots: int = 4,
-    cycles: int = 2,
-    trials: int = 3,
-    master_seed: int = 0,
-) -> dict:
-    """Time the closed-loop pipeline, sequential vs stage-pipelined.
-
-    Each trial runs the full camera -> detect -> schedule -> AWG ->
-    replay loop (``shots`` arrays, up to ``cycles`` repair cycles each,
-    default loss model) once per mode, interleaved sequential-first and
-    GC-swept per the convention above, over two sweeps so the minima
-    pool well-separated moments.  Every run's deterministic trace is
-    checked against the warm-up digest — a drifting mode fails the
-    bench loudly rather than recording a timing for wrong results.
-
-    ``overlap_speedup`` is the ratio of best-of wall minima (sequential
-    / pipelined).  On a single-core box it sits near (or below) 1: the
-    stage workers are Python threads, so overlap buys nothing without
-    idle cores.  The gate therefore only pins it against the committed
-    baseline measured on the same class of machine.  ``stages`` is the
-    per-stage breakdown of the best sequential run — the software
-    counterpart of the paper's per-stage hardware budget.
-    """
-    from repro.physics.loss import LossModel
-    from repro.pipeline import PipelineConfig, run_pipeline
-
-    config = PipelineConfig(
-        size=size,
-        fill=fill,
-        shots=shots,
-        cycles=cycles,
-        master_seed=master_seed,
-        loss=LossModel(),
-    )
-    # Warm-up (unmeasured): imports, scheduler caches, and the trace
-    # digest every timed run must reproduce.
-    digest = run_pipeline(config, "sequential").trace_digest()
-
-    wall_ms: dict[str, list[float]] = {"sequential": [], "pipelined": []}
-    best_stages: list[dict] | None = None
-    best_wall = float("inf")
-    for _ in range(2):
-        for _ in range(trials):
-            for mode in ("sequential", "pipelined"):
-                gc.collect()
-                result = run_pipeline(config, mode)
-                if result.trace_digest() != digest:
-                    raise ValueError(
-                        f"pipeline {mode} mode diverged from the warm-up "
-                        f"trace while benchmarking"
-                    )
-                wall = result.report.wall_us / 1e3
-                wall_ms[mode].append(wall)
-                if mode == "sequential" and wall < best_wall:
-                    best_wall = wall
-                    best_stages = result.report.to_dict()["stages"]
-
-    timings = {mode: Summary.of(samples) for mode, samples in wall_ms.items()}
-    return {
-        "size": size,
-        "fill": fill,
-        "trials": trials,
-        "shots": shots,
-        "cycles": cycles,
-        "sequential_ms": summary_dict(timings["sequential"]),
-        "pipelined_ms": summary_dict(timings["pipelined"]),
-        "overlap_speedup": (
-            timings["sequential"].minimum / timings["pipelined"].minimum
-        ),
-        "trace_digest": digest,
-        "stages": best_stages or [],
-    }
-
-
 def measure_component_speedups(
     size: int = 64,
     fill: float = 0.5,
@@ -935,9 +843,6 @@ def measure_component_speedups(
         )
     blocks["batched_qrm"] = batched
     blocks["service_latency"] = service
-    blocks["pipeline_latency"] = measure_pipeline_latency(
-        size=size, fill=fill, trials=trials, master_seed=master_seed
-    )
     return blocks
 
 
@@ -1028,18 +933,6 @@ _COMPONENT_KEYS = (
     "speedup_vs_reference",
 )
 _BATCHED_KEYS = ("size", "fill", "trials", "single_ms", "batches")
-_PIPELINE_KEYS = (
-    "size",
-    "fill",
-    "trials",
-    "shots",
-    "cycles",
-    "sequential_ms",
-    "pipelined_ms",
-    "overlap_speedup",
-    "trace_digest",
-    "stages",
-)
 _SERVICE_KEYS = (
     "size",
     "fill",
@@ -1096,31 +989,6 @@ def _check_service_block(block: dict) -> None:
                 )
         if entry["speedup_batched"] <= 0:
             raise ValueError(f"{entry_context}.speedup_batched must be positive")
-
-
-def _check_pipeline_block(block: dict) -> None:
-    """Validate the ``pipeline_latency`` component's shape."""
-    context = "component_speedups['pipeline_latency']"
-    for key in _PIPELINE_KEYS:
-        if key not in block:
-            raise ValueError(f"{context} missing {key!r}")
-    for key in ("sequential_ms", "pipelined_ms"):
-        _check_summary(block[key], f"{context}.{key}")
-    if block["overlap_speedup"] <= 0:
-        raise ValueError(f"{context}.overlap_speedup must be positive")
-    digest = block["trace_digest"]
-    if not isinstance(digest, str) or len(digest) != 64:
-        raise ValueError(f"{context}.trace_digest must be a sha256 hex digest")
-    stages = block["stages"]
-    if not isinstance(stages, list) or not stages:
-        raise ValueError(f"{context}.stages must be a non-empty list")
-    for index, stage in enumerate(stages):
-        stage_context = f"{context}.stages[{index}]"
-        if not isinstance(stage.get("stage"), str):
-            raise ValueError(f"{stage_context}.stage missing or non-string")
-        for key in ("n_calls", "total_us", "mean_us"):
-            if not isinstance(stage.get(key), (int, float)):
-                raise ValueError(f"{stage_context}.{key} missing or non-numeric")
 
 
 def _check_batched_block(block: dict) -> None:
@@ -1214,9 +1082,6 @@ def validate_bench_report(payload: dict) -> None:
             continue
         if name == "service_latency":
             _check_service_block(block)
-            continue
-        if name == "pipeline_latency":
-            _check_pipeline_block(block)
             continue
         keys = _COMPONENT_KEYS
         if name == "masked_qrm":

@@ -4,15 +4,14 @@ Raw wall-clock numbers are machine-dependent, so the gate never compares
 milliseconds across reports.  It compares the *dimensionless speedup
 ratios* — vectorised-vs-reference per component, batched-vs-serial per
 batch size, service-batching-on-vs-off at the highest measured client
-concurrency, sequential-vs-pipelined for the closed-loop pipeline —
-which are measured interleaved within one run and
+concurrency — which are measured interleaved within one run and
 therefore transfer between machines.  A fresh report passes when every
 ratio it shares with the baseline is within ``tolerance`` (default 15%)
 of the baseline's value; blocks present on only one side are skipped,
 because a smoke-grid report legitimately measures fewer cases than the
 committed full-grid artefact, and so are QRM ratios only one side
-carries (an artefact from an older schema may record a ratio that was
-since retired).
+carries (an artefact from an older schema may record a ratio or a
+whole component block that was since retired).
 
 :func:`check_perf_regression` returns the raw failure strings;
 :func:`evaluate_gate` wraps it in a :class:`GateOutcome` that also
@@ -125,17 +124,6 @@ def check_perf_regression(
                 f"service_latency@{size} c={clients} speedup_batched",
                 fresh_by_clients[clients]["speedup_batched"],
                 base_by_clients[clients]["speedup_batched"],
-            )
-            continue
-        if name == "pipeline_latency":
-            # Sequential-vs-pipelined wall ratio of the closed loop.  On
-            # a single-core runner it hovers near 1 (Python threads buy
-            # no overlap without idle cores); the gate only catches it
-            # slipping below the committed baseline's ratio.
-            check(
-                f"pipeline_latency@{size} overlap_speedup",
-                fresh_block["overlap_speedup"],
-                base_block["overlap_speedup"],
             )
             continue
         check(

@@ -228,7 +228,7 @@ def _closed_loop_trial(trial: TrialSpec, algorithm) -> TrialResult:
     load_seed, loop_seed = trial.seed_sequence().spawn(2)
     array = _load_array(cell, config.geometry(), load_seed)
     n_initial = array.n_atoms
-    report = StageReport() if cell.timing else None
+    report = StageReport()
     shot = run_shot(
         0, array, loop_seed.spawn(2 * cell.cycles), config, algorithm, report
     )
@@ -246,7 +246,7 @@ def _closed_loop_trial(trial: TrialSpec, algorithm) -> TrialResult:
         ),
         "cycles_used": float(shot.cycles_used),
     }
-    if cell.timing and report is not None:
+    if cell.timing:
         timing = report.stages.get(STAGE_SCHEDULE)
         metrics["cpu_us"] = timing.total_us if timing is not None else 0.0
     if cell.fpga:

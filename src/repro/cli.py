@@ -304,9 +304,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.physics.loss import LossModel
     from repro.pipeline import PipelineConfig, run_pipeline
 
+    # --mask overrides --target, as on `repro rearrange`.
+    mask = _parse_mask(args.mask, args.size) if args.mask is not None else None
     config = PipelineConfig(
         size=args.size,
-        target=args.target,
+        target=args.target if mask is None else None,
         fill=args.fill,
         algorithm=args.algorithm,
         shots=args.shots,
@@ -314,47 +316,20 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         loss=LossModel() if args.loss else None,
         fpga_timing=args.fpga,
-        queue_depth=args.queue_depth,
-        mask=(
-            _parse_mask(args.mask, args.size)
-            if args.mask is not None
-            else None
-        ),
+        mask=mask,
     )
-    modes = (
-        ["sequential", "pipelined"] if args.mode == "both" else [args.mode]
-    )
-    results = {mode: run_pipeline(config, mode) for mode in modes}
-
-    status = 0
-    if args.mode == "both":
-        digests = {mode: r.trace_digest() for mode, r in results.items()}
-        if len(set(digests.values())) == 1:
-            if not args.quiet:
-                print(
-                    f"[pipelined == sequential: trace digest "
-                    f"{digests['sequential'][:16]}]"
-                )
-        else:
-            print(f"MODE MISMATCH: {digests}", file=sys.stderr)
-            status = 1
+    result = run_pipeline(config)
     if not args.quiet:
-        for result in results.values():
-            print(result.format_summary())
-            print()
+        print(result.format_summary())
     if args.trace:
-        # Canonical per-frame trace: byte-identical across modes, which
-        # is exactly what the CI smoke job `cmp`s.
-        lines = next(iter(results.values())).trace_lines()
-        Path(args.trace).write_text("\n".join(lines) + "\n")
+        Path(args.trace).write_text("\n".join(result.trace_lines()) + "\n")
         if not args.quiet:
             print(f"[trace written to {args.trace}]")
     if args.json:
-        payload = {mode: r.to_dict() for mode, r in results.items()}
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.json).write_text(json.dumps(result.to_dict(), indent=2) + "\n")
         if not args.quiet:
             print(f"[report written to {args.json}]")
-    return status
+    return 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -781,9 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Stream camera frames through the full closed-loop data path "
             "(render -> detect occupancy -> schedule -> compile AWG "
-            "waveforms -> replay with losses), sequentially or with "
-            "stages pipelined across frames, and report per-stage "
-            "latency against the paper's hardware budget."
+            "waveforms -> replay with losses), one frame at a time, and "
+            "report per-stage latency against the paper's hardware "
+            "budget."
         ),
     )
     p.add_argument("--size", type=int, default=12)
@@ -820,25 +795,12 @@ def build_parser() -> argparse.ArgumentParser:
         "budget (qrm only)",
     )
     p.add_argument(
-        "--mode",
-        choices=["both", "sequential", "pipelined"],
-        default="both",
-        help="execution mode; 'both' runs the two drivers and "
-        "fails (exit 1) unless their traces are byte-identical",
-    )
-    p.add_argument(
-        "--queue-depth",
-        type=int,
-        default=4,
-        help="bounded queue capacity between pipelined stages",
-    )
-    p.add_argument(
         "--trace",
         type=str,
         default=None,
         metavar="PATH",
         help="write the canonical per-frame trace (JSONL) here — "
-        "byte-identical across modes",
+        "byte-identical across reruns",
     )
     p.add_argument(
         "--json",

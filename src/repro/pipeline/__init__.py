@@ -1,16 +1,14 @@
 """Closed-loop camera -> detect -> schedule -> AWG -> replay pipeline.
 
-The streaming data path of the paper's FPGA architecture, runnable
-sequentially (run-to-completion per frame) or pipelined (stages
-overlapped across frames with bounded queues).  See
-:mod:`repro.pipeline.stages` for the per-frame stage functions and
-:mod:`repro.pipeline.engine` for the two drivers.
+The streaming data path of the paper's FPGA architecture, run to
+completion frame by frame.  See :mod:`repro.pipeline.stages` for the
+per-frame stage functions and :mod:`repro.pipeline.engine` for the
+driver.
 """
 
-from repro.pipeline.engine import PIPELINE_MODES, PipelineResult, run_pipeline
+from repro.pipeline.engine import PipelineResult, run_pipeline
 from repro.pipeline.stages import (
     CycleRecord,
-    FrameState,
     PipelineConfig,
     ShotResult,
     run_shot,
@@ -18,9 +16,7 @@ from repro.pipeline.stages import (
 )
 
 __all__ = [
-    "PIPELINE_MODES",
     "CycleRecord",
-    "FrameState",
     "PipelineConfig",
     "PipelineResult",
     "ShotResult",

@@ -1,38 +1,26 @@
-"""Closed-loop pipeline drivers: sequential and stage-pipelined.
+"""Closed-loop pipeline driver: run-to-completion, frame by frame.
 
-Two execution modes over the same stage functions
-(:mod:`repro.pipeline.stages`):
+Every frame runs camera -> detect -> schedule -> awg -> replay to
+completion before the next starts (the paper's Fig. 2a software
+baseline); a shot that still has defects after replay is re-imaged for
+another repair cycle.  The per-stage timings in the run's
+:class:`~repro.timing.latency.StageReport` give the overlap the paper's
+streaming FPGA data path (Fig. 2b/5) would buy analytically, as
+``pipeline_bound`` — in the fabric the stages overlap across frames, so
+throughput is bound by the slowest one.
 
-* **sequential** — every frame runs camera -> detect -> schedule -> awg
-  -> replay to completion before the next frame starts (the paper's
-  Fig. 2a software baseline, run-to-completion);
-* **pipelined** — one worker thread per stage, bounded queues between
-  them, frames overlapped exactly like the paper's streaming FPGA data
-  path (Fig. 2b/5): while shot *k* is being scheduled, shot *k+1* is
-  already being detected and shot *k+2* imaged.  The replay stage closes
-  the loop — a shot needing another repair cycle re-enters the camera
-  queue.
-
-Determinism contract: both modes produce **byte-identical**
-:class:`~repro.pipeline.stages.CycleRecord` traces for the same
+Determinism contract: the :class:`~repro.pipeline.stages.CycleRecord`
+trace is a pure function of the
 :class:`~repro.pipeline.stages.PipelineConfig`, because every frame's
-RNG streams are pre-spawned from the config seed and the stage functions
-are pure per frame.  ``tests/test_pipeline.py`` holds the two drivers to
-this property; the ``pipeline-smoke`` CI job byte-compares the traces
-end to end through the CLI.
-
-Deadlock note: the feedback edge makes the queue graph cyclic, so the
-driver bounds the number of *live* shots by the queue capacity (a
-semaphore released on shot retirement).  Token count in the ring is then
-always <= every queue's capacity and no ``put`` can block forever.
+RNG streams are spawned from the config seed.  ``tests/test_pipeline.py``
+pins lossy trace digests, and the ``pipeline-smoke`` CI job uploads the
+trace it produces through the CLI.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -42,16 +30,12 @@ from repro.baselines.base import get_algorithm
 from repro.errors import ConfigurationError
 from repro.lattice.loading import load_uniform
 from repro.pipeline.stages import (
-    STAGE_FUNCTIONS,
-    FrameState,
     PipelineConfig,
     ShotResult,
     run_shot,
     spawn_shot_streams,
 )
-from repro.timing.latency import STAGE_SCHEDULE, StageReport
-
-PIPELINE_MODES = ("sequential", "pipelined")
+from repro.timing.latency import StageReport
 
 
 @dataclass
@@ -60,7 +44,7 @@ class PipelineResult:
 
     ``shots`` (ordered by shot index) is the deterministic part;
     ``report`` the measured wall-clock stage latencies of this
-    particular run/mode.
+    particular run.
     """
 
     config: PipelineConfig
@@ -98,11 +82,11 @@ class PipelineResult:
     # -- deterministic trace --------------------------------------------
 
     def trace_lines(self) -> list[str]:
-        """The run as canonical text, identical across execution modes.
+        """The run as canonical text, identical across reruns.
 
         One line per (shot, cycle): detected occupancy, threshold-free
-        schedule fingerprint, and post-replay truth.  This is what the
-        CI smoke job byte-compares between modes.
+        schedule fingerprint, and post-replay truth.  This is what
+        ``repro pipeline --trace`` writes and the pinned digests hash.
         """
         lines = []
         for shot in self.shots:
@@ -181,168 +165,36 @@ class PipelineResult:
 
 
 def run_pipeline(config: PipelineConfig, mode: str = "sequential") -> PipelineResult:
-    """Run the closed loop for every shot of ``config`` in ``mode``."""
-    if mode not in PIPELINE_MODES:
+    """Run the closed loop for every shot of ``config``, one after another.
+
+    ``sequential`` is the only ``mode``; anything else raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    if mode != "sequential":
         raise ConfigurationError(
-            f"unknown pipeline mode {mode!r}; expected one of {PIPELINE_MODES}"
+            f"unknown pipeline mode {mode!r}; the closed loop runs "
+            f"'sequential' only"
         )
     geometry = config.geometry()
     algorithm = get_algorithm(config.algorithm, geometry)
+    result = PipelineResult(config=config, mode=mode)
     start = time.perf_counter()
-    if mode == "sequential":
-        result = _run_sequential(config, algorithm)
-    else:
-        result = _run_pipelined(config, algorithm)
+    for shot in range(config.shots):
+        load_seed, cycle_streams = spawn_shot_streams(
+            config.master_seed, shot, config.cycles
+        )
+        truth = load_uniform(
+            geometry, config.fill, rng=np.random.default_rng(load_seed)
+        )
+        result.shots.append(
+            run_shot(shot, truth, cycle_streams, config, algorithm, result.report)
+        )
     result.report.wall_us = (time.perf_counter() - start) * 1e6
     return result
 
 
-def _load_shot(config: PipelineConfig, shot: int):
-    """(initial truth array, per-cycle seed streams) for one shot."""
-    load_seed, cycle_streams = spawn_shot_streams(
-        config.master_seed, shot, config.cycles
-    )
-    truth = load_uniform(
-        config.geometry(), config.fill, rng=np.random.default_rng(load_seed)
-    )
-    return truth, cycle_streams
-
-
-def _run_sequential(config: PipelineConfig, algorithm) -> PipelineResult:
-    result = PipelineResult(
-        config=config, mode="sequential", report=StageReport(mode="sequential")
-    )
-    for shot in range(config.shots):
-        truth, cycle_streams = _load_shot(config, shot)
-        result.shots.append(
-            run_shot(
-                shot, truth, cycle_streams, config, algorithm, result.report
-            )
-        )
-    return result
-
-
-def _run_pipelined(config: PipelineConfig, algorithm) -> PipelineResult:
-    """One worker thread per stage, bounded queues, feedback to camera."""
-    report = StageReport(mode="pipelined")
-    result = PipelineResult(config=config, mode="pipelined", report=report)
-    capacity = max(config.queue_depth, 1)
-    queues = [queue.Queue(maxsize=capacity) for _ in STAGE_FUNCTIONS]
-    done: dict[int, ShotResult] = {}
-    done_lock = threading.Lock()
-    all_retired = threading.Event()
-    live = threading.Semaphore(capacity)
-    retired = [0]
-    errors: list[BaseException] = []
-    sentinel = object()
-
-    def retire(state: FrameState) -> None:
-        """Record the shot's final frame and free its in-flight token."""
-        with done_lock:
-            done[state.shot].records.append(state.record)
-            retired[0] += 1
-            if retired[0] == config.shots:
-                all_retired.set()
-        live.release()
-
-    def continuation(state: FrameState) -> FrameState:
-        """The next cycle's frame for a not-yet-converged shot."""
-        _, cycle_streams = spawn_shot_streams(
-            config.master_seed, state.shot, config.cycles
-        )
-        cycle = state.cycle + 1
-        return FrameState(
-            shot=state.shot,
-            cycle=cycle,
-            truth=state.truth,
-            camera_rng=np.random.default_rng(cycle_streams[2 * cycle]),
-            loss_rng=np.random.default_rng(cycle_streams[2 * cycle + 1]),
-        )
-
-    def worker(index: int) -> None:
-        key, stage = STAGE_FUNCTIONS[index]
-        inbox = queues[index]
-        is_replay = index == len(STAGE_FUNCTIONS) - 1
-        while True:
-            state = inbox.get()
-            if state is sentinel:
-                return
-            try:
-                if key == STAGE_SCHEDULE:
-                    stage(state, config, algorithm)
-                    report.record(key, state.schedule_us)
-                else:
-                    with report.timed(key):
-                        stage(state, config)
-            except BaseException as exc:  # pragma: no cover - defensive
-                errors.append(exc)
-                all_retired.set()
-                # Unblock the feeder, which may be parked on the
-                # in-flight semaphore; it checks ``errors`` on wake-up.
-                for _ in range(config.shots):
-                    live.release()
-                return
-            if state.record is not None and state.record.converged_at_detect:
-                # The controller sees a filled target: the shot retires
-                # straight out of the detect stage (the later stages
-                # would be no-ops for this frame anyway).
-                retire(state)
-            elif is_replay:
-                # Mirror run_shot's loop: only detection convergence or
-                # an exhausted cycle budget ends a shot, so both drivers
-                # emit identical per-cycle record sequences.
-                if state.cycle + 1 < config.cycles:
-                    with done_lock:
-                        done[state.shot].records.append(state.record)
-                    queues[0].put(continuation(state))
-                else:
-                    retire(state)
-            else:
-                queues[index + 1].put(state)
-
-    threads = [
-        threading.Thread(target=worker, args=(index,), daemon=True)
-        for index in range(len(STAGE_FUNCTIONS))
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        for shot in range(config.shots):
-            live.acquire()
-            if errors:
-                break
-            truth, cycle_streams = _load_shot(config, shot)
-            with done_lock:
-                done[shot] = ShotResult(shot=shot)
-            queues[0].put(
-                FrameState(
-                    shot=shot,
-                    cycle=0,
-                    truth=truth,
-                    camera_rng=np.random.default_rng(cycle_streams[0]),
-                    loss_rng=np.random.default_rng(cycle_streams[1]),
-                )
-            )
-        all_retired.wait()
-    finally:
-        # Once every shot retired the queues are empty, so each worker's
-        # inbox takes its sentinel directly (no relay through a possibly
-        # dead downstream worker on the error path).
-        for inbox in queues:
-            try:
-                inbox.put_nowait(sentinel)
-            except queue.Full:  # pragma: no cover - error path only
-                pass
-        for thread in threads:
-            thread.join(timeout=10.0)
-    if errors:
-        raise errors[0]
-    result.shots = [done[shot] for shot in sorted(done)]
-    return result
-
-
 # ---------------------------------------------------------------------------
-# Canonical serialisation helpers (trace identity across modes)
+# Canonical serialisation helpers (the deterministic trace)
 # ---------------------------------------------------------------------------
 
 

@@ -10,13 +10,11 @@ flowing through the paper's FPGA data path (Fig. 1/2):
 ``replay`` (physical execution + stochastic loss via
 :mod:`repro.physics.loss`).
 
-The functions here are **pure given their frame state**: every source
-of randomness (exposure noise, loss draws) is a pre-spawned per-cycle
-generator attached to the :class:`FrameState` before the frame enters
-the pipeline.  That is the whole determinism story — the sequential and
-the thread-pipelined driver in :mod:`repro.pipeline.engine` call exactly
-these functions in dataflow order, so their outputs are byte-identical
-no matter how stages interleave across frames.
+:func:`run_shot` calls them in that order, one frame at a time, and
+times each into a :class:`~repro.timing.latency.StageReport`.  Every
+source of randomness (exposure noise, loss draws) is a per-cycle
+generator spawned from the config seed (:func:`spawn_shot_streams`),
+so a frame's outcome depends only on the config, never on timing.
 
 Multi-cycle operation closes the loop: after ``replay``, a shot whose
 detected array was not defect-free re-enters at ``camera`` (re-image the
@@ -27,7 +25,6 @@ axis runs the same code path.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -76,7 +73,6 @@ class PipelineConfig:
     camera: CameraConfig = DEFAULT_CAMERA
     timing: MoveTimingModel = DEFAULT_MOVE_TIMING
     fpga_timing: bool = False
-    queue_depth: int = 4
     mask: "TargetMask | None" = None
 
     def __post_init__(self) -> None:
@@ -88,8 +84,6 @@ class PipelineConfig:
             raise ConfigurationError("shots must be >= 1")
         if self.cycles < 1:
             raise ConfigurationError("cycles must be >= 1")
-        if self.queue_depth < 1:
-            raise ConfigurationError("queue_depth must be >= 1")
         if self.fpga_timing and self.algorithm != "qrm":
             raise ConfigurationError(
                 "the FPGA cycle model only implements the 'qrm' algorithm"
@@ -112,8 +106,8 @@ class CycleRecord:
 
     Everything here is a pure function of the shot's seed streams —
     wall-clock timings live separately in the run's
-    :class:`~repro.timing.latency.StageReport` — so two runs (or two
-    execution modes) can be compared byte for byte.
+    :class:`~repro.timing.latency.StageReport` — so two runs can be
+    compared byte for byte.
     """
 
     shot: int
@@ -163,27 +157,6 @@ class ShotResult:
         return self.records[-1].target_fill_after
 
 
-@dataclass
-class FrameState:
-    """The token that flows through the pipeline, one per (shot, cycle).
-
-    Stages fill it in dataflow order; the per-cycle RNG streams are
-    spawned before the frame is injected (see module docstring).
-    """
-
-    shot: int
-    cycle: int
-    truth: AtomArray
-    camera_rng: np.random.Generator
-    loss_rng: np.random.Generator
-    image: np.ndarray | None = None
-    detection: object = None
-    result: object = None
-    program: object = None
-    record: CycleRecord | None = None
-    schedule_us: float = 0.0
-
-
 def spawn_shot_streams(
     master_seed: int, shot: int, cycles: int
 ) -> tuple[np.random.SeedSequence, list[np.random.SeedSequence]]:
@@ -198,91 +171,85 @@ def spawn_shot_streams(
     return load_seed, loop_seed.spawn(2 * cycles)
 
 
-def stage_camera(state: FrameState, config: PipelineConfig) -> FrameState:
+def stage_camera(
+    truth: AtomArray, config: PipelineConfig, rng: np.random.Generator
+) -> np.ndarray:
     """Expose the shot's live array: truth -> noisy electron-count image."""
     from repro.detection.imaging import render_image
 
-    state.image = render_image(state.truth, config.camera, rng=state.camera_rng)
-    return state
+    return render_image(truth, config.camera, rng=rng)
 
 
-def stage_detect(state: FrameState, config: PipelineConfig) -> FrameState:
-    """Image -> occupancy matrix (thresholded site ROIs)."""
+def stage_detect(
+    image: np.ndarray,
+    truth: AtomArray,
+    config: PipelineConfig,
+    shot: int,
+    cycle: int,
+) -> tuple[AtomArray, CycleRecord]:
+    """Image -> detected occupancy, plus the frame's trace record."""
     from repro.detection.detect import detect_occupancy
     from repro.lattice.metrics import is_defect_free, target_fill_fraction
 
-    geometry = state.truth.geometry
-    state.detection = detect_occupancy(state.image, geometry, config.camera)
-    detected = state.detection.array
-    state.record = CycleRecord(
-        shot=state.shot,
-        cycle=state.cycle,
+    detection = detect_occupancy(image, truth.geometry, config.camera)
+    detected = detection.array
+    record = CycleRecord(
+        shot=shot,
+        cycle=cycle,
         occupancy=detected.grid.copy(),
-        threshold=state.detection.threshold,
+        threshold=detection.threshold,
         converged_at_detect=is_defect_free(detected),
     )
-    if state.record.converged_at_detect:
+    if record.converged_at_detect:
         # Nothing to schedule: the controller sees a filled target, so
         # the shot retires with the *believed* state as its outcome.
-        state.record.truth_after = state.truth.grid.copy()
-        state.record.target_fill_after = target_fill_fraction(state.truth)
-        state.record.defect_free_after = is_defect_free(state.truth)
-    return state
+        record.truth_after = truth.grid.copy()
+        record.target_fill_after = target_fill_fraction(truth)
+        record.defect_free_after = is_defect_free(truth)
+    return detected, record
 
 
-def stage_schedule(
-    state: FrameState, config: PipelineConfig, algorithm
-) -> FrameState:
-    """Occupancy -> move schedule, via the configured algorithm.
-
-    The scheduling wall time is measured here (rather than by the
-    driver) because ``fpga_timing`` piggybacks the cycle-level
-    accelerator model on the same frame and that modelled run must not
-    count against the measured software stage.
-    """
-    if state.record.converged_at_detect:
-        return state
-    start = time.perf_counter()
-    state.result = algorithm.schedule(state.detection.array)
-    state.schedule_us = (time.perf_counter() - start) * 1e6
-    record = state.record
-    result = state.result
+def stage_schedule(detected: AtomArray, record: CycleRecord, algorithm):
+    """Occupancy -> move schedule, via the configured algorithm."""
+    result = algorithm.schedule(detected)
     record.moves = result.schedule  # objects are built only for the trace
     record.n_moves = result.n_moves
     record.iterations = result.iterations_used
     record.analysis_ops = result.analysis_ops
-    record.skipped_stale = sum(
-        stats.n_skipped_stale for stats in result.iterations
-    )
-    if config.fpga_timing:
-        from repro.config import DEFAULT_QRM_PARAMETERS
-        from repro.fpga.accelerator import QrmAccelerator
-
-        # Honour the scheduler's parameter preset when it has one, so
-        # ablation cells model the hardware they actually scheduled with.
-        params = getattr(algorithm, "params", None) or DEFAULT_QRM_PARAMETERS
-        accelerator = QrmAccelerator(
-            state.detection.array.geometry, params=params
-        )
-        hw = accelerator.run(state.detection.array).report
-        record.fpga_us = hw.time_us
-        record.fpga_cycles = hw.total_cycles
-    return state
+    record.skipped_stale = sum(stats.n_skipped_stale for stats in result.iterations)
+    return result.schedule
 
 
-def stage_awg(state: FrameState, config: PipelineConfig) -> FrameState:
+def model_accelerator(detected: AtomArray, record: CycleRecord, algorithm) -> None:
+    """Run the cycle-level accelerator model on the frame (``fpga_timing``)."""
+    from repro.config import DEFAULT_QRM_PARAMETERS
+    from repro.fpga.accelerator import QrmAccelerator
+
+    # Honour the scheduler's parameter preset when it has one, so
+    # ablation cells model the hardware they actually scheduled with.
+    params = getattr(algorithm, "params", None) or DEFAULT_QRM_PARAMETERS
+    hw = QrmAccelerator(detected.geometry, params=params).run(detected).report
+    record.fpga_us = hw.time_us
+    record.fpga_cycles = hw.total_cycles
+
+
+def stage_awg(schedule, record: CycleRecord, config: PipelineConfig):
     """Move schedule -> AWG tone-waveform program."""
     from repro.awg.compiler import compile_schedule
 
-    if state.record.converged_at_detect:
-        return state
-    state.program = compile_schedule(state.result.schedule, timing=config.timing)
-    state.record.program_us = state.program.total_duration_us
-    state.record.n_segments = len(state.program.segments)
-    return state
+    program = compile_schedule(schedule, timing=config.timing)
+    record.program_us = program.total_duration_us
+    record.n_segments = len(program.segments)
+    return program
 
 
-def stage_replay(state: FrameState, config: PipelineConfig) -> FrameState:
+def stage_replay(
+    truth: AtomArray,
+    schedule,
+    record: CycleRecord,
+    config: PipelineConfig,
+    rng: np.random.Generator,
+) -> AtomArray:
     """Physically execute the schedule on the live (truth) array.
 
     With a loss model the replay is the stochastic
@@ -291,56 +258,27 @@ def stage_replay(state: FrameState, config: PipelineConfig) -> FrameState:
     occupancy, so on the rare detection error it may be invalid against
     the truth — that frame falls back to the non-strict executor (which
     skips the offending moves) and is flagged ``replay_fallback``.
+    Returns the post-motion truth array.
     """
     from repro.aod.executor import execute_schedule
     from repro.lattice.metrics import is_defect_free, target_fill_fraction
     from repro.physics.loss import simulate_losses
 
-    record = state.record
-    if record.converged_at_detect:
-        return state
-    schedule = state.result.schedule
-    atoms_before = state.truth.n_atoms
-    if config.loss is not None:
-        try:
-            report = simulate_losses(
-                state.truth,
-                schedule,
-                loss=config.loss,
-                timing=config.timing,
-                rng=state.loss_rng,
-            )
-            after = report.final_array
-        except MoveError:
-            after, _ = execute_schedule(
-                state.truth, schedule, constraints=None, strict=False
-            )
-            record.replay_fallback = True
-    else:
-        try:
-            after, _ = execute_schedule(state.truth, schedule, constraints=None)
-        except MoveError:
-            after, _ = execute_schedule(
-                state.truth, schedule, constraints=None, strict=False
-            )
-            record.replay_fallback = True
-    record.lost_atoms = atoms_before - after.n_atoms
+    try:
+        if config.loss is not None:
+            after = simulate_losses(
+                truth, schedule, loss=config.loss, timing=config.timing, rng=rng
+            ).final_array
+        else:
+            after, _ = execute_schedule(truth, schedule, constraints=None)
+    except MoveError:
+        after, _ = execute_schedule(truth, schedule, constraints=None, strict=False)
+        record.replay_fallback = True
+    record.lost_atoms = truth.n_atoms - after.n_atoms
     record.truth_after = after.grid.copy()
     record.target_fill_after = target_fill_fraction(after)
     record.defect_free_after = is_defect_free(after)
-    state.truth = after
-    return state
-
-
-#: Stage key -> stage function, in data-path order.  ``schedule`` takes
-#: the algorithm as an extra argument; the drivers close over it.
-STAGE_FUNCTIONS = (
-    (STAGE_CAMERA, stage_camera),
-    (STAGE_DETECT, stage_detect),
-    (STAGE_SCHEDULE, stage_schedule),
-    (STAGE_AWG, stage_awg),
-    (STAGE_REPLAY, stage_replay),
-)
+    return after
 
 
 def run_shot(
@@ -349,45 +287,33 @@ def run_shot(
     cycle_streams: list[np.random.SeedSequence],
     config: PipelineConfig,
     algorithm,
-    report: StageReport | None = None,
+    report: StageReport,
 ) -> ShotResult:
-    """Run one shot's closed loop to completion, sequentially.
+    """Run one shot's closed loop to completion, timing each stage.
 
-    The building block shared by the sequential pipeline driver and the
+    The building block of :func:`repro.pipeline.run_pipeline` and of the
     campaign's multi-cycle trials.  ``cycle_streams`` is the flat
     ``[camera, loss, camera, loss, ...]`` seed list from
-    :func:`spawn_shot_streams`.
+    :func:`spawn_shot_streams`.  The cycle-model run of ``fpga_timing``
+    stays outside every stage timer, so it never counts as software time.
     """
     result = ShotResult(shot=shot)
     for cycle in range(config.cycles):
-        state = FrameState(
-            shot=shot,
-            cycle=cycle,
-            truth=truth,
-            camera_rng=np.random.default_rng(cycle_streams[2 * cycle]),
-            loss_rng=np.random.default_rng(cycle_streams[2 * cycle + 1]),
-        )
-        for key, stage in STAGE_FUNCTIONS:
-            args = (algorithm,) if key == STAGE_SCHEDULE else ()
-            if report is None:
-                stage(state, config, *args)
-            elif key == STAGE_SCHEDULE:
-                # The stage measures itself (fpga model excluded).
-                stage(state, config, *args)
-                report.record(key, state.schedule_us)
-            else:
-                with report.timed(key):
-                    stage(state, config, *args)
-            if (
-                state.record is not None
-                and state.record.converged_at_detect
-            ):
-                # The remaining stages are no-ops for a converged frame;
-                # skip them so stage call counts match the pipelined
-                # driver (which retires such frames at detect).
-                break
-        result.records.append(state.record)
-        truth = state.truth
-        if state.record.converged_at_detect:
+        camera_rng = np.random.default_rng(cycle_streams[2 * cycle])
+        loss_rng = np.random.default_rng(cycle_streams[2 * cycle + 1])
+        with report.timed(STAGE_CAMERA):
+            image = stage_camera(truth, config, camera_rng)
+        with report.timed(STAGE_DETECT):
+            detected, record = stage_detect(image, truth, config, shot, cycle)
+        result.records.append(record)
+        if record.converged_at_detect:
             break
+        with report.timed(STAGE_SCHEDULE):
+            schedule = stage_schedule(detected, record, algorithm)
+        if config.fpga_timing:
+            model_accelerator(detected, record, algorithm)
+        with report.timed(STAGE_AWG):
+            stage_awg(schedule, record, config)
+        with report.timed(STAGE_REPLAY):
+            truth = stage_replay(truth, schedule, record, config, loss_rng)
     return result

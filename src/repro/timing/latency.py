@@ -6,7 +6,7 @@ detect -> schedule -> AWG -> replay).  Both sides of every latency
 comparison speak it:
 
 * the *measured* side — :class:`StageReport`, filled per frame by the
-  streaming pipeline (:mod:`repro.pipeline`) with wall-clock
+  closed-loop pipeline (:mod:`repro.pipeline`) with wall-clock
   microseconds per stage;
 * the *modelled* side — the analytic hardware budgets in
   :mod:`repro.workflow.system`, whose :class:`BudgetItem` rows carry the
@@ -114,14 +114,14 @@ class StageTiming:
 class StageReport:
     """Structured per-stage latency record of one pipeline run.
 
-    ``wall_us`` is the end-to-end wall time of the whole run; the summed
-    per-stage busy time can exceed it in pipelined mode (stages overlap
-    across frames), which is exactly what :attr:`overlap` exposes.
-    Stage keys come from :data:`PIPELINE_STAGES`; unknown keys raise, so
-    the measured report and the analytic budgets cannot drift apart.
+    ``wall_us`` is the end-to-end wall time of the whole run;
+    :attr:`coverage` says how much of it the stage timers account for,
+    and :attr:`pipeline_bound` what overlapping the stages across frames
+    (the paper's streaming data path) would buy at best.  Stage keys
+    come from :data:`PIPELINE_STAGES`; unknown keys raise, so the
+    measured report and the analytic budgets cannot drift apart.
     """
 
-    mode: str = "sequential"
     stages: dict[str, StageTiming] = field(default_factory=dict)
     wall_us: float = 0.0
 
@@ -146,13 +146,24 @@ class StageReport:
 
     @property
     def busy_us(self) -> float:
-        """Summed per-stage busy time (= wall time when sequential)."""
+        """Summed per-stage busy time."""
         return sum(timing.total_us for timing in self.stages.values())
 
     @property
-    def overlap(self) -> float:
-        """Busy/wall ratio: > 1 means stages genuinely overlapped."""
+    def coverage(self) -> float:
+        """Busy/wall ratio: the share of wall time the stage timers saw."""
         return self.busy_us / self.wall_us if self.wall_us > 0 else 0.0
+
+    @property
+    def pipeline_bound(self) -> float:
+        """Busy time over the slowest stage's: the best stage-overlap speedup.
+
+        With every stage streaming in parallel across frames, the
+        slowest stage sets the throughput, so a pipelined loop can run
+        at most this many times faster than the run-to-completion one.
+        """
+        slowest = max((t.total_us for t in self.stages.values()), default=0.0)
+        return self.busy_us / slowest if slowest > 0 else 0.0
 
     def ordered(self) -> list[StageTiming]:
         return [
@@ -161,17 +172,18 @@ class StageReport:
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode,
             "wall_us": self.wall_us,
             "busy_us": self.busy_us,
-            "overlap": self.overlap,
+            "coverage": self.coverage,
+            "pipeline_bound": self.pipeline_bound,
             "stages": [timing.to_dict() for timing in self.ordered()],
         }
 
     def format(self) -> str:
         lines = [
-            f"stage latency ({self.mode} mode, "
-            f"wall {self.wall_us / 1e3:.2f} ms, overlap {self.overlap:.2f}x):"
+            f"stage latency (wall {self.wall_us / 1e3:.2f} ms, "
+            f"coverage {self.coverage:.0%}, "
+            f"pipeline bound {self.pipeline_bound:.2f}x):"
         ]
         for timing in self.ordered():
             lines.append(

@@ -195,10 +195,9 @@ def campaign_specs(draw, max_seeds: int = 3, cycles=(1,)):
 def pipeline_configs(draw, max_shots: int = 3, max_cycles: int = 3):
     """Closed-loop :class:`~repro.pipeline.PipelineConfig` inputs.
 
-    Drawn over geometry x fill x stream shape x loss so the pipelined
-    and the sequential driver are compared across single-frame runs,
-    deep repair loops, lossless no-op cycles, and queue depths down to
-    the fully serialised ``1``.
+    Drawn over geometry x fill x stream shape x loss so the driver is
+    exercised across single-frame runs, deep repair loops and lossless
+    no-op cycles.
     """
     from repro.physics.loss import LossModel
     from repro.pipeline import PipelineConfig
@@ -216,7 +215,6 @@ def pipeline_configs(draw, max_shots: int = 3, max_cycles: int = 3):
         cycles=cycles,
         master_seed=draw(st.integers(min_value=0, max_value=2**16)),
         loss=LossModel(vacuum_lifetime_s=0.05) if lossy else None,
-        queue_depth=draw(st.sampled_from((1, 2, 4))),
     )
 
 

@@ -38,26 +38,9 @@ def test_committed_bench_has_all_component_speedups(committed_payload):
     assert set(components) == set(COMPONENT_NAMES)
     assert {"mta1", "guarded_drain", "batched_qrm"} <= set(components)
     for name, block in components.items():
-        if name in ("batched_qrm", "service_latency", "pipeline_latency"):
+        if name in ("batched_qrm", "service_latency"):
             continue  # pinned separately below — different block shapes
         assert block["speedup_vs_reference"] > 1.0
-
-
-def test_committed_bench_pipeline_latency_block(committed_payload):
-    # The closed-loop pipeline's acceptance bar: the sequential and the
-    # pipelined driver were digest-verified identical during the
-    # measurement, and the overlap ratio is recorded (near 1x on a
-    # single-CPU box — Python threads interleave, they don't
-    # parallelise — so only validity is pinned here; the downward slip
-    # is gated against the committed ratio by `repro bench --gate`).
-    block = committed_payload["component_speedups"]["pipeline_latency"]
-    assert block["size"] == 64
-    assert block["overlap_speedup"] > 0
-    assert len(block["trace_digest"]) == 64
-    assert block["sequential_ms"]["min"] > 0
-    assert block["pipelined_ms"]["min"] > 0
-    stages = {entry["stage"] for entry in block["stages"]}
-    assert {"camera", "detect", "schedule", "awg", "replay"} <= stages
 
 
 def test_committed_bench_service_latency_wins_at_high_concurrency(
@@ -108,6 +91,34 @@ def test_gate_compares_only_the_qrm_ratios_both_reports_carry(committed_payload)
     slipped["speedup"]["speedup_vs_reference"] *= 0.5
     (failure,) = evaluate_gate(slipped, v8).failures
     assert "speedup_vs_reference" in failure
+
+
+def test_gate_skips_the_retired_pipeline_latency_component(committed_payload):
+    # A v9 artefact still carries the sequential-vs-pipelined block of
+    # the deleted threaded driver; a v10 report gated against it (or the
+    # other way round) names the one-sided component instead of raising.
+    from repro.analysis.perf_gate import evaluate_gate
+
+    v9 = json.loads(json.dumps(committed_payload))
+    v9["schema_version"] = 9
+    v9["component_speedups"]["pipeline_latency"] = {
+        "size": 64,
+        "fill": 0.5,
+        "trials": 3,
+        "shots": 4,
+        "cycles": 2,
+        "sequential_ms": {"mean": 232.0, "std": 31.9, "min": 193.5, "max": 271.3},
+        "pipelined_ms": {"mean": 200.2, "std": 22.4, "min": 172.7, "max": 232.2},
+        "overlap_speedup": 1.12,
+        "trace_digest": "0" * 64,
+        "stages": [],
+    }
+    for fresh, baseline in ((committed_payload, v9), (v9, committed_payload)):
+        outcome = evaluate_gate(fresh, baseline)
+        assert outcome.ok
+        assert any(
+            "component 'pipeline_latency'" in notice for notice in outcome.notices
+        )
 
 
 def test_committed_bench_times_the_loop_schedule_consumers(committed_payload):

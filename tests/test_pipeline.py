@@ -1,15 +1,14 @@
-"""Closed-loop pipeline: the pipelined driver == the sequential one.
+"""Closed-loop pipeline: the run-to-completion driver and its trace.
 
-The determinism contract of :mod:`repro.pipeline` is differential: for
-any :class:`PipelineConfig`, the thread-pipelined driver must emit
-byte-identical per-cycle traces to the run-to-completion sequential
-driver — same detected occupancy, same schedules, same post-loss truth,
-in the same (shot, cycle) order — because every frame's RNG streams are
-pre-spawned and the stage functions are pure.  The sequential run is
-the oracle; configs come from the shared :func:`oracles.pipeline_configs`
-strategy.
+The determinism contract of :mod:`repro.pipeline`: for any
+:class:`PipelineConfig` the per-cycle trace — detected occupancy,
+schedules, post-loss truth, in (shot, cycle) order — is a pure function
+of the config, because every frame's RNG streams are spawned from its
+seed.  Reruns over the shared :func:`oracles.pipeline_configs` strategy
+must agree byte for byte, and pinned lossy digests catch any drift in
+the stages themselves.
 
-Also covered here: rerun determinism, stage-latency bookkeeping
+Also covered here: stage call counts and latency bookkeeping
 (:class:`StageReport`), config validation, the multi-cycle campaign
 axis (trial determinism and journal resume), and the ``repro pipeline``
 CLI surface.
@@ -18,7 +17,6 @@ CLI surface.
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,9 +40,10 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import Direction
+from repro.lattice.mask import TargetMask
 from repro.physics.loss import LossModel
-from repro.pipeline import PIPELINE_MODES, PipelineConfig, run_pipeline
-from repro.pipeline.stages import CycleRecord, FrameState, stage_replay
+from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline.stages import CycleRecord, stage_replay
 from repro.timing.latency import (
     BUDGETED_STAGES,
     PIPELINE_STAGES,
@@ -52,53 +51,50 @@ from repro.timing.latency import (
     StageReport,
 )
 
+#: Pinned lossy closed-loop traces: (size, target mask, trace digest).
+LOSSY_TRACE_PINS = [
+    (16, None, "141cd390545f3c5fa2a6b783e72f559d2ce5760d1903f1a120d8424de8dc84e5"),
+    (32, None, "124e8da0b65c8c115f050ab57559e0ae7417f15b15df198707d926eff11d789f"),
+    (
+        16,
+        TargetMask.ring(16, 16, 6.0, 2.0),
+        "7d428a214583b55b3fd7873844ff976bfb0660526746b6d80a27816c8dfd438c",
+    ),
+]
+
 #: Aggressive loss model: short vacuum lifetime so multi-cycle repair
 #: loops actually have defects to repair on every cycle.
 LOSS = LossModel(vacuum_lifetime_s=0.05)
 
 
 # ---------------------------------------------------------------------------
-# Differential property: pipelined == sequential, byte for byte
+# The sequential driver: determinism, stage calls, frame order
 # ---------------------------------------------------------------------------
 
 
-class TestModeEquivalence:
-    @given(config=pipeline_configs())
-    @settings(max_examples=20, deadline=None)
-    def test_pipelined_trace_matches_sequential(self, config):
-        sequential = run_pipeline(config, "sequential")
-        pipelined = run_pipeline(config, "pipelined")
-        assert pipelined.trace_lines() == sequential.trace_lines()
-        assert pipelined.trace_digest() == sequential.trace_digest()
-        assert pipelined.n_frames == sequential.n_frames
-        assert pipelined.converged_fraction == sequential.converged_fraction
-        assert pipelined.mean_final_fill == sequential.mean_final_fill
-
+class TestSequentialDriver:
     @given(config=pipeline_configs())
     @settings(max_examples=8, deadline=None)
     def test_rerun_is_deterministic(self, config):
-        first = run_pipeline(config, "pipelined")
-        second = run_pipeline(config, "pipelined")
+        first = run_pipeline(config, "sequential")
+        second = run_pipeline(config, "sequential")
         assert first.trace_lines() == second.trace_lines()
+        assert first.trace_digest() == second.trace_digest()
 
-    def test_stage_call_counts_match_across_modes(self):
-        config = PipelineConfig(
-            size=8, fill=0.5, shots=3, cycles=3, master_seed=5, loss=LOSS
-        )
-        sequential = run_pipeline(config, "sequential")
-        pipelined = run_pipeline(config, "pipelined")
-        seq_calls = {
-            key: timing.n_calls
-            for key, timing in sequential.report.stages.items()
-        }
-        pipe_calls = {
-            key: timing.n_calls
-            for key, timing in pipelined.report.stages.items()
-        }
-        assert seq_calls == pipe_calls
-        # Every frame is imaged and detected exactly once.
-        assert seq_calls["camera"] == sequential.n_frames
-        assert seq_calls["detect"] == sequential.n_frames
+    def test_stage_call_counts(self):
+        # Lossless: each shot's first cycle fills the target, so its
+        # next detection converges and the shot retires there.
+        config = PipelineConfig(size=8, fill=0.5, shots=3, cycles=3, master_seed=5)
+        result = run_pipeline(config, "sequential")
+        calls = {key: timing.n_calls for key, timing in result.report.stages.items()}
+        records = [record for shot in result.shots for record in shot.records]
+        scheduled = sum(1 for r in records if not r.converged_at_detect)
+        # Every frame is imaged and detected exactly once; a frame whose
+        # detection saw a filled target stops there.
+        assert calls["camera"] == calls["detect"] == result.n_frames
+        assert 0 < scheduled < result.n_frames
+        for key in ("schedule", "awg", "replay"):
+            assert calls[key] == scheduled
 
     def test_trace_lines_are_canonical_json(self):
         config = PipelineConfig(size=6, fill=0.4, shots=2, cycles=2, loss=LOSS)
@@ -120,7 +116,7 @@ class TestModeEquivalence:
 
     def test_frames_ordered_by_shot_then_cycle(self):
         config = PipelineConfig(size=6, fill=0.4, shots=3, cycles=3, loss=LOSS)
-        result = run_pipeline(config, "pipelined")
+        result = run_pipeline(config, "sequential")
         order = [
             (json.loads(line)["shot"], json.loads(line)["cycle"])
             for line in result.trace_lines()
@@ -168,6 +164,45 @@ class TestClosedLoop:
         assert "hardware budget" in comparison
         assert result.hardware_comparison() in result.format_summary()
 
+    def test_fpga_timing_leaves_the_trace_unchanged(self):
+        # The cycle-model run only annotates records (fpga_us,
+        # fpga_cycles), which the trace omits; the masked pin holds.
+        size, mask, digest = LOSSY_TRACE_PINS[2]
+        config = PipelineConfig(
+            size=size,
+            fill=0.5,
+            shots=4,
+            cycles=3,
+            master_seed=0,
+            loss=LossModel(),
+            mask=mask,
+            fpga_timing=True,
+        )
+        result = run_pipeline(config, "sequential")
+        assert result.trace_digest() == digest
+        assert result.modelled_fpga_us() > 0
+
+    def test_converged_detection_ends_the_shot(self):
+        # A detection that sees a filled target is the shot's last
+        # record: nothing is scheduled, compiled or replayed after it.
+        config = PipelineConfig(
+            size=8, fill=0.6, shots=4, cycles=4, master_seed=1, loss=LOSS
+        )
+        result = run_pipeline(config, "sequential")
+        for shot in result.shots:
+            for record in shot.records[:-1]:
+                assert not record.converged_at_detect
+                assert record.truth_after is not None
+            last = shot.records[-1]
+            if last.converged_at_detect:
+                assert list(last.moves) == []
+                assert last.n_segments == 0
+                assert last.lost_atoms == 0
+                if len(shot.records) > 1:
+                    previous = shot.records[-2].truth_after
+                    np.testing.assert_array_equal(last.truth_after, previous)
+        assert any(shot.records[-1].converged_at_detect for shot in result.shots)
+
     def test_no_fpga_timing_no_comparison(self):
         config = PipelineConfig(size=6, fill=0.4, shots=1, master_seed=2)
         result = run_pipeline(config, "sequential")
@@ -176,27 +211,34 @@ class TestClosedLoop:
 
     def test_to_dict_round_trips_through_json(self):
         config = PipelineConfig(size=6, fill=0.5, shots=2, cycles=2, loss=LOSS)
-        payload = json.loads(json.dumps(run_pipeline(config, "pipelined").to_dict()))
-        assert payload["mode"] == "pipelined"
+        payload = json.loads(json.dumps(run_pipeline(config, "sequential").to_dict()))
+        assert payload["mode"] == "sequential"
         assert payload["shots"] == 2
         assert payload["frames"] >= 2
         assert len(payload["trace_digest"]) == 64
-        stages = {s["stage"] for s in payload["stage_report"]["stages"]}
+        report = payload["stage_report"]
+        assert 0 < report["coverage"] <= 1
+        assert report["pipeline_bound"] >= 1
+        stages = {s["stage"] for s in report["stages"]}
         assert stages <= set(PIPELINE_STAGES)
 
     @pytest.mark.parametrize(
-        "size, digest",
-        [
-            (16, "141cd390545f3c5fa2a6b783e72f559d2ce5760d1903f1a120d8424de8dc84e5"),
-            (32, "124e8da0b65c8c115f050ab57559e0ae7417f15b15df198707d926eff11d789f"),
-        ],
+        "size, mask, digest",
+        LOSSY_TRACE_PINS,
+        ids=[f"{size}-{digest}" for size, _, digest in LOSSY_TRACE_PINS],
     )
-    def test_lossy_trace_is_pinned(self, size, digest):
+    def test_lossy_trace_is_pinned(self, size, mask, digest):
         # The loss stream (which atoms each draw hits, in which order)
-        # drifts in both modes at once if replay changes, which the
-        # pipelined-vs-sequential test cannot see; these digests pin it.
+        # would drift between commits unseen by any rerun comparison if
+        # replay changed; these digests pin it.
         config = PipelineConfig(
-            size=size, fill=0.5, shots=4, cycles=3, master_seed=0, loss=LossModel()
+            size=size,
+            fill=0.5,
+            shots=4,
+            cycles=3,
+            master_seed=0,
+            loss=LossModel(),
+            mask=mask,
         )
         assert run_pipeline(config, "sequential").trace_digest() == digest
 
@@ -207,25 +249,18 @@ class TestClosedLoop:
         geometry = config.geometry()
         truth = AtomArray.full(geometry)
         bad = ParallelMove.of([LineShift(Direction.EAST, 9, 0, 3)])
-        state = FrameState(
-            shot=0,
-            cycle=0,
-            truth=truth,
-            camera_rng=np.random.default_rng(0),
-            loss_rng=np.random.default_rng(1),
-        )
-        state.record = CycleRecord(
+        record = CycleRecord(
             shot=0,
             cycle=0,
             occupancy=truth.grid.copy(),
             threshold=0.0,
             converged_at_detect=False,
         )
-        state.result = SimpleNamespace(schedule=MoveSchedule(geometry, moves=[bad]))
-        stage_replay(state, config)
-        assert state.record.replay_fallback
-        assert state.truth == truth
-        assert state.record.lost_atoms == 0
+        schedule = MoveSchedule(geometry, moves=[bad])
+        after = stage_replay(truth, schedule, record, config, np.random.default_rng(1))
+        assert record.replay_fallback
+        assert after == truth
+        assert record.lost_atoms == 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +277,7 @@ class TestValidation:
             {"fill": -0.1},
             {"shots": 0},
             {"cycles": 0},
-            {"queue_depth": 0},
+            {"target": 4, "mask": TargetMask.ring(12, 12, 4.0, 1.5)},
             {"fpga_timing": True, "algorithm": "tetris"},
         ],
     )
@@ -251,11 +286,9 @@ class TestValidation:
             PipelineConfig(**kwargs)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown pipeline mode"):
-            run_pipeline(PipelineConfig(size=4), "warp")
-
-    def test_modes_tuple(self):
-        assert PIPELINE_MODES == ("sequential", "pipelined")
+        for mode in ("warp", "pipelined"):
+            with pytest.raises(ConfigurationError, match="unknown pipeline mode"):
+                run_pipeline(PipelineConfig(size=4), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +322,18 @@ class TestStageReport:
             report.record(stage, 1.0)
         assert [t.stage for t in report.ordered()] == list(PIPELINE_STAGES)
 
-    def test_overlap_is_busy_over_wall(self):
-        report = StageReport(mode="pipelined")
+    def test_coverage_and_pipeline_bound(self):
+        report = StageReport()
+        assert report.coverage == report.pipeline_bound == 0.0
         report.record("camera", 30.0)
-        report.record("detect", 30.0)
-        report.wall_us = 40.0
-        assert report.overlap == pytest.approx(1.5)
-        assert "overlap 1.50x" in report.format()
+        report.record("detect", 10.0)
+        report.record("camera", 20.0)
+        report.wall_us = 80.0
+        # busy 60 of 80 us; the slowest stage (camera, 50 us) bounds an
+        # overlapped loop at 60 / 50.
+        assert report.coverage == pytest.approx(0.75)
+        assert report.pipeline_bound == pytest.approx(1.2)
+        assert "coverage 75%, pipeline bound 1.20x" in report.format()
 
     def test_compare_to_budget_covers_budgeted_stages(self):
         report = StageReport()
@@ -310,8 +348,7 @@ class TestStageReport:
 
     def test_pipeline_report_covers_all_stages(self):
         config = PipelineConfig(size=6, fill=0.4, shots=2, cycles=2, loss=LOSS)
-        result = run_pipeline(config, "pipelined")
-        assert result.report.mode == "pipelined"
+        result = run_pipeline(config, "sequential")
         assert result.report.wall_us > 0
         assert set(result.report.stages) <= set(PIPELINE_STAGES)
         assert "camera" in result.report.stages
@@ -402,18 +439,10 @@ class TestCampaignCycles:
 class TestPipelineCli:
     ARGS = ["pipeline", "--size", "6", "--fill", "0.4", "--shots", "2", "--seed", "3"]
 
-    def test_both_modes_agree(self, capsys):
-        assert main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "pipelined == sequential" in out
-        assert "stage latency" in out
-
-    def test_single_mode_trace_and_json(self, tmp_path, capsys):
+    def test_trace_and_json(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"
         payload = tmp_path / "out.json"
         args = self.ARGS + [
-            "--mode",
-            "sequential",
             "--cycles",
             "2",
             "--loss",
@@ -423,21 +452,35 @@ class TestPipelineCli:
             str(payload),
         ]
         assert main(args) == 0
+        assert "stage latency" in capsys.readouterr().out
         lines = trace.read_text().splitlines()
         assert lines
         assert all(json.loads(line)["shot"] in (0, 1) for line in lines)
         data = json.loads(payload.read_text())
-        assert set(data) == {"sequential"}
-        assert data["sequential"]["cycles"] == 2
+        assert data["mode"] == "sequential"
+        assert data["cycles"] == 2
 
-    def test_cli_traces_identical_across_modes(self, tmp_path):
+    def test_mask_overrides_target(self, tmp_path):
+        # As on `repro rearrange`, --mask wins over --target instead of
+        # tripping PipelineConfig's either-or check.
+        base = ["pipeline", "--size", "12", "--mask", "ring:outer=4,inner=1.5"]
         traces = {}
-        for mode in PIPELINE_MODES:
-            path = tmp_path / f"{mode}.txt"
-            args = self.ARGS + ["--mode", mode, "--cycles", "2", "--loss"]
-            assert main(args + ["--trace", str(path), "--quiet"]) == 0
-            traces[mode] = path.read_bytes()
-        assert traces["sequential"] == traces["pipelined"]
+        for name, extra in (("mask", []), ("both", ["--target", "6"])):
+            path = tmp_path / f"{name}.txt"
+            assert main(base + extra + ["--trace", str(path), "--quiet"]) == 0
+            traces[name] = path.read_bytes()
+        assert traces["both"] == traces["mask"]
+
+    def test_fpga_flag_prints_the_budget_table(self, capsys):
+        assert main(self.ARGS + ["--fpga"]) == 0
+        assert "hardware budget" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--mode", "sequential"], ["--queue-depth", "2"]])
+    def test_threaded_driver_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_campaign_cycles_flag(self, capsys):
         code = main(
