@@ -12,9 +12,10 @@ vectorised scheduler vs. the live per-command reference oracle
 (:func:`repro.core.passes.run_pass_reference`) — plus one *component speedup*
 entry per additionally vectorised stage (repair, Tetris, PSCA, MTA1,
 the guarded pipelined-mode drain, the masked QRM+repair path on a
-ring target, AWG compilation and lossy replay), each timed against its live
-``*_reference`` oracle, and one per subsystem-level before/after pair
-(cross-trial batching and service micro-batching).  Both the "before" and
+ring target, AWG compilation, lossy replay and the FPGA cycle model),
+each timed against its live ``*_reference`` oracle, and one per
+subsystem-level before/after pair (cross-trial batching and service
+micro-batching).  Both the "before" and
 "after" numbers of every vectorisation live in the same file, and
 :func:`validate_bench_report` pins the JSON layout so the artefact
 cannot silently drift.
@@ -46,16 +47,18 @@ from repro.baselines.base import DEFAULT_ALGORITHMS, get_algorithm
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
-#: Bump when the JSON layout changes (v10: the ``pipeline_latency``
-#: component goes with the thread-per-stage pipeline driver it timed).
-BENCH_SCHEMA_VERSION = 10
+#: Bump when the JSON layout changes (v11: the ``fpga_cycle_model``
+#: component times the accelerator's closed-form iteration cost).
+BENCH_SCHEMA_VERSION = 11
 
 #: Components with a live before/after speedup measurement.  All but
 #: ``batched_qrm`` and ``service_latency`` time a vectorised path
 #: against its per-command reference oracle (``masked_qrm`` does so on
 #: a non-rectangular ring target, covering the mask-derived scan limits
 #: and mask-aware repair; ``awg_compile`` and ``lossy_replay`` time the
-#: loop's schedule consumers); ``batched_qrm`` times QRM stacks of
+#: loop's schedule consumers; ``fpga_cycle_model`` times the
+#: accelerator's closed-form iteration cost against its tick-by-tick
+#: dataflow simulation); ``batched_qrm`` times QRM stacks of
 #: several trials against a batch of one (``schedule``), and
 #: ``service_latency`` times the scheduling service with micro-batching
 #: on against the same service with batching off.
@@ -68,6 +71,7 @@ COMPONENT_NAMES = (
     "masked_qrm",
     "awg_compile",
     "lossy_replay",
+    "fpga_cycle_model",
     "batched_qrm",
     "service_latency",
 )
@@ -585,6 +589,52 @@ def measure_lossy_replay_speedup(
     return _speedup_block(size, fill, timings)
 
 
+def measure_fpga_cycle_model_speedup(
+    size: int = 64,
+    fill: float = 0.5,
+    trials: int = 3,
+    master_seed: int = 0,
+) -> dict:
+    """Time the accelerator's per-iteration cycle model, both ways.
+
+    Each trial schedules eight fresh QRM loads (untimed) and costs every
+    iteration pair of their pass outcomes: the closed form
+    (:meth:`~repro.fpga.accelerator.QrmAccelerator._closed_form_iteration`)
+    against the tick-by-tick dataflow simulation
+    (:meth:`~repro.fpga.accelerator.QrmAccelerator._simulate_iteration_reference`).
+    One frame's four pairs take the closed form about a tenth of a
+    millisecond, short enough for the cold start after each trial's
+    ``gc.collect`` to dominate; eight frames keep its side near the
+    cost it has inside ``QrmAccelerator.run``.
+    """
+    from repro.fpga.accelerator import QrmAccelerator
+
+    frames = 8
+    geometry = ArrayGeometry.square(size)
+    accelerator = QrmAccelerator(geometry)
+
+    def make_input(index: int) -> list:
+        pairs = []
+        for frame in range(frames):
+            seed = master_seed + index * frames + frame
+            array = load_uniform(geometry, fill, rng=seed)
+            passes = accelerator.scheduler.schedule(array).pass_outcomes
+            pairs.extend(zip(passes[::2], passes[1::2]))
+        return pairs
+
+    def cost(model, pairs) -> None:
+        for row_pass, col_pass in pairs:
+            model(row_pass, col_pass)
+
+    timings = _interleaved_timings(
+        trials,
+        make_input,
+        lambda pairs: cost(accelerator._closed_form_iteration, pairs),
+        lambda pairs: cost(accelerator._simulate_iteration_reference, pairs),
+    )
+    return _speedup_block(size, fill, timings)
+
+
 def measure_batched_qrm_speedup(
     size: int = 64,
     fill: float = 0.5,
@@ -836,6 +886,9 @@ def measure_component_speedups(
         "masked_qrm": measure_masked_qrm_speedup(size, fill, trials, master_seed),
         "awg_compile": measure_awg_compile_speedup(size, fill, trials, master_seed),
         "lossy_replay": measure_lossy_replay_speedup(size, fill, trials, master_seed),
+        "fpga_cycle_model": measure_fpga_cycle_model_speedup(
+            size, fill, trials, master_seed
+        ),
     }
     for component in ("tetris", "psca", "mta1"):
         blocks[component] = measure_baseline_speedup(

@@ -10,17 +10,27 @@ Layering:
   (:mod:`repro.fpga.shift_kernel`) is asserted bit-exact against the
   functional scan, and the Load Vector flip path against the frame
   transforms.
-* **cycles** — a synchronous dataflow simulation of the Fig. 5 pipeline
-  (4x Load Vector -> 4x Shift Kernel -> 4x Recorder -> Row Combination
-  -> Output Concatenation -> AXI) is run per iteration with real FIFOs
-  and back-pressure; its cycle count, plus the AXI/DDR transfer and
-  PS-control overheads, gives the reported latency at the configured
-  250 MHz clock.
+* **cycles** — the Fig. 5 pipeline (4x Load Vector -> 4x Shift Kernel
+  -> 4x Recorder -> Row Combination -> Output Concatenation -> AXI) is
+  costed per iteration in closed form from the two passes' per-line
+  command counts (:meth:`QrmAccelerator._closed_form_iteration`); its
+  cycle count, plus the AXI/DDR transfer and PS-control overheads, gives
+  the reported latency at the configured 250 MHz clock.  The closed form
+  holds while no stream channel back-pressures, which the default
+  config guarantees; an iteration it cannot vouch for (a combiner
+  draining fewer than four lanes per cycle, or a merged FIFO that would
+  overflow) runs on the tick-by-tick dataflow simulation with real FIFOs
+  (:meth:`QrmAccelerator._simulate_iteration_reference`).  That
+  simulation is also the closed form's test oracle and drives
+  :meth:`QrmAccelerator.trace_iteration`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.config import DEFAULT_QRM_PARAMETERS, QrmParameters
 from repro.core.passes import PassOutcome, Phase
@@ -79,6 +89,16 @@ class AcceleratorReport:
         )
 
 
+class IterationStats(NamedTuple):
+    """Cycle accounting of one iteration (row pass, then column pass)."""
+
+    cycles: int
+    module_busy: dict[str, int]
+    fifo_stats: dict[str, dict]
+    records: int
+    packets: int
+
+
 @dataclass
 class AcceleratorRun:
     """Functional result plus the cycle-level report."""
@@ -134,8 +154,79 @@ class QrmAccelerator:
 
     # -- cycle model -------------------------------------------------------
 
-    def _simulate_iteration(self, row_pass, col_pass, trace_every: int | None = None):
-        """Run the Fig. 5 dataflow for one iteration; returns cycle stats."""
+    def _closed_form_iteration(self, row_pass, col_pass) -> IterationStats | None:
+        """One iteration's cycle accounting, computed without ticking.
+
+        With every lane scanning ``Qw`` rows then ``Qw`` columns and
+        nothing stalling, the four lanes run in lockstep: token ``i``
+        leaves every recorder at cycle ``Qw + extra + recorder_latency +
+        i`` and the combiner pushes merged token ``i`` one cycle later,
+        carrying one record per lane whose line emitted a command.  The
+        packer pops merged token ``k`` only after emitting every full
+        packet the tokens before it filled, ``E_k = bits_before_k //
+        packet_bits`` of them, so ``k + E_k`` cycles after the first
+        push; the merged FIFO holds what was pushed and not yet popped.
+        The iteration ends one cycle after the last packet leaves.
+
+        Returns None, leaving the iteration to
+        :meth:`_simulate_iteration_reference`, when the combiner drains
+        fewer than the four lanes per cycle or the merged FIFO would
+        overflow (back-pressure); both invalidate the lockstep timing.
+        """
+        config = self.config
+        if config.combiner_per_cycle < len(Quadrant):
+            return None
+        qw = self.geometry.half_width
+        idle = [0] * qw
+        rows, cols = row_pass.line_commands, col_pass.line_commands
+        lines = np.array([[rows.get(q, idle), cols.get(q, idle)] for q in Quadrant])
+        records = np.count_nonzero(lines.reshape(len(Quadrant), -1), axis=0)
+        n_tokens = records.size
+        bits_before = (np.cumsum(records) - records) * config.record_bits
+        # Merged token k is pushed k cycles after the first push and
+        # popped k + E_k cycles after it.  Occupancy right after push k
+        # is k + 1 minus the pops of earlier cycles (a pop in push k's
+        # own cycle comes after it).
+        pushes = np.arange(n_tokens)
+        pops = pushes + bits_before // config.packet_bits
+        peak = int(np.max(pushes + 1 - np.searchsorted(pops, pushes)))
+        if peak > config.fifo_depth:
+            return None
+
+        n_records = int(records.sum())
+        n_packets = -(-n_records * config.record_bits // config.packet_bits)
+        first_push = (
+            qw + config.kernel_pipeline_depth_extra + config.recorder_latency + 1
+        )
+        module_busy: dict[str, int] = {}
+        fifo_stats: dict[str, dict] = {}
+        for quadrant in Quadrant:
+            name = quadrant.value.lower()
+            for stage in ("load_vector", "shift_kernel", "recorder"):
+                module_busy[f"{name}.{stage}"] = n_tokens
+            for channel in ("to_kernel", "to_recorder", "records"):
+                fifo_stats[f"{name}.{channel}"] = _fifo_stats(n_tokens, 1)
+        module_busy["row_combination"] = n_tokens
+        module_busy["ocm"] = n_tokens + n_packets
+        module_busy["axi_write"] = n_packets
+        fifo_stats["merged"] = _fifo_stats(n_tokens, peak)
+        fifo_stats["out_packets"] = _fifo_stats(n_packets, min(n_packets, 1))
+        return IterationStats(
+            cycles=first_push + n_tokens + n_packets,
+            module_busy=module_busy,
+            fifo_stats=fifo_stats,
+            records=n_records,
+            packets=n_packets,
+        )
+
+    def _simulate_iteration_reference(
+        self, row_pass, col_pass, trace_every: int | None = None
+    ):
+        """Tick the Fig. 5 dataflow through one iteration.
+
+        Returns the iteration's :class:`IterationStats` and, with
+        ``trace_every`` set, the cycle trace (else None).
+        """
         config = self.config
         qw = self.geometry.half_width
         sim = Simulator()
@@ -172,14 +263,14 @@ class QrmAccelerator:
         sim.add_module(sink)
 
         outcome = sim.run()
-        return (
-            outcome.cycles,
-            outcome.module_busy,
-            outcome.fifo_stats,
-            packer.records_packed,
-            packer.packets_emitted,
-            trace,
+        stats = IterationStats(
+            cycles=outcome.cycles,
+            module_busy=outcome.module_busy,
+            fifo_stats=outcome.fifo_stats,
+            records=packer.records_packed,
+            packets=packer.packets_emitted,
         )
+        return stats, trace
 
     # -- public API ----------------------------------------------------------
 
@@ -217,15 +308,23 @@ class QrmAccelerator:
         for index in range(0, len(passes), 2):
             row_pass = passes[index]
             col_pass = passes[index + 1]
-            cycles, busy, fstats, records, out_packets, _ = (
-                self._simulate_iteration(row_pass, col_pass)
-            )
-            report.iteration_cycles.append(cycles + config.inter_pass_cycles)
-            report.n_records += records
-            report.n_output_packets += out_packets
-            for name, value in busy.items():
+            stats = self._closed_form_iteration(row_pass, col_pass)
+            if stats is None:
+                stats, _ = self._simulate_iteration_reference(row_pass, col_pass)
+            report.iteration_cycles.append(stats.cycles + config.inter_pass_cycles)
+            report.n_records += stats.records
+            report.n_output_packets += stats.packets
+            for name, value in stats.module_busy.items():
                 report.module_busy[name] = report.module_busy.get(name, 0) + value
-            report.fifo_stats.update(fstats)
+            # Channel totals over the run: pushes and stalls add up, the
+            # peak is the highest any iteration reached.
+            for name, fifo in stats.fifo_stats.items():
+                total = report.fifo_stats.setdefault(name, dict.fromkeys(fifo, 0))
+                total["pushed"] += fifo["pushed"]
+                total["stalls"] += fifo["stalls"]
+                total["max_occupancy"] = max(
+                    total["max_occupancy"], fifo["max_occupancy"]
+                )
 
         # Final matrix write-back shares the output AXI channel.
         matrix_packets = packets_needed(self.geometry.n_sites, config.packet_bits)
@@ -255,7 +354,12 @@ class QrmAccelerator:
                 f"iteration {iteration} out of range "
                 f"(run has {len(passes) // 2} iterations)"
             )
-        *_, trace = self._simulate_iteration(
+        _, trace = self._simulate_iteration_reference(
             passes[index], passes[index + 1], trace_every=every
         )
         return trace
+
+
+def _fifo_stats(pushed: int, max_occupancy: int) -> dict:
+    """A stall-free channel's statistics, in the simulator's layout."""
+    return {"pushed": pushed, "max_occupancy": max_occupancy, "stalls": 0}

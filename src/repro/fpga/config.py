@@ -5,8 +5,9 @@ from the paper; the small cycle constants (pipeline depth beyond the
 bit-serial scan, hand-off cycles, control overhead) are calibration
 values chosen so the simulated latency curve lands in the neighbourhood
 of the paper's reported points (~0.8 us @ W=10, ~1.0 us @ W=50,
-~1.9 us @ W=90 at 250 MHz).  EXPERIMENTS.md discusses the residual
-deviation.
+~1.9 us @ W=90 at 250 MHz).  EXPERIMENTS.md gives how near: the cycle
+budget term by term, the residual against those points (-26%/+60%/+38%
+at W=10/50/90), and the term behind the slope gap.
 """
 
 from __future__ import annotations

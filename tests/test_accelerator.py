@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.experiments import run_fig7a
 from repro.aod.validator import validate_schedule
 from repro.config import QrmParameters, ScanMode
+from repro.core.passes import PassOutcome, Phase
 from repro.core.qrm import QrmScheduler
 from repro.errors import SimulationError
 from repro.fpga.accelerator import QrmAccelerator
 from repro.fpga.config import FpgaConfig
 from repro.lattice.array import AtomArray
-from repro.lattice.geometry import ArrayGeometry
+from repro.lattice.geometry import ArrayGeometry, Quadrant
 from repro.lattice.loading import load_uniform
+from repro.lattice.mask import TargetMask
 
 
 class TestFunctionalEquivalence:
@@ -96,6 +101,33 @@ class TestCycleReport:
         assert any("shift_kernel" in name for name in report.module_busy)
         assert any("row_combination" in name for name in report.module_busy)
 
+    def test_fig7a_cycles_are_pinned(self):
+        # The series committed in benchmarks/results/fig7a.txt: every
+        # number the cycle model reports must survive changes to how it
+        # is computed.
+        result = run_fig7a(sizes=(10, 30, 50, 70, 90), trials=2, seed_base=0)
+        assert [row.fpga_cycles for row in result.rows] == [
+            147.5,
+            271.5,
+            400.0,
+            527.0,
+            658.0,
+        ]
+
+    def test_fifo_stats_cover_every_iteration(self, geo50):
+        # Pushes add up over the iterations and the peak is the highest
+        # any iteration reached, not the last iteration's.
+        accelerator = QrmAccelerator(geo50)
+        run = accelerator.run(load_uniform(geo50, 0.5, rng=0))
+        report = run.report
+        assert report.fifo_stats["out_packets"]["pushed"] == report.n_output_packets
+        passes = run.result.pass_outcomes
+        peaks = []
+        for row_pass, col_pass in zip(passes[::2], passes[1::2]):
+            stats, _ = accelerator._simulate_iteration_reference(row_pass, col_pass)
+            peaks.append(stats.fifo_stats["merged"]["max_occupancy"])
+        assert report.fifo_stats["merged"]["max_occupancy"] == max(peaks) > 1
+
     def test_summary_text(self, array20):
         text = QrmAccelerator(array20.geometry).run(array20).report.summary()
         assert "20x20" in text
@@ -125,3 +157,96 @@ class TestConfigSensitivity:
         assert len(run.report.iteration_cycles) == 2
         report = validate_schedule(array20, run.schedule)
         assert report.ok
+
+
+@st.composite
+def _line_commands(draw, qw: int) -> dict:
+    """One pass's per-quadrant line command counts; quadrants may be
+    missing, idle, sparse or dense."""
+    commands = {}
+    for quadrant in Quadrant:
+        kind = draw(st.sampled_from(("missing", "idle", "sparse", "dense")))
+        if kind == "missing":
+            continue
+        counts = {
+            "idle": st.just(0),
+            "sparse": st.sampled_from((0, 0, 0, 1, 2)),
+            "dense": st.integers(min_value=1, max_value=4),
+        }[kind]
+        commands[quadrant] = draw(st.lists(counts, min_size=qw, max_size=qw))
+    return commands
+
+
+@st.composite
+def _iterations(draw):
+    """(Qw, row pass, column pass, config) for one accelerator iteration."""
+    qw = draw(st.integers(min_value=1, max_value=48))
+    row_pass = PassOutcome(phase=Phase.ROW, line_commands=draw(_line_commands(qw)))
+    col_pass = PassOutcome(phase=Phase.COLUMN, line_commands=draw(_line_commands(qw)))
+    config = FpgaConfig(
+        # Half the draws drain all four lanes per cycle, and shallow
+        # FIFOs are favoured, so both sides of the back-pressure line
+        # are covered.
+        fifo_depth=draw(st.integers(1, 8) | st.integers(1, 64)),
+        combiner_per_cycle=draw(st.just(4) | st.integers(1, 3)),
+        # Includes records as wide as, or wider than, a packet.
+        packet_bits=draw(st.sampled_from((32, 64, 256, 1024))),
+        record_bits=draw(st.sampled_from((16, 32, 64))),
+        recorder_latency=draw(st.integers(min_value=1, max_value=4)),
+        kernel_pipeline_depth_extra=draw(st.integers(min_value=0, max_value=4)),
+    )
+    return qw, row_pass, col_pass, config
+
+
+class TestClosedFormCycleModel:
+    """The closed-form iteration cost against the tick simulator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_iterations())
+    def test_matches_the_tick_simulator_or_declines_on_stalls(self, case):
+        qw, row_pass, col_pass, config = case
+        accelerator = QrmAccelerator(ArrayGeometry.square(2 * qw, 2), config=config)
+        closed = accelerator._closed_form_iteration(row_pass, col_pass)
+        reference, _ = accelerator._simulate_iteration_reference(row_pass, col_pass)
+        if closed is None:
+            stalls = sum(fifo["stalls"] for fifo in reference.fifo_stats.values())
+            assert stalls > 0 or config.combiner_per_cycle < len(Quadrant)
+            return
+        assert closed == reference
+        assert list(closed.module_busy) == list(reference.module_busy)
+        assert list(closed.fifo_stats) == list(reference.fifo_stats)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [ArrayGeometry.square(size) for size in (6, 16, 50, 90, 128)]
+        + [ArrayGeometry.with_mask(16, 16, TargetMask.ring(16, 16, 6.0, 2.0))],
+        ids=["6", "16", "50", "90", "128", "ring16"],
+    )
+    @pytest.mark.parametrize("fill", [0.3, 0.6, 0.9])
+    def test_default_config_never_ticks(self, monkeypatch, geometry, fill):
+        # Every iteration of a default-config run takes the closed form.
+        def tick(*args, **kwargs):
+            raise AssertionError("the tick simulator ran inside run()")
+
+        monkeypatch.setattr(QrmAccelerator, "_simulate_iteration_reference", tick)
+        array = load_uniform(geometry, fill, rng=geometry.width)
+        assert QrmAccelerator(geometry).run(array).report.total_cycles > 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FpgaConfig(),
+            FpgaConfig(fifo_depth=2),  # back-pressure: falls back per iteration
+            FpgaConfig(combiner_per_cycle=2),  # always falls back
+            FpgaConfig(packet_bits=64, recorder_latency=3),
+        ],
+        ids=["default", "fifo2", "combiner2", "narrow-packets"],
+    )
+    def test_report_identical_to_the_tick_simulator(self, monkeypatch, geo50, config):
+        array = load_uniform(geo50, 0.5, rng=0)
+        closed = QrmAccelerator(geo50, config=config).run(array).report
+        monkeypatch.setattr(
+            QrmAccelerator, "_closed_form_iteration", lambda self, row, col: None
+        )
+        ticked = QrmAccelerator(geo50, config=config).run(array).report
+        assert closed == ticked

@@ -121,6 +121,25 @@ def test_gate_skips_the_retired_pipeline_latency_component(committed_payload):
         )
 
 
+def test_gate_skips_the_fpga_cycle_model_component_a_v10_artefact_lacks(
+    committed_payload,
+):
+    # A v10 artefact predates the closed-form cycle model's block; a v11
+    # report gated against it (or the other way round) names the
+    # one-sided component instead of raising.
+    from repro.analysis.perf_gate import evaluate_gate
+
+    v10 = json.loads(json.dumps(committed_payload))
+    v10["schema_version"] = 10
+    del v10["component_speedups"]["fpga_cycle_model"]
+    for fresh, baseline in ((committed_payload, v10), (v10, committed_payload)):
+        outcome = evaluate_gate(fresh, baseline)
+        assert outcome.ok
+        assert any(
+            "component 'fpga_cycle_model'" in notice for notice in outcome.notices
+        )
+
+
 def test_committed_bench_times_the_loop_schedule_consumers(committed_payload):
     # AWG compilation and lossy replay are timed from the schedule table
     # against their object walkers on 64x64 QRM first-frame schedules.
