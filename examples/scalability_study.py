@@ -4,16 +4,15 @@ Sweeps the initial array size as one campaign on the experiment
 engine, reporting for each size the simulated FPGA analysis latency,
 the calibrated CPU model, and the estimated resource utilisation — the
 full scaling story of the paper's evaluation.  With ``--workers N``
-the seeded trials fan out over a process pool (``--executor async``
-switches to the asyncio executor with bounded in-flight trials); with
-a cache directory re-runs are incremental; with ``--journal`` the run
-records a resumable JSONL journal, and an interrupted study picks up
-where it left off on the next invocation with the same flag.
+the seeded trials fan out over a local process pool; with a cache
+directory re-runs are incremental; with ``--journal`` the run records a
+resumable JSONL journal, and an interrupted study picks up where it
+left off on the next invocation with the same flag.
 
 Run with::
 
     python examples/scalability_study.py [--sizes 10 30 50 70 90]
-        [--trials 3] [--seed 1] [--workers 4] [--executor async]
+        [--trials 3] [--seed 1] [--workers 4]
         [--cache-dir .repro-cache] [--journal scalability.jsonl]
 """
 
@@ -40,9 +39,6 @@ def main() -> None:
     parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument(
-        "--executor", choices=["serial", "process", "async"], default="process"
-    )
     parser.add_argument("--cache-dir", type=str, default=None)
     parser.add_argument(
         "--journal",
@@ -70,7 +66,7 @@ def main() -> None:
         )
     campaign = ExperimentCampaign(
         spec,
-        executor=make_executor(args.workers, kind=args.executor),
+        executor=make_executor(args.workers),
         cache=TrialCache(args.cache_dir) if args.cache_dir else None,
         journal=journal,
     ).run()

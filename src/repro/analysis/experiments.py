@@ -8,11 +8,11 @@ records their output against the paper's numbers.
 The grid-shaped runners (Fig. 7(a), Fig. 7(b), the success sweep, and
 the loss comparison) execute on the campaign engine
 (:mod:`repro.campaign`): pass ``executor=`` to parallelise them across
-processes (or fan them out asynchronously), ``cache=`` to make re-runs
-incremental, and ``journal=`` (a :class:`repro.campaign.RunJournal`)
-to make long regenerations resumable after an interruption.  Within
-one campaign every algorithm sees identical loaded arrays (paired
-design), matching how the paper compares algorithms.
+processes, ``cache=`` to make re-runs incremental, and ``journal=``
+(a :class:`repro.campaign.RunJournal`) to make long regenerations
+resumable after an interruption.  Within one campaign every algorithm
+sees identical loaded arrays (paired design), matching how the paper
+compares algorithms.
 
 Paper anchor values are kept here as module constants so the comparison
 columns in every table come from one place.

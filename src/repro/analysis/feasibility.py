@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.lattice.geometry import ArrayGeometry
@@ -36,6 +35,10 @@ def _expected_min_binomial(n: int, prob: float, cap: int) -> float:
         return 0.0
     if cap >= n:
         return n * prob
+    # Imported here, not at module level: `import repro` reaches this
+    # module, and scipy would otherwise dominate every start-up.
+    from scipy import stats
+
     k = np.arange(0, n + 1)
     pmf = stats.binom.pmf(k, n, prob)
     return float(np.sum(np.minimum(k, cap) * pmf))
@@ -71,6 +74,8 @@ def predict_compaction_fill(
     """
     if not 0.0 <= fill <= 1.0:
         raise ConfigurationError(f"fill must be in [0, 1], got {fill}")
+    from scipy import stats
+
     q_rows = geometry.half_height
     q_cols = geometry.half_width
     t_rows = geometry.target_height // 2

@@ -3,8 +3,8 @@
 Declares Monte-Carlo scenario grids (array size x fill x algorithm x
 loss model), executes every (cell, seed) trial exactly once with
 deterministic ``SeedSequence``-spawned RNG streams — serially, over a
-process pool, through the asyncio executor, or across local/remote
-worker processes via the fault-tolerant dispatch fabric — caches
+local process pool, or across local/remote worker processes via the
+fault-tolerant dispatch fabric — caches
 per-trial results on disk, records
 resumable JSONL run journals, and aggregates into the ``analysis``
 table outputs.  See README.md ("Campaign engine") for the spec format,
@@ -29,7 +29,6 @@ from repro.campaign.engine import (
 )
 from repro.campaign.executors import (
     EXECUTOR_KINDS,
-    AsyncExecutor,
     CampaignExecutor,
     MultiprocessingExecutor,
     SerialExecutor,
@@ -70,7 +69,6 @@ from repro.campaign.trial import (
 __all__ = [
     "EXECUTOR_KINDS",
     "JOURNAL_SCHEMA_VERSION",
-    "AsyncExecutor",
     "CampaignExecutor",
     "CampaignObserver",
     "CampaignResult",

@@ -75,14 +75,13 @@ class WorkerSpec:
     ``slots`` is how many independent work channels the endpoint
     contributes (the TCP daemon serves connections sequentially, so
     slots > 1 on a TCP endpoint needs one daemon per slot; subprocess
-    endpoints launch one child per slot).  ``python`` and ``env``
-    parameterise how the worker interpreter is launched; both only
-    apply to transports that launch processes themselves.
+    endpoints launch one child per slot).  ``env`` adds variables to
+    the worker interpreter's environment; it only applies to transports
+    that launch processes themselves.
     """
 
     host: str = "localhost"
     slots: int = 1
-    python: str | None = None
     env: Mapping[str, str] = field(default_factory=dict)
     port: int | None = None
 
@@ -176,7 +175,7 @@ class SubprocessWorkerTransport:
             package_root if not path else os.pathsep.join([package_root, path])
         )
         self._process = subprocess.Popen(
-            [self.spec.python or sys.executable, "-m", "repro.campaign.worker"],
+            [sys.executable, "-m", "repro.campaign.worker"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             env=env,

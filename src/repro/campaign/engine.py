@@ -4,8 +4,8 @@
 can from a resumed run journal and the trial cache, dispatches the rest
 to an executor, and aggregates per-cell statistics in a fixed
 (cell, seed) order — so the same spec yields bit-identical aggregates
-whether trials ran serially, across a process pool, asynchronously,
-out of the cache, or replayed from an interrupted run's journal.
+whether trials ran serially, across a process pool, out of the cache,
+or replayed from an interrupted run's journal.
 
 With ``batch_size > 1`` the engine groups consecutive same-cell pending
 trials and dispatches each group through

@@ -3,16 +3,15 @@
 The engine hands an executor a picklable function and a list of items;
 the executor yields ``(index, result)`` pairs in whatever order the
 trials finish.  The engine re-keys results, so completion order never
-affects aggregates — which is what lets the serial, multiprocessing,
-and async executors produce bit-identical campaign results.
+affects aggregates — which is what lets serial and pooled execution
+produce bit-identical campaign results.
 
-Three in-process families live here:
+Two in-process executors live here:
 
 * :class:`SerialExecutor` — submission order, no concurrency;
-* :class:`MultiprocessingExecutor` — ``multiprocessing.Pool`` fan-out;
-* :class:`AsyncExecutor` — asyncio-driven process-pool fan-out with a
-  bounded number of in-flight trials (backpressure) and cooperative
-  cancellation when the consumer stops iterating.
+* :class:`MultiprocessingExecutor` — a local process pool, one future
+  per chunk of trials; a worker that dies (killed, out of memory)
+  fails the run at once instead of hanging it.
 
 Multi-host dispatch lives in :mod:`repro.campaign.dispatch` behind the
 same protocol.
@@ -20,19 +19,18 @@ same protocol.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
-import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Callable, Iterator, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionError
 
 T = TypeVar("T")
 
 #: Executor kinds accepted by :func:`make_executor` and the CLI.
-EXECUTOR_KINDS = ("serial", "process", "async", "service", "distributed")
+EXECUTOR_KINDS = ("process", "service", "distributed")
 
 
 class CampaignExecutor(Protocol):
@@ -55,31 +53,36 @@ class SerialExecutor:
             yield index, fn(item)
 
 
-def _apply_indexed(payload: tuple[Callable, int, Any]) -> tuple[int, Any]:
-    fn, index, item = payload
-    return index, fn(item)
+def _apply_chunk(
+    fn: Callable[[T], Any], chunk: Sequence[tuple[int, T]]
+) -> list[tuple[int, Any]]:
+    return [(index, fn(item)) for index, item in chunk]
 
 
 @dataclass
 class MultiprocessingExecutor:
-    """``multiprocessing.Pool``-backed execution.
+    """Local process-pool execution on ``ProcessPoolExecutor``.
+
+    Every chunk of ``chunksize`` trials is one submitted future, and
+    chunks are yielded as they complete.  Closing the result iterator
+    early, or an exception escaping a trial, cancels every chunk not
+    yet started and shuts the pool down.  A worker that dies mid-run
+    breaks the pool, which surfaces as :class:`ExecutionError` rather
+    than a hang.
 
     Parameters
     ----------
     workers:
         Pool size; defaults to the CPU count.  Capped at the number of
-        items so tiny campaigns don't fork idle processes.
+        chunks so tiny campaigns don't fork idle processes, and one
+        worker runs in-process (serial order).
     chunksize:
-        Trials handed to a worker per dispatch.  Larger chunks amortise
+        Trials handed to a worker per future.  Larger chunks amortise
         IPC for cheap trials; 1 balances best for heavy ones.
-    start_method:
-        Forwarded to ``multiprocessing.get_context`` (None = platform
-        default).
     """
 
     workers: int | None = None
     chunksize: int = 1
-    start_method: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
@@ -91,118 +94,28 @@ class MultiprocessingExecutor:
         self, fn: Callable[[T], Any], items: Sequence[T]
     ) -> Iterator[tuple[int, Any]]:
         items = list(items)
-        if not items:
-            return
-        workers = self.workers or os.cpu_count() or 1
-        workers = min(workers, len(items))
-        if workers == 1:
+        indexed = list(enumerate(items))
+        chunks = [
+            indexed[start : start + self.chunksize]
+            for start in range(0, len(indexed), self.chunksize)
+        ]
+        workers = min(self.workers or os.cpu_count() or 1, len(chunks))
+        if workers <= 1:
             yield from SerialExecutor().run(fn, items)
             return
-        context = multiprocessing.get_context(self.start_method)
-        payloads = [(fn, index, item) for index, item in enumerate(items)]
-        with context.Pool(processes=workers) as pool:
-            yield from pool.imap_unordered(
-                _apply_indexed, payloads, chunksize=self.chunksize
-            )
-
-
-@dataclass
-class AsyncExecutor:
-    """``asyncio``-driven process-pool fan-out with backpressure.
-
-    Trials run in a ``concurrent.futures.ProcessPoolExecutor``; an
-    asyncio event loop owns submission and completion.  At most
-    ``max_in_flight`` trials are submitted to the pool at any moment (a
-    semaphore provides the backpressure bound), results are yielded in
-    completion order, and closing the result iterator early — or an
-    exception escaping a trial — cancels every outstanding submission
-    and shuts the pool down.
-
-    The synchronous :meth:`run` drives a private event loop so the
-    executor slots behind the same :class:`CampaignExecutor` protocol
-    as the serial and multiprocessing executors; async callers can
-    consume :meth:`arun` directly from their own loop.
-
-    Parameters
-    ----------
-    workers:
-        Process-pool size; defaults to the CPU count, capped at the
-        number of items.
-    max_in_flight:
-        Bound on concurrently submitted trials; defaults to twice the
-        worker count, which keeps every worker busy without flooding
-        the pool queue when trials are produced faster than they run.
-    start_method:
-        Forwarded to ``multiprocessing.get_context`` (None = platform
-        default).
-    """
-
-    workers: int | None = None
-    max_in_flight: int | None = None
-    start_method: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ConfigurationError(
-                f"max_in_flight must be >= 1, got {self.max_in_flight}"
-            )
-
-    def _pool_size(self, n_items: int) -> int:
-        workers = self.workers or os.cpu_count() or 1
-        return max(1, min(workers, n_items))
-
-    async def arun(
-        self, fn: Callable[[T], Any], items: Sequence[T]
-    ) -> AsyncIterator[tuple[int, Any]]:
-        """Async variant of :meth:`run` for callers that own a loop."""
-        items = list(items)
-        if not items:
-            return
-        workers = self._pool_size(len(items))
-        bound = self.max_in_flight or 2 * workers
-        loop = asyncio.get_running_loop()
-        context = multiprocessing.get_context(self.start_method)
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        )
-        semaphore = asyncio.Semaphore(bound)
-
-        async def submit(index: int, item: T) -> tuple[int, Any]:
-            async with semaphore:
-                return index, await loop.run_in_executor(pool, fn, item)
-
-        tasks = [loop.create_task(submit(i, item)) for i, item in enumerate(items)]
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
-            for future in asyncio.as_completed(tasks):
-                yield await future
+            futures = [pool.submit(_apply_chunk, fn, chunk) for chunk in chunks]
+            for future in concurrent.futures.as_completed(futures):
+                yield from future.result()
+        except BrokenProcessPool as exc:
+            raise ExecutionError(
+                "a campaign pool worker died (killed, or out of memory); "
+                "a run started with --journal can be resumed with "
+                "'repro campaign --resume JOURNAL'"
+            ) from exc
         finally:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def run(
-        self, fn: Callable[[T], Any], items: Sequence[T]
-    ) -> Iterator[tuple[int, Any]]:
-        items = list(items)
-        if not items:
-            return
-        if self._pool_size(len(items)) == 1:
-            yield from SerialExecutor().run(fn, items)
-            return
-        loop = asyncio.new_event_loop()
-        stream = self.arun(fn, items)
-        try:
-            while True:
-                try:
-                    yield loop.run_until_complete(stream.__anext__())
-                except StopAsyncIteration:
-                    break
-        finally:
-            loop.run_until_complete(stream.aclose())
-            loop.close()
 
 
 def make_executor(
@@ -214,13 +127,11 @@ def make_executor(
     """CLI helper mapping ``--workers``/``--executor`` to an executor.
 
     ``kind`` is one of :data:`EXECUTOR_KINDS`.  For the default
-    ``"process"`` kind, 0/1/None workers degrade to the serial executor
-    (the pre-async CLI behaviour); ``"async"`` always builds an
-    :class:`AsyncExecutor`, whose worker count defaults to the CPU
-    count when ``workers`` is None; ``"service"`` runs trials as
-    clients of a scheduling server (``repro serve``) and requires
-    ``service_addr``; ``"distributed"`` fans trials out across worker
-    endpoints — ``workers`` is then ``"host:port[,host:port...]"``
+    ``"process"`` kind, 0/1/None workers run in-process and more fan
+    out over a :class:`MultiprocessingExecutor` pool; ``"service"``
+    runs trials as clients of a scheduling server (``repro serve``) and
+    requires ``service_addr``; ``"distributed"`` fans trials out across
+    worker endpoints — ``workers`` is then ``"host:port[,host:port...]"``
     naming running ``repro worker --listen`` daemons, or a count of
     local subprocess workers to launch.
     """
@@ -256,10 +167,6 @@ def make_executor(
             f"--service-addr only applies to the service executor, "
             f"not '{kind}'"
         )
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "async":
-        return AsyncExecutor(workers=workers)
     if workers is None or workers <= 1:
         return SerialExecutor()
     return MultiprocessingExecutor(workers=workers, chunksize=chunksize)

@@ -9,8 +9,7 @@ Examples::
     repro campaign --sizes 20 30 --fills 0.5 0.6 --algorithms qrm tetris \\
         --seeds 25 --workers 4 --csv campaign.csv
     repro campaign --spec my_campaign.json --workers 8
-    repro campaign --seeds 100 --workers 4 --executor async \\
-        --journal run.jsonl
+    repro campaign --seeds 100 --workers 4 --journal run.jsonl
     repro campaign --resume run.jsonl
     repro campaign --sizes 12 --seeds 10 --loss --cycles 3
     repro pipeline --size 12 --shots 4 --cycles 3 --loss --fpga
@@ -43,6 +42,7 @@ from repro.analysis.feasibility import (
 )
 from repro.aod.validator import validate_schedule
 from repro.baselines.base import get_algorithm, list_algorithms
+from repro.campaign.executors import EXECUTOR_KINDS
 from repro.errors import ReproError
 from repro.fpga.accelerator import QrmAccelerator
 from repro.fpga.bitvec import BitVector
@@ -671,19 +671,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=str,
         default=None,
-        help="trial-execution processes (default: in-process for "
-        "--executor process, the CPU count for --executor async); "
+        help="trial-execution processes (default: in-process; "
+        "N > 1 fans trials out over a local process pool); "
         "for --executor distributed, either a count of local "
         "subprocess workers or host:port[,host:port...] naming "
         "running 'repro worker --listen' daemons",
     )
     p.add_argument(
         "--executor",
-        choices=["serial", "process", "async", "service", "distributed"],
+        choices=EXECUTOR_KINDS,
         default="process",
-        help="execution backend: 'process' (default; serial "
-        "when --workers <= 1), 'async' (asyncio-driven "
-        "pool with bounded in-flight trials), 'serial', "
+        help="execution backend: 'process' (default; in-process "
+        "when --workers <= 1, a local process pool otherwise), "
         "'service' (schedule through a running repro serve "
         "instance; needs --service-addr), or 'distributed' "
         "(fan trials out across worker daemons with "

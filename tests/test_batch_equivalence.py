@@ -371,8 +371,8 @@ class TestBatchedCampaign:
 
 
 class TestBatchedCampaignExecutors:
-    @pytest.mark.parametrize("kind", ["process", "async"])
-    def test_aggregates_identical_across_executors(self, kind):
+    @pytest.mark.parametrize("chunksize", [1, 2])
+    def test_aggregates_identical_across_executors(self, chunksize):
         from repro.campaign.engine import run_campaign
         from repro.campaign.executors import make_executor
         from repro.campaign.spec import CampaignSpec
@@ -387,6 +387,6 @@ class TestBatchedCampaignExecutors:
         )
         serial = run_campaign(spec, batch_size=3)
         parallel = run_campaign(
-            spec, executor=make_executor(2, kind=kind), batch_size=3
+            spec, executor=make_executor(2, chunksize=chunksize), batch_size=3
         )
         assert parallel.to_csv(stats=True) == serial.to_csv(stats=True)

@@ -143,14 +143,6 @@ class TestDeterminismAcrossExecutors:
             assert a.cell == b.cell
             assert a.metrics == b.metrics
 
-    def test_serial_equals_async(self):
-        from repro.campaign import AsyncExecutor
-
-        spec = small_spec(sizes=(10,))
-        serial = ExperimentCampaign(spec, executor=SerialExecutor()).run()
-        fanned = ExperimentCampaign(spec, executor=AsyncExecutor(workers=2)).run()
-        assert serial.to_csv() == fanned.to_csv()
-
     def test_make_executor(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign import read_journal
 from repro.cli import build_parser, main
 
 
@@ -151,11 +152,11 @@ class TestCommands:
         ) == 0
         assert "[4/4 trials from cache" in capsys.readouterr().out
 
-    def test_campaign_async_executor_matches_serial(self, capsys, tmp_path):
+    def test_campaign_pool_matches_serial(self, capsys, tmp_path):
         base = [
             "campaign",
             "--name",
-            "async-cli",
+            "pool-cli",
             "--algorithms",
             "qrm",
             "--sizes",
@@ -168,13 +169,18 @@ class TestCommands:
             "--quiet",
         ]
         serial_csv = tmp_path / "serial.csv"
-        fanned_csv = tmp_path / "async.csv"
+        fanned_csv = tmp_path / "pool.csv"
         assert main(base + ["--csv", str(serial_csv)]) == 0
-        assert main(
-            base + ["--executor", "async", "--workers", "2", "--csv", str(fanned_csv)]
-        ) == 0
+        assert main(base + ["--workers", "2", "--csv", str(fanned_csv)]) == 0
         capsys.readouterr()
         assert serial_csv.read_bytes() == fanned_csv.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["async", "serial"])
+    def test_campaign_removed_executor_kinds_rejected(self, capsys, kind):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--executor", kind, "--workers", "2", "--quiet"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_campaign_distributed_executor_matches_serial(self, capsys, tmp_path):
         base = [
@@ -278,6 +284,48 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "2 replayed from journal" in out
         assert clean_csv.read_bytes() == resumed_csv.read_bytes()
+
+    def test_pooled_campaign_interrupt_then_resume(self, capsys, tmp_path):
+        # The interrupt lands while the pool still has trials in flight;
+        # shutting it down must leave a journal that resumes (pooled
+        # again) to the uninterrupted CSV byte for byte.
+        base = [
+            "campaign",
+            "--name",
+            "pool-resume-cli",
+            "--algorithms",
+            "qrm",
+            "psca",
+            "--sizes",
+            "8",
+            "10",
+            "--fills",
+            "0.5",
+            "--seeds",
+            "6",
+            "--no-cache",
+            "--quiet",
+        ]
+        clean_csv = tmp_path / "clean.csv"
+        assert main(base + ["--csv", str(clean_csv)]) == 0
+
+        journal = tmp_path / "run.jsonl"
+        code = main(
+            base
+            + ["--workers", "2", "--journal", str(journal), "--interrupt-after", "5"]
+        )
+        assert code == 130
+        capsys.readouterr()
+        replay = read_journal(journal)
+        assert len(replay.results) == 5
+        assert not replay.completed
+
+        resumed_csv = tmp_path / "resumed.csv"
+        resume = ["campaign", "--resume", str(journal), "--no-cache", "--quiet"]
+        assert main(resume + ["--workers", "2", "--csv", str(resumed_csv)]) == 0
+        assert "5 replayed from journal" in capsys.readouterr().out
+        assert clean_csv.read_bytes() == resumed_csv.read_bytes()
+        assert read_journal(journal).completed
 
     def test_campaign_interrupt_without_journal(self, capsys):
         # No --journal: the interrupt still exits with the conventional

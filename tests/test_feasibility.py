@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.feasibility import (
     minimum_fill_for_target,
     predict_compaction_fill,
@@ -103,3 +108,34 @@ class TestMinimumFill:
     def test_invalid_requirement(self):
         with pytest.raises(ConfigurationError):
             minimum_fill_for_target(ArrayGeometry.square(10), required_fill=0)
+
+
+def run_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    package_root = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = package_root
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+class TestLazyScipy:
+    """scipy loads only when a prediction runs, never at ``import repro``."""
+
+    def test_import_repro_leaves_scipy_unloaded(self):
+        completed = run_fresh_interpreter(
+            "import sys, repro; print('scipy' in sys.modules)"
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
+
+    def test_imports_succeed_without_scipy(self):
+        completed = run_fresh_interpreter(
+            "import sys; sys.modules['scipy'] = None; "
+            "import repro, repro.campaign.worker"
+        )
+        assert completed.returncode == 0, completed.stderr

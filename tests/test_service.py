@@ -560,7 +560,7 @@ def test_make_executor_service_kind():
     with pytest.raises(ConfigurationError, match="--service-addr"):
         make_executor(None, kind="service")
     with pytest.raises(ConfigurationError, match="only applies"):
-        make_executor(None, kind="serial", service_addr="127.0.0.1:7421")
+        make_executor(None, kind="process", service_addr="127.0.0.1:7421")
 
 
 @pytest.mark.parametrize(
