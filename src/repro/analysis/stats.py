@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-from repro.baselines.base import get_algorithm
-from repro.lattice.geometry import ArrayGeometry
-from repro.lattice.loading import load_uniform
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -31,11 +27,6 @@ class Summary:
         return cls(mean, math.sqrt(var), min(values), max(values), n)
 
 
-def run_trials(fn: Callable[[int], float], seeds: Sequence[int]) -> Summary:
-    """Evaluate ``fn(seed)`` over seeds and summarise."""
-    return Summary.of([fn(seed) for seed in seeds])
-
-
 @dataclass(frozen=True)
 class FillStats:
     """Assembly quality of one algorithm at one operating point."""
@@ -48,31 +39,3 @@ class FillStats:
     mean_moves: float
     trials: int
 
-
-def assembly_statistics(
-    algorithm: str,
-    size: int,
-    fill: float,
-    seeds: Sequence[int],
-    target_size: int | None = None,
-) -> FillStats:
-    """Run ``algorithm`` over seeded loads; aggregate fill metrics."""
-    geometry = ArrayGeometry.square(size, target_size)
-    fills: list[float] = []
-    successes = 0
-    moves: list[float] = []
-    for seed in seeds:
-        array = load_uniform(geometry, fill, rng=seed)
-        result = get_algorithm(algorithm, geometry).schedule(array)
-        fills.append(result.target_fill_fraction)
-        successes += int(result.defect_free)
-        moves.append(float(result.n_moves))
-    return FillStats(
-        algorithm=algorithm,
-        size=size,
-        fill=fill,
-        mean_target_fill=Summary.of(fills).mean,
-        success_probability=successes / len(seeds) if seeds else math.nan,
-        mean_moves=Summary.of(moves).mean,
-        trials=len(seeds),
-    )

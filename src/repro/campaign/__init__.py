@@ -62,7 +62,6 @@ from repro.campaign.trial import (
     TrialSpec,
     cell_sequence,
     run_trial,
-    run_trial_guarded,
     use_scheduler_factory,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "read_journal",
     "run_campaign",
     "run_trial",
-    "run_trial_guarded",
     "use_scheduler_factory",
     "stable_hash",
 ]

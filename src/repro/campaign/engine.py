@@ -7,14 +7,15 @@ to an executor, and aggregates per-cell statistics in a fixed
 whether trials ran serially, across a process pool, out of the cache,
 or replayed from an interrupted run's journal.
 
-With ``batch_size > 1`` the engine groups consecutive same-cell pending
-trials and dispatches each group through
-:func:`~repro.campaign.trial.run_trial_batch_guarded`, handing
-batch-capable algorithms (QRM's cross-trial engine) a whole stack per
-call.  Cache keys, journal records and observer events stay strictly
-per-trial, and grouping never reorders the seed stream — so batched
-runs share cache entries with serial runs and produce byte-identical
-aggregates.
+The unit of dispatch is a batch: the engine groups up to
+``batch_size`` consecutive same-cell pending trials and hands each
+group to the executor as one call of
+:func:`~repro.campaign.trial.run_trial_batch_guarded`, so
+batch-capable algorithms (QRM's cross-trial engine) get a whole stack
+per call; ``batch_size=1`` dispatches every trial on its own.  Cache
+keys, journal records and observer events stay strictly per-trial, and
+grouping never reorders the seed stream — so runs at any batch size
+share cache entries and produce byte-identical aggregates.
 
 The orchestration is deliberately free of infrastructure: executors,
 cache, observer, and journal are injected behind small protocols and
@@ -41,7 +42,6 @@ from repro.campaign.trial import (
     TrialResult,
     TrialSpec,
     run_trial_batch_guarded,
-    run_trial_guarded,
 )
 from repro.errors import ConfigurationError, ExecutionError
 
@@ -234,7 +234,7 @@ def aggregate_cell(cell: ScenarioCell, results: Sequence[TrialResult]) -> CellAg
 
 
 class ExperimentCampaign:
-    """Spec → grid → seeded trials → chunked execution → aggregation."""
+    """Spec → grid → seeded trials → batched execution → aggregation."""
 
     def __init__(
         self,
@@ -330,31 +330,23 @@ class ExperimentCampaign:
             for trial in pending:
                 if trial.key() not in already:
                     self.journal.record_trial_started(trial)
-        def consume(trial: TrialSpec, outcome) -> None:
-            if isinstance(outcome, TrialFailure):
-                if self.journal is not None:
-                    self.journal.record_trial_error(trial, outcome.error)
-                raise ExecutionError(
-                    f"trial {trial.cell.label()!r} (seed {trial.seed_index}) "
-                    f"failed: {outcome.error}"
-                )
-            results[trial.key()] = outcome
-            if self.cache is not None and not trial.cell.timing:
-                self.cache.put(trial, outcome)
-            if self.journal is not None:
-                self.journal.record_trial_finished(trial, outcome, from_cache=False)
-            self.observer.trial_completed(trial, outcome, from_cache=False)
 
-        if self.batch_size == 1:
-            for index, outcome in self.executor.run(run_trial_guarded, pending):
-                consume(pending[index], outcome)
-        else:
-            batches = batch_trials(pending, self.batch_size)
-            for index, outcomes in self.executor.run(
-                run_trial_batch_guarded, batches
-            ):
-                for trial, outcome in zip(batches[index], outcomes):
-                    consume(trial, outcome)
+        batches = batch_trials(pending, self.batch_size)
+        for index, outcomes in self.executor.run(run_trial_batch_guarded, batches):
+            for trial, outcome in zip(batches[index], outcomes):
+                if isinstance(outcome, TrialFailure):
+                    if self.journal is not None:
+                        self.journal.record_trial_error(trial, outcome.error)
+                    raise ExecutionError(
+                        f"trial {trial.cell.label()!r} "
+                        f"(seed {trial.seed_index}) failed: {outcome.error}"
+                    )
+                results[trial.key()] = outcome
+                if self.cache is not None and not trial.cell.timing:
+                    self.cache.put(trial, outcome)
+                if self.journal is not None:
+                    self.journal.record_trial_finished(trial, outcome, from_cache=False)
+                self.observer.trial_completed(trial, outcome, from_cache=False)
 
         aggregates: list[CellAggregate] = []
         n_seeds = self.spec.n_seeds

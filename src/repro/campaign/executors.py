@@ -1,17 +1,19 @@
 """Pluggable trial executors.
 
-The engine hands an executor a picklable function and a list of items;
-the executor yields ``(index, result)`` pairs in whatever order the
-trials finish.  The engine re-keys results, so completion order never
+The engine hands an executor a picklable function and a list of items
+(trial batches, see :func:`repro.campaign.engine.batch_trials`); the
+executor yields ``(index, result)`` pairs in whatever order the items
+finish.  The engine re-keys results, so completion order never
 affects aggregates — which is what lets serial and pooled execution
-produce bit-identical campaign results.
+produce bit-identical campaign results.  How many trials travel per
+item is the engine's ``batch_size``, never the executor's.
 
 Two in-process executors live here:
 
 * :class:`SerialExecutor` — submission order, no concurrency;
 * :class:`MultiprocessingExecutor` — a local process pool, one future
-  per chunk of trials; a worker that dies (killed, out of memory)
-  fails the run at once instead of hanging it.
+  per item; a worker that dies (killed, out of memory) fails the run
+  at once instead of hanging it.
 
 Multi-host dispatch lives in :mod:`repro.campaign.dispatch` behind the
 same protocol.
@@ -34,7 +36,7 @@ EXECUTOR_KINDS = ("process", "service", "distributed")
 
 
 class CampaignExecutor(Protocol):
-    """Anything that can map a function over trial specs."""
+    """Anything that can map a function over trial batches."""
 
     def run(
         self, fn: Callable[[T], Any], items: Sequence[T]
@@ -53,61 +55,43 @@ class SerialExecutor:
             yield index, fn(item)
 
 
-def _apply_chunk(
-    fn: Callable[[T], Any], chunk: Sequence[tuple[int, T]]
-) -> list[tuple[int, Any]]:
-    return [(index, fn(item)) for index, item in chunk]
-
-
 @dataclass
 class MultiprocessingExecutor:
     """Local process-pool execution on ``ProcessPoolExecutor``.
 
-    Every chunk of ``chunksize`` trials is one submitted future, and
-    chunks are yielded as they complete.  Closing the result iterator
-    early, or an exception escaping a trial, cancels every chunk not
-    yet started and shuts the pool down.  A worker that dies mid-run
-    breaks the pool, which surfaces as :class:`ExecutionError` rather
-    than a hang.
+    Every item is one submitted future, and results are yielded as
+    they complete.  Closing the result iterator early, or an exception
+    escaping an item, cancels every future not yet started and shuts
+    the pool down.  A worker that dies mid-run breaks the pool, which
+    surfaces as :class:`ExecutionError` rather than a hang.
 
     Parameters
     ----------
     workers:
         Pool size; defaults to the CPU count.  Capped at the number of
-        chunks so tiny campaigns don't fork idle processes, and one
+        items so tiny campaigns don't fork idle processes, and one
         worker runs in-process (serial order).
-    chunksize:
-        Trials handed to a worker per future.  Larger chunks amortise
-        IPC for cheap trials; 1 balances best for heavy ones.
     """
 
     workers: int | None = None
-    chunksize: int = 1
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.chunksize < 1:
-            raise ConfigurationError(f"chunksize must be >= 1, got {self.chunksize}")
 
     def run(
         self, fn: Callable[[T], Any], items: Sequence[T]
     ) -> Iterator[tuple[int, Any]]:
         items = list(items)
-        indexed = list(enumerate(items))
-        chunks = [
-            indexed[start : start + self.chunksize]
-            for start in range(0, len(indexed), self.chunksize)
-        ]
-        workers = min(self.workers or os.cpu_count() or 1, len(chunks))
+        workers = min(self.workers or os.cpu_count() or 1, len(items))
         if workers <= 1:
             yield from SerialExecutor().run(fn, items)
             return
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(_apply_chunk, fn, chunk) for chunk in chunks]
+            futures = {pool.submit(fn, item): index for index, item in enumerate(items)}
             for future in concurrent.futures.as_completed(futures):
-                yield from future.result()
+                yield futures[future], future.result()
         except BrokenProcessPool as exc:
             raise ExecutionError(
                 "a campaign pool worker died (killed, or out of memory); "
@@ -120,7 +104,6 @@ class MultiprocessingExecutor:
 
 def make_executor(
     workers: int | str | None,
-    chunksize: int = 1,
     kind: str = "process",
     service_addr: str | tuple[str, int] | None = None,
 ) -> CampaignExecutor:
@@ -169,4 +152,4 @@ def make_executor(
         )
     if workers is None or workers <= 1:
         return SerialExecutor()
-    return MultiprocessingExecutor(workers=workers, chunksize=chunksize)
+    return MultiprocessingExecutor(workers=workers)

@@ -1,21 +1,21 @@
 """Trial specification and execution.
 
-A :class:`TrialSpec` is the unit of work the executors move between
-processes: one scenario cell plus one seed index.  It is a small,
-picklable value object; :func:`run_trial` is a module-level function so
-``multiprocessing`` can ship it to workers.
+A :class:`TrialSpec` is one scenario cell plus one seed index: a small,
+picklable value object that keys the cache, the journal and the
+observer events.
 
 Every trial derives two independent RNG streams (array loading and
 loss simulation) from one ``SeedSequence`` via ``spawn`` — see
 :mod:`repro.campaign.spec` for the seeding contract.
 
-:func:`run_trial_batch` is the cross-trial counterpart: it executes a
-group of same-cell trials through one :func:`repro.baselines.base.
-schedule_batch` call, so algorithms with a native batched engine (QRM)
-amortise their dispatch overhead across the group.  Per-trial metrics
-are computed by the same helper the serial path uses, from results that
-are bit-identical to serial scheduling — only the wall-clock ``cpu_us``
-convention changes (amortised: batch time / N).
+The unit of work the executors move between processes is a *batch*: a
+group of same-cell trials that :func:`run_trial_batch_guarded` runs
+through one :func:`repro.baselines.base.schedule_batch` call, so
+algorithms with a native batched engine (QRM) amortise their dispatch
+overhead across the group.  A lone trial is a batch of one
+(:func:`run_trial`).  Batched results are bit-identical to per-trial
+scheduling — only the wall-clock ``cpu_us`` convention is amortised
+(batch time / N).
 """
 
 from __future__ import annotations
@@ -92,20 +92,12 @@ class TrialFailure:
 
     Crossing the executor boundary as a value (rather than an
     exception) lets the engine journal the failure against the right
-    trial before aborting the campaign — a raw exception out of
-    ``imap_unordered`` has already lost the trial index.
+    trial before aborting the campaign — a raw exception escaping the
+    executor has already lost which trial raised it.
     """
 
     key: str
     error: str
-
-
-def run_trial_guarded(trial: TrialSpec) -> "TrialResult | TrialFailure":
-    """:func:`run_trial`, with exceptions captured as :class:`TrialFailure`."""
-    try:
-        return run_trial(trial)
-    except Exception as exc:
-        return TrialFailure(key=trial.key(), error=f"{type(exc).__name__}: {exc}")
 
 
 #: Optional override for how trials obtain their scheduler.  When set
@@ -170,33 +162,8 @@ def _resolve_algorithm(cell: ScenarioCell, geometry):
 
 
 def run_trial(trial: TrialSpec) -> TrialResult:
-    """Execute one trial and return its metrics.
-
-    Deterministic given the trial spec, except for the wall-clock
-    metrics added when ``cell.timing`` is set.  Cells with
-    ``cycles > 1`` run the closed-loop pipeline (image -> detect ->
-    schedule -> replay, repeated) instead of one open-loop schedule.
-    """
-    cell = trial.cell
-    geometry = cell_geometry(cell)
-    if cell.cycles > 1:
-        return _closed_loop_trial(trial, _resolve_algorithm(cell, geometry))
-    load_seed, loss_seed = trial.seed_sequence().spawn(2)
-    array = _load_array(cell, geometry, load_seed)
-
-    algorithm = _resolve_algorithm(cell, geometry)
-    start = time.perf_counter()
-    result = algorithm.schedule(array)
-    elapsed_us = (time.perf_counter() - start) * 1e6
-    if cell.timing:
-        # Best-of-3 to suppress scheduler noise; the analysis itself is
-        # deterministic, so the repeats discard nothing but jitter.
-        for _ in range(2):
-            start = time.perf_counter()
-            algorithm.schedule(array)
-            elapsed_us = min(elapsed_us, (time.perf_counter() - start) * 1e6)
-
-    return _trial_metrics(trial, array, result, loss_seed, elapsed_us)
+    """Execute one trial and return its metrics: a batch of one."""
+    return run_trial_batch([trial])[0]
 
 
 def _closed_loop_trial(trial: TrialSpec, algorithm) -> TrialResult:
@@ -272,8 +239,7 @@ def run_trial_batch_guarded(
     """:func:`run_trial_batch`, with exceptions captured as failures.
 
     A batch fails as a unit: one exception marks every trial of the
-    group, and the engine aborts on the first failure it sees — same
-    contract as :func:`run_trial_guarded`, lifted to groups.
+    group, and the engine aborts on the first failure it sees.
     """
     try:
         return list(run_trial_batch(trials))
@@ -285,11 +251,15 @@ def run_trial_batch_guarded(
 def run_trial_batch(trials: Sequence[TrialSpec]) -> list[TrialResult]:
     """Execute a group of same-cell trials through one batched call.
 
-    Metrics are derived from :func:`repro.baselines.base.schedule_batch`
-    results, which are bit-identical to per-trial ``schedule`` calls —
-    so every deterministic metric matches :func:`run_trial` exactly.
-    For timing cells ``cpu_us`` is the amortised per-trial cost (whole-
-    batch wall time divided by the group size, best of 3 repeats).
+    Deterministic given the trial specs, except for the wall-clock
+    metrics added when ``cell.timing`` is set: ``cpu_us`` is the
+    amortised per-trial cost (whole-batch wall time divided by the
+    group size, best of 3 repeats).  Metrics are derived from
+    :func:`repro.baselines.base.schedule_batch` results, which are
+    bit-identical to per-trial ``schedule`` calls, so the batch
+    boundary never changes a deterministic metric.  Cells with
+    ``cycles > 1`` run the closed-loop pipeline (image -> detect ->
+    schedule -> replay, repeated) per trial instead.
     """
     from repro.baselines.base import schedule_batch
 
@@ -298,18 +268,17 @@ def run_trial_batch(trials: Sequence[TrialSpec]) -> list[TrialResult]:
     cell = trials[0].cell
     if any(trial.cell != cell for trial in trials[1:]):
         raise ValueError("run_trial_batch requires trials from one scenario cell")
+    geometry = cell_geometry(cell)
+    algorithm = _resolve_algorithm(cell, geometry)
     if cell.cycles > 1:
         # The closed loop interleaves scheduling with camera/loss state,
-        # so there is no whole-batch schedule call to amortise — run the
-        # group's trials through the per-trial path instead.
-        return [run_trial(trial) for trial in trials]
-    geometry = cell_geometry(cell)
+        # so there is no whole-batch schedule call to amortise.
+        return [_closed_loop_trial(trial, algorithm) for trial in trials]
     seeds = [trial.seed_sequence().spawn(2) for trial in trials]
     arrays = [
         _load_array(cell, geometry, load_seed) for load_seed, _ in seeds
     ]
 
-    algorithm = _resolve_algorithm(cell, geometry)
     start = time.perf_counter()
     results = schedule_batch(algorithm, arrays)
     elapsed_us = (time.perf_counter() - start) * 1e6 / len(trials)

@@ -455,10 +455,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     campaign = ExperimentCampaign(
         spec,
         executor=make_executor(
-            workers,
-            args.chunksize,
-            kind=args.executor,
-            service_addr=args.service_addr,
+            workers, kind=args.executor, service_addr=args.service_addr
         ),
         cache=cache,
         observer=observer,
@@ -697,19 +694,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor service",
     )
     p.add_argument(
-        "--chunksize",
-        type=int,
-        default=1,
-        help="trials dispatched to a worker at a time",
-    )
-    p.add_argument(
         "--batch-size",
         type=int,
         default=1,
-        help="consecutive same-cell trials scheduled per batched "
-        "call (1 = per-trial execution); batch-capable "
-        "algorithms amortise analysis across the group, "
-        "aggregates are identical either way",
+        help="consecutive same-cell trials per unit of work: one "
+        "batched scheduling call, and one dispatch to a worker "
+        "(1 = per-trial execution); batch-capable algorithms "
+        "amortise analysis across the group, aggregates are "
+        "identical either way",
     )
     p.add_argument(
         "--interrupt-after",

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
+from repro.campaign.protocol import parse_hostport
 from repro.campaign.trial import use_scheduler_factory
-from repro.errors import ConfigurationError
 from repro.service.client import RemoteAlgorithm, ServiceClient
 
 T = TypeVar("T")
@@ -36,15 +36,13 @@ class ServiceExecutor:
     ----------
     address:
         ``(host, port)`` of the service, or a ``"host:port"`` string
-        (the CLI's ``--service-addr`` form).
-    client_options:
-        Forwarded to :class:`~repro.service.client.ServiceClient`
-        (``max_in_flight``, ``request_timeout``, ``max_retries``, ...).
+        (the CLI's ``--service-addr`` form, parsed and range-checked by
+        :func:`~repro.campaign.protocol.parse_hostport`).
     """
 
-    def __init__(self, address, **client_options: Any):
-        self.address = parse_address(address)
-        self.client_options = client_options
+    def __init__(self, address: str | tuple[str, int]):
+        host, port = parse_hostport(address) if isinstance(address, str) else address
+        self.address = (str(host), int(port))
 
     def run(
         self, fn: Callable[[T], Any], items: Sequence[T]
@@ -52,7 +50,7 @@ class ServiceExecutor:
         items = list(items)
         if not items:
             return
-        with ServiceClient(self.address, **self.client_options) as client:
+        with ServiceClient(self.address) as client:
 
             def factory(cell, geometry):
                 return RemoteAlgorithm.for_cell(client, cell, geometry)
@@ -60,21 +58,3 @@ class ServiceExecutor:
             with use_scheduler_factory(factory):
                 for index, item in enumerate(items):
                     yield index, fn(item)
-
-
-def parse_address(address) -> tuple[str, int]:
-    """Normalise ``"host:port"`` / ``(host, port)`` to a tuple."""
-    if isinstance(address, str):
-        host, sep, port = address.rpartition(":")
-        if not sep or not host:
-            raise ConfigurationError(
-                f"service address must be host:port, got {address!r}"
-            )
-        try:
-            return (host, int(port))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"service address must be host:port, got {address!r}"
-            ) from exc
-    host, port = address
-    return (str(host), int(port))

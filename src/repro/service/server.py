@@ -130,6 +130,10 @@ class SchedulingService:
         max_batch_size: int = 32,
         cache_size: int = 8,
     ):
+        if not 0 <= port <= 65535:
+            raise ConfigurationError(
+                f"port must be in 0..65535 (0 picks a free port), got {port}"
+            )
         if batch_window < 0:
             raise ConfigurationError(
                 f"batch_window must be >= 0, got {batch_window}"

@@ -14,8 +14,9 @@ from repro.analysis.experiments import (
     run_success_sweep,
     run_workflow_comparison,
 )
-from repro.analysis.stats import Summary, assembly_statistics, run_trials
+from repro.analysis.stats import Summary
 from repro.analysis.tables import format_table, to_csv
+from repro.campaign import CampaignSpec, run_campaign
 
 
 class TestTables:
@@ -52,23 +53,31 @@ class TestSummary:
 
         assert math.isnan(Summary.of([]).mean)
 
-    def test_run_trials(self):
-        summary = run_trials(lambda seed: float(seed), [1, 2, 3])
-        assert summary.mean == 2.0
-
 
 class TestAssemblyStatistics:
+    """Assembly quality on the campaign engine's paired seed streams."""
+
+    @staticmethod
+    def _fill_stats(algorithms, fills, n_seeds):
+        spec = CampaignSpec(
+            name="assembly",
+            algorithms=algorithms,
+            sizes=(20,),
+            fills=fills,
+            n_seeds=n_seeds,
+            master_seed=0,
+        )
+        return run_campaign(spec).fill_stats()
+
     def test_repair_beats_plain_qrm(self):
-        seeds = [0, 1, 2]
-        plain = assembly_statistics("qrm", 20, 0.5, seeds)
-        repaired = assembly_statistics("qrm-repair", 20, 0.5, seeds)
+        plain, repaired = self._fill_stats(("qrm", "qrm-repair"), (0.5,), 3)
+        assert (plain.algorithm, repaired.algorithm) == ("qrm", "qrm-repair")
         assert repaired.mean_target_fill >= plain.mean_target_fill
         assert repaired.success_probability >= plain.success_probability
 
     def test_higher_fill_helps(self):
-        seeds = [0, 1]
-        low = assembly_statistics("qrm", 20, 0.5, seeds)
-        high = assembly_statistics("qrm", 20, 0.8, seeds)
+        low, high = self._fill_stats(("qrm",), (0.5, 0.8), 2)
+        assert (low.fill, high.fill) == (0.5, 0.8)
         assert high.mean_target_fill >= low.mean_target_fill
 
 

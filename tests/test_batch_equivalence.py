@@ -358,6 +358,34 @@ class TestBatchedCampaign:
         with pytest.raises(ExecutionError, match="seed 0"):
             run_campaign(spec, batch_size=2)
 
+    def test_fallback_failure_keeps_the_original_error(self):
+        """A lone trial of a loop-fallback algorithm fails as a batch of one."""
+        from repro.campaign.engine import run_campaign
+        from repro.campaign.spec import CampaignSpec
+        from repro.errors import ExecutionError
+
+        register_algorithm(
+            "flaky-campaign",
+            lambda geometry, **params: _FlakyScheduler(geometry, poison_index=0),
+        )
+        spec = CampaignSpec(
+            name="flaky",
+            algorithms=("flaky-campaign",),
+            sizes=(10,),
+            fills=(0.5,),
+            n_seeds=1,
+            master_seed=0,
+        )
+        try:
+            with pytest.raises(ExecutionError) as excinfo:
+                run_campaign(spec)
+        finally:
+            unregister_algorithm("flaky-campaign")
+        message = str(excinfo.value)
+        assert "(seed 0) failed: ExecutionError: schedule_batch fallback: " in message
+        assert "trial 0 of 1 failed in 'flaky'" in message
+        assert message.endswith("RuntimeError: mid-analysis explosion")
+
     def test_batch_size_validation(self):
         from repro.campaign.engine import ExperimentCampaign
         from repro.campaign.spec import CampaignSpec
@@ -371,8 +399,8 @@ class TestBatchedCampaign:
 
 
 class TestBatchedCampaignExecutors:
-    @pytest.mark.parametrize("chunksize", [1, 2])
-    def test_aggregates_identical_across_executors(self, chunksize):
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_aggregates_identical_across_executors(self, batch_size):
         from repro.campaign.engine import run_campaign
         from repro.campaign.executors import make_executor
         from repro.campaign.spec import CampaignSpec
@@ -385,8 +413,6 @@ class TestBatchedCampaignExecutors:
             n_seeds=5,
             master_seed=2,
         )
-        serial = run_campaign(spec, batch_size=3)
-        parallel = run_campaign(
-            spec, executor=make_executor(2, chunksize=chunksize), batch_size=3
-        )
+        serial = run_campaign(spec)
+        parallel = run_campaign(spec, executor=make_executor(2), batch_size=batch_size)
         assert parallel.to_csv(stats=True) == serial.to_csv(stats=True)

@@ -146,16 +146,13 @@ class TestDeterminismAcrossExecutors:
     def test_make_executor(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)
-        pool = make_executor(4, chunksize=2)
+        pool = make_executor(4)
         assert isinstance(pool, MultiprocessingExecutor)
         assert pool.workers == 4
-        assert pool.chunksize == 2
 
     def test_executor_validation(self):
         with pytest.raises(ConfigurationError):
             MultiprocessingExecutor(workers=0)
-        with pytest.raises(ConfigurationError):
-            MultiprocessingExecutor(chunksize=0)
 
 
 class TestCache:

@@ -175,12 +175,71 @@ class TestCommands:
         capsys.readouterr()
         assert serial_csv.read_bytes() == fanned_csv.read_bytes()
 
+    def test_campaign_batched_pool_matches_serial(self, capsys, tmp_path):
+        # 3 seeds per cell at batch size 5: every unit is cut at a cell
+        # boundary, and the pool receives 4 units of 3 trials.
+        base = [
+            "campaign",
+            "--name",
+            "batched-pool-cli",
+            "--algorithms",
+            "qrm",
+            "tetris",
+            "--sizes",
+            "8",
+            "10",
+            "--fills",
+            "0.5",
+            "--seeds",
+            "3",
+            "--no-cache",
+            "--quiet",
+        ]
+        serial_csv = tmp_path / "serial.csv"
+        batched_csv = tmp_path / "batched-pool.csv"
+        assert main(base + ["--csv", str(serial_csv)]) == 0
+        argv = ["--workers", "2", "--batch-size", "5", "--csv", str(batched_csv)]
+        assert main(base + argv) == 0
+        capsys.readouterr()
+        assert serial_csv.read_bytes() == batched_csv.read_bytes()
+
     @pytest.mark.parametrize("kind", ["async", "serial"])
     def test_campaign_removed_executor_kinds_rejected(self, capsys, kind):
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--executor", kind, "--workers", "2", "--quiet"])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_campaign_chunksize_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--workers", "2", "--chunksize", "5", "--quiet"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --chunksize" in capsys.readouterr().err
+
+    def test_campaign_service_addr_port_out_of_range(self, capsys):
+        argv = [
+            "campaign",
+            "--executor",
+            "service",
+            "--service-addr",
+            "127.0.0.1:99999",
+            "--sizes",
+            "10",
+            "--seeds",
+            "1",
+            "--no-cache",
+            "--quiet",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: port 99999 out of range")
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_serve_port_out_of_range(self, capsys, port):
+        assert main(["serve", "--port", port, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: port must be in 0..65535")
+        assert err.rstrip().endswith(f"got {port}")
 
     def test_campaign_distributed_executor_matches_serial(self, capsys, tmp_path):
         base = [

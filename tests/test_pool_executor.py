@@ -69,9 +69,8 @@ else:
 
 
 class TestMultiprocessingExecutor:
-    @pytest.mark.parametrize("chunksize", [1, 3])
-    def test_yields_every_index_exactly_once(self, chunksize):
-        executor = MultiprocessingExecutor(workers=2, chunksize=chunksize)
+    def test_yields_every_index_exactly_once(self):
+        executor = MultiprocessingExecutor(workers=2)
         pairs = list(executor.run(_square, list(range(10))))
         assert sorted(index for index, _ in pairs) == list(range(10))
         assert dict(pairs) == {i: i * i for i in range(10)}
@@ -105,7 +104,7 @@ class TestMultiprocessingExecutor:
         assert first[1] == first[0] ** 2
         started = time.perf_counter()
         stream.close()
-        # Closing cancels the chunks not yet started rather than
+        # Closing cancels the futures not yet started rather than
         # draining all 40 sleeps through 2 workers (~4 s).
         assert time.perf_counter() - started < 2.0
 
@@ -129,17 +128,15 @@ class TestMultiprocessingExecutor:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             MultiprocessingExecutor(workers=0)
-        with pytest.raises(ConfigurationError):
-            MultiprocessingExecutor(chunksize=0)
 
 
 class TestMakeExecutor:
     def test_kinds(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor(1), SerialExecutor)
-        pool = make_executor(4, chunksize=5)
+        pool = make_executor(4)
         assert isinstance(pool, MultiprocessingExecutor)
-        assert (pool.workers, pool.chunksize) == (4, 5)
+        assert pool.workers == 4
         assert isinstance(make_executor(4, kind="process"), MultiprocessingExecutor)
 
     @pytest.mark.parametrize("kind", ["quantum", "async", "serial"])

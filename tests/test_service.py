@@ -41,7 +41,6 @@ from repro.service import (
     resolve_scheduler,
     serve_in_thread,
 )
-from repro.service.executor import parse_address
 from repro.service.wire import MAX_JSON_LINE
 
 from tests.oracles import assert_results_identical
@@ -564,13 +563,16 @@ def test_make_executor_service_kind():
 
 
 @pytest.mark.parametrize(
-    "address", ("localhost", ":7421", "no-port:", "host:notaport")
+    "address",
+    ("localhost", ":7421", "no-port:", "host:notaport", "127.0.0.1:99999"),
 )
-def test_parse_address_rejects_malformed(address):
+def test_service_executor_rejects_malformed_address(address):
     with pytest.raises(ConfigurationError):
-        parse_address(address)
+        ServiceExecutor(address)
 
 
-def test_parse_address_accepts_both_forms():
-    assert parse_address("0.0.0.0:80") == ("0.0.0.0", 80)
-    assert parse_address(("::1", 443)) == ("::1", 443)
+def test_service_executor_accepts_both_address_forms():
+    assert ServiceExecutor("0.0.0.0:80").address == ("0.0.0.0", 80)
+    assert ServiceExecutor("::1:7500").address == ("::1", 7500)
+    assert ServiceExecutor(("::1", 443)).address == ("::1", 443)
+
