@@ -38,6 +38,7 @@ from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.core.result import RearrangementResult, timed_schedule
 from repro.core.scan import scan_quadrant
+from repro.core.typical import _innermost_hole_east, _innermost_hole_west
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Direction
 
@@ -222,39 +223,23 @@ class PscaSchedulerReference(PscaScheduler):
             half = height // 2
             for c in range(width):
                 col = grid[:, c]
-                hole = self._innermost_hole(col, half, inward_from_low=True)
+                hole = _innermost_hole_west(col, half)
                 if hole is not None:
                     groups.setdefault((Direction.SOUTH, hole), []).append(c)
-                hole = self._innermost_hole(col, half, inward_from_low=False)
+                hole = _innermost_hole_east(col, half, height)
                 if hole is not None:
                     groups.setdefault((Direction.NORTH, hole), []).append(c)
         else:
             half = width // 2
             for r in range(height):
                 row = grid[r]
-                hole = self._innermost_hole(row, half, inward_from_low=True)
+                hole = _innermost_hole_west(row, half)
                 if hole is not None:
                     groups.setdefault((Direction.EAST, hole), []).append(r)
-                hole = self._innermost_hole(row, half, inward_from_low=False)
+                hole = _innermost_hole_east(row, half, width)
                 if hole is not None:
                     groups.setdefault((Direction.WEST, hole), []).append(r)
         return groups
-
-    @staticmethod
-    def _innermost_hole(
-        line: np.ndarray, half: int, inward_from_low: bool
-    ) -> int | None:
-        """Innermost hole of one half-line with atoms outboard of it."""
-        n = line.shape[0]
-        if inward_from_low:
-            for idx in range(half - 1, -1, -1):
-                if not line[idx]:
-                    return idx if line[:idx].any() else None
-            return None
-        for idx in range(half, n):
-            if not line[idx]:
-                return idx if line[idx + 1 :].any() else None
-        return None
 
     def _emit_batches(
         self,

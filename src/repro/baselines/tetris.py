@@ -42,6 +42,7 @@ from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.core.result import RearrangementResult, timed_schedule
 from repro.core.scan import scan_line
+from repro.core.typical import _innermost_hole_east, _innermost_hole_west
 from repro.errors import UnsupportedGeometryError
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Direction
@@ -228,12 +229,12 @@ class TetrisSchedulerReference(TetrisScheduler):
             ops += width
             shifts = []
             line = grid[row]
-            hole = self._innermost_hole_low(line, half)
+            hole = _innermost_hole_west(line, half)
             if hole is not None:
                 shifts.append(
                     LineShift(Direction.EAST, row, span_start=0, span_stop=hole)
                 )
-            hole = self._innermost_hole_high(line, half, width)
+            hole = _innermost_hole_east(line, half, width)
             if hole is not None:
                 shifts.append(
                     LineShift(Direction.WEST, row, span_start=hole + 1, span_stop=width)
@@ -244,20 +245,6 @@ class TetrisSchedulerReference(TetrisScheduler):
                 move = ParallelMove.of([shift], tag=f"tetris-row{row}")
                 apply_parallel_move(grid, move)
                 schedule.append(move)
-
-    @staticmethod
-    def _innermost_hole_low(line: np.ndarray, half: int) -> int | None:
-        for idx in range(half - 1, -1, -1):
-            if not line[idx]:
-                return idx if line[:idx].any() else None
-        return None
-
-    @staticmethod
-    def _innermost_hole_high(line: np.ndarray, half: int, n: int) -> int | None:
-        for idx in range(half, n):
-            if not line[idx]:
-                return idx if line[idx + 1 :].any() else None
-        return None
 
     def _pull_defects(
         self, array: AtomArray, schedule: list[ParallelMove], row: int, outboard: int

@@ -26,7 +26,12 @@ from repro.lattice.geometry import ArrayGeometry, Direction
 
 
 def _innermost_hole_west(row: np.ndarray, half: int) -> int | None:
-    """Innermost unfillable... innermost hole col with atoms west of it."""
+    """Innermost hole of ``row[:half]`` with atoms west of it, or None.
+
+    The per-site loops of the typical procedure, kept independent of the
+    vectorised scan; the Tetris and PSCA reference schedulers use them
+    as their innermost-hole oracle too.
+    """
     for col in range(half - 1, -1, -1):
         if not row[col]:
             if row[:col].any():
@@ -36,6 +41,7 @@ def _innermost_hole_west(row: np.ndarray, half: int) -> int | None:
 
 
 def _innermost_hole_east(row: np.ndarray, half: int, width: int) -> int | None:
+    """Innermost hole of ``row[half:width]`` with atoms east of it, or None."""
     for col in range(half, width):
         if not row[col]:
             if row[col + 1 :].any():

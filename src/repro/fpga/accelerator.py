@@ -39,7 +39,6 @@ from repro.core.result import RearrangementResult
 from repro.errors import SimulationError
 from repro.fpga.axi import AxiTransferModel
 from repro.fpga.config import DEFAULT_FPGA_CONFIG, FpgaConfig
-from repro.fpga.load_data import LoadDataModule
 from repro.fpga.output_concat import AxiWriteSink, OutputConcatUnit
 from repro.fpga.packets import packets_needed
 from repro.fpga.quadrant_processor import build_lane, iteration_tokens
@@ -147,9 +146,7 @@ class QrmAccelerator:
         self.geometry = geometry
         self.params = params
         self.config = config
-        self.frames = {q: geometry.quadrant_frame(q) for q in Quadrant}
         self.scheduler = QrmScheduler(geometry, params)
-        self.ldm = LoadDataModule(self.frames, config.packet_bits)
         self.axi = AxiTransferModel(setup_cycles=config.axi_setup_cycles)
 
     # -- cycle model -------------------------------------------------------
@@ -272,6 +269,20 @@ class QrmAccelerator:
         )
         return stats, trace
 
+    def _hardware_passes(self, result: RearrangementResult) -> list[PassOutcome]:
+        """The schedule's passes as the hardware runs them, row/column pairs.
+
+        The PL schedule is static: the hardware always runs the configured
+        iteration count, scanning every line even when the algorithm has
+        already converged.  Converged-early runs are padded with empty
+        passes so the cycle count reflects the fixed hardware schedule.
+        """
+        passes = list(result.pass_outcomes)
+        while len(passes) < 2 * self.params.n_iterations:
+            passes.append(PassOutcome(phase=Phase.ROW))
+            passes.append(PassOutcome(phase=Phase.COLUMN))
+        return passes
+
     # -- public API ----------------------------------------------------------
 
     def run(self, array: AtomArray) -> AcceleratorRun:
@@ -281,6 +292,7 @@ class QrmAccelerator:
                 "array geometry does not match the accelerator's geometry"
             )
         result = self.scheduler.schedule(array)
+        passes = self._hardware_passes(result)
 
         config = self.config
         n_input_packets = packets_needed(self.geometry.n_sites, config.packet_bits)
@@ -295,15 +307,6 @@ class QrmAccelerator:
             load_cycles=load_cycles,
             n_input_packets=n_input_packets,
         )
-
-        # The PL schedule is static: the hardware always runs the configured
-        # iteration count, scanning every line even when the algorithm has
-        # already converged.  Pad converged-early runs with empty passes so
-        # the cycle count reflects the fixed hardware schedule.
-        passes = list(result.pass_outcomes)
-        while len(passes) < 2 * self.params.n_iterations:
-            passes.append(PassOutcome(phase=Phase.ROW))
-            passes.append(PassOutcome(phase=Phase.COLUMN))
 
         for index in range(0, len(passes), 2):
             row_pass = passes[index]
@@ -343,11 +346,7 @@ class QrmAccelerator:
         ``render_timeline()`` shows the FIFO occupancies of the Fig. 5
         pipeline filling and draining.
         """
-        result = self.scheduler.schedule(array)
-        passes = list(result.pass_outcomes)
-        while len(passes) < 2 * self.params.n_iterations:
-            passes.append(PassOutcome(phase=Phase.ROW))
-            passes.append(PassOutcome(phase=Phase.COLUMN))
+        passes = self._hardware_passes(self.scheduler.schedule(array))
         index = 2 * iteration
         if not 0 <= index < len(passes):
             raise SimulationError(

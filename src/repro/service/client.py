@@ -31,6 +31,7 @@ server's micro-batcher sees them as one wave.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import queue
 import socket
@@ -41,7 +42,7 @@ from typing import Any, Iterable, Sequence
 from repro.campaign.protocol import read_frame, write_frame, write_handshake
 from repro.errors import ServiceError, ServiceTimeoutError
 from repro.lattice.array import AtomArray
-from repro.service.cache import SchedulerKey
+from repro.service.cache import SchedulerKey, resolve_scheduler
 
 _CLOSE = object()
 
@@ -394,6 +395,16 @@ class RemoteAlgorithm:
             mask=(None if geometry.mask is None else geometry.mask.token()),
         )
         return cls(client, key)
+
+    @functools.cached_property
+    def params(self):
+        """The parameter preset of the scheduler the key names, or None.
+
+        Mirrors a local scheduler's ``params`` so consumers that read it
+        (the closed loop's accelerator model) cost the QRM parameters the
+        server scheduled with, not the defaults.
+        """
+        return getattr(resolve_scheduler(self.key), "params", None)
 
     def schedule(self, array: AtomArray):
         return self.client.schedule(self.key, array)

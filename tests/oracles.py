@@ -298,3 +298,4 @@ def assert_repair_outcomes_identical(ours, reference) -> None:
     assert_moves_identical(ours.moves, reference.moves)
     assert ours.filled == reference.filled
     assert ours.unresolved == reference.unresolved
+    assert ours.analysis_ops == reference.analysis_ops

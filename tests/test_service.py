@@ -28,7 +28,7 @@ from repro.aod.serialize import schedule_to_dict
 from repro.baselines.base import register_algorithm, unregister_algorithm
 from repro.campaign.engine import ExperimentCampaign
 from repro.campaign.executors import make_executor
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, LossSpec, QrmSpec, ScenarioCell
 from repro.errors import ConfigurationError, ServiceError, ServiceTimeoutError
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry
@@ -546,6 +546,36 @@ def test_service_executor_batched_trials_byte_identical(server):
         executor=ServiceExecutor(server.address),
         batch_size=8,
     ).run()
+    assert remote.to_csv() == serial.to_csv()
+
+
+def test_service_executor_models_the_cells_qrm_parameters(server):
+    # A closed-loop --fpga cell with an explicit QRM preset: the cycle
+    # model must cost the preset the trial scheduled with on every
+    # executor, not fall back to the default parameters because the
+    # remote scheduler proxy lives client-side.
+    spec = CampaignSpec(
+        name="service-fpga-preset",
+        algorithms=(),
+        n_seeds=3,
+        cycles=2,
+        extra_cells=(
+            ScenarioCell(
+                algorithm="qrm",
+                size=16,
+                fill=0.5,
+                fpga=True,
+                cycles=2,
+                qrm=QrmSpec(scan_mode="fresh", n_iterations=2),
+                loss=LossSpec(),
+            ),
+        ),
+    )
+    serial = ExperimentCampaign(spec, cache=None).run()
+    remote = ExperimentCampaign(
+        spec, cache=None, executor=ServiceExecutor(server.address)
+    ).run()
+    assert "fpga_cycles" in serial.to_csv()
     assert remote.to_csv() == serial.to_csv()
 
 
