@@ -3,18 +3,16 @@
 Declares Monte-Carlo scenario grids (array size x fill x algorithm x
 loss model), executes every (cell, seed) trial exactly once with
 deterministic ``SeedSequence``-spawned RNG streams — serially, over a
-local process pool, or across local/remote worker processes via the
-fault-tolerant dispatch fabric — caches
-per-trial results on disk, records
-resumable JSONL run journals, and aggregates into the ``analysis``
-table outputs.  See README.md ("Campaign engine") for the spec format,
-the journal format, and the CLI.
+local process pool, or across ``repro worker --listen`` daemons via the
+fault-tolerant dispatch fabric — caches per-trial results on disk,
+records resumable JSONL run journals, and aggregates into the
+``analysis`` table outputs.  See README.md ("Campaign engine") for the
+spec format, the journal format, and the CLI.
 """
 
 from repro.campaign.cache import TrialCache, default_cache_dir
 from repro.campaign.dispatch import (
     DistributedExecutor,
-    SubprocessWorkerTransport,
     TcpWorkerTransport,
     WorkerSpec,
     WorkerTransport,
@@ -87,7 +85,6 @@ __all__ = [
     "RunJournal",
     "ScenarioCell",
     "SerialExecutor",
-    "SubprocessWorkerTransport",
     "TcpWorkerTransport",
     "TrialCache",
     "TrialFailure",

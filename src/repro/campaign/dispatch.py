@@ -1,15 +1,12 @@
 """Multi-host trial dispatch behind the executor protocol.
 
-:class:`DistributedExecutor` fans trials out over a set of
-:class:`WorkerSpec` endpoints through a pluggable
-:class:`WorkerTransport`.  Two transports ship in-tree:
-
-* :class:`SubprocessWorkerTransport` — local ``python -m
-  repro.campaign.worker`` children over stdin/stdout pipes;
-* :class:`TcpWorkerTransport` — ``repro worker --listen`` daemons
-  (local or remote) over a TCP connection, speaking the same
-  magic/version handshake and length-prefixed pickle frames
-  (:mod:`repro.campaign.protocol`).
+:class:`DistributedExecutor` fans trials out over ``repro worker
+--listen`` daemons, one :class:`WorkerSpec` (``host:port``) each.  Its
+transport, :class:`TcpWorkerTransport`, holds one TCP connection per
+daemon and speaks the magic/version handshake and length-prefixed
+pickle frames of :mod:`repro.campaign.protocol`.  A daemon serves one
+connection at a time, so every spec is exactly one work channel; local
+fan-out is the process pool (``--workers N``), not this fabric.
 
 The executor is a fault-tolerant fabric, not a naive scatter:
 
@@ -41,17 +38,13 @@ are yielded as ``(index, result)`` in completion order.
 
 from __future__ import annotations
 
-import os
 import queue
 import socket
 import statistics
-import subprocess
-import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar
 
 from repro.campaign.protocol import (
     function_path,
@@ -64,72 +57,52 @@ from repro.errors import ConfigurationError, ExecutionError
 
 T = TypeVar("T")
 
+#: Why ``--executor distributed`` refused its ``--workers``: the two
+#: ways forward, local pool or remote daemons.
+_ENDPOINTS_NEEDED = (
+    "--executor distributed dials running 'repro worker --listen "
+    "HOST:PORT' daemons: pass --workers host:port[,host:port...]; for a "
+    "local process pool, pass --workers N without --executor distributed"
+)
+
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """One worker endpoint of a distributed campaign.
+    """One ``repro worker --listen`` daemon: a validated ``host:port``."""
 
-    With ``port`` set the endpoint is a running ``repro worker
-    --listen`` daemon and the default transport dials it over TCP;
-    without one it is a local subprocess the transport launches itself.
-    ``slots`` is how many independent work channels the endpoint
-    contributes (the TCP daemon serves connections sequentially, so
-    slots > 1 on a TCP endpoint needs one daemon per slot; subprocess
-    endpoints launch one child per slot).  ``env`` adds variables to
-    the worker interpreter's environment; it only applies to transports
-    that launch processes themselves.
-    """
-
-    host: str = "localhost"
-    slots: int = 1
-    env: Mapping[str, str] = field(default_factory=dict)
-    port: int | None = None
+    host: str
+    port: int
 
     def __post_init__(self) -> None:
-        if self.slots < 1:
-            raise ConfigurationError(f"slots must be >= 1, got {self.slots}")
-        if self.port is not None and not 0 < self.port <= 65535:
+        if not 0 < self.port <= 65535:
             raise ConfigurationError(f"port must be in 1..65535, got {self.port}")
 
-    @property
-    def local(self) -> bool:
-        return self.host in ("localhost", "127.0.0.1", "::1")
-
     @classmethod
-    def parse(cls, text: str, slots: int = 1) -> "WorkerSpec":
-        """``"host:port"`` → a TCP endpoint spec."""
-        host, port = parse_hostport(text)
-        return cls(host=host, port=port, slots=slots)
+    def parse(cls, text: str) -> "WorkerSpec":
+        """``"host:port"`` → a spec."""
+        return cls(*parse_hostport(text))
 
 
 def parse_workers(value: str | int | None) -> tuple[WorkerSpec, ...]:
     """CLI ``--workers`` for the distributed executor.
 
-    ``"host:port[,host:port...]"`` dials running TCP worker daemons; a
-    plain integer spins up that many local subprocess workers; ``None``
-    means one local subprocess.
+    Only ``"host:port[,host:port...]"`` naming running ``repro worker
+    --listen`` daemons is accepted; a process count, or no value at all,
+    raises :class:`ConfigurationError` naming both ways forward.
     """
-    if value is None:
-        return (WorkerSpec(),)
-    if isinstance(value, int):
-        return (WorkerSpec(slots=value),)
-    text = value.strip()
-    if not text:
+    text = "" if value is None else str(value).strip()
+    if text.isdigit():
         raise ConfigurationError(
-            "the distributed executor needs --workers N or "
-            "--workers host:port[,host:port...]"
+            f"--workers {text} is a process count; {_ENDPOINTS_NEEDED}"
         )
-    try:
-        return (WorkerSpec(slots=int(text)),)
-    except ValueError:
-        pass
-    return tuple(
-        WorkerSpec.parse(entry.strip()) for entry in text.split(",") if entry.strip()
-    )
+    entries = [entry for entry in text.split(",") if entry.strip()]
+    if not entries:
+        raise ConfigurationError(_ENDPOINTS_NEEDED)
+    return tuple(WorkerSpec.parse(entry) for entry in entries)
 
 
 class WorkerTransport(Protocol):
-    """One bidirectional channel to one worker process.
+    """One bidirectional channel to one worker daemon.
 
     Lifecycle: ``start(fn_path)`` once, then interleaved
     ``submit``/``ping``/``next_result`` calls, then ``close()``.
@@ -149,83 +122,10 @@ class WorkerTransport(Protocol):
     def close(self) -> None: ...
 
 
-class SubprocessWorkerTransport:
-    """Local subprocess transport: one ``repro.campaign.worker`` child."""
-
-    def __init__(self, spec: WorkerSpec) -> None:
-        if not spec.local:
-            raise ConfigurationError(
-                f"the subprocess transport only serves localhost, got "
-                f"host {spec.host!r}; give the worker a port "
-                f"(host:port) to dial it over TCP"
-            )
-        self.spec = spec
-        self._process: subprocess.Popen | None = None
-
-    def start(self, fn_path: str) -> None:
-        import repro
-
-        env = dict(os.environ)
-        env.update(self.spec.env)
-        # Guarantee the child resolves the same `repro` package as the
-        # parent, however the parent found it (installed or src tree).
-        package_root = str(Path(repro.__file__).resolve().parent.parent)
-        path = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not path else os.pathsep.join([package_root, path])
-        )
-        self._process = subprocess.Popen(
-            [sys.executable, "-m", "repro.campaign.worker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=env,
-        )
-        write_handshake(self._process.stdin, {"fn": fn_path})
-
-    def submit(self, index: int, item: Any) -> None:
-        assert self._process is not None, "transport not started"
-        write_frame(self._process.stdin, (index, item))
-
-    def ping(self, token: int) -> None:
-        assert self._process is not None, "transport not started"
-        write_frame(self._process.stdin, ("ping", token))
-
-    def next_result(self) -> tuple[str, int, Any]:
-        assert self._process is not None, "transport not started"
-        frame = read_frame(self._process.stdout)
-        if frame is None:
-            raise ExecutionError(
-                f"worker exited unexpectedly (rc={self._process.poll()})"
-            )
-        return frame
-
-    def close(self) -> None:
-        process, self._process = self._process, None
-        if process is None:
-            return
-        # Close each pipe independently: an OSError closing stdin must
-        # not leak the stdout pipe (or vice versa).
-        for stream in (process.stdin, process.stdout):
-            try:
-                stream.close()
-            except OSError:
-                pass
-        try:
-            process.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
-
-
 class TcpWorkerTransport:
     """TCP transport: one connection to a ``repro worker --listen`` daemon."""
 
     def __init__(self, spec: WorkerSpec, connect_timeout: float = 10.0) -> None:
-        if spec.port is None:
-            raise ConfigurationError(
-                f"the TCP transport needs a port on {spec.host!r}; "
-                f"write the worker as host:port"
-            )
         self.spec = spec
         self.connect_timeout = connect_timeout
         self._sock: socket.socket | None = None
@@ -285,13 +185,6 @@ class TcpWorkerTransport:
                 pass
 
 
-def default_transport(spec: WorkerSpec) -> WorkerTransport:
-    """TCP for ``host:port`` endpoints, a local subprocess otherwise."""
-    if spec.port is not None:
-        return TcpWorkerTransport(spec)
-    return SubprocessWorkerTransport(spec)
-
-
 class _WorkerDied(Exception):
     """Internal: this pump's worker is unusable (reason in ``str``)."""
 
@@ -304,16 +197,16 @@ class _InFlight:
 
 @dataclass
 class DistributedExecutor:
-    """Fault-tolerant fan-out across worker endpoints (one pump per slot).
+    """Fault-tolerant fan-out across worker daemons (one pump per daemon).
 
     Parameters
     ----------
     workers:
-        Endpoint specs; each spec's ``slots`` expand into independent
-        channels built by ``transport_factory``.
+        One spec per ``repro worker --listen`` daemon, each listed once
+        (a daemon serves one connection at a time).
     transport_factory:
-        Builds the channel for one spec (default: TCP when the spec has
-        a port, local subprocess otherwise).
+        Builds the channel for one spec (default: a
+        :class:`TcpWorkerTransport`; tests substitute scripted fakes).
     ping_interval:
         Seconds between liveness probes while a unit is in flight.
     ping_timeout:
@@ -331,8 +224,8 @@ class DistributedExecutor:
         a unit that reliably kills every worker it lands on).
     """
 
-    workers: Sequence[WorkerSpec] = (WorkerSpec(),)
-    transport_factory: Callable[[WorkerSpec], WorkerTransport] = default_transport
+    workers: Sequence[WorkerSpec]
+    transport_factory: Callable[[WorkerSpec], WorkerTransport] = TcpWorkerTransport
     ping_interval: float = 0.5
     ping_timeout: float = 30.0
     straggler_factor: float | None = 4.0
@@ -340,6 +233,13 @@ class DistributedExecutor:
     max_attempts: int = 3
 
     def __post_init__(self) -> None:
+        if not self.workers:
+            raise ConfigurationError("distributed dispatch needs >= 1 worker")
+        if len(set(self.workers)) < len(self.workers):
+            raise ConfigurationError(
+                "a worker is listed twice; a daemon serves one connection "
+                "at a time, so a second channel to it would only stall"
+            )
         if self.ping_interval <= 0:
             raise ConfigurationError(
                 f"ping_interval must be > 0, got {self.ping_interval}"
@@ -364,10 +264,8 @@ class DistributedExecutor:
         if not items:
             return
         fn_path = function_path(fn)
-        specs = [spec for spec in self.workers for _ in range(spec.slots)]
-        if not specs:
-            raise ConfigurationError("distributed dispatch needs >= 1 worker slot")
-        yield from _DispatchRun(self, fn_path, items, specs[: len(items)]).drive()
+        specs = list(self.workers)[: len(items)]
+        yield from _DispatchRun(self, fn_path, items, specs).drive()
 
 
 class _DispatchRun:

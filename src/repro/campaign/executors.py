@@ -15,8 +15,8 @@ Two in-process executors live here:
   per item; a worker that dies (killed, out of memory) fails the run
   at once instead of hanging it.
 
-Multi-host dispatch lives in :mod:`repro.campaign.dispatch` behind the
-same protocol.
+Dispatch to remote ``repro worker --listen`` daemons lives in
+:mod:`repro.campaign.dispatch` behind the same protocol.
 """
 
 from __future__ import annotations
@@ -114,9 +114,8 @@ def make_executor(
     out over a :class:`MultiprocessingExecutor` pool; ``"service"``
     runs trials as clients of a scheduling server (``repro serve``) and
     requires ``service_addr``; ``"distributed"`` fans trials out across
-    worker endpoints — ``workers`` is then ``"host:port[,host:port...]"``
-    naming running ``repro worker --listen`` daemons, or a count of
-    local subprocess workers to launch.
+    running ``repro worker --listen`` daemons, and ``workers`` must then
+    name them as ``"host:port[,host:port...]"``.
     """
     if kind not in EXECUTOR_KINDS:
         raise ConfigurationError(

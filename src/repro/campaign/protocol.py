@@ -4,12 +4,14 @@ Length-prefixed pickle frames over a byte stream: one unsigned
 big-endian 32-bit payload length, then the pickled payload.  A stream
 opens with a two-byte handshake preamble — :data:`PROTOCOL_MAGIC` then
 :data:`PROTOCOL_VERSION` — followed by a regular frame carrying the
-handshake payload, so a stray process writing garbage into a worker's
-stdin (or a port scanner hitting the scheduling service) fails fast
-with a :class:`ConfigurationError` instead of a pickle explosion.
+handshake payload, so a stray peer writing garbage into a worker
+connection (or a port scanner hitting the scheduling service) fails
+fast with a :class:`ConfigurationError` instead of a pickle explosion.
 :func:`read_frame` additionally bounds the declared payload length
 (:data:`MAX_FRAME_BYTES` by default): a corrupt or hostile header
-cannot trigger a multi-gigabyte allocation.
+cannot trigger a multi-gigabyte allocation, and a payload that does
+not unpickle raises :class:`ConfigurationError` too
+(:func:`decode_payload`, also behind the service's async reader).
 
 For the worker protocol the handshake payload names the work function
 as a ``"module:qualname"`` import path; work frames are
@@ -18,11 +20,8 @@ as a ``"module:qualname"`` import path; work frames are
 or ``("error", index, message)`` where the message carries a traceback
 tail (:func:`repro.errors.format_error`).  The scheduling service
 (:mod:`repro.service`) speaks the same frames asynchronously with its
-own payload vocabulary.
-
-Lives apart from :mod:`repro.campaign.worker` so that importing the
-campaign package (which pulls in the dispatch client) never pre-imports
-the worker's ``__main__`` module.
+own payload vocabulary, which is why the codec lives apart from both
+the worker (:mod:`repro.campaign.worker`) and the service.
 """
 
 from __future__ import annotations
@@ -83,7 +82,23 @@ def read_frame(stream: BinaryIO, max_bytes: int = MAX_FRAME_BYTES) -> Any:
     data = stream.read(length)
     if len(data) < length:
         raise EOFError("truncated frame payload")
-    return pickle.loads(data)
+    return decode_payload(data)
+
+
+def decode_payload(data: bytes) -> Any:
+    """Unpickle one frame payload.
+
+    Any unpickling failure raises :class:`ConfigurationError`, so a
+    garbled frame is a protocol error that connection handlers already
+    catch, not a stray pickle exception.
+    """
+    try:
+        return pickle.loads(data)
+    except Exception as exc:
+        raise ConfigurationError(
+            f"undecodable {len(data)}-byte frame payload "
+            f"({type(exc).__name__}: {exc}) — corrupt or non-protocol stream"
+        ) from exc
 
 
 def write_handshake(stream: BinaryIO, payload: Any) -> None:
@@ -143,9 +158,14 @@ def resolve_function(path: str) -> Callable:
     module_name, _, qualname = path.partition(":")
     if not module_name or not qualname:
         raise ConfigurationError(f"malformed function path {path!r}")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
+    try:
+        obj: Any = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+    except (ImportError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"cannot resolve function path {path!r}: {exc}"
+        ) from exc
     if not callable(obj):
         raise ConfigurationError(f"{path!r} does not name a callable")
     return obj

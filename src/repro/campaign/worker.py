@@ -1,40 +1,39 @@
-"""Worker endpoint for distributed trial dispatch.
+"""Worker daemon for distributed trial dispatch.
 
-``python -m repro.campaign.worker`` (or ``repro worker``) speaks the
-length-prefixed pickle frame protocol of :mod:`repro.campaign.protocol`
-— over stdin/stdout by default, or as a TCP daemon with ``--listen
-HOST:PORT`` (what ``repro campaign --executor distributed`` dials).
+``repro worker --listen HOST:PORT`` serves the length-prefixed pickle
+frame protocol of :mod:`repro.campaign.protocol` over TCP; it is what
+``repro campaign --executor distributed`` dials.
 
-Each connection (or the stdio stream):
+Each connection:
 
-* opens with the magic/version handshake whose payload names the work
-  function as an import path (``"module:qualname"``, e.g.
-  ``"repro.campaign.trial:run_trial"``).  Resolution is per-connection,
-  so one daemon serves campaigns with different work functions back to
-  back;
+* opens with the magic/version handshake whose payload is
+  ``{"fn": "module:qualname"}``, naming the work function as an import
+  path (e.g. ``"repro.campaign.trial:run_trial"``).  Resolution is
+  per-connection, so one daemon serves campaigns with different work
+  functions back to back;
 * every following inbound frame is one ``(index, item)`` work unit or a
   ``("ping", token)`` liveness probe;
 * outbound frames are ``("ok", index, result)``, ``("error", index,
   message)`` — the message carries a traceback tail so remote failures
   stay debuggable — or ``("pong", token, None)``;
-* EOF on the stream ends the session; ``--listen`` mode then accepts
-  the next connection (connections are served sequentially — run one
-  daemon per slot for parallelism on one host).
+* EOF ends the session, and the daemon accepts the next connection.
+  Connections are served one at a time, so a host contributes one work
+  channel per daemon: run one daemon per core to use them all.
 
 Pings are answered from a reader thread *while a work unit computes*,
 which is what lets the dispatch layer distinguish a busy worker (pongs
 keep arriving) from a dead or unreachable one (silence past the
 deadline).
 
-The worker never lets user code write to the frame stream: ``sys.stdout``
-is rebound to stderr while serving, so a chatty trial function cannot
-corrupt the protocol.  :mod:`repro.campaign.dispatch` is the client side.
+A malformed peer — undecodable bytes, a handshake that is not
+``{"fn": path}``, a function that does not import, a unit frame that is
+not ``(index, item)`` — raises :class:`ConfigurationError`, which ends
+that connection only.  :mod:`repro.campaign.dispatch` is the client
+side.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import queue
 import socket
 import sys
@@ -51,18 +50,24 @@ from repro.campaign.protocol import (
 from repro.errors import ConfigurationError, format_error
 
 
-def serve(stdin: BinaryIO, stdout: BinaryIO) -> int:
+def serve(rfile: BinaryIO, wfile: BinaryIO) -> int:
     """Run one worker session until EOF; returns the number of work units.
 
-    A reader thread pulls frames off ``stdin`` and answers pings
+    A reader thread pulls frames off ``rfile`` and answers pings
     immediately (under a write lock shared with the compute loop), so
     liveness probes are served even while a unit is mid-computation.
     Work units execute in the calling thread, in arrival order.
     """
-    handshake = read_handshake(stdin)
+    handshake = read_handshake(rfile)
     if handshake is None:
         return 0
-    fn = resolve_function(handshake["fn"])
+    fn_path = handshake.get("fn") if isinstance(handshake, dict) else None
+    if not isinstance(fn_path, str):
+        raise ConfigurationError(
+            f"a worker handshake is {{'fn': 'module:qualname'}}; this "
+            f"{type(handshake).__name__} names no function"
+        )
+    fn = resolve_function(fn_path)
     write_lock = threading.Lock()
     work: queue.SimpleQueue = queue.SimpleQueue()
     reader_error: list[BaseException] = []
@@ -70,12 +75,17 @@ def serve(stdin: BinaryIO, stdout: BinaryIO) -> int:
     def read_loop() -> None:
         try:
             while True:
-                frame = read_frame(stdin)
+                frame = read_frame(rfile)
                 if frame is None:
                     return
-                if isinstance(frame, tuple) and frame and frame[0] == "ping":
+                if not isinstance(frame, tuple) or len(frame) != 2:
+                    raise ConfigurationError(
+                        f"a worker frame is (index, item) or ('ping', "
+                        f"token), got a {type(frame).__name__}"
+                    )
+                if frame[0] == "ping":
                     with write_lock:
-                        write_frame(stdout, ("pong", frame[1], None))
+                        write_frame(wfile, ("pong", frame[1], None))
                     continue
                 work.put(frame)
         except BaseException as exc:  # re-raised on the serving thread
@@ -95,10 +105,10 @@ def serve(stdin: BinaryIO, stdout: BinaryIO) -> int:
             result = fn(item)
         except Exception as exc:  # forwarded, not fatal to the worker
             with write_lock:
-                write_frame(stdout, ("error", index, format_error(exc)))
+                write_frame(wfile, ("error", index, format_error(exc)))
         else:
             with write_lock:
-                write_frame(stdout, ("ok", index, result))
+                write_frame(wfile, ("ok", index, result))
         served += 1
     reader.join()
     if reader_error:
@@ -125,17 +135,17 @@ def serve_connections(
         except OSError:
             break
         with conn:
-            stdin = conn.makefile("rb")
-            stdout = conn.makefile("wb")
+            rfile = conn.makefile("rb")
+            wfile = conn.makefile("wb")
             try:
-                units = serve(stdin, stdout)
+                units = serve(rfile, wfile)
                 if log is not None:
                     log(f"served {units} units for {peer[0]}:{peer[1]}")
             except (ConfigurationError, EOFError, OSError, ValueError) as exc:
                 if log is not None:
                     log(f"connection from {peer[0]}:{peer[1]} failed: {exc}")
             finally:
-                for stream in (stdin, stdout):
+                for stream in (rfile, wfile):
                     try:
                         stream.close()
                     except OSError:
@@ -145,69 +155,25 @@ def serve_connections(
 
 
 def run_worker(
-    listen: str | None = None,
+    listen: str,
     max_connections: int | None = None,
     quiet: bool = False,
 ) -> int:
-    """Entry point shared by ``python -m`` and the ``repro worker`` CLI."""
+    """The ``repro worker --listen HOST:PORT`` daemon."""
     log = (
         None
         if quiet
         else lambda message: print(f"[worker] {message}", file=sys.stderr, flush=True)
     )
-    if listen is None:
-        stdout = sys.stdout.buffer
-        with contextlib.redirect_stdout(sys.stderr):
-            serve(sys.stdin.buffer, stdout)
-        return 0
     host, port = parse_hostport(listen)
     listener = socket.create_server((host, port))
     bound_host, bound_port = listener.getsockname()[:2]
     if log is not None:
         log(f"listening on {bound_host}:{bound_port}")
     try:
-        with contextlib.redirect_stdout(sys.stderr):
-            serve_connections(listener, max_connections=max_connections, log=log)
+        serve_connections(listener, max_connections=max_connections, log=log)
     except KeyboardInterrupt:
         return 130
     finally:
         listener.close()
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro worker",
-        description=(
-            "Serve distributed campaign trials: over stdin/stdout by "
-            "default, or as a TCP daemon with --listen HOST:PORT."
-        ),
-    )
-    parser.add_argument(
-        "--listen",
-        default=None,
-        metavar="HOST:PORT",
-        help="serve TCP connections on this address instead of "
-        "stdin/stdout (port 0 picks a free port; the bound "
-        "address is announced on stderr)",
-    )
-    parser.add_argument(
-        "--max-connections",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after serving N connections (default: serve forever)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress stderr status lines"
-    )
-    args = parser.parse_args(argv)
-    return run_worker(
-        listen=args.listen,
-        max_connections=args.max_connections,
-        quiet=args.quiet,
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,7 +13,7 @@ Examples::
     repro campaign --resume run.jsonl
     repro campaign --sizes 12 --seeds 10 --loss --cycles 3
     repro pipeline --size 12 --shots 4 --cycles 3 --loss --fpga
-    repro worker --listen 0.0.0.0:7501
+    repro worker --listen 0.0.0.0:7501      # one daemon per core
     repro campaign --executor distributed \\
         --workers host-a:7501,host-b:7501 --journal run.jsonl
     repro resources --size 90
@@ -43,7 +43,7 @@ from repro.analysis.feasibility import (
 from repro.aod.validator import validate_schedule
 from repro.baselines.base import get_algorithm, list_algorithms
 from repro.campaign.executors import EXECUTOR_KINDS
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.fpga.accelerator import QrmAccelerator
 from repro.fpga.bitvec import BitVector
 from repro.fpga.resources import ResourceModel
@@ -160,23 +160,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.sweeps import qrm_quality_sweep
-    from repro.campaign import make_executor
-
-    result = qrm_quality_sweep(
-        sizes=args.sizes,
-        fills=args.fills,
-        trials=args.trials,
-        executor=make_executor(args.workers),
-    )
-    print(result.format_table(title="QRM assembly quality sweep"))
-    if args.csv:
-        path = result.write_csv(args.csv)
-        print(f"[written to {path}]")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
@@ -290,6 +273,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.campaign.worker import run_worker
 
+    if args.listen is None:
+        raise ConfigurationError(
+            "repro worker is a TCP daemon: pass --listen HOST:PORT and dial "
+            "it with 'repro campaign --executor distributed --workers "
+            "host:port[,host:port...]'; for a local process pool, run "
+            "'repro campaign --workers N' instead"
+        )
     return run_worker(
         listen=args.listen,
         max_connections=args.max_connections,
@@ -429,15 +419,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
 
-    if journal is None and args.journal:
-        journal = RunJournal.fresh(args.journal)
-
-    observer = NullObserver() if args.quiet else ConsoleObserver()
-    if args.interrupt_after is not None:
-        observer = CompositeObserver(
-            [observer, InterruptingObserver(args.interrupt_after)]
-        )
-
     workers = args.workers
     if workers is not None and args.executor != "distributed":
         try:
@@ -450,13 +431,24 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+    # Built before the journal, so a bad executor setup leaves no file.
+    executor = make_executor(
+        workers, kind=args.executor, service_addr=args.service_addr
+    )
+
+    if journal is None and args.journal:
+        journal = RunJournal.fresh(args.journal)
+
+    observer = NullObserver() if args.quiet else ConsoleObserver()
+    if args.interrupt_after is not None:
+        observer = CompositeObserver(
+            [observer, InterruptingObserver(args.interrupt_after)]
+        )
 
     cache = None if args.no_cache else TrialCache(args.cache_dir)
     campaign = ExperimentCampaign(
         spec,
-        executor=make_executor(
-            workers, kind=args.executor, service_addr=args.service_addr
-        ),
+        executor=executor,
         cache=cache,
         observer=observer,
         journal=journal,
@@ -564,21 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iteration", type=int, default=0)
     p.set_defaults(func=_cmd_timeline)
 
-    p = sub.add_parser("sweep", help="QRM assembly-quality sweep over size x fill")
-    p.add_argument("--sizes", type=int, nargs="+", default=[20, 30])
-    p.add_argument("--fills", type=float, nargs="+", default=[0.5, 0.6])
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="trial-execution processes (1 = in-process)",
-    )
-    p.add_argument(
-        "--csv", type=str, default=None, help="also write the sweep to this CSV file"
-    )
-    p.set_defaults(func=_cmd_sweep)
-
     p = sub.add_parser(
         "campaign",
         help="run an experiment campaign over a scenario grid",
@@ -670,9 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="trial-execution processes (default: in-process; "
         "N > 1 fans trials out over a local process pool); "
-        "for --executor distributed, either a count of local "
-        "subprocess workers or host:port[,host:port...] naming "
-        "running 'repro worker --listen' daemons",
+        "with --executor distributed, host:port[,host:port...] "
+        "naming running 'repro worker --listen' daemons instead",
     )
     p.add_argument(
         "--executor",
@@ -931,13 +907,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help="run a campaign worker (stdio or TCP daemon)",
+        help="run a campaign worker daemon (TCP, --listen HOST:PORT)",
         description=(
-            "Serve distributed campaign trials.  By default speaks the "
-            "frame protocol over stdin/stdout (what the subprocess "
-            "transport launches); with --listen HOST:PORT it runs as a "
-            "TCP daemon serving sequential connections from "
-            "'repro campaign --executor distributed'."
+            "Serve distributed campaign trials as a TCP daemon on "
+            "--listen HOST:PORT: one connection at a time from "
+            "'repro campaign --executor distributed --workers "
+            "host:port[,...]', so run one daemon per core.  For local "
+            "parallelism use 'repro campaign --workers N' instead."
         ),
     )
     p.add_argument(
@@ -945,8 +921,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="HOST:PORT",
-        help="serve TCP connections on this address (port 0 picks a "
-        "free port; the bound address is announced on stderr)",
+        help="(required) serve TCP connections on this address (port "
+        "0 picks a free port; the bound address is announced on "
+        "stderr)",
     )
     p.add_argument(
         "--max-connections",

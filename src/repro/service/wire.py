@@ -3,8 +3,9 @@
 The service speaks the same length-prefixed pickle frames as
 :mod:`repro.campaign.protocol` — this module is the
 ``StreamReader``/``StreamWriter`` side of that protocol, sharing the
-header layout, the handshake preamble and the max-frame-size guard with
-the synchronous implementation so both ends enforce identical limits.
+header layout, the handshake preamble, the max-frame-size guard and the
+payload decoder with the synchronous implementation so both ends
+enforce identical limits.
 
 Request/response vocabulary (pickle mode), one tuple per frame:
 
@@ -36,6 +37,7 @@ from repro.campaign.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
+    decode_payload,
 )
 from repro.errors import ConfigurationError, ReproError
 
@@ -67,7 +69,7 @@ async def read_frame_async(
         data = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise EOFError("truncated frame payload") from exc
-    return pickle.loads(data)
+    return decode_payload(data)
 
 
 async def write_frame_async(writer: asyncio.StreamWriter, payload: Any) -> None:

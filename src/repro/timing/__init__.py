@@ -1,17 +1,5 @@
 """Timing models and measurement helpers."""
 
-from repro.timing.latency import (
-    LatencyComparison,
-    cycles_to_us,
-    measure_best_of,
-    measure_wall,
-    us_to_cycles,
-)
+from repro.timing.latency import measure_wall
 
-__all__ = [
-    "LatencyComparison",
-    "cycles_to_us",
-    "measure_best_of",
-    "measure_wall",
-    "us_to_cycles",
-]
+__all__ = ["measure_wall"]

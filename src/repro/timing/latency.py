@@ -1,6 +1,6 @@
 """Latency bookkeeping helpers shared by experiments and benchmarks.
 
-Besides the cycle/wall conversion helpers, this module owns the
+Besides the wall-clock helper :func:`measure_wall`, this module owns the
 **canonical stage vocabulary** of the closed-loop data path (camera ->
 detect -> schedule -> AWG -> replay).  Both sides of every latency
 comparison speak it:
@@ -48,36 +48,11 @@ PIPELINE_STAGES = (
 BUDGETED_STAGES = PIPELINE_STAGES[:-1]
 
 
-def cycles_to_us(cycles: int | float, clock_mhz: float) -> float:
-    """Clock cycles to microseconds."""
-    if clock_mhz <= 0:
-        raise ConfigurationError("clock_mhz must be positive")
-    return cycles / clock_mhz
-
-
-def us_to_cycles(us: float, clock_mhz: float) -> int:
-    if clock_mhz <= 0:
-        raise ConfigurationError("clock_mhz must be positive")
-    return int(round(us * clock_mhz))
-
-
 def measure_wall(fn: Callable[[], Any]) -> tuple[Any, float]:
     """Run ``fn`` once; returns (result, elapsed seconds)."""
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
-
-
-def measure_best_of(fn: Callable[[], Any], repeats: int = 3) -> tuple[Any, float]:
-    """Best-of-N wall time (reduces scheduler noise); returns last result."""
-    if repeats < 1:
-        raise ConfigurationError("repeats must be >= 1")
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        result, elapsed = measure_wall(fn)
-        best = min(best, elapsed)
-    return result, best
 
 
 @dataclass
@@ -217,21 +192,3 @@ class StageReport:
             )
             lines.append(f"  {key:<10}{meas}{model}{ratio}")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class LatencyComparison:
-    """One CPU-vs-FPGA comparison row."""
-
-    size: int
-    fpga_us: float
-    cpu_model_us: float
-    cpu_measured_us: float
-
-    @property
-    def speedup_model(self) -> float:
-        return self.cpu_model_us / self.fpga_us if self.fpga_us else float("inf")
-
-    @property
-    def speedup_measured(self) -> float:
-        return (self.cpu_measured_us / self.fpga_us if self.fpga_us else float("inf"))

@@ -21,3 +21,9 @@ def square_or_die(value: int) -> int:
     if value < 0:
         os.kill(os.getpid(), signal.SIGKILL)
     return value * value
+
+
+def nap_square(value: int) -> int:
+    """Square ``value`` after a 50 ms nap, so a run stays in flight."""
+    time.sleep(0.05)
+    return value * value

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from test_dispatch import worker_daemon
+
 from repro.campaign import read_journal
 from repro.cli import build_parser, main
 
@@ -83,25 +85,6 @@ class TestCommands:
     def test_figure_loss(self, capsys):
         assert main(["figure", "loss", "--trials", "1"]) == 0
         assert "atom loss" in capsys.readouterr().out
-
-    def test_sweep(self, capsys, tmp_path):
-        csv_path = tmp_path / "sweep.csv"
-        assert main(
-            [
-                "sweep",
-                "--sizes",
-                "10",
-                "--fills",
-                "0.5",
-                "--trials",
-                "1",
-                "--csv",
-                str(csv_path),
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "target_fill" in out
-        assert csv_path.exists()
 
     def test_campaign(self, capsys, tmp_path):
         csv_path = tmp_path / "campaign.csv"
@@ -260,22 +243,37 @@ class TestCommands:
         serial_csv = tmp_path / "serial.csv"
         fanned_csv = tmp_path / "distributed.csv"
         assert main(base + ["--csv", str(serial_csv)]) == 0
-        assert (
-            main(
-                base
-                + [
-                    "--executor",
-                    "distributed",
-                    "--workers",
-                    "2",
-                    "--csv",
-                    str(fanned_csv),
-                ]
-            )
-            == 0
-        )
+        with worker_daemon() as (_, spec_a), worker_daemon() as (_, spec_b):
+            endpoints = f"{spec_a.host}:{spec_a.port},{spec_b.host}:{spec_b.port}"
+            argv = ["--executor", "distributed", "--workers", endpoints]
+            assert main(base + argv + ["--csv", str(fanned_csv)]) == 0
         capsys.readouterr()
         assert serial_csv.read_bytes() == fanned_csv.read_bytes()
+
+    @pytest.mark.parametrize(
+        "workers", [["--workers", "2"], []], ids=["process-count", "no-workers"]
+    )
+    def test_campaign_distributed_needs_daemon_endpoints(
+        self, capsys, tmp_path, workers
+    ):
+        # Local fan-out is the process pool; the distributed executor
+        # only dials daemons, and says so before any file is written.
+        journal = tmp_path / "run.jsonl"
+        argv = ["campaign", "--executor", "distributed", "--sizes", "10"]
+        argv += ["--seeds", "1", "--journal", str(journal), "--no-cache"]
+        assert main(argv + workers) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--workers N" in err
+        assert "--workers host:port[,host:port...]" in err
+        assert not journal.exists()
+
+    def test_worker_needs_listen(self, capsys):
+        assert main(["worker"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--listen HOST:PORT" in err
+        assert "--workers N" in err
 
     def test_campaign_worker_endpoints_need_distributed_executor(self, capsys):
         assert (

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import os
+import pickle
 import queue
 import re
+import socket
 import struct
 import subprocess
 import sys
@@ -25,7 +28,6 @@ from repro.campaign import (
     ExperimentCampaign,
     RunJournal,
     ScenarioCell,
-    SubprocessWorkerTransport,
     TcpWorkerTransport,
     TrialSpec,
     WorkerSpec,
@@ -36,6 +38,7 @@ from repro.campaign import (
 from repro.campaign.protocol import (
     PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
+    decode_payload,
     function_path,
     parse_hostport,
     read_frame,
@@ -51,20 +54,11 @@ TESTS_DIR = str(Path(__file__).resolve().parent)
 
 
 # Module-level work functions: they cross the transport as import paths
-# ("test_dispatch:name"), so worker processes must be launched with this
+# ("test_dispatch:name"), so worker daemons are launched with this
 # directory on PYTHONPATH (see `child_pythonpath` / `worker_daemon`).
 
 
 def square(value: int) -> int:
-    return value * value
-
-
-def crash_once(item):
-    """Kill this worker process the first time the marked item runs."""
-    flag_path, value, victim = item
-    if value == victim and not Path(flag_path).exists():
-        Path(flag_path).touch()
-        os._exit(1)
     return value * value
 
 
@@ -79,13 +73,7 @@ def worker_daemon(max_connections: int | None = None):
     """A real ``repro worker --listen`` daemon on a free port."""
     env = dict(os.environ)
     env["PYTHONPATH"] = child_pythonpath()
-    command = [
-        sys.executable,
-        "-m",
-        "repro.campaign.worker",
-        "--listen",
-        "127.0.0.1:0",
-    ]
+    command = [sys.executable, "-m", "repro.cli", "worker", "--listen", "127.0.0.1:0"]
     if max_connections is not None:
         command += ["--max-connections", str(max_connections)]
     process = subprocess.Popen(
@@ -101,6 +89,41 @@ def worker_daemon(max_connections: int | None = None):
             process.kill()
         process.stderr.close()
         process.wait()
+
+
+def frame_bytes(payload) -> bytes:
+    stream = io.BytesIO()
+    write_frame(stream, payload)
+    return stream.getvalue()
+
+
+def handshake_bytes(payload) -> bytes:
+    stream = io.BytesIO()
+    write_handshake(stream, payload)
+    return stream.getvalue()
+
+
+def raw_frame(data: bytes) -> bytes:
+    """A frame around arbitrary bytes (not necessarily a pickle)."""
+    return struct.pack(">I", len(data)) + data
+
+
+GARBAGE = b"\x00not a pickle"
+PREAMBLE = bytes([PROTOCOL_MAGIC, PROTOCOL_VERSION])
+ABS_HANDSHAKE = handshake_bytes({"fn": "builtins:abs"})
+
+#: Streams a broken or hostile peer might send a worker daemon; each
+#: must end its own connection with a ConfigurationError, nothing more.
+MALFORMED_PEERS = {
+    "undecodable-handshake": PREAMBLE + raw_frame(GARBAGE),
+    "handshake-not-a-dict": handshake_bytes(["fn", "builtins:abs"]),
+    "handshake-missing-module": handshake_bytes({"fn": "no_such_module:run"}),
+    "unit-not-index-item": ABS_HANDSHAKE + frame_bytes(5),
+    "undecodable-unit": ABS_HANDSHAKE + raw_frame(GARBAGE),
+}
+malformed_peers = pytest.mark.parametrize(
+    "data", list(MALFORMED_PEERS.values()), ids=list(MALFORMED_PEERS)
+)
 
 
 class TestProtocol:
@@ -142,6 +165,17 @@ class TestProtocol:
             resolve_function("no-colon")
         with pytest.raises(ConfigurationError):
             resolve_function("math:pi")  # not callable
+        with pytest.raises(ConfigurationError, match="cannot resolve"):
+            resolve_function("no_such_module:run")
+        with pytest.raises(ConfigurationError, match="cannot resolve"):
+            resolve_function("builtins:no_such_function")
+
+    def test_undecodable_payload_raises_configuration_error(self):
+        stream = io.BytesIO(raw_frame(GARBAGE))
+        with pytest.raises(ConfigurationError, match="undecodable"):
+            read_frame(stream)
+        with pytest.raises(ConfigurationError, match="undecodable"):
+            decode_payload(pickle.dumps((1, 2))[:-3])
 
     def test_oversized_frame_header_rejected_before_allocation(self):
         # A forged 2 GiB length must raise, not attempt the allocation.
@@ -248,6 +282,11 @@ class TestWorkerLoop:
         with pytest.raises(ConfigurationError, match="magic"):
             serve(io.BytesIO(b"\x00garbage"), io.BytesIO())
 
+    @malformed_peers
+    def test_malformed_peer_raises_configuration_error(self, data):
+        with pytest.raises(ConfigurationError):
+            serve(io.BytesIO(data), io.BytesIO())
+
 
 def trial_items(n_seeds: int = 4) -> list[TrialSpec]:
     cell = ScenarioCell(algorithm="qrm", size=8, fill=0.5)
@@ -257,74 +296,50 @@ def trial_items(n_seeds: int = 4) -> list[TrialSpec]:
     ]
 
 
+def scripted_workers(count: int) -> list[WorkerSpec]:
+    """Distinct endpoints for scripted transports (never dialled)."""
+    return [WorkerSpec("scripted", 7000 + offset) for offset in range(count)]
+
+
 class TestWorkerSpec:
     def test_spec_validation(self):
+        fields = [field.name for field in dataclasses.fields(WorkerSpec)]
+        assert fields == ["host", "port"]
         with pytest.raises(ConfigurationError):
-            WorkerSpec(slots=0)
+            WorkerSpec("gpu-01", 0)
         with pytest.raises(ConfigurationError):
-            WorkerSpec(port=0)
-        with pytest.raises(ConfigurationError):
-            SubprocessWorkerTransport(WorkerSpec(host="gpu-farm-01"))
-        with pytest.raises(ConfigurationError, match="port"):
-            TcpWorkerTransport(WorkerSpec(host="gpu-farm-01"))
-        assert not WorkerSpec(host="gpu-farm-01").local
+            WorkerSpec("gpu-01", 65536)
 
     def test_parse(self):
-        spec = WorkerSpec.parse("gpu-01:7501")
-        assert (spec.host, spec.port, spec.slots) == ("gpu-01", 7501, 1)
+        assert WorkerSpec.parse("gpu-01:7501") == WorkerSpec("gpu-01", 7501)
 
     def test_parse_workers(self):
-        assert parse_workers(None) == (WorkerSpec(),)
-        assert parse_workers(3) == (WorkerSpec(slots=3),)
-        assert parse_workers("2") == (WorkerSpec(slots=2),)
         specs = parse_workers("a:1, b:2,")
-        assert [(spec.host, spec.port) for spec in specs] == [("a", 1), ("b", 2)]
-        with pytest.raises(ConfigurationError):
-            parse_workers("  ")
+        assert specs == (WorkerSpec("a", 1), WorkerSpec("b", 2))
         with pytest.raises(ConfigurationError):
             parse_workers("host:bad")
 
-
-class TestSubprocessTransportClose:
-    class _Stream:
-        def __init__(self, fail: bool = False):
-            self.fail = fail
-            self.closed = False
-
-        def close(self):
-            if self.fail:
-                raise OSError("already gone")
-            self.closed = True
-
-    class _Process:
-        def __init__(self, stdin, stdout):
-            self.stdin = stdin
-            self.stdout = stdout
-
-        def wait(self, timeout=None):
-            return 0
-
-    def test_close_is_idempotent_without_start(self):
-        transport = SubprocessWorkerTransport(WorkerSpec())
-        transport.close()
-        transport.close()
-
-    def test_stdin_close_error_does_not_leak_stdout(self):
-        stdin = self._Stream(fail=True)
-        stdout = self._Stream()
-        transport = SubprocessWorkerTransport(WorkerSpec())
-        transport._process = self._Process(stdin, stdout)
-        transport.close()
-        assert stdout.closed, "stdout leaked after stdin.close() raised"
-        assert transport._process is None
+    @pytest.mark.parametrize(
+        "value", [None, 3, "2", "  ", ","], ids=["none", "int", "str", "blank", "comma"]
+    )
+    def test_parse_workers_needs_daemon_endpoints(self, value):
+        # A process count or no endpoint at all: the error names both
+        # ways forward, the local pool and remote daemons.
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_workers(value)
+        message = str(excinfo.value)
+        assert "--workers N" in message
+        assert "--workers host:port[,host:port...]" in message
+        assert "repro worker --listen HOST:PORT" in message
 
 
 class TestDistributedExecutor:
     def test_matches_in_process_results(self):
         items = trial_items(4)
         expected = {index: run_trial(item) for index, item in enumerate(items)}
-        executor = DistributedExecutor(workers=[WorkerSpec(slots=2)])
-        assert dict(executor.run(run_trial, items)) == expected
+        with worker_daemon() as (_, spec):
+            executor = DistributedExecutor(workers=[spec])
+            assert dict(executor.run(run_trial, items)) == expected
 
     def test_campaign_aggregates_match_serial(self):
         spec = CampaignSpec(
@@ -335,13 +350,16 @@ class TestDistributedExecutor:
             n_seeds=4,
         )
         serial = ExperimentCampaign(spec).run()
-        distributed = ExperimentCampaign(
-            spec, executor=DistributedExecutor(workers=[WorkerSpec(slots=2)])
-        ).run()
+        with worker_daemon() as (_, spec_a), worker_daemon() as (_, spec_b):
+            distributed = ExperimentCampaign(
+                spec,
+                executor=DistributedExecutor(workers=[spec_a, spec_b]),
+                batch_size=2,
+            ).run()
         assert serial.to_csv() == distributed.to_csv()
 
     def test_empty_items(self):
-        executor = DistributedExecutor(workers=[WorkerSpec()])
+        executor = DistributedExecutor(workers=scripted_workers(1))
         assert list(executor.run(run_trial, [])) == []
 
     def test_remote_error_surfaces_with_traceback(self):
@@ -350,39 +368,33 @@ class TestDistributedExecutor:
             seed_index=0,
             master_seed=0,
         )
-        executor = DistributedExecutor(workers=[WorkerSpec()])
-        with pytest.raises(ExecutionError, match="remotely") as excinfo:
-            list(executor.run(run_trial, [bad]))
+        with worker_daemon() as (_, spec):
+            executor = DistributedExecutor(workers=[spec])
+            with pytest.raises(ExecutionError, match="remotely") as excinfo:
+                list(executor.run(run_trial, [bad]))
         assert "Traceback (most recent call last)" in str(excinfo.value)
 
     def test_executor_validation(self):
+        workers = scripted_workers(1)
         with pytest.raises(ConfigurationError):
-            DistributedExecutor(ping_interval=0)
+            DistributedExecutor(workers, ping_interval=0)
         with pytest.raises(ConfigurationError):
-            DistributedExecutor(ping_timeout=-1)
+            DistributedExecutor(workers, ping_timeout=-1)
         with pytest.raises(ConfigurationError):
-            DistributedExecutor(straggler_factor=1.0)
+            DistributedExecutor(workers, straggler_factor=1.0)
         with pytest.raises(ConfigurationError):
-            DistributedExecutor(max_attempts=0)
+            DistributedExecutor(workers, max_attempts=0)
 
-    def test_no_slots_rejected(self):
-        executor = DistributedExecutor(workers=[])
-        with pytest.raises(ConfigurationError, match="slot"):
-            list(executor.run(run_trial, trial_items(1)))
+    def test_no_workers_rejected(self):
+        with pytest.raises(ConfigurationError, match=">= 1 worker"):
+            DistributedExecutor(workers=[])
 
-    def test_worker_killed_mid_run_redispatches(self, tmp_path):
-        # Two local subprocess workers; one self-destructs the first
-        # time it executes the marked unit.  The in-flight unit must be
-        # re-dispatched to the survivor and every result arrive exactly
-        # once, with the correct value.
-        flag = tmp_path / "crashed"
-        spec = WorkerSpec(slots=2, env={"PYTHONPATH": TESTS_DIR})
-        executor = DistributedExecutor(workers=[spec])
-        items = [(str(flag), value, 5) for value in range(12)]
-        results = list(executor.run(crash_once, items))
-        assert flag.exists(), "the crash path never ran"
-        assert sorted(index for index, _ in results) == list(range(12))
-        assert dict(results) == {index: index * index for index in range(12)}
+    def test_a_worker_listed_twice_is_rejected(self):
+        # A daemon serves one connection at a time: a second channel to
+        # it would sit unanswered until the straggler floor expired.
+        spec = WorkerSpec("127.0.0.1", 7501)
+        with pytest.raises(ConfigurationError, match="listed twice"):
+            DistributedExecutor(workers=[spec, spec])
 
     def test_long_unit_survives_on_pings(self):
         # The unit takes ~2 s but the silence deadline is 0.8 s: only
@@ -441,18 +453,35 @@ class TestTcpTransport:
             assert dict(executor.run(run_trial, items)) == expected
 
     def test_kill_one_daemon_mid_run_redispatches(self):
-        items = [(None, value, None) for value in range(20)]
-        expected = {index: index * index for index in range(20)}
+        # 20 units of 50 ms over two daemons: the kill after the third
+        # result lands with the victim's share still in flight or
+        # queued, and the survivor must absorb all of it.
+        items = list(range(20))
         with worker_daemon() as (victim, spec_a), worker_daemon() as (_, spec_b):
             executor = DistributedExecutor(workers=[spec_a, spec_b])
             results = {}
-            for count, (index, value) in enumerate(
-                executor.run(crash_once, items)
-            ):
+            run = executor.run(dispatch_sleeper.nap_square, items)
+            for count, (index, value) in enumerate(run):
                 results[index] = value
                 if count == 2:
                     victim.kill()
-            assert results == expected
+            assert victim.wait(timeout=10) != 0
+        assert results == {index: index * index for index in items}
+
+    @malformed_peers
+    def test_malformed_peer_is_dropped_and_the_daemon_serves_on(self, data):
+        with worker_daemon() as (process, spec):
+            with socket.create_connection((spec.host, spec.port), 10) as peer:
+                peer.sendall(data)
+            transport = TcpWorkerTransport(spec)
+            try:
+                transport.start("builtins:abs")
+                transport.submit(0, -5)
+                assert transport.next_result() == ("ok", 0, 5)
+            finally:
+                transport.close()
+            assert process.poll() is None
+            assert "failed" in process.stderr.readline()
 
     def test_campaign_with_journal_shards_into_one_resumable_journal(
         self, tmp_path
@@ -550,7 +579,7 @@ class TestFaultInjection:
             return transport
 
         executor = DistributedExecutor(
-            workers=[WorkerSpec(slots=2)],
+            workers=scripted_workers(2),
             transport_factory=factory,
             ping_interval=0.02,
             ping_timeout=0.1,
@@ -562,7 +591,7 @@ class TestFaultInjection:
 
     def test_single_deaf_worker_fails_with_ping_reason(self):
         executor = DistributedExecutor(
-            workers=[WorkerSpec()],
+            workers=scripted_workers(1),
             transport_factory=lambda spec: _ScriptedTransport(square, deaf=True),
             ping_interval=0.02,
             ping_timeout=0.1,
@@ -577,7 +606,7 @@ class TestFaultInjection:
             return _ScriptedTransport(square, trip=lambda index: index == 1)
 
         executor = DistributedExecutor(
-            workers=[WorkerSpec(slots=4)],
+            workers=scripted_workers(4),
             transport_factory=factory,
             max_attempts=2,
         )
@@ -595,7 +624,7 @@ class TestFaultInjection:
             return transport
 
         executor = DistributedExecutor(
-            workers=[WorkerSpec(slots=2)],
+            workers=scripted_workers(2),
             transport_factory=factory,
             ping_interval=0.02,
             straggler_factor=2.0,
@@ -609,13 +638,9 @@ class TestFaultInjection:
         assert 0 in transports[1].submitted
 
     @settings(max_examples=20, deadline=None)
-    @given(
-        worker_slots=st.lists(st.integers(1, 2), min_size=1, max_size=3),
-        n_items=st.integers(1, 12),
-        data=st.data(),
-    )
-    def test_kill_one_worker_property(self, worker_slots, n_items, data):
-        """At-most-once completion over worker count × slots × failure index.
+    @given(n_workers=st.integers(1, 6), n_items=st.integers(1, 12), data=st.data())
+    def test_kill_one_worker_property(self, n_workers, n_items, data):
+        """At-most-once completion over worker count × failure index.
 
         One worker crashes mid-unit at a Hypothesis-chosen index.  With
         surviving workers the run must complete every unit exactly once
@@ -633,14 +658,13 @@ class TestFaultInjection:
             return False
 
         executor = DistributedExecutor(
-            workers=[WorkerSpec(slots=slots) for slots in worker_slots],
+            workers=scripted_workers(n_workers),
             transport_factory=lambda spec: _ScriptedTransport(square, trip=trip),
             ping_interval=0.02,
             ping_timeout=0.5,
         )
         items = list(range(n_items))
-        total_slots = min(sum(worker_slots), n_items)
-        if total_slots == 1:
+        if min(n_workers, n_items) == 1:
             with pytest.raises(ExecutionError, match="workers died"):
                 dict(executor.run(square, items))
             return

@@ -15,8 +15,10 @@ siblings, client retry/timeout semantics, and the campaign-level
 
 from __future__ import annotations
 
+import io
 import json
 import socket
+import struct
 import time
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.aod.serialize import schedule_to_dict
 from repro.baselines.base import register_algorithm, unregister_algorithm
 from repro.campaign.engine import ExperimentCampaign
 from repro.campaign.executors import make_executor
+from repro.campaign.protocol import read_frame, write_handshake
 from repro.campaign.spec import CampaignSpec, LossSpec, QrmSpec, ScenarioCell
 from repro.errors import ConfigurationError, ServiceError, ServiceTimeoutError
 from repro.lattice.array import AtomArray
@@ -404,6 +407,22 @@ def test_malformed_grid_is_rejected(client):
     payload["grid"] = np.ones((3, 3), dtype=bool)  # wrong shape
     with pytest.raises(ServiceError):
         client._submit("schedule", payload).result()
+
+
+def test_undecodable_frame_gets_an_error_frame(server, client):
+    # A payload that does not unpickle, after a valid handshake: the
+    # peer gets one error frame, and the server keeps serving others.
+    stream = io.BytesIO()
+    write_handshake(stream, {"client": "repro", "proto": "schedule"})
+    garbage = b"\x00not a pickle"
+    stream.write(struct.pack(">I", len(garbage)) + garbage)
+    with socket.create_connection(server.address, timeout=10.0) as sock:
+        sock.sendall(stream.getvalue())
+        with sock.makefile("rb") as rfile:
+            status, request_id, message = read_frame(rfile)
+    assert (status, request_id) == ("error", None)
+    assert "undecodable" in message
+    assert client.ping()
 
 
 class _PoisonScheduler:

@@ -18,12 +18,8 @@ from repro.lattice.geometry import Direction
 from repro.timing.latency import (
     BUDGETED_STAGES,
     PIPELINE_STAGES,
-    LatencyComparison,
     StageReport,
-    cycles_to_us,
-    measure_best_of,
     measure_wall,
-    us_to_cycles,
 )
 from repro.workflow.links import AXI_DDR, COAXPRESS_12, GIGE, LinkModel
 from repro.workflow.system import (
@@ -34,36 +30,10 @@ from repro.workflow.system import (
 
 
 class TestLatencyHelpers:
-    def test_cycles_to_us(self):
-        assert cycles_to_us(250, 250.0) == 1.0
-        assert us_to_cycles(2.0, 250.0) == 500
-
-    def test_invalid_clock(self):
-        with pytest.raises(ConfigurationError):
-            cycles_to_us(1, 0)
-        with pytest.raises(ConfigurationError):
-            us_to_cycles(1, -1)
-
     def test_measure_wall(self):
         result, elapsed = measure_wall(lambda: 42)
         assert result == 42
         assert elapsed >= 0
-
-    def test_measure_best_of(self):
-        result, best = measure_best_of(lambda: "ok", repeats=3)
-        assert result == "ok"
-        assert best >= 0
-
-    def test_measure_best_of_validation(self):
-        with pytest.raises(ConfigurationError):
-            measure_best_of(lambda: 1, repeats=0)
-
-    def test_latency_comparison_speedups(self):
-        row = LatencyComparison(
-            size=50, fpga_us=2.0, cpu_model_us=54.0, cpu_measured_us=100.0
-        )
-        assert row.speedup_model == pytest.approx(27.0)
-        assert row.speedup_measured == pytest.approx(50.0)
 
 
 class TestMoveTiming:
