@@ -26,7 +26,6 @@ from repro.campaign.engine import (
     run_campaign,
 )
 from repro.campaign.executors import (
-    EXECUTOR_KINDS,
     CampaignExecutor,
     MultiprocessingExecutor,
     SerialExecutor,
@@ -60,11 +59,9 @@ from repro.campaign.trial import (
     TrialSpec,
     cell_sequence,
     run_trial,
-    use_scheduler_factory,
 )
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "JOURNAL_SCHEMA_VERSION",
     "CampaignExecutor",
     "CampaignObserver",
@@ -101,6 +98,5 @@ __all__ = [
     "read_journal",
     "run_campaign",
     "run_trial",
-    "use_scheduler_factory",
     "stable_hash",
 ]

@@ -57,12 +57,11 @@ from repro.errors import ConfigurationError, ExecutionError
 
 T = TypeVar("T")
 
-#: Why ``--executor distributed`` refused its ``--workers``: the two
-#: ways forward, local pool or remote daemons.
+#: Why ``--workers`` named no daemon: the two forms it takes.
 _ENDPOINTS_NEEDED = (
-    "--executor distributed dials running 'repro worker --listen "
-    "HOST:PORT' daemons: pass --workers host:port[,host:port...]; for a "
-    "local process pool, pass --workers N without --executor distributed"
+    "--workers takes one of two forms: --workers N runs a local process "
+    "pool, and --workers host:port[,host:port...] dials running 'repro "
+    "worker --listen HOST:PORT' daemons"
 )
 
 
@@ -83,19 +82,14 @@ class WorkerSpec:
         return cls(*parse_hostport(text))
 
 
-def parse_workers(value: str | int | None) -> tuple[WorkerSpec, ...]:
-    """CLI ``--workers`` for the distributed executor.
+def parse_workers(value: str | None) -> tuple[WorkerSpec, ...]:
+    """CLI ``--workers`` naming daemons: ``"host:port[,host:port...]"``.
 
-    Only ``"host:port[,host:port...]"`` naming running ``repro worker
-    --listen`` daemons is accepted; a process count, or no value at all,
-    raises :class:`ConfigurationError` naming both ways forward.
+    Each entry names a running ``repro worker --listen`` daemon; no
+    entry at all raises :class:`ConfigurationError` naming both forms
+    ``--workers`` takes.
     """
-    text = "" if value is None else str(value).strip()
-    if text.isdigit():
-        raise ConfigurationError(
-            f"--workers {text} is a process count; {_ENDPOINTS_NEEDED}"
-        )
-    entries = [entry for entry in text.split(",") if entry.strip()]
+    entries = [entry for entry in (value or "").split(",") if entry.strip()]
     if not entries:
         raise ConfigurationError(_ENDPOINTS_NEEDED)
     return tuple(WorkerSpec.parse(entry) for entry in entries)

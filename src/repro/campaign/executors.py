@@ -8,7 +8,7 @@ affects aggregates — which is what lets serial and pooled execution
 produce bit-identical campaign results.  How many trials travel per
 item is the engine's ``batch_size``, never the executor's.
 
-Two in-process executors live here:
+Two local executors live here:
 
 * :class:`SerialExecutor` — submission order, no concurrency;
 * :class:`MultiprocessingExecutor` — a local process pool, one future
@@ -16,7 +16,9 @@ Two in-process executors live here:
   at once instead of hanging it.
 
 Dispatch to remote ``repro worker --listen`` daemons lives in
-:mod:`repro.campaign.dispatch` behind the same protocol.
+:mod:`repro.campaign.dispatch` behind the same protocol, and
+:func:`make_executor` picks one of the three from the form of
+``--workers``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar
 from repro.errors import ConfigurationError, ExecutionError
 
 T = TypeVar("T")
-
-#: Executor kinds accepted by :func:`make_executor` and the CLI.
-EXECUTOR_KINDS = ("process", "service", "distributed")
 
 
 class CampaignExecutor(Protocol):
@@ -102,52 +101,27 @@ class MultiprocessingExecutor:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def make_executor(
-    workers: int | str | None,
-    kind: str = "process",
-    service_addr: str | tuple[str, int] | None = None,
-) -> CampaignExecutor:
-    """CLI helper mapping ``--workers``/``--executor`` to an executor.
+def make_executor(workers: int | str | None) -> CampaignExecutor:
+    """CLI helper mapping ``--workers`` to an executor by its form.
 
-    ``kind`` is one of :data:`EXECUTOR_KINDS`.  For the default
-    ``"process"`` kind, 0/1/None workers run in-process and more fan
-    out over a :class:`MultiprocessingExecutor` pool; ``"service"``
-    runs trials as clients of a scheduling server (``repro serve``) and
-    requires ``service_addr``; ``"distributed"`` fans trials out across
-    running ``repro worker --listen`` daemons, and ``workers`` must then
-    name them as ``"host:port[,host:port...]"``.
+    No value, 0 or 1 runs in-process; a count N > 1 fans out over a
+    :class:`MultiprocessingExecutor` pool of N processes; and
+    ``"host:port[,host:port...]"`` dials running ``repro worker
+    --listen`` daemons through
+    :class:`~repro.campaign.dispatch.DistributedExecutor`.  A negative
+    count raises :class:`ConfigurationError`.
     """
-    if kind not in EXECUTOR_KINDS:
-        raise ConfigurationError(
-            f"unknown executor kind '{kind}'; choose from {EXECUTOR_KINDS}"
-        )
-    if kind == "distributed":
-        if service_addr is not None:
-            raise ConfigurationError(
-                "--service-addr only applies to the service executor, "
-                "not 'distributed'"
-            )
-        from repro.campaign.dispatch import DistributedExecutor, parse_workers
-
-        return DistributedExecutor(workers=parse_workers(workers))
     if isinstance(workers, str):
-        raise ConfigurationError(
-            f"--workers {workers!r} (worker endpoints) only applies to "
-            f"the distributed executor, not '{kind}'"
-        )
-    if kind == "service":
-        if service_addr is None:
-            raise ConfigurationError(
-                "the service executor needs the server address "
-                "(--service-addr host:port)"
-            )
-        from repro.service.executor import ServiceExecutor
+        try:
+            workers = int(workers)
+        except ValueError:
+            from repro.campaign.dispatch import DistributedExecutor, parse_workers
 
-        return ServiceExecutor(service_addr)
-    if service_addr is not None:
+            return DistributedExecutor(workers=parse_workers(workers))
+    if workers is not None and workers < 0:
         raise ConfigurationError(
-            f"--service-addr only applies to the service executor, "
-            f"not '{kind}'"
+            f"--workers takes a process count >= 0 or "
+            f"host:port[,host:port...], got {workers}"
         )
     if workers is None or workers <= 1:
         return SerialExecutor()

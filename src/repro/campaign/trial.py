@@ -20,10 +20,9 @@ scheduling — only the wall-clock ``cpu_us`` convention is amortised
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -100,32 +99,6 @@ class TrialFailure:
     error: str
 
 
-#: Optional override for how trials obtain their scheduler.  When set
-#: (via :func:`use_scheduler_factory`), every trial in the calling
-#: process resolves its algorithm through the factory instead of
-#: constructing one locally — which is how the service executor turns a
-#: whole campaign into a client of the scheduling server without the
-#: trial code knowing.  A factory returning ``None`` falls through to
-#: local resolution.
-_scheduler_factory: Callable[[ScenarioCell, object], object] | None = None
-
-
-@contextlib.contextmanager
-def use_scheduler_factory(factory: Callable[[ScenarioCell, object], object]):
-    """Route :func:`_resolve_algorithm` through ``factory`` in this scope.
-
-    The hook is process-global (trials may run on worker threads), so
-    scopes must not be nested with different factories.
-    """
-    global _scheduler_factory
-    previous = _scheduler_factory
-    _scheduler_factory = factory
-    try:
-        yield
-    finally:
-        _scheduler_factory = previous
-
-
 def cell_geometry(cell: ScenarioCell):
     """The cell's array geometry: a centred rectangle or a masked target."""
     from repro.lattice.geometry import ArrayGeometry
@@ -150,10 +123,6 @@ def _resolve_algorithm(cell: ScenarioCell, geometry):
     """The cell's scheduler: an explicit QRM preset or a registry name."""
     from repro.baselines.base import get_algorithm
 
-    if _scheduler_factory is not None:
-        algorithm = _scheduler_factory(cell, geometry)
-        if algorithm is not None:
-            return algorithm
     if cell.qrm is not None:
         from repro.core.qrm import QrmScheduler
 

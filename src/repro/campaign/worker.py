@@ -2,7 +2,7 @@
 
 ``repro worker --listen HOST:PORT`` serves the length-prefixed pickle
 frame protocol of :mod:`repro.campaign.protocol` over TCP; it is what
-``repro campaign --executor distributed`` dials.
+``repro campaign --workers host:port[,host:port...]`` dials.
 
 Each connection:
 
@@ -166,7 +166,10 @@ def run_worker(
         else lambda message: print(f"[worker] {message}", file=sys.stderr, flush=True)
     )
     host, port = parse_hostport(listen)
-    listener = socket.create_server((host, port))
+    try:
+        listener = socket.create_server((host, port))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot listen on {host}:{port}: {exc}") from exc
     bound_host, bound_port = listener.getsockname()[:2]
     if log is not None:
         log(f"listening on {bound_host}:{bound_port}")

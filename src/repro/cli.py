@@ -14,8 +14,7 @@ Examples::
     repro campaign --sizes 12 --seeds 10 --loss --cycles 3
     repro pipeline --size 12 --shots 4 --cycles 3 --loss --fpga
     repro worker --listen 0.0.0.0:7501      # one daemon per core
-    repro campaign --executor distributed \\
-        --workers host-a:7501,host-b:7501 --journal run.jsonl
+    repro campaign --workers host-a:7501,host-b:7501 --journal run.jsonl
     repro resources --size 90
     repro trace --size 10
     repro algorithms
@@ -42,7 +41,6 @@ from repro.analysis.feasibility import (
 )
 from repro.aod.validator import validate_schedule
 from repro.baselines.base import get_algorithm, list_algorithms
-from repro.campaign.executors import EXECUTOR_KINDS
 from repro.errors import ConfigurationError, ReproError
 from repro.fpga.accelerator import QrmAccelerator
 from repro.fpga.bitvec import BitVector
@@ -276,9 +274,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     if args.listen is None:
         raise ConfigurationError(
             "repro worker is a TCP daemon: pass --listen HOST:PORT and dial "
-            "it with 'repro campaign --executor distributed --workers "
-            "host:port[,host:port...]'; for a local process pool, run "
-            "'repro campaign --workers N' instead"
+            "it with 'repro campaign --workers host:port[,host:port...]'; "
+            "for a local process pool, run 'repro campaign --workers N' "
+            "instead"
         )
     return run_worker(
         listen=args.listen,
@@ -419,22 +417,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
 
-    workers = args.workers
-    if workers is not None and args.executor != "distributed":
-        try:
-            workers = int(workers)
-        except ValueError:
-            print(
-                f"--workers {workers!r} names worker endpoints, which only "
-                f"--executor distributed accepts; other executors take a "
-                f"process count",
-                file=sys.stderr,
-            )
-            return 2
-    # Built before the journal, so a bad executor setup leaves no file.
-    executor = make_executor(
-        workers, kind=args.executor, service_addr=args.service_addr
-    )
+    # Built before the journal, so a bad --workers leaves no file.
+    executor = make_executor(args.workers)
 
     if journal is None and args.journal:
         journal = RunJournal.fresh(args.journal)
@@ -645,29 +629,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=str,
         default=None,
-        help="trial-execution processes (default: in-process; "
-        "N > 1 fans trials out over a local process pool); "
-        "with --executor distributed, host:port[,host:port...] "
-        "naming running 'repro worker --listen' daemons instead",
-    )
-    p.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default="process",
-        help="execution backend: 'process' (default; in-process "
-        "when --workers <= 1, a local process pool otherwise), "
-        "'service' (schedule through a running repro serve "
-        "instance; needs --service-addr), or 'distributed' "
-        "(fan trials out across worker daemons with "
-        "health-checks and re-dispatch; see --workers)",
-    )
-    p.add_argument(
-        "--service-addr",
-        type=str,
-        default=None,
-        metavar="HOST:PORT",
-        help="address of the scheduling service for "
-        "--executor service",
+        help="where trials run (default: in-process; 0 or 1 "
+        "also runs in-process): N > 1 fans them out over a local "
+        "pool of N processes, and host:port[,host:port...] over "
+        "running 'repro worker --listen' daemons, with "
+        "health-checks and re-dispatch",
     )
     p.add_argument(
         "--batch-size",
@@ -911,9 +877,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Serve distributed campaign trials as a TCP daemon on "
             "--listen HOST:PORT: one connection at a time from "
-            "'repro campaign --executor distributed --workers "
-            "host:port[,...]', so run one daemon per core.  For local "
-            "parallelism use 'repro campaign --workers N' instead."
+            "'repro campaign --workers host:port[,...]', so run one "
+            "daemon per core.  For local parallelism use 'repro "
+            "campaign --workers N' instead."
         ),
     )
     p.add_argument(

@@ -1,7 +1,7 @@
 """Blocking client for the scheduling service.
 
-:class:`ServiceClient` is what campaigns, benchmarks and interactive
-callers use from ordinary synchronous code.  The shape follows the
+:class:`ServiceClient` is what benchmarks and interactive callers use
+from ordinary synchronous code.  The shape follows the
 background-queue idiom of production ingest clients: callers never
 touch the socket — :meth:`submit_schedule` registers a
 :class:`ServiceFuture`, enqueues the request on a background sender
@@ -20,29 +20,21 @@ Reliability lives in two places:
   ``request_timeout`` seconds is resent (with backoff) up to
   ``max_retries`` times before raising
   :class:`~repro.errors.ServiceTimeoutError`.
-
-:class:`RemoteAlgorithm` wraps a client + scheduler identity behind the
-standard algorithm protocol (``schedule``/``schedule_batch``), which is
-what lets an entire campaign run as a service client: the executor
-swaps it in for the local scheduler and nothing downstream changes.
-``schedule_batch`` submits the stack as concurrent requests, so the
-server's micro-batcher sees them as one wave.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import queue
 import socket
 import threading
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.campaign.protocol import read_frame, write_frame, write_handshake
 from repro.errors import ServiceError, ServiceTimeoutError
 from repro.lattice.array import AtomArray
-from repro.service.cache import SchedulerKey, resolve_scheduler
+from repro.service.cache import SchedulerKey
 
 _CLOSE = object()
 
@@ -352,62 +344,3 @@ class ServiceClient:
                 continue  # connection-level error notice, no owner
             self._resolve(request_id, status, value)
 
-
-class RemoteAlgorithm:
-    """The service as a drop-in rearrangement algorithm.
-
-    Satisfies the :class:`repro.baselines.base.RearrangementAlgorithm`
-    protocol (plus ``schedule_batch``), so anything that consumes a
-    scheduler — trials, figure runners, ad-hoc scripts — can be pointed
-    at a running service without code changes.  Results are the
-    server's :class:`~repro.core.result.RearrangementResult` objects,
-    bit-identical to local scheduling (minus the analysis-internal
-    ``pass_outcomes``, which never leave the server).
-    """
-
-    def __init__(self, client: ServiceClient, key: SchedulerKey):
-        self.client = client
-        self.key = key
-        self.name = key.algorithm
-
-    @classmethod
-    def for_cell(
-        cls, client: ServiceClient, cell, geometry
-    ) -> "RemoteAlgorithm":
-        """The remote counterpart of ``campaign.trial._resolve_algorithm``."""
-        key = SchedulerKey(
-            geometry=(
-                geometry.width,
-                geometry.height,
-                geometry.target_width,
-                geometry.target_height,
-            ),
-            algorithm=cell.algorithm,
-            qrm=(
-                tuple(sorted(cell.qrm.to_dict().items()))
-                if cell.qrm is not None
-                else None
-            ),
-            # Mask-free cells keep the pre-mask wire shape; any explicit
-            # mask travels as a token, even a rectangular one (its
-            # rectangle may be off-centre or odd-sized, which the
-            # extents-only encoding cannot represent).
-            mask=(None if geometry.mask is None else geometry.mask.token()),
-        )
-        return cls(client, key)
-
-    @functools.cached_property
-    def params(self):
-        """The parameter preset of the scheduler the key names, or None.
-
-        Mirrors a local scheduler's ``params`` so consumers that read it
-        (the closed loop's accelerator model) cost the QRM parameters the
-        server scheduled with, not the defaults.
-        """
-        return getattr(resolve_scheduler(self.key), "params", None)
-
-    def schedule(self, array: AtomArray):
-        return self.client.schedule(self.key, array)
-
-    def schedule_batch(self, arrays: Sequence[AtomArray]) -> list:
-        return self.client.schedule_many(self.key, arrays)

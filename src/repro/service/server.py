@@ -171,9 +171,14 @@ class SchedulingService:
 
     async def start(self) -> None:
         self._queue = asyncio.Queue()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_JSON_LINE
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.host, self.port, limit=MAX_JSON_LINE
+            )
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot listen on {self.host}:{self.port}: {exc}"
+            ) from exc
         self.port = self._server.sockets[0].getsockname()[1]
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,14 @@ from repro.campaign import (
     run_campaign,
     run_trial,
 )
+from repro.campaign.trial import cell_geometry
+from repro.core.qrm import QrmScheduler
 from repro.errors import ConfigurationError
+from repro.fpga.accelerator import QrmAccelerator
+from repro.lattice.array import AtomArray
+from repro.lattice.loading import load_named
+from repro.pipeline.stages import PipelineConfig, run_shot
+from repro.timing.latency import StageReport
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -350,6 +358,45 @@ class TestQrmSpecCells:
         assert override.mean("iterations") <= pipelined.mean("iterations")
         assert override.mean("skipped_stale") == 0.0
         assert pipelined.mean("skipped_stale") > 0.0
+
+    def test_preset_reaches_the_fpga_cycle_model(self):
+        # --fpga must cost the preset the trial scheduled with, not the
+        # default parameters, on both the single-cycle and the
+        # closed-loop trial paths.
+        preset = QrmSpec(scan_mode="fresh", n_iterations=2)
+        single = ScenarioCell(algorithm="qrm", size=16, fpga=True, qrm=preset)
+        looped = dataclasses.replace(single, cycles=2, loss=LossSpec())
+        geometry = cell_geometry(single)
+        accelerator = QrmAccelerator(geometry, params=preset.to_params())
+
+        def cost(occupancy) -> int:
+            array = AtomArray(geometry, occupancy)
+            return accelerator.run(array).report.total_cycles
+
+        for seed_index in range(3):
+            trial = TrialSpec(cell=single, seed_index=seed_index, master_seed=0)
+            load_seed, _ = trial.seed_sequence().spawn(2)
+            rng = np.random.default_rng(load_seed)
+            array = load_named(single.loading, geometry, single.fill, rng=rng)
+            assert run_trial(trial).metrics["fpga_cycles"] == cost(array.grid)
+
+            # Same instance, so the closed loop loads the same array.  It
+            # costs every frame it schedules: replay the loop without the
+            # cycle model, then cost each detected frame.
+            trial = dataclasses.replace(trial, cell=looped)
+            _, loop_seed = trial.seed_sequence().spawn(2)
+            config = PipelineConfig(
+                size=16, fill=looped.fill, cycles=2, loss=looped.loss.to_model()
+            )
+            scheduler = QrmScheduler(geometry, preset.to_params())
+            streams = loop_seed.spawn(4)
+            shot = run_shot(0, array, streams, config, scheduler, StageReport())
+            expected = sum(
+                cost(record.occupancy)
+                for record in shot.records
+                if not record.converged_at_detect
+            )
+            assert run_trial(trial).metrics["fpga_cycles"] == expected
 
     def test_skipped_stale_metric_present(self):
         result = run_campaign(small_spec(algorithms=("qrm",), n_seeds=1))

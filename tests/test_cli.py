@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from test_dispatch import worker_daemon
@@ -191,7 +193,7 @@ class TestCommands:
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--executor", kind, "--workers", "2", "--quiet"])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --executor" in capsys.readouterr().err
 
     def test_campaign_chunksize_removed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -199,20 +201,33 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --chunksize" in capsys.readouterr().err
 
-    def test_campaign_service_addr_port_out_of_range(self, capsys):
-        argv = [
-            "campaign",
-            "--executor",
-            "service",
-            "--service-addr",
-            "127.0.0.1:99999",
-            "--sizes",
-            "10",
-            "--seeds",
-            "1",
-            "--no-cache",
-            "--quiet",
-        ]
+    def test_campaign_negative_workers_rejected(self, capsys, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        argv = ["campaign", "--sizes", "8", "--seeds", "1", "--workers", "-1"]
+        argv += ["--journal", str(journal), "--no-cache", "--quiet"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --workers ")
+        assert not journal.exists()
+
+    @pytest.mark.parametrize("workers", [",", "  "], ids=["comma", "blank"])
+    def test_campaign_workers_needs_count_or_endpoints(
+        self, capsys, tmp_path, workers
+    ):
+        # Neither a count nor a daemon: the error names both forms
+        # --workers takes, and says so before any file is written.
+        journal = tmp_path / "run.jsonl"
+        argv = ["campaign", "--sizes", "10", "--seeds", "1", "--workers", workers]
+        argv += ["--journal", str(journal), "--no-cache"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--workers N" in err
+        assert "--workers host:port[,host:port...]" in err
+        assert not journal.exists()
+
+    def test_campaign_worker_port_out_of_range(self, capsys):
+        argv = ["campaign", "--workers", "127.0.0.1:99999", "--sizes", "10"]
+        argv += ["--seeds", "1", "--no-cache", "--quiet"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: port 99999 out of range")
@@ -245,28 +260,10 @@ class TestCommands:
         assert main(base + ["--csv", str(serial_csv)]) == 0
         with worker_daemon() as (_, spec_a), worker_daemon() as (_, spec_b):
             endpoints = f"{spec_a.host}:{spec_a.port},{spec_b.host}:{spec_b.port}"
-            argv = ["--executor", "distributed", "--workers", endpoints]
-            assert main(base + argv + ["--csv", str(fanned_csv)]) == 0
+            argv = ["--workers", endpoints, "--csv", str(fanned_csv)]
+            assert main(base + argv) == 0
         capsys.readouterr()
         assert serial_csv.read_bytes() == fanned_csv.read_bytes()
-
-    @pytest.mark.parametrize(
-        "workers", [["--workers", "2"], []], ids=["process-count", "no-workers"]
-    )
-    def test_campaign_distributed_needs_daemon_endpoints(
-        self, capsys, tmp_path, workers
-    ):
-        # Local fan-out is the process pool; the distributed executor
-        # only dials daemons, and says so before any file is written.
-        journal = tmp_path / "run.jsonl"
-        argv = ["campaign", "--executor", "distributed", "--sizes", "10"]
-        argv += ["--seeds", "1", "--journal", str(journal), "--no-cache"]
-        assert main(argv + workers) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "--workers N" in err
-        assert "--workers host:port[,host:port...]" in err
-        assert not journal.exists()
 
     def test_worker_needs_listen(self, capsys):
         assert main(["worker"]) == 2
@@ -275,25 +272,18 @@ class TestCommands:
         assert "--listen HOST:PORT" in err
         assert "--workers N" in err
 
-    def test_campaign_worker_endpoints_need_distributed_executor(self, capsys):
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--algorithms",
-                    "qrm",
-                    "--sizes",
-                    "10",
-                    "--workers",
-                    "gpu-01:7501",
-                    "--no-cache",
-                    "--quiet",
-                ]
-            )
-            == 2
-        )
+    @pytest.mark.parametrize("command", ["worker", "serve"])
+    def test_daemon_on_a_busy_port_is_an_error(self, capsys, command):
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            argv = {
+                "worker": ["worker", "--listen", f"127.0.0.1:{port}"],
+                "serve": ["serve", "--host", "127.0.0.1", "--port", str(port)],
+            }[command]
+            assert main(argv + ["--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "distributed" in err
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert len(err.splitlines()) == 1
 
     def test_worker_listen_banner_and_exit(self, capsys):
         argv = ["worker", "--listen", "127.0.0.1:0", "--max-connections", "0"]

@@ -319,12 +319,10 @@ class TestWorkerSpec:
         with pytest.raises(ConfigurationError):
             parse_workers("host:bad")
 
-    @pytest.mark.parametrize(
-        "value", [None, 3, "2", "  ", ","], ids=["none", "int", "str", "blank", "comma"]
-    )
+    @pytest.mark.parametrize("value", [None, "  ", ","], ids=["none", "blank", "comma"])
     def test_parse_workers_needs_daemon_endpoints(self, value):
-        # A process count or no endpoint at all: the error names both
-        # ways forward, the local pool and remote daemons.
+        # No endpoint at all: the error names both forms --workers
+        # takes, the local pool and remote daemons.
         with pytest.raises(ConfigurationError) as excinfo:
             parse_workers(value)
         message = str(excinfo.value)

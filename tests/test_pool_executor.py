@@ -13,9 +13,11 @@ import pytest
 import repro
 from repro.campaign import (
     CampaignSpec,
+    DistributedExecutor,
     ExperimentCampaign,
     MultiprocessingExecutor,
     SerialExecutor,
+    WorkerSpec,
     make_executor,
 )
 from repro.errors import ConfigurationError
@@ -132,14 +134,28 @@ class TestMultiprocessingExecutor:
 
 class TestMakeExecutor:
     def test_kinds(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        pool = make_executor(4)
-        assert isinstance(pool, MultiprocessingExecutor)
-        assert pool.workers == 4
-        assert isinstance(make_executor(4, kind="process"), MultiprocessingExecutor)
+        # The form of --workers alone picks the executor.
+        for workers in (None, 0, 1):
+            assert isinstance(make_executor(workers), SerialExecutor)
+        for workers in (4, "4"):
+            pool = make_executor(workers)
+            assert isinstance(pool, MultiprocessingExecutor)
+            assert pool.workers == 4
+        fabric = make_executor("h:1,h:2")
+        assert isinstance(fabric, DistributedExecutor)
+        assert fabric.workers == (WorkerSpec("h", 1), WorkerSpec("h", 2))
 
-    @pytest.mark.parametrize("kind", ["quantum", "async", "serial"])
-    def test_unknown_kind_rejected(self, kind):
+    @pytest.mark.parametrize("workers", [-1, "-2"])
+    def test_negative_count_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="--workers"):
+            make_executor(workers)
+
+    @pytest.mark.parametrize(
+        "workers",
+        ["localhost", ":7421", "no-port:", "host:bad", "h:99999", "h:0"],
+    )
+    def test_malformed_endpoint_rejected(self, workers):
+        # Anything that is not a count is read as daemon endpoints, and
+        # a malformed one is refused before any connection is tried.
         with pytest.raises(ConfigurationError):
-            make_executor(2, kind=kind)
+            make_executor(workers)

@@ -7,10 +7,10 @@ This suite drives a real server (on a background thread, loopback TCP)
 through geometry x fill x concurrency and holds every response to the
 local :class:`~repro.core.qrm.QrmScheduler` / registry scheduler with
 :func:`tests.oracles.assert_results_identical`, then covers the service
-behaviours around that core: wave coalescing counters, the warm
-scheduler LRU, the JSON front door, error isolation between wave
-siblings, client retry/timeout semantics, and the campaign-level
-``executor="service"`` leg.
+behaviours around that core: masked keys on the wire, wave
+coalescing counters, the warm scheduler LRU, the JSON front door,
+error isolation between wave siblings, and client retry/timeout
+semantics.
 """
 
 from __future__ import annotations
@@ -28,19 +28,17 @@ from hypothesis import strategies as st
 
 from repro.aod.serialize import schedule_to_dict
 from repro.baselines.base import register_algorithm, unregister_algorithm
-from repro.campaign.engine import ExperimentCampaign
-from repro.campaign.executors import make_executor
 from repro.campaign.protocol import read_frame, write_handshake
-from repro.campaign.spec import CampaignSpec, LossSpec, QrmSpec, ScenarioCell
-from repro.errors import ConfigurationError, ServiceError, ServiceTimeoutError
+from repro.campaign.spec import MaskSpec
+from repro.errors import ServiceError, ServiceTimeoutError
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
+from repro.lattice.mask import TargetMask
 from repro.service import (
     SchedulerCache,
     SchedulerKey,
     ServiceClient,
-    ServiceExecutor,
     resolve_scheduler,
     serve_in_thread,
 )
@@ -58,6 +56,7 @@ def key_for(geometry: ArrayGeometry, algorithm: str = "qrm") -> SchedulerKey:
             geometry.target_height,
         ),
         algorithm=algorithm,
+        mask=None if geometry.mask is None else geometry.mask.token(),
     )
 
 
@@ -140,6 +139,32 @@ def test_results_arrive_without_pass_outcomes(client):
     geometry = ArrayGeometry.square(8)
     result = client.schedule(key_for(geometry), load_uniform(geometry, 0.5, rng=0))
     assert result.pass_outcomes == []
+
+
+def _off_centre_rect() -> TargetMask:
+    grid = np.zeros((12, 12), dtype=bool)
+    grid[1:7, 6:10] = True
+    return TargetMask.from_array(grid)
+
+
+MASKS = {
+    "ring": MaskSpec.parse("ring:outer=4,inner=1.5").build(12),
+    "sparse": MaskSpec.parse("sparse:sites=2-3+3-8+5-2+7-9+8-5+10-6").build(12),
+    "off-centre-rect": _off_centre_rect(),
+}
+
+
+@pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS.keys())
+@pytest.mark.parametrize("algorithm", ("qrm-repair", "psca"))
+def test_masked_keys_schedule_identical_to_local(client, mask, algorithm):
+    # The mask token must survive the wire: a server that dropped it
+    # would schedule toward the mask's bounding rectangle instead.
+    geometry = ArrayGeometry.with_mask(12, 12, mask)
+    key = key_for(geometry, algorithm)
+    arrays = [load_uniform(geometry, 0.55, rng=seed) for seed in range(4)]
+    local = resolve_scheduler(key)
+    for array, remote in zip(arrays, client.schedule_many(key, arrays)):
+        assert_results_identical(remote, local.schedule(array))
 
 
 # ---------------------------------------------------------------------------
@@ -531,97 +556,3 @@ def test_client_reconnects_after_server_restart():
 def test_client_rejects_bad_configuration():
     with pytest.raises(ServiceError, match="max_in_flight"):
         ServiceClient(("127.0.0.1", 1), max_in_flight=0)
-
-
-# ---------------------------------------------------------------------------
-# Campaign integration: executor="service"
-# ---------------------------------------------------------------------------
-
-
-SPEC = CampaignSpec(
-    name="service-oracle",
-    algorithms=("qrm", "tetris"),
-    sizes=(8, 10),
-    fills=(0.4, 0.6),
-    n_seeds=3,
-    master_seed=11,
-)
-
-
-def test_service_executor_aggregates_byte_identical(server):
-    serial = ExperimentCampaign(SPEC, cache=None).run()
-    remote = ExperimentCampaign(
-        SPEC, cache=None, executor=ServiceExecutor(server.address)
-    ).run()
-    assert remote.to_csv() == serial.to_csv()
-    assert remote.to_csv(stats=True) == serial.to_csv(stats=True)
-
-
-def test_service_executor_batched_trials_byte_identical(server):
-    serial = ExperimentCampaign(SPEC, cache=None).run()
-    remote = ExperimentCampaign(
-        SPEC,
-        cache=None,
-        executor=ServiceExecutor(server.address),
-        batch_size=8,
-    ).run()
-    assert remote.to_csv() == serial.to_csv()
-
-
-def test_service_executor_models_the_cells_qrm_parameters(server):
-    # A closed-loop --fpga cell with an explicit QRM preset: the cycle
-    # model must cost the preset the trial scheduled with on every
-    # executor, not fall back to the default parameters because the
-    # remote scheduler proxy lives client-side.
-    spec = CampaignSpec(
-        name="service-fpga-preset",
-        algorithms=(),
-        n_seeds=3,
-        cycles=2,
-        extra_cells=(
-            ScenarioCell(
-                algorithm="qrm",
-                size=16,
-                fill=0.5,
-                fpga=True,
-                cycles=2,
-                qrm=QrmSpec(scan_mode="fresh", n_iterations=2),
-                loss=LossSpec(),
-            ),
-        ),
-    )
-    serial = ExperimentCampaign(spec, cache=None).run()
-    remote = ExperimentCampaign(
-        spec, cache=None, executor=ServiceExecutor(server.address)
-    ).run()
-    assert "fpga_cycles" in serial.to_csv()
-    assert remote.to_csv() == serial.to_csv()
-
-
-def test_make_executor_service_kind():
-    executor = make_executor(
-        None, kind="service", service_addr="127.0.0.1:7421"
-    )
-    assert isinstance(executor, ServiceExecutor)
-    assert executor.address == ("127.0.0.1", 7421)
-
-    with pytest.raises(ConfigurationError, match="--service-addr"):
-        make_executor(None, kind="service")
-    with pytest.raises(ConfigurationError, match="only applies"):
-        make_executor(None, kind="process", service_addr="127.0.0.1:7421")
-
-
-@pytest.mark.parametrize(
-    "address",
-    ("localhost", ":7421", "no-port:", "host:notaport", "127.0.0.1:99999"),
-)
-def test_service_executor_rejects_malformed_address(address):
-    with pytest.raises(ConfigurationError):
-        ServiceExecutor(address)
-
-
-def test_service_executor_accepts_both_address_forms():
-    assert ServiceExecutor("0.0.0.0:80").address == ("0.0.0.0", 80)
-    assert ServiceExecutor("::1:7500").address == ("::1", 7500)
-    assert ServiceExecutor(("::1", 443)).address == ("::1", 443)
-
