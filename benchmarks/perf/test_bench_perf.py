@@ -1,9 +1,8 @@
-"""Perf benchmark: schedule-construction wall time + QRM speedup record.
+"""Perf benchmark: the gated speedup ratios of ``repro bench``.
 
-Runs the ``repro bench`` engine in smoke mode (CI-sized grid) and writes
-``benchmarks/results/BENCH_qrm_smoke.json``.  The full grid — W in
-{32, 64, 128} with the 64x64 before/after speedup block — is what
-``repro bench`` produces and is committed at the repository root as
+Runs the ``repro bench`` engine at 32x32 and writes
+``benchmarks/results/BENCH_qrm_smoke.json``.  The 64x64 record that
+``repro bench`` produces is committed at the repository root as
 ``BENCH_qrm.json``; this test keeps the harness itself exercised and
 the smoke artefact fresh without minutes of CI time.
 
@@ -19,179 +18,137 @@ import json
 import numpy as np
 
 from repro.analysis.perf import (
-    COMPONENT_NAMES,
+    RATIO_NAMES,
     measure_qrm_speedup,
     run_perf_suite,
     validate_bench_report,
 )
+from repro.analysis.perf_gate import evaluate_gate
 from repro.core.passes import run_pass_reference
 from repro.core.qrm import QrmScheduler
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
+RECORD_KEYS = {"name", "size", "fill", "trials", "fast_ms", "slow_ms", "ratio"}
+
+
+def assert_record(record: dict, name: str, size: int, trials: int) -> None:
+    assert set(record) == RECORD_KEYS
+    assert (record["name"], record["size"], record["fill"]) == (name, size, 0.5)
+    assert record["trials"] == trials
+    assert record["fast_ms"] > 0 and record["slow_ms"] > 0
+    assert record["ratio"] == record["slow_ms"] / record["fast_ms"]
+
 
 def test_bench_perf_smoke(seed_base, results_dir, emit):
-    report = run_perf_suite(
-        sizes=(16, 32),
-        fills=(0.5,),
-        algorithms=("qrm", "tetris", "mta1"),
-        trials=2,
-        master_seed=seed_base,
-        speedup_size=32,
-    )
+    report = run_perf_suite(size=32, trials=2, master_seed=seed_base)
     emit("BENCH_perf_smoke", report.format_table())
     path = report.write_json(results_dir / "BENCH_qrm_smoke.json")
     payload = json.loads(path.read_text())
     validate_bench_report(payload)
-    assert len(payload["entries"]) == 6
-    assert payload["skipped"] == []  # mta1 is back on the default grid
-    for entry in payload["entries"]:
-        assert entry["wall_ms"]["min"] <= entry["wall_ms"]["mean"]
-        assert entry["wall_ms"]["mean"] <= entry["wall_ms"]["max"]
-        assert entry["moves"]["mean"] > 0
-    speedup = payload["speedup"]
-    assert speedup["speedup_vs_reference"] > 0
-    components = payload["component_speedups"]
-    assert set(components) == set(COMPONENT_NAMES)
-    for name, block in components.items():
-        if name == "batched_qrm":
-            assert block["single_ms"]["mean"] > 0
-            for entry in block["batches"]:
-                assert entry["amortized_ms"]["mean"] > 0
-                assert entry["speedup_vs_single"] > 0
-            continue
-        if name == "service_latency":
-            for entry in block["concurrency"]:
-                assert entry["unbatched"]["amortized_ms"] > 0
-                assert entry["batched"]["amortized_ms"] > 0
-                assert entry["speedup_batched"] > 0
-            continue
-        assert block["vectorized_ms"]["mean"] > 0
-        assert block["speedup_vs_reference"] > 0
+    assert len(payload["ratios"]) == 15
+    for record, name in zip(payload["ratios"], RATIO_NAMES):
+        trials = 3 if name.startswith("service_latency") else 2
+        assert_record(record, name, 32, trials)
+    for row in payload["service_latency"]:
+        assert 0 < row["p50_ms"] <= row["p99_ms"]
 
 
-def test_batched_qrm_speedup_block_shape(seed_base):
+def test_batched_qrm_ratio_records(seed_base):
     from repro.analysis.perf import measure_batched_qrm_speedup
 
-    block = measure_batched_qrm_speedup(
+    records = measure_batched_qrm_speedup(
         size=16, batch_sizes=(1, 4), trials=1, master_seed=seed_base
     )
-    assert set(block) >= {"size", "fill", "trials", "single_ms", "batches"}
-    assert [entry["batch_size"] for entry in block["batches"]] == [1, 4]
-    for entry in block["batches"]:
-        assert entry["amortized_ms"]["mean"] > 0
+    for record, name in zip(records, ["batched_qrm B=1", "batched_qrm B=4"]):
+        assert_record(record, name, 16, 1)
+    # Both batch sizes are held to the single side they share.
+    assert records[0]["slow_ms"] == records[1]["slow_ms"]
 
 
-def test_service_latency_block_shape(seed_base):
+def test_service_latency_record_and_rows(seed_base):
     from repro.analysis.perf import measure_service_latency
 
-    block = measure_service_latency(
-        size=8, concurrencies=(1, 2), requests_per_client=2,
-        master_seed=seed_base,
+    record, rows = measure_service_latency(
+        size=8, concurrencies=(1, 2), requests_per_client=2, master_seed=seed_base
     )
-    assert set(block) >= {"size", "fill", "batch_window_ms", "concurrency"}
-    assert [entry["clients"] for entry in block["concurrency"]] == [1, 2]
-    for entry in block["concurrency"]:
-        for mode in ("unbatched", "batched"):
-            assert entry[mode]["p50_ms"] <= entry[mode]["p99_ms"]
-            assert entry[mode]["amortized_ms"] > 0
-        assert entry["speedup_batched"] > 0
+    assert_record(record, "service_latency c=2", 8, 2)
+    assert [(row["clients"], row["mode"]) for row in rows] == [
+        (1, "unbatched"), (1, "batched"), (2, "unbatched"), (2, "batched")
+    ]
+    for row in rows:
+        assert row["requests"] == 2 * 2 * row["clients"]
+        assert row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
 
 
 def test_perf_gate_on_own_report(seed_base):
     # A report always gates cleanly against itself, and the gate flags a
     # fabricated collapse of any ratio it tracks — all of them in one
     # evaluation, not just the first.
-    from repro.analysis.perf_gate import check_perf_regression, evaluate_gate
-
-    report = run_perf_suite(
-        sizes=(16,),
-        fills=(0.5,),
-        algorithms=("qrm",),
-        trials=1,
-        master_seed=seed_base,
-        speedup_size=16,
-    ).to_dict()
-    assert check_perf_regression(report, report) == []
-    assert evaluate_gate(report, report).ok
+    report = run_perf_suite(size=16, trials=1, master_seed=seed_base).to_dict()
+    outcome = evaluate_gate(report, report)
+    assert outcome.ok and outcome.notices == []
 
     slipped = json.loads(json.dumps(report))
-    slipped["speedup"]["speedup_vs_reference"] = (
-        report["speedup"]["speedup_vs_reference"] * 0.5
+    halved = (
+        "qrm",
+        "batched_qrm B=1",
+        "service_latency c=16",
+        "awg_compile",
+        "lossy_replay",
     )
-    slipped["component_speedups"]["batched_qrm"]["batches"][0][
-        "speedup_vs_single"
-    ] *= 0.5
-    slipped["component_speedups"]["service_latency"]["concurrency"][-1][
-        "speedup_batched"
-    ] *= 0.5
-    for name in ("awg_compile", "lossy_replay"):
-        slipped["component_speedups"][name]["speedup_vs_reference"] *= 0.5
-    failures = check_perf_regression(slipped, report)
-    assert any("qrm@16 speedup_vs_reference" in failure for failure in failures)
-    assert any("batched_qrm@16" in failure for failure in failures)
-    assert any("service_latency@16" in failure for failure in failures)
-    assert any("awg_compile@16" in failure for failure in failures)
-    assert any("lossy_replay@16" in failure for failure in failures)
-
+    for record in slipped["ratios"]:
+        if record["name"] in halved:
+            record["ratio"] *= 0.5
     outcome = evaluate_gate(slipped, report)
     assert not outcome.ok
-    assert outcome.failures == failures
+    assert [failure.split(":")[0] for failure in outcome.failures] == [
+        f"{name}@16 fill=0.5" for name in halved
+    ]
     # Every slipping ratio lands in the one combined message.
-    for failure in failures:
+    for failure in outcome.failures:
         assert failure in outcome.message()
 
 
-def test_perf_gate_notices_name_skipped_components(seed_base):
-    # A smoke report that measured fewer blocks than the committed
-    # artefact must say which comparisons it skipped, not stay silent.
-    from repro.analysis.perf_gate import evaluate_gate
-
-    report = run_perf_suite(
-        sizes=(16,),
-        fills=(0.5,),
-        algorithms=("qrm",),
-        trials=1,
-        master_seed=seed_base,
-        speedup_size=None,
-    ).to_dict()
+def test_perf_gate_compares_nothing_across_sizes(seed_base):
+    # A report measured at another size shares no ratio with the
+    # baseline: nothing can slip, and every ratio is named in a notice.
+    report = run_perf_suite(size=16, trials=1, master_seed=seed_base).to_dict()
     baseline = json.loads(json.dumps(report))
-    baseline["speedup"] = {"size": 16, "fill": 0.5, "speedup_vs_reference": 2.0}
-    baseline["component_speedups"] = {
-        "tetris": {"size": 16, "fill": 0.5, "speedup_vs_reference": 2.0}
-    }
+    for record in baseline["ratios"]:
+        record["size"] = 32
     outcome = evaluate_gate(report, baseline)
-    assert outcome.ok  # nothing comparable, so nothing can slip
-    assert any("qrm speedup" in notice for notice in outcome.notices)
-    assert any("'tetris'" in notice for notice in outcome.notices)
+    assert outcome.ok
+    notices = set(outcome.notices)
+    assert len(notices) == 2 * len(RATIO_NAMES)
+    assert "mta1@32 fill=0.5: in the baseline but not measured here" in notices
+    assert "mta1@16 fill=0.5: measured here but not in the baseline" in notices
 
 
-def test_speedup_block_shape(seed_base):
-    block = measure_qrm_speedup(size=16, trials=1, master_seed=seed_base)
-    assert set(block) >= {"vectorized_ms", "reference_ms", "speedup_vs_reference"}
+def test_qrm_ratio_record_shape(seed_base):
+    record = measure_qrm_speedup(size=16, trials=1, master_seed=seed_base)
+    assert_record(record, "qrm", 16, 1)
 
 
-def test_loop_consumer_speedup_block_shapes(seed_base):
+def test_loop_consumer_ratio_record_shapes(seed_base):
     from repro.analysis.perf import (
         measure_awg_compile_speedup,
         measure_lossy_replay_speedup,
     )
 
-    for measure in (measure_awg_compile_speedup, measure_lossy_replay_speedup):
-        block = measure(size=16, trials=1, master_seed=seed_base)
-        assert (block["size"], block["fill"], block["trials"]) == (16, 0.5, 1)
-        assert block["vectorized_ms"]["mean"] > 0
-        assert block["reference_ms"]["mean"] > 0
-        assert block["speedup_vs_reference"] > 0
+    for name, measure in (
+        ("awg_compile", measure_awg_compile_speedup),
+        ("lossy_replay", measure_lossy_replay_speedup),
+    ):
+        record = measure(size=16, trials=1, master_seed=seed_base)
+        assert_record(record, name, 16, 1)
 
 
-def test_guarded_drain_speedup_block_shape(seed_base):
+def test_guarded_drain_ratio_record_shape(seed_base):
     from repro.analysis.perf import measure_guarded_drain_speedup
 
-    block = measure_guarded_drain_speedup(size=16, trials=1, master_seed=seed_base)
-    assert set(block) >= {"vectorized_ms", "reference_ms", "speedup_vs_reference"}
-    assert block["vectorized_ms"]["mean"] > 0
-    assert block["reference_ms"]["mean"] > 0
+    record = measure_guarded_drain_speedup(size=16, trials=1, master_seed=seed_base)
+    assert_record(record, "guarded_drain", 16, 1)
 
 
 def test_component_oracles_match_vectorized_paths(seed_base):

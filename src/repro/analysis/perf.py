@@ -1,30 +1,33 @@
-"""Schedule-construction performance benchmark harness (``repro bench``).
+"""Speedup-ratio benchmark harness (``repro bench``).
 
 The paper's headline is that rearrangement analysis must be orders of
-magnitude faster than a CPU reference, so this repository tracks its own
-scheduling latency as a first-class artefact: ``repro bench`` times
-schedule construction for QRM and the published baselines over a grid of
-array sizes and fill fractions, and writes a machine-readable
-``BENCH_qrm.json`` with mean/std/min/max per case.
+magnitude faster than a CPU reference, so this repository records its
+own per-layer speedups as a first-class artefact: ``repro bench``
+measures every gated ratio and writes them to a machine-readable
+``BENCH_qrm.json``.
 
-The report also carries a *speedup* block for the QRM hot path — the
-vectorised scheduler vs. the live per-command reference oracle
-(:func:`repro.core.passes.run_pass_reference`) — plus one *component speedup*
-entry per additionally vectorised stage (repair, Tetris, PSCA, MTA1,
-the guarded pipelined-mode drain, the masked QRM+repair path on a
-ring target, AWG compilation, lossy replay and the FPGA cycle model),
-each timed against its live ``*_reference`` oracle, and one per
-subsystem-level before/after pair (cross-trial batching and service
-micro-batching).  Both the "before" and
-"after" numbers of every vectorisation live in the same file, and
-:func:`validate_bench_report` pins the JSON layout so the artefact
-cannot silently drift.
+Each ratio is one record of one shape — ``{"name", "size", "fill",
+"trials", "fast_ms", "slow_ms", "ratio"}`` with ``ratio = slow_ms /
+fast_ms`` — whose two sides are best-of minima over interleaved,
+GC-swept repeats:
 
-Raw timings are wall-clock and therefore machine- and run-dependent,
-but every recorded *speedup* is a ratio of best-of minima from
-interleaved, GC-swept repeats — reproducible enough that
-:mod:`repro.analysis.perf_gate` gates CI on them (``repro bench
---gate``).  Everything else (trial seeds, schedule sizes) is
+* ``qrm`` and the per-stage components time a vectorised path (fast)
+  against its live ``*_reference`` oracle (slow): repair, the guarded
+  pipelined-mode drain, masked QRM+repair on a ring target, AWG
+  compilation, lossy replay, the FPGA cycle model's closed form, and
+  the Tetris, PSCA and MTA1 baselines;
+* ``batched_qrm B=n`` times a stack of ``n`` trials, amortised per
+  trial (fast), against ``schedule`` on one (slow);
+* ``service_latency c=16`` times the scheduling service with
+  micro-batching on (fast) against the same service with batching off
+  (slow).
+
+The service's closed-loop p50/p95/p99 request latencies ride along as
+an ungated table.  :func:`validate_bench_report` pins the JSON layout,
+and :mod:`repro.analysis.perf_gate` gates CI on the ratios (``repro
+bench --gate``): raw milliseconds are machine-dependent, dimensionless
+ratios of interleaved minima transfer.  Per-case scheduler wall time is
+``repro campaign --timing --stats``.  Trial seeds and schedules are
 deterministic under ``master_seed``.
 """
 
@@ -41,102 +44,63 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.stats import Summary
 from repro.analysis.tables import format_table
-from repro.baselines.base import DEFAULT_ALGORITHMS, get_algorithm
+from repro.baselines.base import get_algorithm
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
-#: Bump when the JSON layout changes (v11: the ``fpga_cycle_model``
-#: component times the accelerator's closed-form iteration cost).
-BENCH_SCHEMA_VERSION = 11
+#: Bump when the JSON layout changes (v12: one record per gated ratio
+#: plus the service latency table; the per-case grid is gone).
+BENCH_SCHEMA_VERSION = 12
 
-#: Components with a live before/after speedup measurement.  All but
-#: ``batched_qrm`` and ``service_latency`` time a vectorised path
-#: against its per-command reference oracle (``masked_qrm`` does so on
-#: a non-rectangular ring target, covering the mask-derived scan limits
-#: and mask-aware repair; ``awg_compile`` and ``lossy_replay`` time the
-#: loop's schedule consumers; ``fpga_cycle_model`` times the
-#: accelerator's closed-form iteration cost against its tick-by-tick
-#: dataflow simulation); ``batched_qrm`` times QRM stacks of
-#: several trials against a batch of one (``schedule``), and
-#: ``service_latency`` times the scheduling service with micro-batching
-#: on against the same service with batching off.
-COMPONENT_NAMES = (
+#: Batch sizes the ``batched_qrm`` ratios sweep.  1 exposes the pure
+#: batching overhead, 8/32 the amortisation sweet spot, 128 the
+#: cache-footprint decay on large stacks.
+DEFAULT_BATCH_SIZES = (1, 8, 32, 128)
+
+#: Client counts the service latency table sweeps.  1 exposes the pure
+#: batch-window latency cost, 4 the break-even region, 16 the
+#: amortisation the service exists for.
+DEFAULT_SERVICE_CONCURRENCIES = (1, 4, 16)
+
+#: Every ratio a report records, in measurement order.
+RATIO_NAMES = (
+    "qrm",
+    *(f"batched_qrm B={n}" for n in DEFAULT_BATCH_SIZES),
+    f"service_latency c={max(DEFAULT_SERVICE_CONCURRENCIES)}",
     "repair",
-    "tetris",
-    "psca",
-    "mta1",
     "guarded_drain",
     "masked_qrm",
     "awg_compile",
     "lossy_replay",
     "fpga_cycle_model",
-    "batched_qrm",
-    "service_latency",
+    "tetris",
+    "psca",
+    "mta1",
 )
 
-DEFAULT_SIZES = (32, 64, 128)
-DEFAULT_FILLS = (0.3, 0.5, 0.7)
-
-#: Batch sizes the ``batched_qrm`` block sweeps.  1 exposes the pure
-#: batching overhead, 8/32 the amortisation sweet spot, 128 the
-#: cache-footprint decay on large stacks.
-DEFAULT_BATCH_SIZES = (1, 8, 32, 128)
-
-#: Client counts the ``service_latency`` block sweeps.  1 exposes the
-#: pure batch-window latency cost, 4 the break-even region, 16 the
-#: amortisation the service exists for.
-DEFAULT_SERVICE_CONCURRENCIES = (1, 4, 16)
-
-#: Largest array each slow scheduler is benchmarked at by default.
-#: Cases beyond a cap are recorded in the report's ``skipped`` list —
-#: never silently dropped.  Empty since the mta1 vectorisation: every
-#: default algorithm now covers the full default grid (the per-command
-#: mta1 needed ~1 minute per 128x128 schedule; the vectorised one runs
-#: it in seconds).
-SIZE_CAPS: dict[str, int] = {}
+_RECORD_KEYS = ("name", "size", "fill", "trials", "fast_ms", "slow_ms", "ratio")
+_LATENCY_KEYS = ("clients", "mode", "requests", "p50_ms", "p95_ms", "p99_ms")
 
 
-@dataclass(frozen=True)
-class BenchCase:
-    """One (algorithm, size, fill) timing scenario."""
-
-    algorithm: str
-    size: int
-    fill: float
-
-    def label(self) -> str:
-        return f"{self.algorithm} {self.size}x{self.size} fill={self.fill:g}"
-
-
-def summary_dict(summary: Summary) -> dict:
-    """JSON shape of a :class:`Summary` used throughout ``BENCH_*.json``."""
+def _ratio_record(
+    name: str,
+    size: int,
+    fill: float,
+    trials: int,
+    fast_ms: float,
+    slow_ms: float,
+) -> dict:
+    """The one JSON shape of a gated ratio."""
     return {
-        "mean": summary.mean,
-        "std": summary.std,
-        "min": summary.minimum,
-        "max": summary.maximum,
+        "name": name,
+        "size": size,
+        "fill": fill,
+        "trials": trials,
+        "fast_ms": fast_ms,
+        "slow_ms": slow_ms,
+        "ratio": slow_ms / fast_ms,
     }
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    """Timing summary of one case over its seeded trials."""
-
-    case: BenchCase
-    wall_ms: Summary
-    moves: Summary
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.case.algorithm,
-            "size": self.case.size,
-            "fill": self.case.fill,
-            "trials": self.wall_ms.n,
-            "wall_ms": summary_dict(self.wall_ms),
-            "moves": summary_dict(self.moves),
-        }
 
 
 @dataclass
@@ -145,10 +109,8 @@ class PerfReport:
 
     master_seed: int
     trials: int
-    records: list[BenchRecord] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)
-    speedup: dict | None = None
-    component_speedups: dict[str, dict] = field(default_factory=dict)
+    ratios: list[dict] = field(default_factory=list)
+    service_latency: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -160,10 +122,8 @@ class PerfReport:
                 "numpy": np.__version__,
                 "platform": platform.platform(),
             },
-            "entries": [record.to_dict() for record in self.records],
-            "skipped": self.skipped,
-            "speedup": self.speedup,
-            "component_speedups": self.component_speedups,
+            "ratios": self.ratios,
+            "service_latency": self.service_latency,
         }
 
     def write_json(self, path: str | Path) -> Path:
@@ -174,109 +134,44 @@ class PerfReport:
         return path
 
     def format_table(self) -> str:
-        headers = [
-            "algorithm",
-            "size",
-            "fill",
-            "trials",
-            "wall_ms",
-            "std",
-            "min",
-            "max",
-            "moves",
-        ]
-        body = [
-            [
-                r.case.algorithm,
-                r.case.size,
-                r.case.fill,
-                r.wall_ms.n,
-                r.wall_ms.mean,
-                r.wall_ms.std,
-                r.wall_ms.minimum,
-                r.wall_ms.maximum,
-                r.moves.mean,
-            ]
-            for r in self.records
-        ]
-        parts = [
-            format_table(
-                headers,
-                body,
-                title="Schedule-construction wall time (per schedule)",
-            )
-        ]
-        for skip in self.skipped:
-            parts.append(
-                f"[skipped {skip['algorithm']} at {skip['size']}: "
-                f"{skip['reason']}]"
-            )
-        if self.speedup is not None:
-            s = self.speedup
-            parts.append(
-                f"QRM {s['size']}x{s['size']} hot path: "
-                f"vectorized {s['vectorized_ms']['mean']:.2f} ms, "
-                f"reference {s['reference_ms']['mean']:.2f} ms -> "
-                f"{s['speedup_vs_reference']:.1f}x vs reference"
-            )
-        for name, s in self.component_speedups.items():
-            if name == "batched_qrm":
-                per_batch = ", ".join(
-                    f"B={b['batch_size']}: {b['amortized_ms']['mean']:.2f} ms "
-                    f"({b['speedup_vs_single']:.1f}x)"
-                    for b in s["batches"]
-                )
-                parts.append(
-                    f"batched_qrm {s['size']}x{s['size']}: "
-                    f"single {s['single_ms']['mean']:.2f} ms/trial; "
-                    f"amortised {per_batch}"
-                )
-                continue
-            if name == "service_latency":
-                per_level = "; ".join(
-                    f"c={e['clients']}: p50 "
-                    f"{e['unbatched']['p50_ms']:.2f}->"
-                    f"{e['batched']['p50_ms']:.2f} ms, p99 "
-                    f"{e['unbatched']['p99_ms']:.2f}->"
-                    f"{e['batched']['p99_ms']:.2f} ms, "
-                    f"{e['speedup_batched']:.2f}x amortised"
-                    for e in s["concurrency"]
-                )
-                parts.append(
-                    f"service_latency {s['size']}x{s['size']} "
-                    f"(unbatched->batched, window "
-                    f"{s['batch_window_ms']:g} ms): {per_level}"
-                )
-                continue
-            scenario = f" {s['mask']}" if name == "masked_qrm" else ""
-            parts.append(
-                f"{name} {s['size']}x{s['size']}{scenario}: "
-                f"vectorized {s['vectorized_ms']['mean']:.2f} ms, "
-                f"reference {s['reference_ms']['mean']:.2f} ms -> "
-                f"{s['speedup_vs_reference']:.1f}x vs reference"
-            )
-        return "\n".join(parts)
+        ratios = format_table(
+            _RECORD_KEYS,
+            [[record[key] for key in _RECORD_KEYS] for record in self.ratios],
+            title="Gated speedup ratios (slow_ms / fast_ms, best-of minima)",
+        )
+        latency = format_table(
+            _LATENCY_KEYS,
+            [[row[key] for key in _LATENCY_KEYS] for row in self.service_latency],
+            title="Service request latency, closed-loop clients (ungated)",
+        )
+        return f"{ratios}\n\n{latency}"
 
 
-def _time_schedules(
-    make_scheduler: Callable[[ArrayGeometry], object],
-    size: int,
-    fill: float,
-    trials: int,
-    master_seed: int,
-) -> tuple[Summary, Summary]:
-    """Time ``trials`` seeded schedule constructions; returns (ms, moves)."""
-    geometry = ArrayGeometry.square(size)
-    scheduler = make_scheduler(geometry)
-    wall_ms: list[float] = []
-    moves: list[float] = []
-    for index in range(trials):
-        array = load_uniform(geometry, fill, rng=master_seed + index)
-        start = time.perf_counter()
-        result = scheduler.schedule(array)
-        wall_ms.append((time.perf_counter() - start) * 1e3)
-        moves.append(float(result.n_moves))
-    return Summary.of(wall_ms), Summary.of(moves)
+def _interleaved_timings(
+    inputs: int,
+    make_input: Callable[[int], object],
+    fast: Callable[[object], object],
+    slow: Callable[[object], object],
+) -> tuple[float, float]:
+    """Best-of minima (ms) of both implementations, timed per input.
+
+    Interleaving the pair on each input, fast first, makes the ratio
+    robust to slow machine-load drift across the measurement window —
+    back-to-back blocks would charge the drift to whichever side ran
+    second.  Minima, not means: one disturbed repeat can double a mean
+    on a shared box, while best-of minima are reproducible enough to
+    gate on.
+    """
+    fast_ms: list[float] = []
+    slow_ms: list[float] = []
+    for index in range(inputs):
+        trial_input = make_input(index)
+        for stage, wall_ms in ((fast, fast_ms), (slow, slow_ms)):
+            gc.collect()
+            start = time.perf_counter()
+            stage(trial_input)
+            wall_ms.append((time.perf_counter() - start) * 1e3)
+    return min(fast_ms), min(slow_ms)
 
 
 def measure_qrm_speedup(
@@ -285,89 +180,23 @@ def measure_qrm_speedup(
     trials: int = 3,
     master_seed: int = 0,
 ) -> dict:
-    """Time the QRM hot path under both pass implementations.
+    """Time the QRM hot path against the live per-command reference.
 
-    Returns a JSON-ready mapping with the vectorised and live-reference
-    timings plus their ratio — the before/after record the
-    vectorisation is judged by.
+    The fast side is the vectorised scheduler, the slow side the same
+    scheduler on :func:`~repro.core.passes.run_pass_reference`.  The
+    ``trials`` seeded loads are swept twice, so each minimum pools two
+    well-separated moments.
     """
     geometry = ArrayGeometry.square(size)
-    schedulers = {
-        "vectorized": get_algorithm("qrm", geometry),
-        "reference": get_algorithm("qrm-reference", geometry),
-    }
-    # Both implementations are timed inside each trial (drift never
-    # lands on one side only), GC-swept before every timed region, and
-    # swept twice so each minimum pools two well-separated moments —
-    # the ratios below feed the CI regression gate.
-    wall_ms: dict[str, list[float]] = {name: [] for name in schedulers}
-    for _ in range(2):
-        for index in range(trials):
-            array = load_uniform(geometry, fill, rng=master_seed + index)
-            for name, scheduler in schedulers.items():
-                gc.collect()
-                start = time.perf_counter()
-                scheduler.schedule(array)
-                wall_ms[name].append((time.perf_counter() - start) * 1e3)
-    timings = {name: Summary.of(samples) for name, samples in wall_ms.items()}
-
-    return {
-        "size": size,
-        "fill": fill,
-        "trials": trials,
-        "vectorized_ms": summary_dict(timings["vectorized"]),
-        "reference_ms": summary_dict(timings["reference"]),
-        # A ratio of minima, not means: a single disturbed repeat can
-        # double a mean on a shared box, while best-of minima are
-        # reproducible — and this ratio feeds the CI regression gate.
-        "speedup_vs_reference": (
-            timings["reference"].minimum / timings["vectorized"].minimum
-        ),
-    }
-
-
-def _speedup_block(size: int, fill: float, timings: dict[str, Summary]) -> dict:
-    """JSON shape shared by every vectorised-vs-reference measurement.
-
-    The speedup is a ratio of best-of minima (see
-    :func:`measure_qrm_speedup`) so the recorded value is reproducible
-    enough to gate on.
-    """
-    return {
-        "size": size,
-        "fill": fill,
-        "trials": timings["vectorized"].n,
-        "vectorized_ms": summary_dict(timings["vectorized"]),
-        "reference_ms": summary_dict(timings["reference"]),
-        "speedup_vs_reference": (
-            timings["reference"].minimum / timings["vectorized"].minimum
-        ),
-    }
-
-
-def _interleaved_timings(
-    trials: int,
-    make_input: Callable[[int], object],
-    vectorized: Callable[[object], object],
-    reference: Callable[[object], object],
-) -> dict[str, Summary]:
-    """Time both implementations per trial, vectorised first.
-
-    Interleaving the pair inside each trial makes the speedup ratio
-    robust to slow machine-load drift across the measurement window —
-    back-to-back blocks would charge the drift to whichever side ran
-    second.
-    """
-    vec_ms: list[float] = []
-    ref_ms: list[float] = []
-    for index in range(trials):
-        trial_input = make_input(index)
-        for stage, wall_ms in ((vectorized, vec_ms), (reference, ref_ms)):
-            gc.collect()
-            start = time.perf_counter()
-            stage(trial_input)
-            wall_ms.append((time.perf_counter() - start) * 1e3)
-    return {"vectorized": Summary.of(vec_ms), "reference": Summary.of(ref_ms)}
+    fast = get_algorithm("qrm", geometry)
+    slow = get_algorithm("qrm-reference", geometry)
+    fast_ms, slow_ms = _interleaved_timings(
+        2 * trials,
+        lambda index: load_uniform(geometry, fill, rng=master_seed + index % trials),
+        fast.schedule,
+        slow.schedule,
+    )
+    return _ratio_record("qrm", size, fill, trials, fast_ms, slow_ms)
 
 
 def measure_repair_speedup(
@@ -388,7 +217,7 @@ def measure_repair_speedup(
 
     geometry = ArrayGeometry.square(size)
     scheduler = QrmScheduler(geometry)
-    timings = _interleaved_timings(
+    fast_ms, slow_ms = _interleaved_timings(
         trials,
         lambda index: scheduler.schedule(
             load_uniform(geometry, fill, rng=master_seed + index)
@@ -397,7 +226,7 @@ def measure_repair_speedup(
         lambda array: repair_defects(array.copy()),
         lambda array: repair_defects_reference(array.copy()),
     )
-    return _speedup_block(size, fill, timings)
+    return _ratio_record("repair", size, fill, trials, fast_ms, slow_ms)
 
 
 def measure_baseline_speedup(
@@ -417,13 +246,13 @@ def measure_baseline_speedup(
     geometry = ArrayGeometry.square(size)
     fast_scheduler = get_algorithm(component, geometry)
     slow_scheduler = get_algorithm(f"{component}-reference", geometry)
-    timings = _interleaved_timings(
+    fast_ms, slow_ms = _interleaved_timings(
         trials,
         lambda index: load_uniform(geometry, fill, rng=master_seed + index),
         lambda array: fast_scheduler.schedule(array),
         lambda array: slow_scheduler.schedule(array),
     )
-    return _speedup_block(size, fill, timings)
+    return _ratio_record(component, size, fill, trials, fast_ms, slow_ms)
 
 
 def measure_guarded_drain_speedup(
@@ -463,13 +292,13 @@ def measure_guarded_drain_speedup(
             guard=True,
         )
 
-    timings = _interleaved_timings(
+    fast_ms, slow_ms = _interleaved_timings(
         trials,
         make_input,
         lambda trial_input: run(run_pass, trial_input),
         lambda trial_input: run(run_pass_reference, trial_input),
     )
-    return _speedup_block(size, fill, timings)
+    return _ratio_record("guarded_drain", size, fill, trials, fast_ms, slow_ms)
 
 
 def measure_masked_qrm_speedup(
@@ -495,9 +324,9 @@ def measure_masked_qrm_speedup(
     from repro.core.repair import repair_defects_reference
     from repro.lattice.mask import TargetMask
 
-    outer = size * 0.35
-    inner = size * 0.15
-    mask = TargetMask.ring(size, size, outer_radius=outer, inner_radius=inner)
+    mask = TargetMask.ring(
+        size, size, outer_radius=size * 0.35, inner_radius=size * 0.15
+    )
     geometry = ArrayGeometry.with_mask(size, size, mask)
     fast = QrmScheduler(
         geometry,
@@ -508,16 +337,13 @@ def measure_masked_qrm_speedup(
         QrmParameters(scan_limit=MASK_SCAN_LIMIT),
         pass_runner=run_pass_reference,
     )
-    timings = _interleaved_timings(
+    fast_ms, slow_ms = _interleaved_timings(
         trials,
         lambda index: load_uniform(geometry, fill, rng=master_seed + index),
         lambda array: fast.schedule(array),
         lambda array: repair_defects_reference(slow.schedule(array).final.copy()),
     )
-    block = _speedup_block(size, fill, timings)
-    block["mask"] = f"ring(outer={outer:g},inner={inner:g})"
-    block["mask_sites"] = int(mask.n_sites)
-    return block
+    return _ratio_record("masked_qrm", size, fill, trials, fast_ms, slow_ms)
 
 
 def _first_frame_schedules(size: int, fill: float, master_seed: int):
@@ -550,13 +376,13 @@ def measure_awg_compile_speedup(
     """
     from repro.awg.compiler import compile_schedule, compile_schedule_reference
 
-    timings = _interleaved_timings(
+    fast_ms, slow_ms = _interleaved_timings(
         trials,
         _first_frame_schedules(size, fill, master_seed),
         lambda trial_input: compile_schedule(trial_input[1]),
         lambda trial_input: compile_schedule_reference(trial_input[1]),
     )
-    return _speedup_block(size, fill, timings)
+    return _ratio_record("awg_compile", size, fill, trials, fast_ms, slow_ms)
 
 
 def measure_lossy_replay_speedup(
@@ -580,13 +406,13 @@ def measure_lossy_replay_speedup(
         array, schedule, seed = trial_input
         simulate(array, schedule, rng=seed)
 
-    timings = _interleaved_timings(
+    fast_ms, slow_ms = _interleaved_timings(
         trials,
         _first_frame_schedules(size, fill, master_seed),
         lambda trial_input: replay(simulate_losses, trial_input),
         lambda trial_input: replay(simulate_losses_reference, trial_input),
     )
-    return _speedup_block(size, fill, timings)
+    return _ratio_record("lossy_replay", size, fill, trials, fast_ms, slow_ms)
 
 
 def measure_fpga_cycle_model_speedup(
@@ -626,13 +452,13 @@ def measure_fpga_cycle_model_speedup(
         for row_pass, col_pass in pairs:
             model(row_pass, col_pass)
 
-    timings = _interleaved_timings(
+    fast_ms, slow_ms = _interleaved_timings(
         trials,
         make_input,
         lambda pairs: cost(accelerator._closed_form_iteration, pairs),
         lambda pairs: cost(accelerator._simulate_iteration_reference, pairs),
     )
-    return _speedup_block(size, fill, timings)
+    return _ratio_record("fpga_cycle_model", size, fill, trials, fast_ms, slow_ms)
 
 
 def measure_batched_qrm_speedup(
@@ -641,7 +467,7 @@ def measure_batched_qrm_speedup(
     batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
     trials: int = 3,
     master_seed: int = 0,
-) -> dict:
+) -> list[dict]:
     """Time QRM stacks of several trials against a batch of one.
 
     Measures the *steady state*: one :class:`~repro.core.qrm.
@@ -660,10 +486,9 @@ def measure_batched_qrm_speedup(
     convention as the campaign's timing cells: the analysis is
     deterministic, so repeats discard nothing but jitter.
 
-    Returns ``{"size", "fill", "trials", "single_ms": summary,
-    "batches": [{"batch_size", "amortized_ms": summary,
-    "speedup_vs_single"}, ...]}`` — amortised ms is whole-batch wall
-    time divided by the batch size.
+    Returns one ``batched_qrm B=n`` record per batch size: the fast
+    side is the amortised batch (whole-batch wall time divided by
+    ``n``), the slow side the single-trial minimum all of them share.
     """
     from repro.core.qrm import QrmScheduler
 
@@ -699,24 +524,17 @@ def measure_batched_qrm_speedup(
                 scheduler.schedule_batch(arrays[:n])
                 amortized_ms[n].append((time.perf_counter() - start) * 1e3 / n)
 
-    single = Summary.of(single_ms)
-    batches = []
-    for n in batch_sizes:
-        amortized = Summary.of(amortized_ms[n])
-        batches.append(
-            {
-                "batch_size": n,
-                "amortized_ms": summary_dict(amortized),
-                "speedup_vs_single": single.minimum / amortized.minimum,
-            }
+    return [
+        _ratio_record(
+            f"batched_qrm B={n}",
+            size,
+            fill,
+            trials,
+            min(amortized_ms[n]),
+            min(single_ms),
         )
-    return {
-        "size": size,
-        "fill": fill,
-        "trials": trials,
-        "single_ms": summary_dict(single),
-        "batches": batches,
-    }
+        for n in batch_sizes
+    ]
 
 
 def measure_service_latency(
@@ -727,7 +545,7 @@ def measure_service_latency(
     master_seed: int = 0,
     batch_window: float = 0.002,
     max_batch_size: int = 32,
-) -> dict:
+) -> tuple[dict, list[dict]]:
     """Time closed-loop scheduling requests through the service.
 
     For each concurrency level two servers run side by side — one with
@@ -740,16 +558,17 @@ def measure_service_latency(
     per client so scheduler caches and connections are hot, and a GC
     sweep before every timed round.
 
-    Percentiles pool both sweeps' latencies; the amortised per-request
-    cost is the *minimum* round wall over the sweeps divided by the
-    round's request count — the same best-of minima convention every
-    other gated ratio uses.  ``speedup_batched`` is the ratio of those
-    amortised minima (unbatched / batched): above 1, concurrent clients
-    pay less per schedule with batching on.  At concurrency 1 the ratio
-    is *expected* to sit below 1 — a lone closed-loop client pays the
-    full batch window on every request, the classic latency-for-
-    throughput trade — which is why the regression gate only pins the
-    highest measured concurrency.
+    Returns the ratio record and the latency table.  The record is
+    ``service_latency c=N`` at the highest concurrency N: each side is
+    the *minimum* round wall over the sweeps divided by the round's
+    request count — the best-of minima every other ratio uses — with
+    batching on as the fast side.  Above 1, concurrent clients pay less
+    per schedule with batching on.  At concurrency 1 batching is
+    *expected* to lose — a lone closed-loop client pays the full batch
+    window on every request, the classic latency-for-throughput trade —
+    which is why only the highest concurrency is a gated ratio.  The
+    table has one row per concurrency and mode with the p50/p95/p99
+    latencies pooled over both sweeps.
     """
     import threading
 
@@ -764,7 +583,7 @@ def measure_service_latency(
             geometry.target_height,
         )
     )
-    entries = []
+    rows = []
     for clients_n in sorted(concurrencies):
         arrays = [
             [
@@ -827,138 +646,82 @@ def measure_service_latency(
                     for client in clients:
                         client.close()
 
-        modes = {}
+        amortized = {}
         for name in pool:
             samples = np.asarray(pooled[name])
-            amortized = min(walls[name]) / (clients_n * requests_per_client)
-            modes[name] = {
-                "requests": int(samples.size),
-                "p50_ms": float(np.percentile(samples, 50)),
-                "p95_ms": float(np.percentile(samples, 95)),
-                "p99_ms": float(np.percentile(samples, 99)),
-                "amortized_ms": amortized,
-                "throughput_rps": 1e3 / amortized,
-            }
-        entries.append(
-            {
-                "clients": clients_n,
-                "unbatched": modes["unbatched"],
-                "batched": modes["batched"],
-                "speedup_batched": (
-                    modes["unbatched"]["amortized_ms"]
-                    / modes["batched"]["amortized_ms"]
-                ),
-            }
-        )
-    return {
-        "size": size,
-        "fill": fill,
-        "trials": requests_per_client,
-        "batch_window_ms": batch_window * 1e3,
-        "max_batch_size": max_batch_size,
-        "concurrency": entries,
-    }
-
-
-def measure_component_speedups(
-    size: int = 64,
-    fill: float = 0.5,
-    trials: int = 3,
-    master_seed: int = 0,
-) -> dict[str, dict]:
-    """All per-component before/after blocks (:data:`COMPONENT_NAMES`)."""
-    # The batched and service blocks are timed first: the reference
-    # oracles timed below (mta1's in particular) churn through enough
-    # allocation to fragment the heap and depress batched throughput
-    # measured after them, and their ratios feed CI regression gates.
-    batched = measure_batched_qrm_speedup(
-        size=size, fill=fill, trials=trials, master_seed=master_seed
+            amortized[name] = min(walls[name]) / (clients_n * requests_per_client)
+            rows.append(
+                {
+                    "clients": clients_n,
+                    "mode": name,
+                    "requests": int(samples.size),
+                    "p50_ms": float(np.percentile(samples, 50)),
+                    "p95_ms": float(np.percentile(samples, 95)),
+                    "p99_ms": float(np.percentile(samples, 99)),
+                }
+            )
+    # ``clients_n`` and ``amortized`` are the last, highest, level's.
+    record = _ratio_record(
+        f"service_latency c={clients_n}",
+        size,
+        fill,
+        requests_per_client,
+        amortized["batched"],
+        amortized["unbatched"],
     )
-    service = measure_service_latency(
-        size=size,
-        fill=fill,
-        requests_per_client=max(trials, 3),
-        master_seed=master_seed,
-    )
-    blocks = {
-        "repair": measure_repair_speedup(size, fill, trials, master_seed),
-        "guarded_drain": measure_guarded_drain_speedup(size, fill, trials, master_seed),
-        "masked_qrm": measure_masked_qrm_speedup(size, fill, trials, master_seed),
-        "awg_compile": measure_awg_compile_speedup(size, fill, trials, master_seed),
-        "lossy_replay": measure_lossy_replay_speedup(size, fill, trials, master_seed),
-        "fpga_cycle_model": measure_fpga_cycle_model_speedup(
-            size, fill, trials, master_seed
-        ),
-    }
-    for component in ("tetris", "psca", "mta1"):
-        blocks[component] = measure_baseline_speedup(
-            component, size, fill, trials, master_seed
-        )
-    blocks["batched_qrm"] = batched
-    blocks["service_latency"] = service
-    return blocks
+    return record, rows
 
 
 def run_perf_suite(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    fills: Sequence[float] = DEFAULT_FILLS,
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+    size: int = 64,
     trials: int = 3,
     master_seed: int = 0,
-    size_caps: dict[str, int] | None = None,
-    speedup_size: int | None = 64,
     observer: Callable[[str], None] | None = None,
 ) -> PerfReport:
-    """Time schedule construction over the benchmark grid.
+    """Measure every ratio of :data:`RATIO_NAMES` at ``size`` x ``size``.
 
-    ``size_caps`` bounds slow schedulers (default :data:`SIZE_CAPS`,
-    now empty); capped cases land in the report's ``skipped`` list.
-    With ``speedup_size`` set, the QRM before/after speedup block *and*
-    the per-component blocks (:data:`COMPONENT_NAMES`) are measured at
-    that size (``None`` skips them, e.g. in CI smoke mode).
+    Every ratio is measured at fill 0.5; ``observer`` receives a
+    progress label before each measurement.
     """
-    caps = SIZE_CAPS if size_caps is None else size_caps
     report = PerfReport(master_seed=master_seed, trials=trials)
-    for algorithm in algorithms:
-        for size in sizes:
-            cap = caps.get(algorithm)
-            if cap is not None and size > cap:
-                report.skipped.append(
-                    {
-                        "algorithm": algorithm,
-                        "size": size,
-                        "reason": f"size above cap {cap} "
-                        f"(pass size_caps={{}} to include)",
-                    }
-                )
-                continue
-            for fill in fills:
-                case = BenchCase(algorithm=algorithm, size=size, fill=fill)
-                if observer is not None:
-                    observer(case.label())
-                wall_ms, moves = _time_schedules(
-                    lambda geo, name=algorithm: get_algorithm(name, geo),
-                    size,
-                    fill,
-                    trials,
-                    master_seed,
-                )
-                report.records.append(
-                    BenchRecord(case=case, wall_ms=wall_ms, moves=moves)
-                )
-    if speedup_size is not None:
+
+    def note(name: str) -> None:
         if observer is not None:
-            observer(f"qrm speedup block at {speedup_size}x{speedup_size}")
-        report.speedup = measure_qrm_speedup(
-            size=speedup_size, trials=trials, master_seed=master_seed
-        )
-        if observer is not None:
-            observer(
-                f"component speedups at {speedup_size}x{speedup_size} "
-                f"({', '.join(COMPONENT_NAMES)})"
+            observer(f"{name} at {size}x{size}")
+
+    note("qrm")
+    report.ratios.append(
+        measure_qrm_speedup(size, trials=trials, master_seed=master_seed)
+    )
+    # The batched and service ratios are timed next: the reference
+    # oracles timed below (mta1's in particular) churn through enough
+    # allocation to fragment the heap and depress batched throughput
+    # measured after them.
+    note("batched_qrm")
+    report.ratios.extend(
+        measure_batched_qrm_speedup(size, trials=trials, master_seed=master_seed)
+    )
+    note("service_latency")
+    record, report.service_latency = measure_service_latency(
+        size, requests_per_client=max(trials, 3), master_seed=master_seed
+    )
+    report.ratios.append(record)
+    for name, measure in (
+        ("repair", measure_repair_speedup),
+        ("guarded_drain", measure_guarded_drain_speedup),
+        ("masked_qrm", measure_masked_qrm_speedup),
+        ("awg_compile", measure_awg_compile_speedup),
+        ("lossy_replay", measure_lossy_replay_speedup),
+        ("fpga_cycle_model", measure_fpga_cycle_model_speedup),
+    ):
+        note(name)
+        report.ratios.append(measure(size, trials=trials, master_seed=master_seed))
+    for component in ("tetris", "psca", "mta1"):
+        note(component)
+        report.ratios.append(
+            measure_baseline_speedup(
+                component, size, trials=trials, master_seed=master_seed
             )
-        report.component_speedups = measure_component_speedups(
-            size=speedup_size, trials=trials, master_seed=master_seed
         )
     return report
 
@@ -967,202 +730,66 @@ def run_perf_suite(
 # Schema validation
 # ---------------------------------------------------------------------------
 
-_SUMMARY_KEYS = ("mean", "std", "min", "max")
-_ENTRY_KEYS = ("algorithm", "size", "fill", "trials", "wall_ms", "moves")
-_SPEEDUP_KEYS = (
-    "size",
-    "fill",
-    "trials",
-    "vectorized_ms",
-    "reference_ms",
-    "speedup_vs_reference",
-)
-_COMPONENT_KEYS = (
-    "size",
-    "fill",
-    "trials",
-    "vectorized_ms",
-    "reference_ms",
-    "speedup_vs_reference",
-)
-_BATCHED_KEYS = ("size", "fill", "trials", "single_ms", "batches")
-_SERVICE_KEYS = (
-    "size",
-    "fill",
-    "trials",
-    "batch_window_ms",
-    "max_batch_size",
-    "concurrency",
-)
-_SERVICE_MODE_KEYS = (
-    "requests",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "amortized_ms",
-    "throughput_rps",
-)
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and value >= 1
 
 
-def _check_service_block(block: dict) -> None:
-    """Validate the ``service_latency`` component's concurrency sweep."""
-    context = "component_speedups['service_latency']"
-    for key in _SERVICE_KEYS:
-        if key not in block:
-            raise ValueError(f"{context} missing {key!r}")
-    levels = block["concurrency"]
-    if not isinstance(levels, list) or not levels:
-        raise ValueError(f"{context}.concurrency must be a non-empty list")
-    for index, entry in enumerate(levels):
-        entry_context = f"{context}.concurrency[{index}]"
-        for key in ("clients", "unbatched", "batched", "speedup_batched"):
-            if key not in entry:
-                raise ValueError(f"{entry_context} missing {key!r}")
-        if not isinstance(entry["clients"], int) or entry["clients"] < 1:
-            raise ValueError(f"{entry_context}.clients must be a positive int")
-        for mode in ("unbatched", "batched"):
-            mode_block = entry[mode]
-            mode_context = f"{entry_context}.{mode}"
-            for key in _SERVICE_MODE_KEYS:
-                if not isinstance(mode_block.get(key), (int, float)):
-                    raise ValueError(
-                        f"{mode_context}.{key} missing or non-numeric"
-                    )
-            if not (
-                mode_block["p50_ms"]
-                <= mode_block["p95_ms"]
-                <= mode_block["p99_ms"]
-            ):
-                raise ValueError(
-                    f"{mode_context}: p50 <= p95 <= p99 violated"
-                )
-            if mode_block["amortized_ms"] <= 0:
-                raise ValueError(
-                    f"{mode_context}.amortized_ms must be positive"
-                )
-        if entry["speedup_batched"] <= 0:
-            raise ValueError(f"{entry_context}.speedup_batched must be positive")
-
-
-def _check_batched_block(block: dict) -> None:
-    """Validate the ``batched_qrm`` component's batch-sweep shape."""
-    context = "component_speedups['batched_qrm']"
-    for key in _BATCHED_KEYS:
-        if key not in block:
-            raise ValueError(f"{context} missing {key!r}")
-    _check_summary(block["single_ms"], f"{context}.single_ms")
-    batches = block["batches"]
-    if not isinstance(batches, list) or not batches:
-        raise ValueError(f"{context}.batches must be a non-empty list")
-    for index, entry in enumerate(batches):
-        entry_context = f"{context}.batches[{index}]"
-        for key in ("batch_size", "amortized_ms", "speedup_vs_single"):
-            if key not in entry:
-                raise ValueError(f"{entry_context} missing {key!r}")
-        if not isinstance(entry["batch_size"], int) or entry["batch_size"] < 1:
-            raise ValueError(f"{entry_context}.batch_size must be a positive int")
-        _check_summary(entry["amortized_ms"], f"{entry_context}.amortized_ms")
-        if entry["speedup_vs_single"] <= 0:
-            raise ValueError(f"{entry_context}.speedup_vs_single must be positive")
-
-
-def _check_summary(block: dict, context: str) -> None:
-    for key in _SUMMARY_KEYS:
-        if not isinstance(block.get(key), (int, float)):
-            raise ValueError(f"{context}.{key} missing or non-numeric")
-    if not block["min"] <= block["mean"] <= block["max"]:
-        raise ValueError(f"{context}: min <= mean <= max violated")
+def _is_positive_number(value) -> bool:
+    return isinstance(value, (int, float)) and value > 0
 
 
 def validate_bench_report(payload: dict) -> None:
     """Raise :class:`ValueError` unless ``payload`` is a valid report.
 
     This is the machine-checked contract behind ``BENCH_*.json``: the
-    schema version is pinned, every entry carries the summary keys with
-    coherent min/mean/max, trial counts are positive and uniform across
-    entries, and the speedup blocks (QRM and per-component) expose their
-    ratio keys.  ``tests/test_bench_schema.py`` holds both the committed
-    artefact and freshly generated reports to it.
+    schema version is pinned, every ratio of :data:`RATIO_NAMES` has
+    exactly one record carrying every key, with positive sides and a
+    ``ratio`` that is exactly ``slow_ms / fast_ms``, and every latency
+    row carries its keys with ``p50 <= p95 <= p99``.
+    ``tests/test_bench_schema.py`` holds both the committed artefact and
+    freshly generated reports to it.
     """
     if payload.get("schema_version") != BENCH_SCHEMA_VERSION:
         raise ValueError(
             f"schema_version {payload.get('schema_version')!r} != "
             f"{BENCH_SCHEMA_VERSION}"
         )
-    for key in ("master_seed", "trials", "environment", "entries", "skipped"):
+    for key in ("master_seed", "trials", "environment", "ratios", "service_latency"):
         if key not in payload:
             raise ValueError(f"missing top-level key {key!r}")
-    if not isinstance(payload["trials"], int) or payload["trials"] < 1:
+    if not _is_positive_int(payload["trials"]):
         raise ValueError(f"trials must be a positive int, got {payload['trials']!r}")
 
-    entries = payload["entries"]
-    for index, entry in enumerate(entries):
-        context = f"entries[{index}]"
-        for key in _ENTRY_KEYS:
-            if key not in entry:
+    for index, record in enumerate(payload["ratios"]):
+        context = f"ratios[{index}] ({record.get('name')!r})"
+        for key in _RECORD_KEYS:
+            if key not in record:
                 raise ValueError(f"{context} missing key {key!r}")
-        if not isinstance(entry["trials"], int) or entry["trials"] < 1:
-            raise ValueError(f"{context}.trials must be a positive int")
-        if entry["trials"] != payload["trials"]:
+        for key in ("size", "trials"):
+            if not _is_positive_int(record[key]):
+                raise ValueError(f"{context}.{key} must be a positive int")
+        for key in ("fill", "fast_ms", "slow_ms"):
+            if not _is_positive_number(record[key]):
+                raise ValueError(f"{context}.{key} must be a positive number")
+        if record["ratio"] != record["slow_ms"] / record["fast_ms"]:
             raise ValueError(
-                f"{context}.trials {entry['trials']} drifted from the "
-                f"report-level {payload['trials']}"
+                f"{context}.ratio {record['ratio']!r} is not slow_ms / fast_ms"
             )
-        _check_summary(entry["wall_ms"], f"{context}.wall_ms")
-        _check_summary(entry["moves"], f"{context}.moves")
-
-    for skip in payload["skipped"]:
-        for key in ("algorithm", "size", "reason"):
-            if key not in skip:
-                raise ValueError(f"skipped entry missing key {key!r}")
-
-    speedup = payload.get("speedup")
-    if speedup is not None:
-        for key in _SPEEDUP_KEYS:
-            if key not in speedup:
-                raise ValueError(f"speedup missing key {key!r}")
-        for key in ("vectorized_ms", "reference_ms"):
-            _check_summary(speedup[key], f"speedup.{key}")
-        if speedup["speedup_vs_reference"] <= 0:
-            raise ValueError("speedup.speedup_vs_reference must be positive")
-
-    components = payload.get("component_speedups") or {}
-    for name, block in components.items():
-        if name not in COMPONENT_NAMES:
-            raise ValueError(f"unknown component speedup {name!r}")
-        if name == "batched_qrm":
-            _check_batched_block(block)
-            continue
-        if name == "service_latency":
-            _check_service_block(block)
-            continue
-        keys = _COMPONENT_KEYS
-        if name == "masked_qrm":
-            keys = keys + ("mask", "mask_sites")
-        for key in keys:
-            if key not in block:
-                raise ValueError(f"component_speedups[{name!r}] missing {key!r}")
-        for key in ("vectorized_ms", "reference_ms"):
-            _check_summary(block[key], f"component_speedups[{name!r}].{key}")
-        if block["speedup_vs_reference"] <= 0:
-            raise ValueError(
-                f"component_speedups[{name!r}].speedup_vs_reference "
-                f"must be positive"
-            )
-        if name == "masked_qrm":
-            if not isinstance(block["mask"], str) or not block["mask"]:
-                raise ValueError(
-                    "component_speedups['masked_qrm'].mask must be a "
-                    "non-empty string"
-                )
-            sites = block["mask_sites"]
-            if not isinstance(sites, int) or sites < 1:
-                raise ValueError(
-                    "component_speedups['masked_qrm'].mask_sites must be "
-                    "a positive int"
-                )
-    if speedup is not None and set(components) != set(COMPONENT_NAMES):
+    names = sorted(record["name"] for record in payload["ratios"])
+    if names != sorted(RATIO_NAMES):
         raise ValueError(
-            f"component_speedups {sorted(components)} incomplete; "
-            f"expected {sorted(COMPONENT_NAMES)}"
+            f"ratios {names} do not match the gated set {sorted(RATIO_NAMES)}"
         )
+
+    for index, row in enumerate(payload["service_latency"]):
+        context = f"service_latency[{index}]"
+        for key in _LATENCY_KEYS:
+            if key not in row:
+                raise ValueError(f"{context} missing key {key!r}")
+        if not _is_positive_int(row["clients"]):
+            raise ValueError(f"{context}.clients must be a positive int")
+        if row["mode"] not in ("unbatched", "batched"):
+            raise ValueError(f"{context}.mode must be 'unbatched' or 'batched'")
+        if not row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]:
+            raise ValueError(f"{context}: p50 <= p95 <= p99 violated")

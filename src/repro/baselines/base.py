@@ -43,8 +43,7 @@ class RearrangementAlgorithm(Protocol):
 AlgorithmFactory = Callable[..., RearrangementAlgorithm]
 
 #: The canonical benchmark line-up (QRM vs the published baselines) —
-#: the single source both ``repro bench`` and ``repro campaign`` default
-#: to.
+#: the single source ``repro campaign`` defaults to.
 DEFAULT_ALGORITHMS = ("qrm", "tetris", "psca", "mta1")
 
 _REGISTRY: dict[str, AlgorithmFactory] = {}

@@ -18,7 +18,11 @@ Each connection:
   stay debuggable — or ``("pong", token, None)``;
 * EOF ends the session, and the daemon accepts the next connection.
   Connections are served one at a time, so a host contributes one work
-  channel per daemon: run one daemon per core to use them all.
+  channel per daemon: run one daemon per core to use them all.  Each
+  read of the handshake has a deadline (:data:`HANDSHAKE_TIMEOUT`), so
+  a peer that connects and sends nothing cannot hold the daemon; after
+  the handshake, reads wait indefinitely, because an idle coordinator
+  sends nothing between units.
 
 Pings are answered from a reader thread *while a work unit computes*,
 which is what lets the dispatch layer distinguish a busy worker (pongs
@@ -49,16 +53,27 @@ from repro.campaign.protocol import (
 )
 from repro.errors import ConfigurationError, format_error
 
+#: Seconds each read of a peer's handshake may wait, as long as
+#: ``TcpWorkerTransport``'s connect timeout.
+HANDSHAKE_TIMEOUT = 10.0
 
-def serve(rfile: BinaryIO, wfile: BinaryIO) -> int:
+
+def serve(
+    rfile: BinaryIO,
+    wfile: BinaryIO,
+    on_handshake: Callable[[], None] | None = None,
+) -> int:
     """Run one worker session until EOF; returns the number of work units.
 
     A reader thread pulls frames off ``rfile`` and answers pings
     immediately (under a write lock shared with the compute loop), so
     liveness probes are served even while a unit is mid-computation.
     Work units execute in the calling thread, in arrival order.
+    ``on_handshake`` runs once the handshake frame is in.
     """
     handshake = read_handshake(rfile)
+    if on_handshake is not None:
+        on_handshake()
     if handshake is None:
         return 0
     fn_path = handshake.get("fn") if isinstance(handshake, dict) else None
@@ -124,9 +139,10 @@ def serve_connections(
     """Accept connections sequentially, serving each to EOF.
 
     A connection that fails mid-session (garbage handshake, truncated
-    stream, reset) is logged and dropped; the daemon stays up for the
-    next one.  Returns the number of connections served (bounded by
-    ``max_connections`` when given — mainly for tests).
+    stream, reset, no handshake within :data:`HANDSHAKE_TIMEOUT`) is
+    logged and dropped; the daemon stays up for the next one.  Returns
+    the number of connections served (bounded by ``max_connections``
+    when given — mainly for tests).
     """
     connections = 0
     while max_connections is None or connections < max_connections:
@@ -135,10 +151,11 @@ def serve_connections(
         except OSError:
             break
         with conn:
+            conn.settimeout(HANDSHAKE_TIMEOUT)
             rfile = conn.makefile("rb")
             wfile = conn.makefile("wb")
             try:
-                units = serve(rfile, wfile)
+                units = serve(rfile, wfile, on_handshake=lambda: conn.settimeout(None))
                 if log is not None:
                     log(f"served {units} units for {peer[0]}:{peer[1]}")
             except (ConfigurationError, EOFError, OSError, ValueError) as exc:

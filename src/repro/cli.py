@@ -162,46 +162,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.analysis.perf import DEFAULT_FILLS, DEFAULT_SIZES, run_perf_suite
-    from repro.baselines.base import resolve_algorithms
+    from repro.analysis.perf import run_perf_suite
+    from repro.analysis.perf_gate import TOLERANCE, check_schema, evaluate_gate
 
-    if args.smoke:
-        sizes = args.sizes or [16, 32]
-        fills = args.fills or [0.5]
-        algorithms = args.algorithms or ["qrm", "tetris", "mta1"]
-        trials = args.trials or 2
-        speedup_size = args.speedup_size or 32
-    else:
-        sizes = args.sizes or list(DEFAULT_SIZES)
-        fills = args.fills or list(DEFAULT_FILLS)
-        algorithms = args.algorithms
-        trials = args.trials or 3
-        speedup_size = args.speedup_size or 64
-
-    try:
-        algorithms = resolve_algorithms(algorithms)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-
+    if args.trials < 1:
+        raise ConfigurationError(f"--trials must be >= 1, got {args.trials}")
     baseline = None
     if args.gate:
-        gate_path = Path(args.gate)
-        if not gate_path.is_file():
-            print(f"gate baseline not found: {gate_path}", file=sys.stderr)
-            return 2
-        baseline = json.loads(gate_path.read_text())
+        try:
+            baseline = json.loads(Path(args.gate).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(
+                f"cannot read gate baseline {args.gate}: {exc}"
+            ) from exc
+        check_schema(baseline, args.gate)
 
     observer = None if args.quiet else (
         lambda label: print(f"[bench] {label}", file=sys.stderr)
     )
     report = run_perf_suite(
-        sizes=sizes,
-        fills=fills,
-        algorithms=algorithms,
-        trials=trials,
+        size=args.speedup_size,
+        trials=args.trials,
         master_seed=args.seed,
-        speedup_size=None if args.no_speedup else speedup_size,
         observer=observer,
     )
     print(report.format_table())
@@ -209,17 +191,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"[written to {path}]")
 
     if baseline is not None:
-        from repro.analysis.perf_gate import evaluate_gate
-
-        outcome = evaluate_gate(
-            report.to_dict(), baseline, tolerance=args.gate_tolerance
-        )
+        outcome = evaluate_gate(report.to_dict(), baseline)
         for notice in outcome.notices:
             print(f"[gate] skipped {notice}", file=sys.stderr)
         if not outcome.ok:
             print(outcome.message(), file=sys.stderr)
             return 1
-        print(f"[gate] speedups within {args.gate_tolerance:.0%} of {args.gate}")
+        print(f"[gate] speedups within {TOLERANCE:.0%} of {args.gate}")
     return 0
 
 
@@ -747,37 +725,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="schedule-construction performance benchmark",
+        help="gated speedup-ratio benchmark",
         description=(
-            "Time schedule construction for QRM and the baselines over a "
-            "size x fill grid, print the summary table, and write the "
-            "machine-readable results (with the QRM before/after "
-            "vectorisation speedup) to a BENCH_*.json file."
+            "Measure every gated speedup ratio at one array size (each "
+            "vectorised path vs its reference oracle, batched vs single "
+            "QRM, service batching on vs off), print them with the "
+            "service latency table, and write the machine-readable "
+            "BENCH_*.json record.  Per-case scheduler wall time is "
+            "`repro campaign --timing --stats`."
         ),
     )
     p.add_argument(
-        "--sizes",
+        "--speedup-size",
         type=int,
-        nargs="+",
-        default=None,
-        help="array widths to benchmark (default 32 64 128)",
+        default=64,
+        help="array width every ratio is measured at (default 64)",
     )
     p.add_argument(
-        "--fills",
-        type=float,
-        nargs="+",
-        default=None,
-        help="loading fills to benchmark (default 0.3 0.5 0.7)",
-    )
-    p.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=None,
-        metavar="ALGO",
-        help="schedulers to time (default qrm tetris psca mta1)",
-    )
-    p.add_argument(
-        "--trials", type=int, default=None, help="seeded trials per case (default 3)"
+        "--trials", type=int, default=3, help="seeded inputs per ratio (default 3)"
     )
     p.add_argument(
         "--seed", type=int, default=0, help="master seed for the per-trial loads"
@@ -789,42 +754,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="output JSON path (default ./BENCH_qrm.json)",
     )
     p.add_argument(
-        "--speedup-size",
-        type=int,
-        default=None,
-        help="array width for the QRM before/after block "
-        "(default 64, or 32 with --smoke)",
-    )
-    p.add_argument(
-        "--no-speedup",
-        action="store_true",
-        help="skip the QRM before/after speedup block",
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fast grid for CI (qrm+tetris+mta1 at 16/32)",
-    )
-    p.add_argument(
         "--gate",
         type=str,
         default=None,
         metavar="BASELINE.json",
-        help="fail (exit 1) when a measured speedup ratio slips "
-        "more than --gate-tolerance below this committed "
-        "bench report's; only ratios both reports measured "
-        "at the same size/fill are compared",
+        help="fail (exit 1) when a measured speedup ratio slips more "
+        "than 15%% below this committed bench report's; a report of "
+        "another schema version is refused before measuring (exit 2)",
     )
     p.add_argument(
-        "--gate-tolerance",
-        type=float,
-        default=0.15,
-        metavar="FRACTION",
-        help="allowed relative speedup slip for --gate "
-        "(default 0.15 = 15%%)",
-    )
-    p.add_argument(
-        "--quiet", action="store_true", help="suppress per-case progress on stderr"
+        "--quiet", action="store_true", help="suppress per-ratio progress on stderr"
     )
     p.set_defaults(func=_cmd_bench)
 

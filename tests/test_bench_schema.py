@@ -1,9 +1,10 @@
-"""Schema contract for the ``BENCH_qrm.json`` perf artefact.
+"""Schema contract for the ``BENCH_qrm.json`` perf artefact and its gate.
 
 ``repro bench`` output is a committed, machine-readable artefact; this
 suite pins its layout with :func:`repro.analysis.perf.validate_bench_report`
-so a refactor cannot silently change the schema (or drop the speedup
-provenance blocks) without failing the tier-1 run.
+so a refactor cannot silently change the schema (or drop a gated ratio)
+without failing the tier-1 run, and holds the regression gate to its
+one comparison loop.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ import pytest
 
 from repro.analysis.perf import (
     BENCH_SCHEMA_VERSION,
-    COMPONENT_NAMES,
+    RATIO_NAMES,
     run_perf_suite,
     validate_bench_report,
 )
+from repro.analysis.perf_gate import evaluate_gate
+from repro.cli import main
+from repro.errors import ConfigurationError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COMMITTED_BENCH = REPO_ROOT / "BENCH_qrm.json"
@@ -29,18 +33,26 @@ def committed_payload() -> dict:
     return json.loads(COMMITTED_BENCH.read_text())
 
 
+def copy_of(payload: dict) -> dict:
+    return json.loads(json.dumps(payload))
+
+
+def ratio(payload: dict, name: str) -> dict:
+    (record,) = [r for r in payload["ratios"] if r["name"] == name]
+    return record
+
+
 def test_committed_bench_artifact_validates(committed_payload):
     validate_bench_report(committed_payload)
 
 
-def test_committed_bench_has_all_component_speedups(committed_payload):
-    components = committed_payload["component_speedups"]
-    assert set(components) == set(COMPONENT_NAMES)
-    assert {"mta1", "guarded_drain", "batched_qrm"} <= set(components)
-    for name, block in components.items():
-        if name in ("batched_qrm", "service_latency"):
-            continue  # pinned separately below — different block shapes
-        assert block["speedup_vs_reference"] > 1.0
+def test_committed_bench_has_a_record_per_ratio(committed_payload):
+    names = [record["name"] for record in committed_payload["ratios"]]
+    assert sorted(names) == sorted(RATIO_NAMES)
+    for record in committed_payload["ratios"]:
+        if record["name"].startswith(("batched_qrm", "service_latency")):
+            continue  # pinned separately below — not vectorised-vs-reference
+        assert record["ratio"] > 1.0, record["name"]
 
 
 def test_committed_bench_service_latency_wins_at_high_concurrency(
@@ -49,170 +61,147 @@ def test_committed_bench_service_latency_wins_at_high_concurrency(
     # The service's acceptance bar: micro-batching beats batching-off on
     # amortised per-request latency at concurrency 16 on the 64x64
     # headline case (pooled best-of minima on both sides).
-    block = committed_payload["component_speedups"]["service_latency"]
-    assert block["size"] == 64
-    by_clients = {entry["clients"]: entry for entry in block["concurrency"]}
-    assert 16 in by_clients
-    assert by_clients[16]["speedup_batched"] > 1.0
-    for entry in block["concurrency"]:
-        for mode in ("unbatched", "batched"):
-            assert entry[mode]["p50_ms"] <= entry[mode]["p99_ms"]
-            assert entry[mode]["amortized_ms"] > 0
+    record = ratio(committed_payload, "service_latency c=16")
+    assert record["size"] == 64
+    assert record["ratio"] > 1.0
+    rows = committed_payload["service_latency"]
+    assert {(row["clients"], row["mode"]) for row in rows} == {
+        (clients, mode) for clients in (1, 4, 16) for mode in ("unbatched", "batched")
+    }
+    for row in rows:
+        assert row["p50_ms"] <= row["p99_ms"]
 
 
 def test_committed_bench_batched_qrm_hits_the_speedup_bar(committed_payload):
     # The cross-trial batched engine's acceptance bar: >= 2x amortised
     # per-trial speedup at batch size 32 on the 64x64 headline case.
-    block = committed_payload["component_speedups"]["batched_qrm"]
-    assert block["size"] == 64
-    by_batch = {entry["batch_size"]: entry for entry in block["batches"]}
-    assert 32 in by_batch
-    assert by_batch[32]["speedup_vs_single"] >= 2.0
-    for entry in block["batches"]:
-        assert entry["speedup_vs_single"] > 0
-        assert entry["amortized_ms"]["mean"] > 0
-
-
-def test_gate_compares_only_the_qrm_ratios_both_reports_carry(committed_payload):
-    # A v8 artefact's QRM block still carries the retired seed ratio; a
-    # v9 report gated against it (or the other way round) compares the
-    # shared ratio and names the one-sided one instead of raising.
-    from repro.analysis.perf_gate import evaluate_gate
-
-    v8 = json.loads(json.dumps(committed_payload))
-    v8["schema_version"] = 8
-    v8["speedup"]["seed_ms"] = dict(v8["speedup"]["reference_ms"])
-    v8["speedup"]["speedup_vs_seed"] = 15.0
-    for fresh, baseline in ((committed_payload, v8), (v8, committed_payload)):
-        outcome = evaluate_gate(fresh, baseline)
-        assert outcome.ok
-        assert any("'speedup_vs_seed'" in notice for notice in outcome.notices)
-    slipped = json.loads(json.dumps(committed_payload))
-    slipped["speedup"]["speedup_vs_reference"] *= 0.5
-    (failure,) = evaluate_gate(slipped, v8).failures
-    assert "speedup_vs_reference" in failure
-
-
-def test_gate_skips_the_retired_pipeline_latency_component(committed_payload):
-    # A v9 artefact still carries the sequential-vs-pipelined block of
-    # the deleted threaded driver; a v10 report gated against it (or the
-    # other way round) names the one-sided component instead of raising.
-    from repro.analysis.perf_gate import evaluate_gate
-
-    v9 = json.loads(json.dumps(committed_payload))
-    v9["schema_version"] = 9
-    v9["component_speedups"]["pipeline_latency"] = {
-        "size": 64,
-        "fill": 0.5,
-        "trials": 3,
-        "shots": 4,
-        "cycles": 2,
-        "sequential_ms": {"mean": 232.0, "std": 31.9, "min": 193.5, "max": 271.3},
-        "pipelined_ms": {"mean": 200.2, "std": 22.4, "min": 172.7, "max": 232.2},
-        "overlap_speedup": 1.12,
-        "trace_digest": "0" * 64,
-        "stages": [],
-    }
-    for fresh, baseline in ((committed_payload, v9), (v9, committed_payload)):
-        outcome = evaluate_gate(fresh, baseline)
-        assert outcome.ok
-        assert any(
-            "component 'pipeline_latency'" in notice for notice in outcome.notices
-        )
-
-
-def test_gate_skips_the_fpga_cycle_model_component_a_v10_artefact_lacks(
-    committed_payload,
-):
-    # A v10 artefact predates the closed-form cycle model's block; a v11
-    # report gated against it (or the other way round) names the
-    # one-sided component instead of raising.
-    from repro.analysis.perf_gate import evaluate_gate
-
-    v10 = json.loads(json.dumps(committed_payload))
-    v10["schema_version"] = 10
-    del v10["component_speedups"]["fpga_cycle_model"]
-    for fresh, baseline in ((committed_payload, v10), (v10, committed_payload)):
-        outcome = evaluate_gate(fresh, baseline)
-        assert outcome.ok
-        assert any(
-            "component 'fpga_cycle_model'" in notice for notice in outcome.notices
-        )
+    record = ratio(committed_payload, "batched_qrm B=32")
+    assert record["size"] == 64
+    assert record["ratio"] >= 2.0
+    for name in RATIO_NAMES:
+        if name.startswith("batched_qrm"):
+            assert ratio(committed_payload, name)["ratio"] > 0
 
 
 def test_committed_bench_times_the_loop_schedule_consumers(committed_payload):
     # AWG compilation and lossy replay are timed from the schedule table
     # against their object walkers on 64x64 QRM first-frame schedules.
-    components = committed_payload["component_speedups"]
     for name in ("awg_compile", "lossy_replay"):
-        block = components[name]
-        assert (block["size"], block["fill"]) == (64, 0.5)
-        assert block["speedup_vs_reference"] > 2.0
+        record = ratio(committed_payload, name)
+        assert (record["size"], record["fill"]) == (64, 0.5)
+        assert record["ratio"] > 2.0
 
 
 @pytest.mark.parametrize("name", ["awg_compile", "lossy_replay"])
-def test_validator_rejects_incomplete_consumer_blocks(committed_payload, name):
-    broken = json.loads(json.dumps(committed_payload))
-    del broken["component_speedups"][name]["reference_ms"]
-    with pytest.raises(ValueError, match=name):
+def test_validator_rejects_broken_records(committed_payload, name):
+    broken = copy_of(committed_payload)
+    del ratio(broken, name)["slow_ms"]
+    with pytest.raises(ValueError, match=f"{name}.*missing key 'slow_ms'"):
         validate_bench_report(broken)
-    missing = json.loads(json.dumps(committed_payload))
-    del missing["component_speedups"][name]
-    with pytest.raises(ValueError, match="incomplete"):
+    skewed = copy_of(committed_payload)
+    ratio(skewed, name)["ratio"] *= 1.01
+    with pytest.raises(ValueError, match="is not slow_ms / fast_ms"):
+        validate_bench_report(skewed)
+    missing = copy_of(committed_payload)
+    missing["ratios"].remove(ratio(missing, name))
+    with pytest.raises(ValueError, match="do not match the gated set"):
         validate_bench_report(missing)
 
 
-def test_committed_bench_covers_mta1_on_the_full_grid(committed_payload):
-    # The headline QRM-vs-MTA1 comparison must be regenerable at scale:
-    # mta1 rides the whole default grid and is never in the skip list.
-    from repro.analysis.perf import DEFAULT_SIZES
-
-    mta1_sizes = {
-        entry["size"]
-        for entry in committed_payload["entries"]
-        if entry["algorithm"] == "mta1"
-    }
-    assert mta1_sizes == set(DEFAULT_SIZES)
-    assert all(skip["algorithm"] != "mta1" for skip in committed_payload["skipped"])
+def test_validator_rejects_schema_drift_and_disordered_latencies(
+    committed_payload,
+):
+    stale = dict(committed_payload, schema_version=BENCH_SCHEMA_VERSION - 1)
+    with pytest.raises(ValueError, match="schema_version"):
+        validate_bench_report(stale)
+    disordered = copy_of(committed_payload)
+    row = disordered["service_latency"][0]
+    row["p50_ms"] = row["p99_ms"] + 1.0
+    with pytest.raises(ValueError, match="p50 <= p95 <= p99"):
+        validate_bench_report(disordered)
 
 
 def test_fresh_report_validates_end_to_end():
-    report = run_perf_suite(
-        sizes=(8,),
-        fills=(0.5,),
-        algorithms=("qrm",),
-        trials=1,
-        master_seed=0,
-        speedup_size=8,
-    )
+    report = run_perf_suite(size=8, trials=1)
     payload = report.to_dict()
     assert payload["schema_version"] == BENCH_SCHEMA_VERSION
     validate_bench_report(payload)
-    assert set(payload["component_speedups"]) == set(COMPONENT_NAMES)
+    assert [record["name"] for record in payload["ratios"]] == list(RATIO_NAMES)
+    table = report.format_table()
+    for name in RATIO_NAMES:
+        assert name in table
 
 
-def test_validator_rejects_schema_drift():
-    report = run_perf_suite(
-        sizes=(8,),
-        fills=(0.5,),
-        algorithms=("qrm",),
-        trials=1,
-        master_seed=0,
-        speedup_size=None,
-    )
-    good = report.to_dict()
-    validate_bench_report(good)
+def test_gate_names_a_ratio_only_one_side_carries(committed_payload):
+    # At one schema, a ratio that only one report carries is named in a
+    # notice and compared with nothing, in either direction; every
+    # shared ratio is still compared.
+    partial = copy_of(committed_payload)
+    partial["ratios"].remove(ratio(partial, "mta1"))
+    for fresh, baseline, where in (
+        (committed_payload, partial, "measured here but not in the baseline"),
+        (partial, committed_payload, "in the baseline but not measured here"),
+    ):
+        outcome = evaluate_gate(fresh, baseline)
+        assert outcome.ok
+        assert outcome.notices == [f"mta1@64 fill=0.5: {where}"]
+    slipped = copy_of(partial)
+    ratio(slipped, "psca")["ratio"] *= 0.5
+    outcome = evaluate_gate(slipped, committed_payload)
+    (failure,) = outcome.failures
+    assert failure.startswith("psca@64 fill=0.5: ")
+    assert failure in outcome.message()
 
-    stale = dict(good, schema_version=BENCH_SCHEMA_VERSION - 1)
-    with pytest.raises(ValueError, match="schema_version"):
-        validate_bench_report(stale)
 
-    drifted = json.loads(json.dumps(good))
-    drifted["entries"][0]["trials"] += 1
-    with pytest.raises(ValueError, match="drifted"):
-        validate_bench_report(drifted)
+def test_gate_refuses_a_baseline_of_another_schema(committed_payload):
+    v11 = dict(committed_payload, schema_version=11)
+    with pytest.raises(ConfigurationError, match=r"schema_version 11.*\b12\b"):
+        evaluate_gate(committed_payload, v11)
 
-    broken = json.loads(json.dumps(good))
-    del broken["entries"][0]["wall_ms"]["std"]
-    with pytest.raises(ValueError, match="wall_ms"):
-        validate_bench_report(broken)
+
+def measured(*args, **kwargs):
+    raise AssertionError("a refused baseline must not be measured against")
+
+
+def test_bench_gate_refuses_a_v11_baseline_before_measuring(
+    committed_payload, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr("repro.analysis.perf.run_perf_suite", measured)
+    baseline = tmp_path / "BENCH_v11.json"
+    baseline.write_text(json.dumps(dict(committed_payload, schema_version=11)))
+    out = tmp_path / "BENCH_gate.json"
+    argv = ["bench", "--gate", str(baseline), "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "schema_version 11" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content", ["[not json", "[]", None], ids=["not-json", "not-a-report", "missing"]
+)
+def test_bench_gate_refuses_an_unreadable_baseline(
+    tmp_path, monkeypatch, capsys, content
+):
+    monkeypatch.setattr("repro.analysis.perf.run_perf_suite", measured)
+    baseline = tmp_path / "BENCH_bad.json"
+    if content is not None:
+        baseline.write_text(content)
+    out = tmp_path / "BENCH_gate.json"
+    argv = ["bench", "--gate", str(baseline), "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(baseline) in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag", [["--smoke"], ["--gate-tolerance", "0.15"]], ids=lambda f: f[0]
+)
+def test_bench_removed_flags_are_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", *flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

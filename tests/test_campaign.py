@@ -12,15 +12,12 @@ from repro.campaign import (
     CampaignSpec,
     ExperimentCampaign,
     LossSpec,
-    MultiprocessingExecutor,
     QrmSpec,
     RecordingObserver,
     ScenarioCell,
-    SerialExecutor,
     TrialCache,
     TrialSpec,
     cell_sequence,
-    make_executor,
     run_campaign,
     run_trial,
 )
@@ -137,30 +134,6 @@ class TestSeeding:
     def test_trial_is_deterministic(self):
         trial = TrialSpec(cell=ScenarioCell(size=10), seed_index=1, master_seed=5)
         assert run_trial(trial).metrics == run_trial(trial).metrics
-
-
-class TestDeterminismAcrossExecutors:
-    def test_serial_equals_parallel(self):
-        spec = small_spec(sizes=(10, 12))
-        serial = ExperimentCampaign(spec, executor=SerialExecutor()).run()
-        parallel = ExperimentCampaign(
-            spec, executor=MultiprocessingExecutor(workers=2)
-        ).run()
-        assert serial.to_csv() == parallel.to_csv()
-        for a, b in zip(serial.aggregates, parallel.aggregates):
-            assert a.cell == b.cell
-            assert a.metrics == b.metrics
-
-    def test_make_executor(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        pool = make_executor(4)
-        assert isinstance(pool, MultiprocessingExecutor)
-        assert pool.workers == 4
-
-    def test_executor_validation(self):
-        with pytest.raises(ConfigurationError):
-            MultiprocessingExecutor(workers=0)
 
 
 class TestCache:

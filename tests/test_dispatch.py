@@ -13,6 +13,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ from repro.campaign.protocol import (
     write_frame,
     write_handshake,
 )
-from repro.campaign.worker import serve
+from repro.campaign.worker import serve, serve_connections
 from repro.errors import ConfigurationError, ExecutionError
 
 TESTS_DIR = str(Path(__file__).resolve().parent)
@@ -465,6 +466,31 @@ class TestTcpTransport:
                     victim.kill()
             assert victim.wait(timeout=10) != 0
         assert results == {index: index * index for index in items}
+
+    def test_idle_peer_is_dropped_at_the_handshake_deadline(self, monkeypatch):
+        # A peer that connects and sends nothing must not hold the
+        # daemon: its handshake read times out, and the coordinator
+        # queued behind it is served well within its ping deadline.
+        monkeypatch.setattr("repro.campaign.worker.HANDSHAKE_TIMEOUT", 0.5)
+        messages: list[str] = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()[:2]
+            daemon = threading.Thread(
+                target=serve_connections,
+                args=(listener,),
+                kwargs={"max_connections": 2, "log": messages.append},
+                daemon=True,
+            )
+            daemon.start()
+            with socket.create_connection((host, port), timeout=10):
+                executor = DistributedExecutor(
+                    workers=[WorkerSpec(host=host, port=port)], ping_timeout=5
+                )
+                assert dict(executor.run(abs, [-1, -2])) == {0: 1, 1: 2}
+            daemon.join(timeout=10)
+            assert not daemon.is_alive()
+        assert "failed: timed out" in messages[0]
+        assert messages[1].startswith("served 2 units")
 
     @malformed_peers
     def test_malformed_peer_is_dropped_and_the_daemon_serves_on(self, data):
