@@ -24,8 +24,7 @@ from repro.analysis.perf import (
     validate_bench_report,
 )
 from repro.analysis.perf_gate import evaluate_gate
-from repro.core.passes import run_pass_reference
-from repro.core.qrm import QrmScheduler
+from repro.core.qrm import QrmScheduler, QrmSchedulerReference
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
@@ -46,7 +45,7 @@ def test_bench_perf_smoke(seed_base, results_dir, emit):
     path = report.write_json(results_dir / "BENCH_qrm_smoke.json")
     payload = json.loads(path.read_text())
     validate_bench_report(payload)
-    assert len(payload["ratios"]) == 15
+    assert len(payload["ratios"]) == 14
     for record, name in zip(payload["ratios"], RATIO_NAMES):
         trials = 3 if name.startswith("service_latency") else 2
         assert_record(record, name, 32, trials)
@@ -92,7 +91,7 @@ def test_perf_gate_on_own_report(seed_base):
     slipped = json.loads(json.dumps(report))
     halved = (
         "qrm",
-        "batched_qrm B=1",
+        "batched_qrm B=8",
         "service_latency c=16",
         "awg_compile",
         "lossy_replay",
@@ -189,7 +188,7 @@ def test_reference_schedules_match_live_path(seed_base):
     geometry = ArrayGeometry.square(16)
     array = load_uniform(geometry, 0.5, rng=seed_base)
     vectorized = QrmScheduler(geometry).schedule(array)
-    other = QrmScheduler(geometry, pass_runner=run_pass_reference).schedule(array)
+    other = QrmSchedulerReference(geometry).schedule(array)
     assert len(other.schedule) == len(vectorized.schedule)
     for ours, theirs in zip(vectorized.schedule, other.schedule):
         assert ours == theirs

@@ -53,10 +53,11 @@ from repro.lattice.loading import load_uniform
 #: plus the service latency table; the per-case grid is gone).
 BENCH_SCHEMA_VERSION = 12
 
-#: Batch sizes the ``batched_qrm`` ratios sweep.  1 exposes the pure
-#: batching overhead, 8/32 the amortisation sweet spot, 128 the
-#: cache-footprint decay on large stacks.
-DEFAULT_BATCH_SIZES = (1, 8, 32, 128)
+#: Batch sizes the ``batched_qrm`` ratios sweep: 8/32 the amortisation
+#: sweet spot, 128 the cache-footprint decay on large stacks.  A batch
+#: of one is the single side itself (``schedule`` is ``schedule_batch``
+#: of one array), so its ratio would only measure noise.
+DEFAULT_BATCH_SIZES = (8, 32, 128)
 
 #: Client counts the service latency table sweeps.  1 exposes the pure
 #: batch-window latency cost, 4 the break-even region, 16 the
@@ -182,10 +183,10 @@ def measure_qrm_speedup(
 ) -> dict:
     """Time the QRM hot path against the live per-command reference.
 
-    The fast side is the vectorised scheduler, the slow side the same
-    scheduler on :func:`~repro.core.passes.run_pass_reference`.  The
-    ``trials`` seeded loads are swept twice, so each minimum pools two
-    well-separated moments.
+    The fast side is the vectorised scheduler, the slow side its
+    per-command oracle :class:`~repro.core.qrm.QrmSchedulerReference`.
+    The ``trials`` seeded loads are swept twice, so each minimum pools
+    two well-separated moments.
     """
     geometry = ArrayGeometry.square(size)
     fast = get_algorithm("qrm", geometry)
@@ -314,13 +315,13 @@ def measure_masked_qrm_speedup(
     (``scan_limit="mask"``) and repair enabled — the configuration that
     exercises every mask-aware code path at once.  The vectorised side
     is the production scheduler; the reference side composes the
-    per-command pass runner with :func:`~repro.core.repair.
-    repair_defects_reference` on the pre-repair final array, so both
-    sides schedule and repair identical masked states.
+    per-command :class:`~repro.core.qrm.QrmSchedulerReference` with
+    :func:`~repro.core.repair.repair_defects_reference` on the
+    pre-repair final array, so both sides schedule and repair identical
+    masked states.
     """
     from repro.config import MASK_SCAN_LIMIT, QrmParameters
-    from repro.core.passes import run_pass_reference
-    from repro.core.qrm import QrmScheduler
+    from repro.core.qrm import QrmScheduler, QrmSchedulerReference
     from repro.core.repair import repair_defects_reference
     from repro.lattice.mask import TargetMask
 
@@ -332,11 +333,7 @@ def measure_masked_qrm_speedup(
         geometry,
         QrmParameters(enable_repair=True, scan_limit=MASK_SCAN_LIMIT),
     )
-    slow = QrmScheduler(
-        geometry,
-        QrmParameters(scan_limit=MASK_SCAN_LIMIT),
-        pass_runner=run_pass_reference,
-    )
+    slow = QrmSchedulerReference(geometry, QrmParameters(scan_limit=MASK_SCAN_LIMIT))
     fast_ms, slow_ms = _interleaved_timings(
         trials,
         lambda index: load_uniform(geometry, fill, rng=master_seed + index),

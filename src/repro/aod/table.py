@@ -124,6 +124,22 @@ class ScheduleTable:
         )
         return cls(**columns)
 
+    def slice(self, start: int, stop: int) -> ScheduleTable:
+        """Moves ``start:stop`` as a table of views (``self`` if that is all)."""
+        if start == 0 and stop == len(self):
+            return self
+        lo, hi = int(self.offsets[start]), int(self.offsets[stop])
+        return ScheduleTable(
+            direction=self.direction[start:stop],
+            steps=self.steps[start:stop],
+            offsets=self.offsets[start : stop + 1] - lo,
+            shift_direction=self.shift_direction[lo:hi],
+            shift_steps=self.shift_steps[lo:hi],
+            line=self.line[lo:hi],
+            span_start=self.span_start[lo:hi],
+            span_stop=self.span_stop[lo:hi],
+        )
+
     def __len__(self) -> int:
         return len(self.steps)
 

@@ -196,8 +196,7 @@ def _register_builtins() -> None:
     from repro.baselines.psca import PscaScheduler, PscaSchedulerReference
     from repro.baselines.tetris import TetrisScheduler, TetrisSchedulerReference
     from repro.config import QrmParameters, ScanMode
-    from repro.core.passes import run_pass_reference
-    from repro.core.qrm import QrmScheduler
+    from repro.core.qrm import QrmScheduler, QrmSchedulerReference
     from repro.core.typical import TypicalScheduler
 
     def qrm_variant(**preset):
@@ -214,9 +213,7 @@ def _register_builtins() -> None:
 
     def qrm_reference(geometry, *, rng=None, **params):
         del rng
-        return QrmScheduler(
-            geometry, QrmParameters(**params), pass_runner=run_pass_reference
-        )
+        return QrmSchedulerReference(geometry, QrmParameters(**params))
 
     def plain(cls):
         def factory(geometry, *, rng=None, **params):

@@ -7,7 +7,7 @@ from repro.core.passes import (
     run_pass,
     run_pass_reference,
 )
-from repro.core.qrm import QrmScheduler
+from repro.core.qrm import QrmScheduler, QrmSchedulerReference
 from repro.core.repair import RepairOutcome, repair_defects
 from repro.core.result import IterationStats, RearrangementResult
 from repro.core.scan import (
@@ -29,6 +29,7 @@ __all__ = [
     "PassOutcome",
     "Phase",
     "QrmScheduler",
+    "QrmSchedulerReference",
     "QuadrantScan",
     "RearrangementResult",
     "RepairOutcome",

@@ -22,17 +22,22 @@ Two implementations share these semantics and one signature — both
 run a pass over a ``(trial, row, col)`` stack of grids and return one
 outcome per trial: :func:`run_pass_reference` is the per-line,
 per-command state machine kept as the behavioural oracle, and
-:func:`run_pass` is the production path, which drains the whole stack
-as NumPy arrays (one :func:`~repro.core.scan.scan_quadrant` over every
-quadrant of every trial, affine span arithmetic, group-by via one sort)
-and writes its moves straight into :class:`~repro.aod.table.ScheduleTable`
-columns — the reference emits :class:`~repro.aod.move.ParallelMove`
-objects.  The two are property-tested to emit bit-identical schedules.
+:func:`run_pass` is the production path.  It is a :class:`PassPlan`
+(the geometry's constants, built once), :func:`_drain` (one
+:func:`~repro.core.scan.scan_quadrant` over every quadrant of every
+trial, the guard and one compaction, all NumPy) and :func:`_emit`,
+which sorts the executed commands straight into
+:class:`~repro.aod.table.ScheduleTable` columns — the reference emits
+:class:`~repro.aod.move.ParallelMove` objects.  The QRM scheduler
+drains every pass of a schedule the same way and emits them all in one
+:func:`_emit` call.  The two are property-tested to emit bit-identical
+schedules.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +47,7 @@ from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.aod.table import DIRECTION_CODE, ScheduleTable
 from repro.core.scan import LineScanResult, scan_axis, scan_quadrant
+from repro.errors import ConfigurationError
 from repro.lattice.geometry import ArrayGeometry, Direction, Quadrant, QuadrantFrame
 
 
@@ -66,6 +72,9 @@ QUADRANT_BATCH_RANK = {
 }
 
 _RANK_TO_QUADRANT = sorted(QUADRANT_BATCH_RANK, key=QUADRANT_BATCH_RANK.get)
+_PHASES = tuple(Phase)
+_PHASE_LABELS = tuple(phase.value for phase in _PHASES)
+_QUADRANT_LABELS = tuple(quadrant.value for quadrant in _RANK_TO_QUADRANT)
 
 
 def batch_order_key(hole: int, quadrant: Quadrant | None = None) -> tuple[int, int]:
@@ -85,36 +94,55 @@ def batch_order_key(hole: int, quadrant: Quadrant | None = None) -> tuple[int, i
 class PassOutcome:
     """Statistics and moves produced by one pass.
 
-    The moves are stored as a :class:`~repro.aod.table.ScheduleTable`
-    plus one tag per move; :attr:`moves` builds them as objects on
+    The pass's moves are moves ``move_start:move_stop`` of
+    ``schedule_table``, with one tag per move of that table in
+    ``schedule_tags``: the vectorised scheduler stores each trial's
+    schedule once and every pass outcome points into it.  :attr:`table`,
+    :attr:`tags` and :attr:`moves` build the pass's own slice on
     request.  ``line_commands`` holds, per quadrant, the command count
     of every scanned line in scan order (zeros included) — the FPGA
     cycle model uses it to size the recorder/combiner token streams.
     """
 
     phase: Phase
-    table: ScheduleTable = field(default_factory=ScheduleTable.empty)
-    tags: tuple[str, ...] = ()
     n_commands: int = 0
     n_executed: int = 0
     n_skipped_stale: int = 0
     n_skipped_empty: int = 0
     n_scanned_bits: int = 0
     line_commands: dict[Quadrant, list[int]] = field(default_factory=dict)
+    schedule_table: ScheduleTable = field(
+        default_factory=ScheduleTable.empty, repr=False
+    )
+    schedule_tags: tuple[str, ...] = field(default=(), repr=False)
+    move_start: int = 0
+    move_stop: int = 0
+
+    @property
+    def table(self) -> ScheduleTable:
+        """The pass's moves as a table of views."""
+        return self.schedule_table.slice(self.move_start, self.move_stop)
+
+    @property
+    def tags(self) -> tuple[str, ...]:
+        return self.schedule_tags[self.move_start : self.move_stop]
 
     @property
     def moves(self) -> list[ParallelMove]:
         """The pass's moves as new objects (built on each access)."""
-        return self.table.moves(self.tags)
+        return self.schedule_table.moves(
+            self.schedule_tags, self.move_start, self.move_stop
+        )
 
     @property
     def n_batches(self) -> int:
-        return len(self.table)
+        return self.move_stop - self.move_start
 
     def record_moves(self, moves: list[ParallelMove]) -> None:
         """Store the moves of a pass runner that emits objects."""
-        self.table = ScheduleTable.from_moves(moves)
-        self.tags = tuple(move.tag for move in moves)
+        self.schedule_table = ScheduleTable.from_moves(moves)
+        self.schedule_tags = tuple(move.tag for move in moves)
+        self.move_start, self.move_stop = 0, len(moves)
 
     def lines_with_commands(self, quadrant: Quadrant) -> int:
         return sum(1 for n in self.line_commands.get(quadrant, []) if n)
@@ -139,6 +167,21 @@ def schedule_from_outcomes(
     return MoveSchedule.from_table(
         geometry, ScheduleTable.concat(tables), tags, algorithm=algorithm
     )
+
+
+def _check_scan_source(grids: np.ndarray, scan_source: np.ndarray, guard: bool):
+    """Refuse an unguarded pass over anything but the grids it drains.
+
+    Without the guard a pass trusts every scanned command, so a scan of
+    another stack (a snapshot the live grids have moved away from) would
+    write that stack's compaction over the live grids and emit moves
+    that do not replay.
+    """
+    if not guard and scan_source is not grids:
+        raise ConfigurationError(
+            "an unguarded pass must scan the grids it drains "
+            "(scan_source is grids); pass guard=True to scan a snapshot"
+        )
 
 
 @dataclass
@@ -243,13 +286,6 @@ def _direction_order(phase: Phase) -> tuple[Direction, Direction]:
     return (Direction.SOUTH, Direction.NORTH)
 
 
-#: :data:`~repro.aod.table.DIRECTIONS` codes of each phase's direction ranks.
-_DIRECTION_CODES = {
-    phase: np.array([DIRECTION_CODE[d] for d in _direction_order(phase)], dtype=np.int8)
-    for phase in Phase
-}
-
-
 def _quadrant_limit(scan_limit, quadrant):
     """Resolve the ``s_en`` bound for one quadrant's scan.
 
@@ -280,6 +316,7 @@ def run_pass_reference(
     drain semantics.  Takes the same ``(trial, row, col)`` stacks as
     :func:`run_pass` and drains them trial by trial.
     """
+    _check_scan_source(grids, scan_source, guard)
     return [
         _run_trial_reference(
             grid, frames, phase, source, merge_mirror, guard, scan_limit
@@ -406,56 +443,137 @@ def _run_trial_reference(
 # ---------------------------------------------------------------------------
 
 
-def _line_views(grids: np.ndarray, frames, phase: Phase) -> list[np.ndarray]:
-    """Every quadrant of a ``(trial, row, col)`` stack as line-major views.
+def _axis_slice(start: int, length: int, flip: bool) -> slice:
+    """``length`` indices from ``start`` along one axis, reversed if ``flip``."""
+    if not flip:
+        return slice(start, start + length)
+    return slice(start + length - 1, start - 1 if start else None, -1)
 
-    One ``(trial, line, position)`` view per quadrant, in
-    :data:`QUADRANT_ORDER` and quadrant-local orientation: lines are
-    local rows in the row phase and local columns in the column phase.
-    The views alias ``grids``, so writing through them writes the stack.
+
+#: Rows of :attr:`PassPlan.lines`.
+(
+    _LINE,
+    _SPAN_BASE,
+    _SPAN_SIGN,
+    _SPAN_END,
+    _DIR_RANK,
+    _QUAD_RANK,
+    _DIR_CODE,
+    _PHASE,
+) = range(8)
+
+
+@dataclass(frozen=True, eq=False)
+class PassPlan:
+    """The constants of one pass phase over one geometry, built once.
+
+    A pass reads every quadrant of every trial as one block of *folded
+    lines*: folded line ``q * n_lines + u`` of a trial is local line
+    ``u`` of quadrant ``q`` (in :data:`QUADRANT_ORDER`), in quadrant-local
+    orientation — local rows in the row phase, local columns in the
+    column phase.  The four quadrants of an
+    :class:`~repro.lattice.geometry.ArrayGeometry` share one shape.
+
+    ``blocks`` holds each quadrant's basic index into a ``(trial, row,
+    col)`` stack, flips as negative steps, and ``axes`` the transpose
+    that turns the indexed view line-major: :meth:`fold` copies a stack
+    into folded lines and :meth:`unfold` writes folded lines back, four
+    strided block copies each.  ``lines`` has one column per folded line
+    and one row per field, in the order of the row constants above: the
+    full-array line, the span axis's affine base and sign, the span's
+    outboard end, the rank of the inward direction in
+    :func:`_direction_order`, the :data:`QUADRANT_BATCH_RANK`, the
+    inward direction's :data:`~repro.aod.table.DIRECTIONS` code, and the
+    phase's index in :class:`Phase`.
     """
-    views = [frames[quadrant].local_view(grids) for quadrant in QUADRANT_ORDER]
-    if phase is Phase.COLUMN:
-        views = [view.swapaxes(1, 2) for view in views]
-    return views
 
+    n_lines: int
+    n_positions: int
+    blocks: tuple[tuple[slice, slice, slice], ...]
+    axes: tuple[int, int, int]
+    lines: np.ndarray
 
-def _fold(views: list[np.ndarray]) -> np.ndarray:
-    """The quadrant views as one ``(trial·quadrant·line, position)`` copy.
-
-    Folded line ``(t * 4 + q) * n_lines + u`` is local line ``u`` of
-    quadrant ``q`` of trial ``t``.  The four quadrants of an
-    :class:`~repro.lattice.geometry.ArrayGeometry` share one shape, so
-    their views stack.
-    """
-    return np.stack(views, axis=1).reshape(-1, views[0].shape[2])
-
-
-def _quadrant_constants(frames, phase: Phase) -> np.ndarray:
-    """Per-quadrant constants of a pass, one column per quadrant.
-
-    Rows: the affine base and sign of the full-array line, those of the
-    span axis, the rank of the inward direction in
-    :func:`_direction_order`, and the :data:`QUADRANT_BATCH_RANK`.
-    """
-    first_direction = _direction_order(phase)[0]
-    columns = []
-    for quadrant in QUADRANT_ORDER:
-        frame = frames[quadrant]
-        row_base, row_sign, col_base, col_sign = frame.affine
+    @classmethod
+    def build(
+        cls, frames: dict[Quadrant, QuadrantFrame], phase: Phase
+    ) -> PassPlan:
+        blocks = tuple(
+            (
+                slice(None),
+                _axis_slice(frame.row0, frame.n_rows, frame.flip_rows),
+                _axis_slice(frame.col0, frame.n_cols, frame.flip_cols),
+            )
+            for frame in map(frames.__getitem__, QUADRANT_ORDER)
+        )
+        frame = frames[QUADRANT_ORDER[0]]
         if phase is Phase.ROW:
-            affine = (row_base, row_sign, col_base, col_sign)
-            inward = frame.horizontal_inward
+            axes, n_lines, n_positions = (0, 1, 2), frame.n_rows, frame.n_cols
         else:
-            affine = (col_base, col_sign, row_base, row_sign)
-            inward = frame.vertical_inward
-        rank = int(inward is not first_direction)
-        columns.append((*affine, rank, QUADRANT_BATCH_RANK[quadrant]))
-    return np.array(columns, dtype=np.intp).T
+            axes, n_lines, n_positions = (0, 2, 1), frame.n_cols, frame.n_rows
+        first_direction = _direction_order(phase)[0]
+        local = np.arange(n_lines)
+        columns = []
+        for quadrant in QUADRANT_ORDER:
+            frame = frames[quadrant]
+            affine = frame.affine
+            if phase is Phase.ROW:
+                inward = frame.horizontal_inward
+            else:
+                affine = affine[2:] + affine[:2]
+                inward = frame.vertical_inward
+            line_base, line_sign, span_base, span_sign = affine
+            constants = (
+                span_base,
+                span_sign,
+                span_base + span_sign * (n_positions - 1),
+                int(inward is not first_direction),
+                QUADRANT_BATCH_RANK[quadrant],
+                DIRECTION_CODE[inward],
+                _PHASES.index(phase),
+            )
+            column = np.empty((1 + len(constants), n_lines), dtype=np.intp)
+            column[_LINE] = line_base + line_sign * local
+            column[1:] = np.array(constants)[:, None]
+            columns.append(column)
+        lines = np.concatenate(columns, axis=1)
+        lines.flags.writeable = False
+        return cls(n_lines, n_positions, blocks, axes, lines)
+
+    @property
+    def n_folded(self) -> int:
+        """Folded lines per trial: four quadrants of ``n_lines``."""
+        return len(QUADRANT_ORDER) * self.n_lines
+
+    def fold(self, stack: np.ndarray) -> np.ndarray:
+        """``stack`` as a ``(trial·folded line, position)`` copy."""
+        folded = np.empty(
+            (len(stack), len(self.blocks), self.n_lines, self.n_positions), dtype=bool
+        )
+        for index, block in enumerate(self.blocks):
+            folded[:, index] = stack[block].transpose(self.axes)
+        return folded.reshape(-1, self.n_positions)
+
+    def unfold(self, folded: np.ndarray, stack: np.ndarray) -> None:
+        """Write ``folded`` (see :meth:`fold`) back into ``stack`` in place."""
+        folded = folded.reshape(
+            len(stack), len(self.blocks), self.n_lines, self.n_positions
+        )
+        for index, block in enumerate(self.blocks):
+            stack[block].transpose(self.axes)[...] = folded[:, index]
 
 
-def _folded_limit(scan_limit, n_trials: int):
-    """The ``s_en`` bound of a folded scan (see :func:`_fold`).
+@functools.lru_cache(maxsize=64)
+def _cached_plan(frames: tuple[QuadrantFrame, ...], phase: Phase) -> PassPlan:
+    return PassPlan.build(dict(zip(QUADRANT_ORDER, frames)), phase)
+
+
+def pass_plan(frames: dict[Quadrant, QuadrantFrame], phase: Phase) -> PassPlan:
+    """The :class:`PassPlan` of ``phase`` over ``frames``, built once and cached."""
+    return _cached_plan(tuple(frames[quadrant] for quadrant in QUADRANT_ORDER), phase)
+
+
+def fold_limit(scan_limit, n_trials: int):
+    """The ``s_en`` bound of a folded scan of ``n_trials`` (see :class:`PassPlan`).
 
     Scalars apply to every line as they are; a ``{Quadrant: per-line
     bounds}`` mapping is laid out in folded line order, once per trial.
@@ -466,28 +584,128 @@ def _folded_limit(scan_limit, n_trials: int):
     return scan_limit
 
 
-def _compact(
-    views: list[np.ndarray], occupancy: np.ndarray, holes: np.ndarray
-) -> None:
-    """Write the net effect of executing the ``holes`` through ``views``.
+#: What :func:`_drain` returns for a pass that executes nothing.
+_NO_COMMANDS = (np.zeros(0, dtype=np.intp),) * 5
 
-    ``occupancy`` and ``holes`` are folded stacks (see :func:`_fold`);
-    ``holes`` marks every hole whose command executes.  A pass executes
-    the commands of a line in ascending hole order, so its net effect is
-    closed-form: each atom slides inward by the number of executed holes
-    inboard of it, and the vacated outboard cells empty.  Executed holes
-    sit on empty cells, so the inclusive running count is exact at every
-    atom.  Equivalent to replaying the emitted moves one by one —
-    property-tested against exactly that.
+
+def _drain(
+    grids: np.ndarray,
+    plan: PassPlan,
+    scan_source: np.ndarray,
+    guard: bool,
+    limit,
+    outcomes: list[PassOutcome],
+) -> tuple[np.ndarray, ...]:
+    """Scan, guard and compact one pass over a stack.
+
+    ``grids`` is the ``(trial, row, col)`` live stack, mutated in place;
+    ``scan_source`` the stack the scan reads (``grids`` itself, or a
+    snapshot when ``guard`` is on); ``limit`` the folded ``s_en`` bound
+    (see :func:`fold_limit`); ``outcomes`` one fresh outcome per trial,
+    which receive the pass's statistics.  Returns the executed commands
+    in scan order as five parallel arrays: trial, folded line (see
+    :class:`PassPlan`), round, current hole and the shifts executed
+    before it on its line.  No move is built here; :func:`_emit` orders
+    the commands into moves.
+
+    Every quadrant of every trial is one block of lines of a single
+    :func:`~repro.core.scan.scan_quadrant` call; the drain closed forms
+    below only ever couple commands of one line, so they hold on the
+    folded line axis unchanged.  Without the guard the entire drain
+    order is statically known — every line consumes one command per
+    round, so command ``k`` of a line executes in round ``k`` with
+    ``k`` earlier shifts applied.  With the guard, each command's fate
+    is *still* closed-form, because a command's stale/empty checks only
+    ever read its own half-line, whose within-pass evolution is fully
+    determined by the pass-start occupancy (see the derivation inline
+    below).  Either way the pass's grid effect is one compaction.
     """
-    consumed = np.cumsum(holes, axis=1).ravel()
-    # Flat indices: an atom never slides past its own line's start.
-    atoms = np.flatnonzero(occupancy)
+    n_trials = len(outcomes)
+    n_quadrants = len(QUADRANT_ORDER)
+    n_lines, n_positions = plan.n_lines, plan.n_positions
+    folded = plan.fold(scan_source)
+    scan = scan_quadrant(folded, 0, limit=limit)
+    line_counts = scan.line_counts.reshape(n_trials, n_quadrants, n_lines)
+    n_commands = line_counts.sum(axis=(1, 2)).tolist()
+    n_scanned_bits = n_quadrants * n_lines * n_positions
+    for outcome, counts, count in zip(outcomes, line_counts.tolist(), n_commands):
+        outcome.line_commands = dict(zip(QUADRANT_ORDER, counts))
+        outcome.n_scanned_bits = n_scanned_bits
+        outcome.n_commands = outcome.n_executed = count
+    if not scan.n_commands:
+        return _NO_COMMANDS
+
+    hole_lines = scan.hole_lines
+    holes = scan.hole_positions
+    # Command k of a line drains in round k; first[u] is the flat index
+    # of folded line u's first command.
+    first = scan.line_counts.cumsum() - scan.line_counts
+    round_of = np.arange(holes.size) - first[hole_lines]
+
+    if not guard:
+        executed_before = round_of
+        occupancy, executed = folded, scan.holes_mask
+    else:
+        # Guarded drain, closed form.  The guard of command k of a line
+        # depends only on that line at pass start: commands execute in
+        # ascending scanned-hole order, so every shift executed before
+        # command k deleted an empty cell *inboard* of its hole h_k and
+        # appended an empty cell at the outboard end.  Hence the live
+        # cell the round-k stale check reads (local h_k - executed) is
+        # the pass-start cell at h_k, and the live span the empty check
+        # scans is exactly the pass-start suffix beyond h_k — neither
+        # depends on the round it runs in:
+        #
+        #   stale(k)  <=>  live-at-pass-start[h_k] occupied
+        #   empty(k)  <=>  no pass-start atom outboard of h_k
+        #
+        # so every command's fate, its executed-before count (a per-line
+        # cumulative sum of the fates), and the pass's net grid effect
+        # all come from one sweep of array arithmetic.
+        occupancy = folded if scan_source is grids else plan.fold(grids)
+        # Any atom at or beyond each position: a non-stale command's own
+        # cell is empty, so this reads "anything outboard" for it.
+        atoms_from = np.logical_or.accumulate(occupancy[:, ::-1], axis=1)[:, ::-1]
+        stale = occupancy[hole_lines, holes]
+        empty = ~atoms_from[hole_lines, holes]
+        skips = np.bincount(
+            3 * (hole_lines // plan.n_folded) + stale + 2 * empty,
+            minlength=3 * n_trials,
+        )
+        for outcome, (_, n_stale, n_empty) in zip(
+            outcomes, skips.reshape(n_trials, 3).tolist()
+        ):
+            outcome.n_skipped_stale = n_stale
+            outcome.n_skipped_empty = n_empty
+            outcome.n_executed -= n_stale + n_empty
+        executes = ~(stale | empty)
+        # Shifts executed before each command on its own line.
+        done = executes.cumsum() - executes
+        executed_before = done - done[first[hole_lines]]
+        alive = executes.nonzero()[0]
+        if not alive.size:
+            return _NO_COMMANDS
+        hole_lines = hole_lines[alive]
+        holes = holes[alive]
+        round_of = round_of[alive]
+        executed_before = executed_before[alive]
+        executed = np.zeros_like(occupancy)
+        executed[hole_lines, holes] = True
+
+    # The net effect of executing the holes, closed form: a pass executes
+    # the commands of a line in ascending hole order, so each atom slides
+    # inward by the number of executed holes inboard of it, and the
+    # vacated outboard cells empty.  Executed holes sit on empty cells,
+    # so the inclusive running count is exact at every atom (and an atom
+    # never slides past its own line's start).  Equivalent to replaying
+    # the emitted moves one by one — property-tested against exactly that.
+    consumed = executed.cumsum(axis=1).ravel()
+    atoms = occupancy.ravel().nonzero()[0]
     compacted = np.zeros(occupancy.size, dtype=bool)
     compacted[atoms - consumed[atoms]] = True
-    compacted = compacted.reshape(-1, len(views), *views[0].shape[1:])
-    for index, view in enumerate(views):
-        view[...] = compacted[:, index]
+    plan.unfold(compacted, grids)
+    trial, line = np.divmod(hole_lines, plan.n_folded)
+    return trial, line, round_of, holes - executed_before, executed_before
 
 
 def _unique_keys(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,60 +726,88 @@ def _unique_keys(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[boundary], inverse
 
 
-def _emit_columns(
-    outcomes: list[PassOutcome],
-    phase: Phase,
+#: The packed sort key of :func:`_emit` holds lines, holes and rounds in
+#: 13-bit fields below a (trial, pass) field; wider keys use lexsort.
+_PACKED_MAX_EXTENT = 1 << 13
+_PACKED_MAX_TRIAL_PASSES = 1 << 21
+
+#: The quadrant field of a tag key whose move merges mirror quadrants.
+_MERGED = 4
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _tag_name(key: int) -> str:
+    """The tag of a move from its packed key (see :func:`_emit`).
+
+    Tags depend only on (phase, round, hole[, quadrant]), so every
+    schedule of a geometry shares one set of strings.
+    """
+    quadrant, phase = key & 7, key >> 3 & 1
+    name = f"{_PHASE_LABELS[phase]}-k{key >> 35}-h{key >> 4 & (1 << 31) - 1}"
+    if quadrant == _MERGED:
+        return name
+    return f"{name}-{_QUADRANT_LABELS[quadrant]}"
+
+
+def _emit(
+    lines: np.ndarray,
+    commands: tuple[np.ndarray, ...],
+    pass_of: np.ndarray,
+    n_trials: int,
+    n_passes: int,
     merge_mirror: bool,
     extent: int,
-    trial_of: np.ndarray,
-    round_of: np.ndarray,
-    dir_rank: np.ndarray,
-    cur: np.ndarray,
-    quad_rank: np.ndarray,
-    line_full: np.ndarray,
-    span_start: np.ndarray,
-    span_stop: np.ndarray,
-) -> None:
-    """Order and group the given commands into each trial's move columns.
+) -> tuple[ScheduleTable, list[str], list[int]]:
+    """Order and group executed commands into one table of moves.
 
-    The arrays are parallel, one entry per executed command, and
-    ``trial_of`` indexes ``outcomes``; ``extent`` is the grid's longer
-    side, which bounds every line, hole and round index.  The batch
-    order is (trial, round, direction, :func:`batch_order_key`), with
-    shifts inside one batch ascending by full-array line.  Mirror-merged
-    mode drops the quadrant from the group identity, so mirror lines
-    sharing a hole fuse into one move.
-    The full-array line is unique within any (round, direction,
+    ``commands`` holds the executed commands of any number of passes of
+    a stack, as the arrays :func:`_drain` returns, except that the trial
+    indexes the whole stack and the line indexes the columns of
+    ``lines`` (the :attr:`PassPlan.lines` of the passes' plans, side by
+    side); ``pass_of`` is each command's pass index.  ``extent`` is the
+    grid's longer side, which bounds every line, hole and round index.
+
+    The batch order is (trial, pass, round, direction,
+    :func:`batch_order_key`), with shifts inside one batch ascending by
+    full-array line.  Mirror-merged mode drops the quadrant from the
+    group identity, so mirror lines sharing a hole fuse into one move.
+    The full-array line is unique within any (pass, round, direction,
     hole[, quadrant]) group, so the keys order the commands totally and
-    each trial's moves are bit-identical to emitting that trial alone.
+    each trial's moves are bit-identical to emitting that trial's
+    passes one by one.  Each distinct tag is looked up once
+    (:func:`_tag_name` builds each string once per process).
 
-    Each outcome receives its trial's moves as a
-    :class:`~repro.aod.table.ScheduleTable` whose columns are slices of
-    the pass's, plus one tag per move; each distinct tag string is built
-    once and shared.  No move object is built.  Grid application is the
-    caller's job (:func:`_compact`).
+    Returns the table of every move, one tag per move, and the move
+    bounds: pass ``p`` of trial ``t`` is moves
+    ``bounds[t * n_passes + p]:bounds[t * n_passes + p + 1]``.
     """
+    trial, line, round_of, cur, executed_before = commands
     n = cur.size
     if not n:
-        return
-    keys = (trial_of, round_of, dir_rank, cur)
-    if not merge_mirror:
-        keys += (quad_rank,)
+        return ScheduleTable.empty(), [], [0] * (n_trials * n_passes + 1)
+    constants = lines[:, line]
+    dir_rank = constants[_DIR_RANK]
+    quad_rank = constants[_QUAD_RANK]
+    line_full = constants[_LINE]
+    trial_pass = trial * n_passes + pass_of
 
-    # Sort by (trial, round, dir, cur[, quad], line) — one argsort over a
-    # single packed int64 key when the coordinates fit the 13-bit fields
-    # (any realistic trap array), falling back to the equivalent lexsort
-    # otherwise.  The keys are unique (the line is unique within a
-    # group), so sort kind is irrelevant.
-    if extent <= 8192 and len(outcomes) <= 1 << 22:
-        trial = trial_of.astype(np.int64)
-        group = (((trial << 13 | round_of) << 1 | dir_rank) << 13) | cur
+    # Sort by (trial, pass, round, dir, cur[, quad], line) — one argsort
+    # over a single packed int64 key when the fields fit (any realistic
+    # trap array), falling back to the equivalent lexsort otherwise.
+    # The keys are unique (the line is unique within a group), so sort
+    # kind is irrelevant.
+    packed = n_trials * n_passes <= _PACKED_MAX_TRIAL_PASSES
+    if packed and extent <= _PACKED_MAX_EXTENT:
+        group = (((trial_pass << 13 | round_of) << 1 | dir_rank) << 13) | cur
         if not merge_mirror:
             group = group << 2 | quad_rank
         order = np.argsort(group << 13 | line_full)
         sorted_group = group[order]
         new_move = sorted_group[1:] != sorted_group[:-1]
     else:
+        keys = (trial_pass, round_of, dir_rank, cur)
+        if not merge_mirror:
+            keys += (quad_rank,)
         order = np.lexsort((line_full,) + keys[::-1])
         new_move = np.zeros(n - 1, dtype=bool)
         for key in keys:
@@ -570,53 +816,37 @@ def _emit_columns(
     starts = np.flatnonzero(np.concatenate(([True], new_move)))
     first = order[starts]  # one command per move, carrying its keys
 
-    # Tags: one (round, hole[, quadrant]) key per move; each distinct
-    # tag string is built once.
-    move_round = round_of[first].astype(np.int64)
-    move_cur = cur[first]
-    tag_key = (move_round << 31 | move_cur) << 2
-    if not merge_mirror:
-        tag_key |= quad_rank[first]
+    # Tags: one (round, hole, phase, quadrant) key per move, the quadrant
+    # field 4 when mirror merging drops it; each distinct tag string is
+    # looked up once.
+    tag_key = (
+        (round_of[first] << 31 | cur[first]) << 1 | constants[_PHASE, first]
+    ) << 3 | (quad_rank[first] if not merge_mirror else _MERGED)
     distinct, inverse = _unique_keys(tag_key)
-    label = phase.value
-    names = [
-        f"{label}-k{r}-h{h}"
-        for r, h in zip(move_round[distinct].tolist(), move_cur[distinct].tolist())
-    ]
-    if not merge_mirror:
-        names = [
-            f"{name}-{_RANK_TO_QUADRANT[q].value}"
-            for name, q in zip(names, quad_rank[first[distinct]].tolist())
-        ]
+    names = list(map(_tag_name, tag_key[distinct].tolist()))
     tags = list(map(names.__getitem__, inverse.tolist()))
 
-    shift_direction = _DIRECTION_CODES[phase][dir_rank[order]]
-    move_direction = shift_direction[starts]
+    # Spans: every local position outboard of the current hole, less the
+    # outboard cells that earlier shifts of the line vacated.
+    span_sign = constants[_SPAN_SIGN]
+    a = constants[_SPAN_BASE] + span_sign * (cur + 1)
+    b = constants[_SPAN_END] - span_sign * executed_before
+    shift_direction = constants[_DIR_CODE, order].astype(np.int8)
     ones = np.ones(n, dtype=np.intp)  # every QRM shift moves one step
-    line = line_full[order]
-    start = span_start[order]
-    stop = span_stop[order]
-
-    # Trial is the outermost key, so each trial's moves and shifts are
-    # contiguous runs.
-    offsets = np.append(starts, n)
-    bounds = np.searchsorted(trial_of[first], np.arange(len(outcomes) + 1)).tolist()
-    for outcome, m0, m1 in zip(outcomes, bounds, bounds[1:]):
-        if m0 == m1:
-            continue
-        s0, s1 = int(offsets[m0]), int(offsets[m1])
-        outcome.table = ScheduleTable(
-            direction=move_direction[m0:m1],
-            steps=ones[: m1 - m0],
-            offsets=offsets[m0 : m1 + 1] - s0,
-            shift_direction=shift_direction[s0:s1],
-            shift_steps=ones[s0:s1],
-            line=line[s0:s1],
-            span_start=start[s0:s1],
-            span_stop=stop[s0:s1],
-        )
-        outcome.tags = tuple(tags[m0:m1])
-        outcome.n_executed += s1 - s0
+    table = ScheduleTable(
+        direction=shift_direction[starts],
+        steps=ones[: starts.size],
+        offsets=np.append(starts, n),
+        shift_direction=shift_direction,
+        shift_steps=ones,
+        line=line_full[order],
+        span_start=np.minimum(a, b)[order],
+        span_stop=np.maximum(a, b)[order] + 1,
+    )
+    # Trial and pass are the outermost keys, so each (trial, pass)'s
+    # moves are one contiguous run.
+    bounds = np.searchsorted(trial_pass[first], np.arange(n_trials * n_passes + 1))
+    return table, tags, bounds.tolist()
 
 
 def run_pass(
@@ -632,125 +862,40 @@ def run_pass(
 
     ``grids`` stacks same-geometry live occupancy grids as ``(trial,
     row, col)`` and is mutated in place; one trial is a stack of one.
-    ``scan_source`` is the stack the scan reads — the live stack for a
-    fresh pass, or the iteration-start snapshot for the paper's
-    pipelined column pass.  ``guard=True`` enables the stale-command
-    checks (hole still empty, span still populated) against the live
-    grids.  ``scan_limit`` forwards the ``s_en`` bound to the scan.
-    Returns one :class:`PassOutcome` per trial.
+    ``scan_source`` is the stack the scan reads — ``grids`` itself for
+    a fresh pass, or, with ``guard=True``, the iteration-start snapshot
+    of the paper's pipelined column pass.  ``guard=True`` enables the
+    stale-command checks (hole still empty, span still populated)
+    against the live grids; an unguarded pass over another stack raises
+    :class:`~repro.errors.ConfigurationError`.  ``scan_limit`` forwards
+    the ``s_en`` bound to the scan.  Returns one :class:`PassOutcome`
+    per trial.
 
     Emits exactly the schedule of :func:`run_pass_reference` for every
     trial (bit-identical moves, tags, order, and statistics), but drains
-    the whole stack as NumPy arrays.  Every quadrant of every trial is
-    one block of lines of a single :func:`~repro.core.scan.scan_quadrant`
-    call (see :func:`_fold`); the drain closed forms below only ever
-    couple commands of one line, so they hold on the folded line axis
-    unchanged.  Without the guard the entire drain order is statically
-    known — every line consumes one command per round, so command ``k``
-    of a line executes in round ``k`` with ``k`` earlier shifts applied.
-    With the guard, each command's fate is *still* closed-form, because
-    a command's stale/empty checks only ever read its own half-line,
-    whose within-pass evolution is fully determined by the pass-start
-    occupancy (see the derivation inline below).  Either way the pass
-    reduces to one sort (:func:`_emit_columns`) and one compaction
-    (:func:`_compact`).
+    the whole stack as NumPy arrays: the geometry's cached
+    :class:`PassPlan`, one :func:`_drain` and one :func:`_emit` — the
+    path the QRM scheduler takes for each pass, emitting alone.
     """
+    _check_scan_source(grids, scan_source, guard)
     n_trials = int(grids.shape[0])
+    plan = pass_plan(frames, phase)
     outcomes = [PassOutcome(phase=phase) for _ in range(n_trials)]
-    live_views = _line_views(grids, frames, phase)
-    source_views = (
-        live_views if scan_source is grids else _line_views(scan_source, frames, phase)
+    commands = _drain(
+        grids, plan, scan_source, guard, fold_limit(scan_limit, n_trials), outcomes
     )
-    n_quadrants = len(QUADRANT_ORDER)
-    n_lines, n_positions = live_views[0].shape[1:]
-    scan = scan_quadrant(
-        _fold(source_views), 0, limit=_folded_limit(scan_limit, n_trials)
-    )
-    line_counts = scan.line_counts.reshape(n_trials, n_quadrants, n_lines)
-    n_commands = line_counts.sum(axis=(1, 2)).tolist()
-    for outcome, counts, count in zip(outcomes, line_counts.tolist(), n_commands):
-        outcome.line_commands = dict(zip(QUADRANT_ORDER, counts))
-        outcome.n_scanned_bits = n_quadrants * n_lines * n_positions
-        outcome.n_commands = count
-    if not scan.n_commands:
-        return outcomes
-
-    hole_lines = scan.hole_lines
-    holes = scan.hole_positions
-    # Command k of a line drains in round k; first[u] is the flat index
-    # of folded line u's first command.
-    first = np.cumsum(scan.line_counts) - scan.line_counts
-    round_of = np.arange(holes.size) - first[hole_lines]
-
-    if not guard:
-        executed_before = round_of
-        occupancy, executed = scan.lines_view, scan.holes_mask
-    else:
-        # Guarded drain, closed form.  The guard of command k of a line
-        # depends only on that line at pass start: commands execute in
-        # ascending scanned-hole order, so every shift executed before
-        # command k deleted an empty cell *inboard* of its hole h_k and
-        # appended an empty cell at the outboard end.  Hence the live
-        # cell the round-k stale check reads (local h_k - executed) is
-        # the pass-start cell at h_k, and the live span the empty check
-        # scans is exactly the pass-start suffix beyond h_k — neither
-        # depends on the round it runs in:
-        #
-        #   stale(k)  <=>  live-at-pass-start[h_k] occupied
-        #   empty(k)  <=>  no pass-start atom outboard of h_k
-        #
-        # so every command's fate, its executed-before count (a per-line
-        # cumulative sum of the fates), and the pass's net grid effect
-        # all come from one sweep of array arithmetic.
-        occupancy = _fold(live_views)
-        # Any atom at or beyond each position: a non-stale command's own
-        # cell is empty, so this reads "anything outboard" for it.
-        atoms_from = np.logical_or.accumulate(occupancy[:, ::-1], axis=1)[:, ::-1]
-        stale = occupancy[hole_lines, holes]
-        empty = ~atoms_from[hole_lines, holes]
-        skips = np.bincount(
-            3 * (hole_lines // (n_quadrants * n_lines)) + stale + 2 * empty,
-            minlength=3 * n_trials,
-        )
-        for outcome, (_, n_stale, n_empty) in zip(
-            outcomes, skips.reshape(n_trials, 3).tolist()
-        ):
-            outcome.n_skipped_stale = n_stale
-            outcome.n_skipped_empty = n_empty
-        executes = ~(stale | empty)
-        # Shifts executed before each command on its own line.
-        done = np.cumsum(executes) - executes
-        executed_before = done - done[first[hole_lines]]
-        alive = np.flatnonzero(executes)
-        if not alive.size:
-            return outcomes
-        hole_lines = hole_lines[alive]
-        holes = holes[alive]
-        round_of = round_of[alive]
-        executed_before = executed_before[alive]
-        executed = np.zeros_like(occupancy)
-        executed[hole_lines, holes] = True
-
-    folded_quadrant, line = np.divmod(hole_lines, n_lines)
-    trial_of, quadrant = np.divmod(folded_quadrant, n_quadrants)
-    constants = _quadrant_constants(frames, phase)[:, quadrant]
-    line_base, line_sign, span_base, span_sign, dir_rank, quad_rank = constants
-    cur = holes - executed_before
-    a = span_base + span_sign * (cur + 1)
-    b = span_base + span_sign * (n_positions - executed_before - 1)
-    _emit_columns(
-        outcomes,
-        phase,
+    table, tags, bounds = _emit(
+        plan.lines,
+        commands,
+        np.zeros(commands[0].size, dtype=np.intp),
+        n_trials,
+        1,
         merge_mirror,
         extent=max(grids.shape[1:]),
-        trial_of=trial_of,
-        round_of=round_of,
-        dir_rank=dir_rank,
-        cur=cur,
-        quad_rank=quad_rank,
-        line_full=line_base + line_sign * line,
-        span_start=np.minimum(a, b),
-        span_stop=np.maximum(a, b) + 1,
     )
-    _compact(live_views, occupancy, executed)
+    tags = tuple(tags)
+    for outcome, start, stop in zip(outcomes, bounds, bounds[1:]):
+        outcome.schedule_table = table
+        outcome.schedule_tags = tags
+        outcome.move_start, outcome.move_stop = start, stop
     return outcomes

@@ -12,33 +12,43 @@ Python:
 3. in the paper-faithful ``PIPELINED`` scan mode the column pass analyses
    the iteration-start snapshot (the transpose stream of Fig. 6), so a
    few iterations are needed — the paper uses four;
-4. restore everything to full-array coordinates (the frames do this per
-   command) and emit one validated :class:`~repro.aod.MoveSchedule`.
+4. restore everything to full-array coordinates and emit one validated
+   :class:`~repro.aod.MoveSchedule`: the passes' executed commands are
+   sorted into moves once per schedule.
 
 The optional repair stage (not part of the paper's QRM) fixes residual
 target defects with individual atom moves; see :mod:`repro.core.repair`.
+:class:`QrmSchedulerReference` is the per-command oracle.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
+from repro.aod.schedule import MoveSchedule
+from repro.aod.table import ScheduleTable
 from repro.config import (
     DEFAULT_QRM_PARAMETERS,
     MASK_SCAN_LIMIT,
     QrmParameters,
     ScanMode,
 )
-from repro.core.passes import Phase, PassOutcome, run_pass, schedule_from_outcomes
-from repro.core.result import IterationStats, RearrangementResult
+from repro.core.passes import (
+    PassOutcome,
+    Phase,
+    _drain,
+    _emit,
+    fold_limit,
+    pass_plan,
+    run_pass_reference,
+    schedule_from_outcomes,
+)
+from repro.core.result import IterationStats, RearrangementResult, timed_schedule
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Quadrant
-
-#: Signature of a pass implementation (run_pass / run_pass_reference).
-PassRunner = Callable[..., list[PassOutcome]]
 
 
 def resolve_scan_limits(
@@ -65,13 +75,14 @@ class QrmScheduler:
 
     One engine serves one array and a stack alike: :meth:`schedule_batch`
     stacks same-geometry arrays into one ``(trial, row, col)`` analysis
-    and :meth:`schedule` is a batch of one.  ``pass_runner`` selects the
-    pass implementation: the vectorised
-    :func:`~repro.core.passes.run_pass` by default, or
-    :func:`~repro.core.passes.run_pass_reference` for the per-command
-    oracle — the perf benchmark and the bit-identity property tests run
-    both and compare.  An instance holds no per-call state, so repeated
-    calls on one scheduler are independent.
+    and :meth:`schedule` is a batch of one.  Each pass drains the stack
+    over the :class:`~repro.core.passes.PassPlan` of its phase, fetched
+    once here, and hands back its executed commands; one emitter call
+    per :meth:`schedule_batch` sorts every pass of every trial into
+    moves and gives each trial one table.  :class:`QrmSchedulerReference`
+    is the per-command oracle the bit-identity property tests compare it
+    with.  An instance holds no per-call state, so repeated calls on one
+    scheduler are independent.
     """
 
     name = "qrm"
@@ -80,13 +91,20 @@ class QrmScheduler:
         self,
         geometry: ArrayGeometry,
         params: QrmParameters = DEFAULT_QRM_PARAMETERS,
-        pass_runner: PassRunner = run_pass,
     ):
         self.geometry = geometry
         self.params = params
-        self.pass_runner = pass_runner
         self.frames = {q: geometry.quadrant_frame(q) for q in Quadrant}
         self._scan_limits = resolve_scan_limits(geometry, params.scan_limit)
+        self._plans = {phase: pass_plan(self.frames, phase) for phase in Phase}
+        # The emitter reads both plans' line constants side by side: the
+        # column plan's folded lines follow the row plan's.
+        self._lines = np.concatenate([plan.lines for plan in self._plans.values()], 1)
+        self._line_offsets = {
+            Phase.ROW: 0,
+            Phase.COLUMN: self._plans[Phase.ROW].n_folded,
+        }
+        self._folded_limits: dict[tuple[Phase, int], object] = {}
 
     def schedule(self, array: AtomArray) -> RearrangementResult:
         """Analyse ``array`` and produce the full movement schedule."""
@@ -119,105 +137,216 @@ class QrmScheduler:
             result.wall_time_s = amortised
         return results
 
+    def _folded_limit(self, phase: Phase, n_trials: int):
+        """The ``s_en`` bound of a folded ``phase`` scan, tiled once per size."""
+        key = (phase, n_trials)
+        if key not in self._folded_limits:
+            limit = fold_limit(self._scan_limits[phase], n_trials)
+            if isinstance(limit, np.ndarray):
+                limit.flags.writeable = False  # shared by every later call
+            self._folded_limits[key] = limit
+        return self._folded_limits[key]
+
     def _analyse_batch(self, batch: list[AtomArray]) -> list[RearrangementResult]:
         n_trials = len(batch)
         live = np.stack([array.grid for array in batch])
-        iteration_stats: list[list[IterationStats]] = [[] for _ in range(n_trials)]
-        pass_records: list[list[PassOutcome]] = [[] for _ in range(n_trials)]
+        outcomes: list[list[PassOutcome]] = [[] for _ in range(n_trials)]
         converged = [False] * n_trials
-        analysis_ops = [0] * n_trials
         pipelined = self.params.scan_mode is ScanMode.PIPELINED
+        commands: list[tuple] = []  # each pass's executed commands
 
         # Trials still iterating; a trial leaves once both passes of an
         # iteration emit zero commands.  Because every trial starts at
-        # iteration 0 together and only ever *leaves*, the shared loop
-        # index below equals each trial's own iteration index.
+        # iteration 0 together and only ever *leaves*, the shared pass
+        # index (the position in ``commands``) equals each trial's own.
         active = np.arange(n_trials)
-        for index in range(self.params.n_iterations):
+        for _ in range(self.params.n_iterations):
             sub = live if active.size == n_trials else live[active]
             snapshot = sub.copy() if pipelined else sub
-
-            row_outcomes = self.pass_runner(
-                sub,
-                self.frames,
-                Phase.ROW,
-                scan_source=sub,
-                merge_mirror=self.params.merge_mirror_quadrants,
-                guard=False,
-                scan_limit=self._scan_limits[Phase.ROW],
-            )
-            col_outcomes = self.pass_runner(
-                sub,
-                self.frames,
-                Phase.COLUMN,
-                scan_source=snapshot,
-                merge_mirror=self.params.merge_mirror_quadrants,
-                guard=pipelined,
-                scan_limit=self._scan_limits[Phase.COLUMN],
-            )
+            passes = []
+            for phase, source, guard in (
+                (Phase.ROW, sub, False),
+                (Phase.COLUMN, snapshot, pipelined),
+            ):
+                pass_outcomes = [PassOutcome(phase=phase) for _ in range(active.size)]
+                trials, lines, *rest = _drain(
+                    sub,
+                    self._plans[phase],
+                    source,
+                    guard,
+                    self._folded_limit(phase, active.size),
+                    pass_outcomes,
+                )
+                if sub is not live:
+                    trials = active[trials]
+                commands.append((trials, lines + self._line_offsets[phase], *rest))
+                passes.append(pass_outcomes)
             if sub is not live:
                 live[active] = sub
 
             still_active: list[int] = []
-            for trial, row_outcome, col_outcome in zip(
-                active.tolist(), row_outcomes, col_outcomes
-            ):
-                pass_records[trial].extend((row_outcome, col_outcome))
-                analysis_ops[trial] += (
-                    row_outcome.n_scanned_bits
-                    + col_outcome.n_scanned_bits
-                    + row_outcome.n_commands
-                    + col_outcome.n_commands
-                )
-                iteration_stats[trial].append(
-                    IterationStats(
-                        index=index,
-                        n_row_commands=row_outcome.n_commands,
-                        n_col_commands=col_outcome.n_commands,
-                        n_row_batches=row_outcome.n_batches,
-                        n_col_batches=col_outcome.n_batches,
-                        n_skipped_stale=col_outcome.n_skipped_stale,
-                        n_skipped_empty=(
-                            row_outcome.n_skipped_empty
-                            + col_outcome.n_skipped_empty
-                        ),
-                    )
-                )
-                if row_outcome.n_commands == 0 and col_outcome.n_commands == 0:
-                    converged[trial] = True
-                else:
+            for trial, row, col in zip(active.tolist(), *passes):
+                outcomes[trial] += (row, col)
+                if row.n_commands or col.n_commands:
                     still_active.append(trial)
+                else:
+                    converged[trial] = True
             active = np.asarray(still_active, dtype=np.intp)
             if not active.size:
                 break
 
+        n_passes = len(commands)
+        table, tags, bounds = _emit(
+            self._lines,
+            tuple(map(np.concatenate, zip(*commands))),
+            np.repeat(np.arange(n_passes), [len(pass_[0]) for pass_ in commands]),
+            n_trials,
+            n_passes,
+            self.params.merge_mirror_quadrants,
+            extent=max(self.geometry.shape),
+        )
         results: list[RearrangementResult] = []
         for trial, array in enumerate(batch):
+            # Trial t's pass p is moves bounds[t * n_passes + p] onwards.
+            first = trial * n_passes
+            start, stop = bounds[first], bounds[first + n_passes]
+            trial_table = table.slice(start, stop)
+            trial_tags = tuple(tags[start:stop])
+            for outcome, m0, m1 in zip(
+                outcomes[trial], bounds[first:], bounds[first + 1 :]
+            ):
+                outcome.schedule_table = trial_table
+                outcome.schedule_tags = trial_tags
+                outcome.move_start, outcome.move_stop = m0 - start, m1 - start
             final = AtomArray(self.geometry, live[trial])
-            repair_moves: list = []
-            unresolved = 0
-            if self.params.enable_repair:
-                from repro.core.repair import repair_defects
-
-                repair_outcome = repair_defects(
-                    final, max_moves=self.params.max_repair_moves
+            repair_moves, unresolved = self._repair(final)
+            if repair_moves:
+                trial_table = ScheduleTable.concat(
+                    [trial_table, ScheduleTable.from_moves(repair_moves)]
                 )
-                repair_moves = repair_outcome.moves
-                unresolved = repair_outcome.unresolved
+                trial_tags += tuple(move.tag for move in repair_moves)
+            schedule = MoveSchedule.from_table(
+                self.geometry, trial_table, trial_tags, algorithm=self.name
+            )
             results.append(
-                RearrangementResult(
-                    algorithm=self.name,
-                    initial=array.copy(),
-                    final=final,
-                    schedule=schedule_from_outcomes(
-                        self.geometry, self.name, pass_records[trial], repair_moves
-                    ),
-                    iterations=iteration_stats[trial],
-                    converged=converged[trial],
-                    analysis_ops=analysis_ops[trial],
-                    repair_moves=len(repair_moves),
-                    unresolved_defects=unresolved,
-                    pass_outcomes=pass_records[trial],
+                self._result(
+                    array,
+                    final,
+                    schedule,
+                    outcomes[trial],
+                    converged[trial],
+                    repair_moves,
+                    unresolved,
                 )
             )
         return results
+
+    def _repair(self, final: AtomArray) -> tuple[list, int]:
+        """Run the repair stage on ``final`` in place, if it is enabled.
+
+        Returns the repair moves and the count of unresolved defects.
+        """
+        if not self.params.enable_repair:
+            return [], 0
+        from repro.core.repair import repair_defects
+
+        outcome = repair_defects(final, max_moves=self.params.max_repair_moves)
+        return outcome.moves, outcome.unresolved
+
+    def _result(
+        self,
+        array: AtomArray,
+        final: AtomArray,
+        schedule: MoveSchedule,
+        outcomes: list[PassOutcome],
+        converged: bool,
+        repair_moves: list,
+        unresolved: int,
+    ) -> RearrangementResult:
+        """One trial's result from its row/column pass outcome pairs."""
+        iterations = [
+            IterationStats(
+                index=index,
+                n_row_commands=row.n_commands,
+                n_col_commands=col.n_commands,
+                n_row_batches=row.n_batches,
+                n_col_batches=col.n_batches,
+                n_skipped_stale=col.n_skipped_stale,
+                n_skipped_empty=row.n_skipped_empty + col.n_skipped_empty,
+            )
+            for index, (row, col) in enumerate(zip(outcomes[::2], outcomes[1::2]))
+        ]
+        return RearrangementResult(
+            algorithm=self.name,
+            initial=array.copy(),
+            final=final,
+            schedule=schedule,
+            iterations=iterations,
+            converged=converged,
+            analysis_ops=sum(
+                outcome.n_scanned_bits + outcome.n_commands for outcome in outcomes
+            ),
+            repair_moves=len(repair_moves),
+            unresolved_defects=unresolved,
+            pass_outcomes=outcomes,
+        )
+
+
+class QrmSchedulerReference(QrmScheduler):
+    """Per-command QRM kept as the oracle (``qrm-reference``).
+
+    For each array and iteration it runs
+    :func:`~repro.core.passes.run_pass_reference` on a stack of one —
+    the row pass, then the column pass — and
+    :func:`~repro.core.passes.schedule_from_outcomes` concatenates the
+    pass tables, then the repair stage's moves.  :class:`QrmScheduler`
+    must emit bit-identical schedules, pass outcomes and statistics for
+    every array of every stack; the differential property tests enforce
+    it.  :meth:`schedule_batch` loops :meth:`schedule`.
+    """
+
+    def schedule(self, array: AtomArray) -> RearrangementResult:
+        return timed_schedule(lambda: self._analyse(array))
+
+    def schedule_batch(self, arrays: Iterable[AtomArray]) -> list[RearrangementResult]:
+        return [self.schedule(array) for array in arrays]
+
+    def _analyse(self, array: AtomArray) -> RearrangementResult:
+        if array.geometry != self.geometry:
+            raise ValueError("array geometry does not match the scheduler's geometry")
+        live = array.grid[None].copy()
+        pipelined = self.params.scan_mode is ScanMode.PIPELINED
+        merge = self.params.merge_mirror_quadrants
+        outcomes: list[PassOutcome] = []
+        converged = False
+        for _ in range(self.params.n_iterations):
+            snapshot = live.copy() if pipelined else live
+            (row,) = run_pass_reference(
+                live,
+                self.frames,
+                Phase.ROW,
+                scan_source=live,
+                merge_mirror=merge,
+                scan_limit=self._scan_limits[Phase.ROW],
+            )
+            (col,) = run_pass_reference(
+                live,
+                self.frames,
+                Phase.COLUMN,
+                scan_source=snapshot,
+                merge_mirror=merge,
+                guard=pipelined,
+                scan_limit=self._scan_limits[Phase.COLUMN],
+            )
+            outcomes += (row, col)
+            if not (row.n_commands or col.n_commands):
+                converged = True
+                break
+        final = AtomArray(self.geometry, live[0])
+        repair_moves, unresolved = self._repair(final)
+        schedule = schedule_from_outcomes(
+            self.geometry, self.name, outcomes, repair_moves
+        )
+        return self._result(
+            array, final, schedule, outcomes, converged, repair_moves, unresolved
+        )

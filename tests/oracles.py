@@ -7,7 +7,8 @@ grid.  This module is the reusable layer those equivalence suites build
 on:
 
 * Hypothesis strategies over geometry x fill x loss seeds
-  (:func:`atom_arrays`, :func:`occupancy_grids`, :func:`geometries`),
+  (:func:`atom_arrays`, :func:`occupancy_grids`, :func:`geometries`,
+  :func:`rectangular_geometries`),
   generating the scheduler inputs all differential tests share;
 * :func:`pass_of_stack` and :func:`pass_of_one`, which run one pass
   over several arrays, or a single one, as one ``(trial, row, col)``
@@ -65,6 +66,23 @@ def geometries(draw, sizes=SIZES, targets=TARGETS) -> ArrayGeometry:
     size = draw(st.sampled_from(sizes))
     target = draw(st.sampled_from([t for t in targets if t <= size]))
     return ArrayGeometry.square(size, target)
+
+
+@st.composite
+def rectangular_geometries(draw, sizes=SIZES, targets=TARGETS) -> ArrayGeometry:
+    """Non-square geometries: even width != height, centred even target.
+
+    Only here do the row and column passes scan different line counts
+    and positions per line, so their pass plans differ in shape.
+    """
+    width = draw(st.sampled_from(sizes))
+    height = draw(st.sampled_from([size for size in sizes if size != width]))
+    return ArrayGeometry(
+        width=width,
+        height=height,
+        target_width=draw(st.sampled_from([t for t in targets if t <= width])),
+        target_height=draw(st.sampled_from([t for t in targets if t <= height])),
+    )
 
 
 @st.composite
@@ -270,6 +288,8 @@ def assert_moves_identical(ours, reference) -> None:
 def assert_pass_outcomes_identical(ours, reference) -> None:
     """Bit-identity of two :class:`~repro.core.passes.PassOutcome`."""
     assert_moves_identical(ours.moves, reference.moves)
+    assert ours.table == reference.table
+    assert ours.tags == reference.tags
     assert ours.n_commands == reference.n_commands
     assert ours.n_executed == reference.n_executed
     assert ours.n_skipped_stale == reference.n_skipped_stale

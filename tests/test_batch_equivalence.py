@@ -27,6 +27,7 @@ from oracles import (
     geometries,
     masked_geometries,
     occupancy_grids,
+    rectangular_geometries,
     scan_limits,
 )
 
@@ -79,7 +80,7 @@ def _draw_params(data, scan_limit):
 
 class TestBatchedEngineEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), geometry=geometries())
+    @given(data=st.data(), geometry=geometries() | rectangular_geometries())
     def test_batched_schedule_is_bit_identical(self, data, geometry):
         count = data.draw(st.sampled_from(BATCH_SIZES))
         arrays = [

@@ -190,20 +190,16 @@ def test_repair_tail_of_a_qrm_schedule_gives_the_objects_back():
 @given(array=atom_arrays(), merge=st.booleans(), pipelined=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_emitter_lexsort_fallback_matches_the_packed_sort(array, merge, pipelined):
-    # Arrays wider than the packed key's 13-bit fields sort with lexsort.
+    # Arrays wider than the packed key's 13-bit fields sort with lexsort;
+    # an extent bound of 0 sends every schedule down that path.
     params = QrmParameters(
         merge_mirror_quadrants=merge,
         scan_mode=ScanMode.PIPELINED if pipelined else ScanMode.FRESH,
     )
     packed = QrmScheduler(array.geometry, params).schedule(array)
     packed_batch = QrmScheduler(array.geometry, params).schedule_batch([array] * 2)
-    original = passes._emit_columns
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(
-            passes,
-            "_emit_columns",
-            lambda *args, extent, **kwargs: original(*args, extent=10**6, **kwargs),
-        )
+        monkeypatch.setattr(passes, "_PACKED_MAX_EXTENT", 0)
         fallback = QrmScheduler(array.geometry, params).schedule(array)
         fallback_batch = QrmScheduler(array.geometry, params).schedule_batch(
             [array] * 2

@@ -36,7 +36,8 @@ from repro.core.passes import (
     run_pass,
     run_pass_reference,
 )
-from repro.core.qrm import QrmScheduler
+from repro.core.qrm import QrmScheduler, QrmSchedulerReference
+from repro.errors import ConfigurationError
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Direction, Quadrant
 from repro.lattice.loading import load_uniform
@@ -204,6 +205,25 @@ class TestGuardedDrainProperties:
             assert np.array_equal(ours.grid, theirs.grid)
 
 
+@pytest.mark.parametrize("runner", [run_pass, run_pass_reference])
+def test_unguarded_pass_over_a_stale_snapshot_is_refused(runner, rng):
+    # Without the guard a pass trusts every scanned command: over a
+    # snapshot the row pass has since changed, it would write the
+    # snapshot's compaction over the live grid and emit moves that do
+    # not replay.  Both runners refuse the call and leave the grid alone.
+    geometry = ArrayGeometry.square(8, 4)
+    for _ in range(10):
+        snapshot = rng.random(geometry.shape) < 0.5
+        array = AtomArray(geometry, snapshot.copy())
+        pass_of_one(runner, array, Phase.ROW)
+        before = array.grid.copy()
+        with pytest.raises(ConfigurationError, match="guard=True"):
+            pass_of_one(
+                runner, array, Phase.COLUMN, scan_source=snapshot, guard=False
+            )
+        assert np.array_equal(array.grid, before)
+
+
 class TestEndToEndScheduleIdentity:
     @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize(
@@ -228,15 +248,40 @@ class TestEndToEndScheduleIdentity:
                 )
                 for _ in range(trials)
             ]
-            results = QrmScheduler(geometry, params).schedule_batch(arrays)
-            reference = QrmScheduler(geometry, params, pass_runner=run_pass_reference)
-            for ours, array in zip(results, arrays):
-                expected = reference.schedule(array)
-                assert_moves_identical(list(ours.schedule), list(expected.schedule))
-                assert np.array_equal(ours.final.grid, expected.final.grid)
-                assert ours.iterations == expected.iterations
-                assert ours.converged == expected.converged
-                assert ours.analysis_ops == expected.analysis_ops
+            self._assert_identical(geometry, params, arrays)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            QrmParameters(),
+            QrmParameters(scan_mode=ScanMode.FRESH, merge_mirror_quadrants=False),
+        ],
+        ids=["pipelined", "fresh-split"],
+    )
+    def test_paper_geometry_bit_identical(self, trials, params, rng):
+        # The paper's 50x50 -> 30x30: up to ~25 rounds per line, and
+        # all 8 passes of a schedule sorted under one key.
+        geometry = ArrayGeometry.square(50, 30)
+        arrays = [
+            load_uniform(geometry, 0.5, rng=int(rng.integers(1 << 31)))
+            for _ in range(trials)
+        ]
+        self._assert_identical(geometry, params, arrays)
+
+    @staticmethod
+    def _assert_identical(geometry, params, arrays):
+        results = QrmScheduler(geometry, params).schedule_batch(arrays)
+        reference = QrmSchedulerReference(geometry, params)
+        for ours, array in zip(results, arrays):
+            expected = reference.schedule(array)
+            assert_moves_identical(list(ours.schedule), list(expected.schedule))
+            assert np.array_equal(ours.final.grid, expected.final.grid)
+            assert ours.iterations == expected.iterations
+            assert ours.converged == expected.converged
+            assert ours.analysis_ops == expected.analysis_ops
+            for mine, theirs in zip(ours.pass_outcomes, expected.pass_outcomes):
+                assert_pass_outcomes_identical(mine, theirs)
 
 
 class TestBatchOrdering:
