@@ -280,7 +280,7 @@ def measure_guarded_drain_speedup(
     def make_input(index: int) -> tuple:
         live = load_uniform(geometry, fill, rng=master_seed + index).grid[None]
         snapshot = live.copy()
-        run_pass(live, frames, Phase.ROW, scan_source=live)
+        run_pass(live, frames, Phase.ROW)
         return live, snapshot
 
     def run(pass_runner, trial_input) -> None:
@@ -290,7 +290,6 @@ def measure_guarded_drain_speedup(
             frames,
             Phase.COLUMN,
             scan_source=snapshot,
-            guard=True,
         )
 
     fast_ms, slow_ms = _interleaved_timings(

@@ -50,7 +50,6 @@ from repro.campaign.spec import (
     LossSpec,
     QrmSpec,
     ScenarioCell,
-    grid_spec,
     stable_hash,
 )
 from repro.campaign.trial import (
@@ -92,7 +91,6 @@ __all__ = [
     "aggregate_cell",
     "cell_sequence",
     "default_cache_dir",
-    "grid_spec",
     "make_executor",
     "parse_workers",
     "read_journal",

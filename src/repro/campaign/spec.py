@@ -28,7 +28,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 
@@ -553,25 +553,3 @@ class CampaignSpec:
         payload["version"] = TRIAL_SCHEMA_VERSION
         return stable_hash(payload)[:16]
 
-
-def grid_spec(
-    name: str,
-    algorithms: Iterable[str] = ("qrm",),
-    sizes: Iterable[int] = (20,),
-    fills: Iterable[float] = (0.5,),
-    n_seeds: int = 1,
-    master_seed: int = 0,
-    loss_models: Sequence[LossSpec | None] = (None,),
-    **kwargs: Any,
-) -> CampaignSpec:
-    """Convenience constructor coercing iterables to tuples."""
-    return CampaignSpec(
-        name=name,
-        algorithms=tuple(algorithms),
-        sizes=tuple(sizes),
-        fills=tuple(fills),
-        n_seeds=n_seeds,
-        master_seed=master_seed,
-        loss_models=tuple(loss_models),
-        **kwargs,
-    )

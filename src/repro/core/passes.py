@@ -22,16 +22,17 @@ Two implementations share these semantics and one signature — both
 run a pass over a ``(trial, row, col)`` stack of grids and return one
 outcome per trial: :func:`run_pass_reference` is the per-line,
 per-command state machine kept as the behavioural oracle, and
-:func:`run_pass` is the production path.  It is a :class:`PassPlan`
-(the geometry's constants, built once), :func:`_drain` (one
+:func:`run_pass` is the production path.  It folds the stack into
+quadrant-local space (:func:`_fold`), runs :func:`_drain` (one
 :func:`~repro.core.scan.scan_quadrant` over every quadrant of every
-trial, the guard and one compaction, all NumPy) and :func:`_emit`,
+trial, the guard and one compaction, all NumPy, over the geometry's
+:class:`PassPlan`), writes the stack back and calls :func:`_emit`,
 which sorts the executed commands straight into
 :class:`~repro.aod.table.ScheduleTable` columns — the reference emits
-:class:`~repro.aod.move.ParallelMove` objects.  The QRM scheduler
-drains every pass of a schedule the same way and emits them all in one
-:func:`_emit` call.  The two are property-tested to emit bit-identical
-schedules.
+:class:`~repro.aod.move.ParallelMove` objects.  The QRM scheduler folds
+once per schedule, drains every pass on that one stack and emits them
+all in one :func:`_emit` call.  The two are property-tested to emit
+bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.aod.table import DIRECTION_CODE, ScheduleTable
 from repro.core.scan import LineScanResult, scan_axis, scan_quadrant
-from repro.errors import ConfigurationError
 from repro.lattice.geometry import ArrayGeometry, Direction, Quadrant, QuadrantFrame
 
 
@@ -169,21 +169,6 @@ def schedule_from_outcomes(
     )
 
 
-def _check_scan_source(grids: np.ndarray, scan_source: np.ndarray, guard: bool):
-    """Refuse an unguarded pass over anything but the grids it drains.
-
-    Without the guard a pass trusts every scanned command, so a scan of
-    another stack (a snapshot the live grids have moved away from) would
-    write that stack's compaction over the live grids and emit moves
-    that do not replay.
-    """
-    if not guard and scan_source is not grids:
-        raise ConfigurationError(
-            "an unguarded pass must scan the grids it drains "
-            "(scan_source is grids); pass guard=True to scan a snapshot"
-        )
-
-
 @dataclass
 class _LineState:
     """Drain state of one line's pending command list."""
@@ -302,9 +287,8 @@ def run_pass_reference(
     grids: np.ndarray,
     frames: dict[Quadrant, QuadrantFrame],
     phase: Phase,
-    scan_source: np.ndarray,
+    scan_source: np.ndarray | None = None,
     merge_mirror: bool = True,
-    guard: bool = False,
     scan_limit=None,
 ) -> list[PassOutcome]:
     """Per-line, per-command reference implementation of one pass.
@@ -313,15 +297,16 @@ def run_pass_reference(
     drained command by command.  Kept as the oracle the vectorised
     :func:`run_pass` is property-tested against (bit-identical moves,
     tags, order, and statistics), and as the readable statement of the
-    drain semantics.  Takes the same ``(trial, row, col)`` stacks as
-    :func:`run_pass` and drains them trial by trial.
+    drain semantics.  Takes the same ``(trial, row, col)`` stacks and
+    arguments as :func:`run_pass` and drains them trial by trial.
     """
-    _check_scan_source(grids, scan_source, guard)
+    guard = scan_source is not None
+    sources = grids if scan_source is None else scan_source
     return [
         _run_trial_reference(
             grid, frames, phase, source, merge_mirror, guard, scan_limit
         )
-        for grid, source in zip(grids, scan_source)
+        for grid, source in zip(grids, sources)
     ]
 
 
@@ -443,11 +428,40 @@ def _run_trial_reference(
 # ---------------------------------------------------------------------------
 
 
-def _axis_slice(start: int, length: int, flip: bool) -> slice:
-    """``length`` indices from ``start`` along one axis, reversed if ``flip``."""
-    if not flip:
-        return slice(start, start + length)
-    return slice(start + length - 1, start - 1 if start else None, -1)
+def _fold(stack: np.ndarray, frames: dict[Quadrant, QuadrantFrame]) -> np.ndarray:
+    """``stack`` as a ``(trial, quadrant, u, v)`` copy in quadrant-local space.
+
+    Quadrant ``q`` is the :meth:`~repro.lattice.geometry.QuadrantFrame.local_view`
+    of frame ``q`` of :data:`QUADRANT_ORDER`, flips included.
+    """
+    return np.stack([frames[q].local_view(stack) for q in QUADRANT_ORDER], axis=1)
+
+
+def _unfold(
+    local: np.ndarray, frames: dict[Quadrant, QuadrantFrame], stack: np.ndarray
+) -> None:
+    """Write ``local`` (see :func:`_fold`) back into ``stack`` in place."""
+    for index, quadrant in enumerate(QUADRANT_ORDER):
+        frames[quadrant].local_view(stack)[...] = local[:, index]
+
+
+def _lines(local: np.ndarray, phase: Phase) -> np.ndarray:
+    """A quadrant-local stack as the contiguous folded lines of ``phase``.
+
+    Rows are the stack itself, reshaped; columns are its ``(u, v)``
+    transpose, one copy (see :class:`PassPlan` for the line order).  A
+    stack that :func:`_unlines` gave as a transposed view pays that copy
+    in the row phase instead.
+    """
+    if phase is Phase.COLUMN:
+        local = local.swapaxes(2, 3)
+    return local.reshape(-1, local.shape[3])
+
+
+def _unlines(lines: np.ndarray, phase: Phase, n_trials: int) -> np.ndarray:
+    """The ``(trial, quadrant, u, v)`` stack of ``phase`` lines, as a view."""
+    local = lines.reshape(n_trials, len(QUADRANT_ORDER), -1, lines.shape[1])
+    return local.swapaxes(2, 3) if phase is Phase.COLUMN else local
 
 
 #: Rows of :attr:`PassPlan.lines`.
@@ -468,48 +482,34 @@ class PassPlan:
     """The constants of one pass phase over one geometry, built once.
 
     A pass reads every quadrant of every trial as one block of *folded
-    lines*: folded line ``q * n_lines + u`` of a trial is local line
-    ``u`` of quadrant ``q`` (in :data:`QUADRANT_ORDER`), in quadrant-local
-    orientation — local rows in the row phase, local columns in the
-    column phase.  The four quadrants of an
+    lines* (:func:`_lines`): folded line ``q * n_lines + u`` of a trial
+    is local line ``u`` of quadrant ``q`` (in :data:`QUADRANT_ORDER`),
+    in quadrant-local orientation — local rows in the row phase, local
+    columns in the column phase.  The four quadrants of an
     :class:`~repro.lattice.geometry.ArrayGeometry` share one shape.
 
-    ``blocks`` holds each quadrant's basic index into a ``(trial, row,
-    col)`` stack, flips as negative steps, and ``axes`` the transpose
-    that turns the indexed view line-major: :meth:`fold` copies a stack
-    into folded lines and :meth:`unfold` writes folded lines back, four
-    strided block copies each.  ``lines`` has one column per folded line
-    and one row per field, in the order of the row constants above: the
-    full-array line, the span axis's affine base and sign, the span's
-    outboard end, the rank of the inward direction in
-    :func:`_direction_order`, the :data:`QUADRANT_BATCH_RANK`, the
-    inward direction's :data:`~repro.aod.table.DIRECTIONS` code, and the
-    phase's index in :class:`Phase`.
+    ``lines`` has one column per folded line and one row per field, in
+    the order of the row constants above: the full-array line, the span
+    axis's affine base and sign, the span's outboard end, the rank of
+    the inward direction in :func:`_direction_order`, the
+    :data:`QUADRANT_BATCH_RANK`, the inward direction's
+    :data:`~repro.aod.table.DIRECTIONS` code, and the phase's index in
+    :class:`Phase`.
     """
 
     n_lines: int
     n_positions: int
-    blocks: tuple[tuple[slice, slice, slice], ...]
-    axes: tuple[int, int, int]
     lines: np.ndarray
 
     @classmethod
     def build(
         cls, frames: dict[Quadrant, QuadrantFrame], phase: Phase
     ) -> PassPlan:
-        blocks = tuple(
-            (
-                slice(None),
-                _axis_slice(frame.row0, frame.n_rows, frame.flip_rows),
-                _axis_slice(frame.col0, frame.n_cols, frame.flip_cols),
-            )
-            for frame in map(frames.__getitem__, QUADRANT_ORDER)
-        )
         frame = frames[QUADRANT_ORDER[0]]
         if phase is Phase.ROW:
-            axes, n_lines, n_positions = (0, 1, 2), frame.n_rows, frame.n_cols
+            n_lines, n_positions = frame.n_rows, frame.n_cols
         else:
-            axes, n_lines, n_positions = (0, 2, 1), frame.n_cols, frame.n_rows
+            n_lines, n_positions = frame.n_cols, frame.n_rows
         first_direction = _direction_order(phase)[0]
         local = np.arange(n_lines)
         columns = []
@@ -537,29 +537,12 @@ class PassPlan:
             columns.append(column)
         lines = np.concatenate(columns, axis=1)
         lines.flags.writeable = False
-        return cls(n_lines, n_positions, blocks, axes, lines)
+        return cls(n_lines, n_positions, lines)
 
     @property
     def n_folded(self) -> int:
         """Folded lines per trial: four quadrants of ``n_lines``."""
         return len(QUADRANT_ORDER) * self.n_lines
-
-    def fold(self, stack: np.ndarray) -> np.ndarray:
-        """``stack`` as a ``(trial·folded line, position)`` copy."""
-        folded = np.empty(
-            (len(stack), len(self.blocks), self.n_lines, self.n_positions), dtype=bool
-        )
-        for index, block in enumerate(self.blocks):
-            folded[:, index] = stack[block].transpose(self.axes)
-        return folded.reshape(-1, self.n_positions)
-
-    def unfold(self, folded: np.ndarray, stack: np.ndarray) -> None:
-        """Write ``folded`` (see :meth:`fold`) back into ``stack`` in place."""
-        folded = folded.reshape(
-            len(stack), len(self.blocks), self.n_lines, self.n_positions
-        )
-        for index, block in enumerate(self.blocks):
-            stack[block].transpose(self.axes)[...] = folded[:, index]
 
 
 @functools.lru_cache(maxsize=64)
@@ -584,29 +567,29 @@ def fold_limit(scan_limit, n_trials: int):
     return scan_limit
 
 
-#: What :func:`_drain` returns for a pass that executes nothing.
+#: The commands :func:`_drain` returns for a pass that executes nothing.
 _NO_COMMANDS = (np.zeros(0, dtype=np.intp),) * 5
 
 
 def _drain(
-    grids: np.ndarray,
+    lines: np.ndarray,
     plan: PassPlan,
-    scan_source: np.ndarray,
-    guard: bool,
+    snapshot: np.ndarray | None,
     limit,
     outcomes: list[PassOutcome],
 ) -> tuple[np.ndarray, ...]:
-    """Scan, guard and compact one pass over a stack.
+    """Scan, guard and compact one pass over the folded lines of a stack.
 
-    ``grids`` is the ``(trial, row, col)`` live stack, mutated in place;
-    ``scan_source`` the stack the scan reads (``grids`` itself, or a
-    snapshot when ``guard`` is on); ``limit`` the folded ``s_en`` bound
-    (see :func:`fold_limit`); ``outcomes`` one fresh outcome per trial,
-    which receive the pass's statistics.  Returns the executed commands
-    in scan order as five parallel arrays: trial, folded line (see
-    :class:`PassPlan`), round, current hole and the shifts executed
-    before it on its line.  No move is built here; :func:`_emit` orders
-    the commands into moves.
+    ``lines`` are the live lines of the pass's phase (see :func:`_lines`),
+    left unmodified; ``snapshot`` is None for a fresh pass, which scans
+    ``lines``, or the iteration-start lines, which the scan reads
+    instead: a pass over a snapshot is the guarded pass.  ``limit`` is
+    the folded ``s_en`` bound (see :func:`fold_limit`); ``outcomes`` one
+    fresh outcome per trial, which receive the pass's statistics.
+    Returns the compacted lines (``lines`` itself if nothing executes),
+    then the executed commands in scan order as five parallel arrays:
+    trial, folded line, round, current hole and the shifts executed
+    before it on its line.  :func:`_emit` orders them into moves.
 
     Every quadrant of every trial is one block of lines of a single
     :func:`~repro.core.scan.scan_quadrant` call; the drain closed forms
@@ -623,8 +606,7 @@ def _drain(
     n_trials = len(outcomes)
     n_quadrants = len(QUADRANT_ORDER)
     n_lines, n_positions = plan.n_lines, plan.n_positions
-    folded = plan.fold(scan_source)
-    scan = scan_quadrant(folded, 0, limit=limit)
+    scan = scan_quadrant(lines if snapshot is None else snapshot, 0, limit=limit)
     line_counts = scan.line_counts.reshape(n_trials, n_quadrants, n_lines)
     n_commands = line_counts.sum(axis=(1, 2)).tolist()
     n_scanned_bits = n_quadrants * n_lines * n_positions
@@ -633,7 +615,7 @@ def _drain(
         outcome.n_scanned_bits = n_scanned_bits
         outcome.n_commands = outcome.n_executed = count
     if not scan.n_commands:
-        return _NO_COMMANDS
+        return lines, *_NO_COMMANDS
 
     hole_lines = scan.hole_lines
     holes = scan.hole_positions
@@ -642,9 +624,9 @@ def _drain(
     first = scan.line_counts.cumsum() - scan.line_counts
     round_of = np.arange(holes.size) - first[hole_lines]
 
-    if not guard:
+    if snapshot is None:
         executed_before = round_of
-        occupancy, executed = folded, scan.holes_mask
+        executed = scan.holes_mask
     else:
         # Guarded drain, closed form.  The guard of command k of a line
         # depends only on that line at pass start: commands execute in
@@ -662,11 +644,10 @@ def _drain(
         # so every command's fate, its executed-before count (a per-line
         # cumulative sum of the fates), and the pass's net grid effect
         # all come from one sweep of array arithmetic.
-        occupancy = folded if scan_source is grids else plan.fold(grids)
+        stale = lines[hole_lines, holes]
         # Any atom at or beyond each position: a non-stale command's own
         # cell is empty, so this reads "anything outboard" for it.
-        atoms_from = np.logical_or.accumulate(occupancy[:, ::-1], axis=1)[:, ::-1]
-        stale = occupancy[hole_lines, holes]
+        atoms_from = np.logical_or.accumulate(lines[:, ::-1], axis=1)[:, ::-1]
         empty = ~atoms_from[hole_lines, holes]
         skips = np.bincount(
             3 * (hole_lines // plan.n_folded) + stale + 2 * empty,
@@ -684,12 +665,12 @@ def _drain(
         executed_before = done - done[first[hole_lines]]
         alive = executes.nonzero()[0]
         if not alive.size:
-            return _NO_COMMANDS
+            return lines, *_NO_COMMANDS
         hole_lines = hole_lines[alive]
         holes = holes[alive]
         round_of = round_of[alive]
         executed_before = executed_before[alive]
-        executed = np.zeros_like(occupancy)
+        executed = np.zeros_like(lines)
         executed[hole_lines, holes] = True
 
     # The net effect of executing the holes, closed form: a pass executes
@@ -700,12 +681,12 @@ def _drain(
     # never slides past its own line's start).  Equivalent to replaying
     # the emitted moves one by one — property-tested against exactly that.
     consumed = executed.cumsum(axis=1).ravel()
-    atoms = occupancy.ravel().nonzero()[0]
-    compacted = np.zeros(occupancy.size, dtype=bool)
+    atoms = lines.ravel().nonzero()[0]
+    compacted = np.zeros(lines.size, dtype=bool)
     compacted[atoms - consumed[atoms]] = True
-    plan.unfold(compacted, grids)
     trial, line = np.divmod(hole_lines, plan.n_folded)
-    return trial, line, round_of, holes - executed_before, executed_before
+    cur = holes - executed_before
+    return compacted.reshape(lines.shape), trial, line, round_of, cur, executed_before
 
 
 def _unique_keys(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -853,40 +834,43 @@ def run_pass(
     grids: np.ndarray,
     frames: dict[Quadrant, QuadrantFrame],
     phase: Phase,
-    scan_source: np.ndarray,
+    scan_source: np.ndarray | None = None,
     merge_mirror: bool = True,
-    guard: bool = False,
     scan_limit=None,
 ) -> list[PassOutcome]:
-    """Scan ``scan_source``, batch the commands, execute them on ``grids``.
+    """Scan, batch the commands, execute them on ``grids``.
 
     ``grids`` stacks same-geometry live occupancy grids as ``(trial,
     row, col)`` and is mutated in place; one trial is a stack of one.
-    ``scan_source`` is the stack the scan reads — ``grids`` itself for
-    a fresh pass, or, with ``guard=True``, the iteration-start snapshot
-    of the paper's pipelined column pass.  ``guard=True`` enables the
-    stale-command checks (hole still empty, span still populated)
-    against the live grids; an unguarded pass over another stack raises
-    :class:`~repro.errors.ConfigurationError`.  ``scan_limit`` forwards
-    the ``s_en`` bound to the scan.  Returns one :class:`PassOutcome`
-    per trial.
+    ``scan_source`` is None for a fresh pass, which scans ``grids``, or
+    the stack the scan reads instead: the iteration-start snapshot of
+    the paper's pipelined column pass.  A pass over a snapshot is
+    guarded — it skips the commands whose hole the live grids have
+    since filled (stale) or whose span they have since emptied.
+    ``scan_limit`` forwards the ``s_en`` bound to the scan.  Returns one
+    :class:`PassOutcome` per trial.
 
     Emits exactly the schedule of :func:`run_pass_reference` for every
     trial (bit-identical moves, tags, order, and statistics), but drains
-    the whole stack as NumPy arrays: the geometry's cached
-    :class:`PassPlan`, one :func:`_drain` and one :func:`_emit` — the
-    path the QRM scheduler takes for each pass, emitting alone.
+    the whole stack as NumPy arrays: one :func:`_fold`, one
+    :func:`_drain` over the geometry's cached :class:`PassPlan`, the
+    write-back and one :func:`_emit` — one pass of what the QRM
+    scheduler does once per schedule.
     """
-    _check_scan_source(grids, scan_source, guard)
     n_trials = int(grids.shape[0])
     plan = pass_plan(frames, phase)
     outcomes = [PassOutcome(phase=phase) for _ in range(n_trials)]
-    commands = _drain(
-        grids, plan, scan_source, guard, fold_limit(scan_limit, n_trials), outcomes
+    live, snapshot = (
+        None if stack is None else _lines(_fold(stack, frames), phase)
+        for stack in (grids, scan_source)
     )
+    lines, *commands = _drain(
+        live, plan, snapshot, fold_limit(scan_limit, n_trials), outcomes
+    )
+    _unfold(_unlines(lines, phase, n_trials), frames, grids)
     table, tags, bounds = _emit(
         plan.lines,
-        commands,
+        tuple(commands),
         np.zeros(commands[0].size, dtype=np.intp),
         n_trials,
         1,

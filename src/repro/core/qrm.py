@@ -41,6 +41,10 @@ from repro.core.passes import (
     Phase,
     _drain,
     _emit,
+    _fold,
+    _lines,
+    _unfold,
+    _unlines,
     fold_limit,
     pass_plan,
     run_pass_reference,
@@ -75,10 +79,11 @@ class QrmScheduler:
 
     One engine serves one array and a stack alike: :meth:`schedule_batch`
     stacks same-geometry arrays into one ``(trial, row, col)`` analysis
-    and :meth:`schedule` is a batch of one.  Each pass drains the stack
-    over the :class:`~repro.core.passes.PassPlan` of its phase, fetched
-    once here, and hands back its executed commands; one emitter call
-    per :meth:`schedule_batch` sorts every pass of every trial into
+    and :meth:`schedule` is a batch of one.  The stack is folded into
+    quadrant-local space once per call, and each pass drains the lines
+    of its phase over that phase's :class:`~repro.core.passes.PassPlan`,
+    fetched once here, and hands back its executed commands; one emitter
+    call per :meth:`schedule_batch` sorts every pass of every trial into
     moves and gives each trial one table.  :class:`QrmSchedulerReference`
     is the per-command oracle the bit-identity property tests compare it
     with.  An instance holds no per-call state, so repeated calls on one
@@ -150,6 +155,7 @@ class QrmScheduler:
     def _analyse_batch(self, batch: list[AtomArray]) -> list[RearrangementResult]:
         n_trials = len(batch)
         live = np.stack([array.grid for array in batch])
+        local = _fold(live, self.frames)  # written back once, after the loop
         outcomes: list[list[PassOutcome]] = [[] for _ in range(n_trials)]
         converged = [False] * n_trials
         pipelined = self.params.scan_mode is ScanMode.PIPELINED
@@ -161,28 +167,29 @@ class QrmScheduler:
         # index (the position in ``commands``) equals each trial's own.
         active = np.arange(n_trials)
         for _ in range(self.params.n_iterations):
-            sub = live if active.size == n_trials else live[active]
-            snapshot = sub.copy() if pipelined else sub
+            subset = active.size < n_trials
+            sub = local[active] if subset else local
+            # The pipelined column pass scans the iteration-start columns.
+            snapshot = _lines(sub, Phase.COLUMN) if pipelined else None
             passes = []
-            for phase, source, guard in (
-                (Phase.ROW, sub, False),
-                (Phase.COLUMN, snapshot, pipelined),
-            ):
+            for phase, source in ((Phase.ROW, None), (Phase.COLUMN, snapshot)):
                 pass_outcomes = [PassOutcome(phase=phase) for _ in range(active.size)]
-                trials, lines, *rest = _drain(
-                    sub,
+                lines, trials, line, *rest = _drain(
+                    _lines(sub, phase),
                     self._plans[phase],
                     source,
-                    guard,
                     self._folded_limit(phase, active.size),
                     pass_outcomes,
                 )
-                if sub is not live:
+                sub = _unlines(lines, phase, active.size)
+                if subset:
                     trials = active[trials]
-                commands.append((trials, lines + self._line_offsets[phase], *rest))
+                commands.append((trials, line + self._line_offsets[phase], *rest))
                 passes.append(pass_outcomes)
-            if sub is not live:
-                live[active] = sub
+            if subset:
+                local[active] = sub
+            else:
+                local = sub
 
             still_active: list[int] = []
             for trial, row, col in zip(active.tolist(), *passes):
@@ -194,6 +201,7 @@ class QrmScheduler:
             active = np.asarray(still_active, dtype=np.intp)
             if not active.size:
                 break
+        _unfold(local, self.frames, live)
 
         n_passes = len(commands)
         table, tags, bounds = _emit(
@@ -320,12 +328,11 @@ class QrmSchedulerReference(QrmScheduler):
         outcomes: list[PassOutcome] = []
         converged = False
         for _ in range(self.params.n_iterations):
-            snapshot = live.copy() if pipelined else live
+            snapshot = live.copy() if pipelined else None
             (row,) = run_pass_reference(
                 live,
                 self.frames,
                 Phase.ROW,
-                scan_source=live,
                 merge_mirror=merge,
                 scan_limit=self._scan_limits[Phase.ROW],
             )
@@ -335,7 +342,6 @@ class QrmSchedulerReference(QrmScheduler):
                 Phase.COLUMN,
                 scan_source=snapshot,
                 merge_mirror=merge,
-                guard=pipelined,
                 scan_limit=self._scan_limits[Phase.COLUMN],
             )
             outcomes += (row, col)

@@ -65,10 +65,6 @@ class MoveError(ReproError):
     """A single move is malformed or cannot be applied to a grid."""
 
 
-class ConstraintViolationError(MoveError):
-    """A parallel move violates the crossed-AOD hardware constraints."""
-
-
 class ScheduleValidationError(ReproError):
     """A full schedule failed validation against its initial array."""
 

@@ -11,7 +11,6 @@ from repro.lattice.geometry import (
 from repro.lattice.loading import (
     DEFAULT_FILL,
     LOADERS,
-    apply_loss,
     as_rng,
     load_checkerboard,
     load_exact,
@@ -45,7 +44,6 @@ __all__ = [
     "QuadrantFrame",
     "Region",
     "TargetMask",
-    "apply_loss",
     "as_rng",
     "defect_count",
     "fill_fraction",

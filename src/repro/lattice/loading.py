@@ -180,28 +180,3 @@ def load_named(
         ) from None
     return loader(geometry, fill, rng)
 
-
-def apply_loss(
-    grid: np.ndarray,
-    loss_rate: float,
-    rng: int | np.random.Generator | None = None,
-) -> int:
-    """Mid-sequence loss hook: each atom survives with ``1 - loss_rate``.
-
-    Mutates ``grid`` in place and returns the number of atoms lost, so
-    drivers can interleave loss draws between rearrangement cycles (the
-    closed-loop pipeline) or between scheduling stages.  A zero rate is
-    a guaranteed no-op that burns no RNG draws.
-    """
-    if not 0.0 <= loss_rate <= 1.0:
-        raise LoadingError(f"loss_rate must be in [0, 1], got {loss_rate}")
-    if loss_rate == 0.0:
-        return 0
-    gen = as_rng(rng)
-    occupied = grid.nonzero()
-    n_atoms = occupied[0].size
-    if n_atoms == 0:
-        return 0
-    lost = gen.random(n_atoms) < loss_rate
-    grid[occupied[0][lost], occupied[1][lost]] = False
-    return int(lost.sum())

@@ -241,14 +241,15 @@ def pass_of_stack(runner, arrays, phase, scan_sources=None, **kwargs):
 
     ``runner`` is :func:`~repro.core.passes.run_pass` or
     :func:`~repro.core.passes.run_pass_reference`; the arrays share one
-    geometry and are updated in place, and ``scan_sources`` (one 2-D
-    grid per array) defaults to their live grids.  Returns one
+    geometry and are updated in place.  Without ``scan_sources`` the
+    pass is fresh and scans the live grids; with them (one 2-D snapshot
+    per array) it is the guarded pass over those snapshots.  Returns one
     :class:`~repro.core.passes.PassOutcome` per array, in order.
     """
     from repro.lattice.geometry import Quadrant
 
     live = np.stack([array.grid for array in arrays])
-    source = live if scan_sources is None else np.stack(scan_sources)
+    source = None if scan_sources is None else np.stack(scan_sources)
     frames = {q: arrays[0].geometry.quadrant_frame(q) for q in Quadrant}
     outcomes = runner(live, frames, phase, scan_source=source, **kwargs)
     for array, grid in zip(arrays, live):

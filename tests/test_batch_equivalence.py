@@ -67,6 +67,7 @@ def _assert_batch_matches_reference(geometry, arrays, params):
         assert len(ours.pass_outcomes) == len(theirs.pass_outcomes)
         for mine, other in zip(ours.pass_outcomes, theirs.pass_outcomes):
             assert_pass_outcomes_identical(mine, other)
+    return actual
 
 
 def _draw_params(data, scan_limit):
@@ -104,13 +105,24 @@ class TestBatchedEngineEquivalence:
         _assert_batch_matches_reference(geometry, arrays, params)
 
     @pytest.mark.parametrize("fill", [0.3, 0.5, 0.7])
-    def test_mixed_fill_stack_at_fixed_geometry(self, fill, rng):
+    @pytest.mark.parametrize("mode", [ScanMode.PIPELINED, ScanMode.FRESH])
+    def test_mixed_fill_stack_at_fixed_geometry(self, fill, mode, rng):
         geometry = ArrayGeometry.square(16, 10)
+        params = QrmParameters(scan_mode=mode)
         arrays = [
             load_uniform(geometry, fill, rng=np.random.default_rng(seed))
             for seed in range(8)
         ]
-        _assert_batch_matches_reference(geometry, arrays, QrmParameters())
+        # An already-compact array leaves the stack after one iteration
+        # while the loads keep iterating, so later iterations drain a
+        # subset of the trials and write only that subset back.
+        compact = QrmScheduler(geometry, params).schedule(arrays[0]).final
+        arrays.insert(3, compact)
+        grids = [array.grid.copy() for array in arrays]
+        results = _assert_batch_matches_reference(geometry, arrays, params)
+        assert len({result.iterations_used for result in results}) > 1
+        for array, grid in zip(arrays, grids):
+            assert np.array_equal(array.grid, grid)  # inputs are not modified
 
     def test_engine_reuse_across_calls(self):
         geometry = ArrayGeometry.square(12, 6)

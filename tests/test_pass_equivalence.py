@@ -23,8 +23,11 @@ from oracles import (
     assert_moves_identical,
     assert_pass_outcomes_identical,
     atom_arrays,
+    geometries,
+    occupancy_grids,
     pass_of_one,
     pass_of_stack,
+    rectangular_geometries,
     scan_limits,
 )
 
@@ -32,15 +35,53 @@ from repro.config import QrmParameters, ScanMode
 from repro.core.passes import (
     QUADRANT_ORDER,
     Phase,
+    _fold,
+    _lines,
+    _unfold,
+    _unlines,
     batch_order_key,
+    pass_plan,
     run_pass,
     run_pass_reference,
 )
 from repro.core.qrm import QrmScheduler, QrmSchedulerReference
-from repro.errors import ConfigurationError
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Direction, Quadrant
 from repro.lattice.loading import load_uniform
+
+
+class TestQuadrantLocalFold:
+    """The load step: a stack is folded into quadrant-local space once.
+
+    Every pass then reads the fold as the folded lines of its phase, so
+    each line must be exactly the quadrant line the reference scans
+    (:meth:`~repro.lattice.geometry.QuadrantFrame.extract`), and the
+    write-back must restore the stack.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), geometry=geometries() | rectangular_geometries())
+    def test_fold_lines_are_the_reference_extraction(self, data, geometry):
+        count = data.draw(st.integers(min_value=1, max_value=3))
+        stack = np.stack([data.draw(occupancy_grids(geometry)) for _ in range(count)])
+        frames = {q: geometry.quadrant_frame(q) for q in Quadrant}
+        local = _fold(stack, frames)
+        restored = np.zeros_like(stack)
+        _unfold(local, frames, restored)
+        assert np.array_equal(restored, stack)
+        for phase in Phase:
+            plan = pass_plan(frames, phase)
+            lines = _lines(local, phase)
+            assert lines.shape == (count * plan.n_folded, plan.n_positions)
+            for trial, grid in enumerate(stack):
+                for index, quadrant in enumerate(QUADRANT_ORDER):
+                    extracted = frames[quadrant].extract(grid)
+                    if phase is Phase.COLUMN:
+                        extracted = extracted.T
+                    first = trial * plan.n_folded + index * plan.n_lines
+                    block = lines[first : first + plan.n_lines]
+                    assert np.array_equal(block, extracted)
+            assert np.array_equal(_unlines(lines, phase, count), local)
 
 
 class TestSinglePassEquivalence:
@@ -93,7 +134,6 @@ class TestSinglePassEquivalence:
                 Phase.COLUMN,
                 scan_sources=snapshots,
                 merge_mirror=merge,
-                guard=True,
             )
             for outcome, array, snapshot in zip(outcomes, ours, snapshots):
                 theirs = AtomArray(geometry, snapshot.copy())
@@ -104,7 +144,6 @@ class TestSinglePassEquivalence:
                     Phase.COLUMN,
                     scan_source=snapshot.copy(),
                     merge_mirror=merge,
-                    guard=True,
                 )
                 assert_pass_outcomes_identical(outcome, expected)
                 assert np.array_equal(array.grid, theirs.grid)
@@ -136,7 +175,6 @@ class TestGuardedDrainProperties:
             phase,
             scan_source=snapshot,
             merge_mirror=merge,
-            guard=True,
             scan_limit=limit,
         )
         expected = pass_of_one(
@@ -145,7 +183,6 @@ class TestGuardedDrainProperties:
             phase,
             scan_source=snapshot.copy(),
             merge_mirror=merge,
-            guard=True,
             scan_limit=limit,
         )
         return outcome, expected, ours, theirs
@@ -188,40 +225,18 @@ class TestGuardedDrainProperties:
             theirs = AtomArray(geometry, grid.copy())
             pass_of_one(run_pass, ours, Phase.ROW)
             pass_of_one(run_pass_reference, theirs, Phase.ROW)
-            outcome = pass_of_one(
-                run_pass, ours, Phase.ROW, scan_source=snapshot, guard=True
-            )
+            outcome = pass_of_one(run_pass, ours, Phase.ROW, scan_source=snapshot)
             expected = pass_of_one(
                 run_pass_reference,
                 theirs,
                 Phase.ROW,
                 scan_source=snapshot.copy(),
-                guard=True,
             )
             assert_pass_outcomes_identical(outcome, expected)
             assert outcome.n_executed == 0
             skips = outcome.n_skipped_stale + outcome.n_skipped_empty
             assert skips == outcome.n_commands
             assert np.array_equal(ours.grid, theirs.grid)
-
-
-@pytest.mark.parametrize("runner", [run_pass, run_pass_reference])
-def test_unguarded_pass_over_a_stale_snapshot_is_refused(runner, rng):
-    # Without the guard a pass trusts every scanned command: over a
-    # snapshot the row pass has since changed, it would write the
-    # snapshot's compaction over the live grid and emit moves that do
-    # not replay.  Both runners refuse the call and leave the grid alone.
-    geometry = ArrayGeometry.square(8, 4)
-    for _ in range(10):
-        snapshot = rng.random(geometry.shape) < 0.5
-        array = AtomArray(geometry, snapshot.copy())
-        pass_of_one(runner, array, Phase.ROW)
-        before = array.grid.copy()
-        with pytest.raises(ConfigurationError, match="guard=True"):
-            pass_of_one(
-                runner, array, Phase.COLUMN, scan_source=snapshot, guard=False
-            )
-        assert np.array_equal(array.grid, before)
 
 
 class TestEndToEndScheduleIdentity:

@@ -107,16 +107,14 @@ class TestColumnPassGuard:
         live_grid[0:4, 3] = True  # the hole is already filled
         array = AtomArray(geo8, live_grid)
         before = array.grid.copy()
-        outcome = pass_of_one(
-            run_pass, array, Phase.COLUMN, scan_source=snapshot, guard=True
-        )
+        outcome = pass_of_one(run_pass, array, Phase.COLUMN, scan_source=snapshot)
         assert outcome.n_skipped_stale + outcome.n_skipped_empty > 0
         assert outcome.n_executed == 0
         assert np.array_equal(array.grid, before)
 
     def test_fresh_column_pass_compacts(self, geo8, rng):
         array = AtomArray(geo8, rng.random(geo8.shape) < 0.5)
-        pass_of_one(run_pass, array, Phase.COLUMN, guard=False)
+        pass_of_one(run_pass, array, Phase.COLUMN)
         for frame in geo8.quadrant_frames():
             local = frame.extract(array.grid)
             for v in range(local.shape[1]):
@@ -125,7 +123,7 @@ class TestColumnPassGuard:
     def test_column_pass_preserves_column_membership(self, geo8, rng):
         array = AtomArray(geo8, rng.random(geo8.shape) < 0.5)
         before = array.col_counts().copy()
-        pass_of_one(run_pass, array, Phase.COLUMN, guard=False)
+        pass_of_one(run_pass, array, Phase.COLUMN)
         assert np.array_equal(array.col_counts(), before)
 
 
