@@ -45,7 +45,7 @@ def test_bench_perf_smoke(seed_base, results_dir, emit):
     path = report.write_json(results_dir / "BENCH_qrm_smoke.json")
     payload = json.loads(path.read_text())
     validate_bench_report(payload)
-    assert len(payload["ratios"]) == 14
+    assert len(payload["ratios"]) == 15
     for record, name in zip(payload["ratios"], RATIO_NAMES):
         trials = 3 if name.startswith("service_latency") else 2
         assert_record(record, name, 32, trials)

@@ -14,8 +14,8 @@ GC-swept repeats:
 * ``qrm`` and the per-stage components time a vectorised path (fast)
   against its live ``*_reference`` oracle (slow): repair, the guarded
   pipelined-mode drain, masked QRM+repair on a ring target, AWG
-  compilation, lossy replay, the FPGA cycle model's closed form, and
-  the Tetris, PSCA and MTA1 baselines;
+  compilation, lossy replay, the camera's expected image, the FPGA
+  cycle model's closed form, and the Tetris, PSCA and MTA1 baselines;
 * ``batched_qrm B=n`` times a stack of ``n`` trials, amortised per
   trial (fast), against ``schedule`` on one (slow);
 * ``service_latency c=16`` times the scheduling service with
@@ -74,6 +74,7 @@ RATIO_NAMES = (
     "masked_qrm",
     "awg_compile",
     "lossy_replay",
+    "expected_image",
     "fpga_cycle_model",
     "tetris",
     "psca",
@@ -411,6 +412,44 @@ def measure_lossy_replay_speedup(
     return _ratio_record("lossy_replay", size, fill, trials, fast_ms, slow_ms)
 
 
+def measure_expected_image_speedup(
+    size: int = 64,
+    fill: float = 0.5,
+    trials: int = 3,
+    master_seed: int = 0,
+) -> dict:
+    """Time the camera's noise-free image of a loaded array, both ways.
+
+    The fast side is :func:`~repro.detection.imaging.expected_image`
+    (two site-stride smears of the occupancy grid) at the default camera;
+    the reference is the FFT convolution of every pixel,
+    :func:`~repro.detection.imaging.expected_image_reference`.  Each
+    trial images eight loads: one 64x64 image takes the fast side a few
+    tenths of a millisecond, short enough for the cold start after each
+    trial's ``gc.collect`` to dominate.
+    """
+    from repro.detection.imaging import expected_image, expected_image_reference
+
+    frames = 8
+    geometry = ArrayGeometry.square(size)
+
+    def make_input(index: int) -> list:
+        seed = master_seed + index * frames
+        return [load_uniform(geometry, fill, rng=seed + f) for f in range(frames)]
+
+    def image(model, arrays) -> None:
+        for array in arrays:
+            model(array)
+
+    fast_ms, slow_ms = _interleaved_timings(
+        trials,
+        make_input,
+        lambda arrays: image(expected_image, arrays),
+        lambda arrays: image(expected_image_reference, arrays),
+    )
+    return _ratio_record("expected_image", size, fill, trials, fast_ms, slow_ms)
+
+
 def measure_fpga_cycle_model_speedup(
     size: int = 64,
     fill: float = 0.5,
@@ -708,6 +747,7 @@ def run_perf_suite(
         ("masked_qrm", measure_masked_qrm_speedup),
         ("awg_compile", measure_awg_compile_speedup),
         ("lossy_replay", measure_lossy_replay_speedup),
+        ("expected_image", measure_expected_image_speedup),
         ("fpga_cycle_model", measure_fpga_cycle_model_speedup),
     ):
         note(name)

@@ -20,6 +20,13 @@ def gaussian_kernel(sigma: float, radius: int | None = None) -> np.ndarray:
     of the energy; the kernel is renormalised to sum to exactly 1 so
     photon counts are conserved by the convolution.
     """
+    one_d = _gaussian_profile(sigma, radius)
+    kernel = np.outer(one_d, one_d)
+    return kernel / kernel.sum()
+
+
+def _gaussian_profile(sigma: float, radius: int | None = None) -> np.ndarray:
+    """Unnormalised 1-D Gaussian at offsets ``-radius..radius`` (see above)."""
     if sigma <= 0:
         raise ConfigurationError(f"sigma must be positive, got {sigma}")
     if radius is None:
@@ -27,9 +34,7 @@ def gaussian_kernel(sigma: float, radius: int | None = None) -> np.ndarray:
     if radius < 1:
         radius = 1
     coords = np.arange(-radius, radius + 1, dtype=float)
-    one_d = np.exp(-0.5 * (coords / sigma) ** 2)
-    kernel = np.outer(one_d, one_d)
-    return kernel / kernel.sum()
+    return np.exp(-0.5 * (coords / sigma) ** 2)
 
 
 def convolve2d_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:

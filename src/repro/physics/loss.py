@@ -130,12 +130,15 @@ def simulate_losses(
     :class:`~repro.errors.MoveError`, exactly as
     :func:`~repro.aod.executor.execute_schedule` would.
 
-    Moves run through a :class:`~repro.aod.executor.MoveApplier`, and
-    each move draws its hand-off losses with one ``gen.random(n)`` — the
-    same stream as the ``n`` scalar draws of
-    :func:`simulate_losses_reference`, so the two agree bit for bit
-    (grid, counters, duration and generator state).  Step counts come
-    from the schedule's table; no move object is built.
+    Moves run through a :class:`~repro.aod.executor.MoveApplier`.  The
+    hazards are computed once per distinct step count, and each move's
+    hand-off and vacuum uniforms are drawn into one reused buffer with
+    ``gen.random(out=...)`` — the same stream as ``gen.random(n)`` and
+    as the ``n`` scalar draws of :func:`simulate_losses_reference`, so
+    the two agree bit for bit (grid, counters, duration and generator
+    state).  Atoms are only located when a draw falls below its hazard,
+    and an array with no atom left draws nothing.  Step counts come from
+    the schedule's table; no move object is built.
     """
     gen = as_rng(rng)
     array = initial.copy()
@@ -146,25 +149,40 @@ def simulate_losses(
     )
     applier = MoveApplier(array.grid, schedule)
     cells = applier.flat
-    for index, steps in enumerate(schedule.table().steps.tolist()):
+    steps_per_move = schedule.table().steps.tolist()
+    hazards = {}
+    for steps in set(steps_per_move):
         duration = timing.steps_duration_us(steps) + timing.settle_us
+        hazards[steps] = (
+            duration,
+            1.0 - loss.move_survival(steps),
+            1.0 - loss.vacuum_survival(duration),
+        )
+    draws = np.empty(cells.size)
+    for index, steps in enumerate(steps_per_move):
+        duration, p_move_loss, p_decay = hazards[steps]
         report.duration_us += duration
         landing = applier.apply(index)
 
         # Hand-off and transport loss for the moved atoms.
-        p_move_loss = 1.0 - loss.move_survival(steps)
         if p_move_loss > 0 and landing.size:
-            lost = landing[gen.random(landing.size) < p_move_loss]
-            cells[lost] = False
-            report.lost_transfer += lost.size
+            if landing.size > draws.size:  # a rogue bundle's repeated sites
+                draws = np.empty(landing.size)
+            u = gen.random(out=draws[: landing.size])
+            if u.min() < p_move_loss:
+                lost = landing[u < p_move_loss]
+                cells[lost] = False
+                report.lost_transfer += lost.size
 
-        # Vacuum decay for everyone, over this move's duration.
-        p_decay = 1.0 - loss.vacuum_survival(duration)
-        if p_decay > 0:
-            # One draw per atom in row-major order; decays are rare, so
-            # the atoms are only located when one happens.
-            decayed = np.flatnonzero(gen.random(np.count_nonzero(cells)) < p_decay)
-            if decayed.size:
+        # Vacuum decay for everyone, over this move's duration: one draw
+        # per atom in row-major order.  An atom merge (a rogue bundle
+        # landing two atoms on one site) makes any tracked count wrong,
+        # so the atoms are counted afresh.
+        atoms = np.count_nonzero(cells) if p_decay > 0 else 0
+        if atoms:
+            u = gen.random(out=draws[:atoms])
+            if u.min() < p_decay:
+                decayed = np.flatnonzero(u < p_decay)
                 cells[np.flatnonzero(cells)[decayed]] = False
                 report.lost_vacuum += decayed.size
 

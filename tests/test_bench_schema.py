@@ -93,6 +93,14 @@ def test_committed_bench_times_the_loop_schedule_consumers(committed_payload):
         assert record["ratio"] > 2.0
 
 
+def test_committed_bench_times_the_camera(committed_payload):
+    # The site-stride expected image against its FFT oracle on 64x64
+    # loads: the fast path must beat the convolution it replaced.
+    record = ratio(committed_payload, "expected_image")
+    assert (record["size"], record["fill"]) == (64, 0.5)
+    assert record["ratio"] > 1.0
+
+
 @pytest.mark.parametrize("name", ["awg_compile", "lossy_replay"])
 def test_validator_rejects_broken_records(committed_payload, name):
     broken = copy_of(committed_payload)

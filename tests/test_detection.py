@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import occupancy_grids
 
 from repro.detection.camera import CameraConfig, DEFAULT_CAMERA
 from repro.detection.detect import (
@@ -11,7 +14,11 @@ from repro.detection.detect import (
     detection_fidelity,
     site_signals,
 )
-from repro.detection.imaging import expected_image, render_image
+from repro.detection.imaging import (
+    expected_image,
+    expected_image_reference,
+    render_image,
+)
 from repro.detection.psf import convolve2d_same, gaussian_kernel
 from repro.detection.threshold import (
     bimodal_threshold,
@@ -20,6 +27,7 @@ from repro.detection.threshold import (
 )
 from repro.errors import ConfigurationError, DetectionError
 from repro.lattice.array import AtomArray
+from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
 
@@ -101,6 +109,74 @@ class TestImaging:
         a = render_image(array, rng=1)
         b = render_image(array, rng=2)
         assert not np.array_equal(a, b)
+
+
+cameras = st.builds(
+    CameraConfig,
+    pixels_per_site=st.integers(1, 8),
+    photons_per_atom=st.floats(1.0, 1e4),
+    psf_sigma_px=st.floats(0.3, 3.0),
+    background_per_px=st.one_of(st.just(0.0), st.floats(0.01, 50.0)),
+    quantum_efficiency=st.floats(0.05, 1.0),
+)
+
+
+@st.composite
+def site_arrays(draw) -> AtomArray:
+    """Arrays on even, often non-square geometries of sides 2-22."""
+    height, width = (2 * draw(st.integers(1, 11)) for _ in range(2))
+    geometry = ArrayGeometry(
+        width=width, height=height, target_width=2, target_height=2
+    )
+    return AtomArray(geometry, draw(occupancy_grids(geometry)))
+
+
+class TestSiteStrideImage:
+    """``expected_image`` (site-stride smears) vs its FFT reference."""
+
+    @given(site_arrays(), cameras)
+    # A PSF radius (9 px) far beyond the site pitch (1 px), and a dark
+    # sensor.
+    @example(
+        AtomArray.full(
+            ArrayGeometry(width=4, height=6, target_width=2, target_height=2)
+        ),
+        CameraConfig(pixels_per_site=1, psf_sigma_px=3.0, background_per_px=0.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fft_reference(self, array, camera):
+        ours = expected_image(array, camera)
+        reference = expected_image_reference(array, camera)
+        assert ours.dtype == np.float64
+        assert ours.shape == reference.shape
+        # FFT round-off: held to the signal scale, not bit-identity.
+        assert np.abs(ours - reference).max() <= 1e-12 * camera.mean_signal_e
+
+    def test_render_draws_over_the_reference(self):
+        geometry = ArrayGeometry.square(64)
+        for seed in range(8):
+            array = load_uniform(geometry, 0.5, rng=seed)
+            gen = np.random.default_rng(seed)
+            mean = np.clip(expected_image_reference(array), 0.0, None)
+            reference = gen.poisson(mean).astype(float)
+            reference += gen.normal(0.0, DEFAULT_CAMERA.read_noise_e, mean.shape)
+            assert np.array_equal(render_image(array, rng=seed), reference)
+
+    def test_dark_pixels_beyond_the_psf_are_exactly_zero(self):
+        camera = CameraConfig(background_per_px=0.0)
+        array = AtomArray(ArrayGeometry.square(16, 4))
+        array.set_site(3, 4, True)
+        array.set_site(11, 9, True)
+        image = expected_image(array, camera)
+        pps, radius = camera.pixels_per_site, int(np.ceil(3 * camera.psf_sigma_px))
+        y, x = np.indices(image.shape)
+        far = np.ones(image.shape, dtype=bool)
+        for row, col in np.argwhere(array.grid):
+            centre_y, centre_x = row * pps + pps // 2, col * pps + pps // 2
+            far &= np.maximum(abs(y - centre_y), abs(x - centre_x)) > radius
+        assert far.sum() > 3000
+        assert (image[far] == 0.0).all()
+        assert (image >= 0.0).all()
 
 
 class TestThresholds:

@@ -37,7 +37,7 @@ from repro.awg.tones import AodToneConfig, ToneMap
 from repro.baselines.base import get_algorithm, list_algorithms, supports_geometry
 from repro.errors import MoveError, WaveformError
 from repro.lattice.array import AtomArray
-from repro.lattice.geometry import Direction
+from repro.lattice.geometry import ArrayGeometry, Direction
 from repro.physics.loss import LossModel, simulate_losses, simulate_losses_reference
 
 
@@ -184,6 +184,89 @@ def test_empty_schedule_table_and_program(geo8):
     program = compile_schedule(schedule)
     assert len(program.segments) == 0
     assert program.total_duration_us == 0
+
+
+def _assert_replays_like_the_reference(array, schedule, loss, timing, seeds=8):
+    for seed in range(seeds):
+        replay = (array, schedule, loss, timing, seed)
+        ours = _replayed(simulate_losses, *replay)
+        assert ours == _replayed(simulate_losses_reference, *replay)
+
+
+def test_atom_merging_rogue_bundle_replays_like_the_reference(geo8):
+    # Two shifts on one row land (2, 0) and (2, 1) both on (2, 2): the
+    # atoms merge, so the atom count drops with no loss drawn.
+    rogue = ParallelMove.trusted(
+        Direction.EAST,
+        steps=1,
+        shifts=(
+            LineShift.trusted(Direction.EAST, 2, 0, 1, steps=2),
+            LineShift.trusted(Direction.EAST, 2, 1, 2, steps=1),
+        ),
+    )
+    grid = np.zeros(geo8.shape, dtype=bool)
+    grid[2, :2] = grid[5] = True
+    array = AtomArray(geo8, grid)
+    schedule = MoveSchedule(geo8, moves=[rogue, rogue, rogue])
+    lossless = LossModel(
+        vacuum_lifetime_s=1e9, loss_per_transfer=0.0, loss_per_site=0.0
+    )
+    merged = simulate_losses(array, schedule, lossless, rng=0)
+    assert merged.atoms_final == array.n_atoms - 1
+    assert merged.final_array.grid[2].tolist() == [0, 0, 1, 0, 0, 0, 0, 0]
+    short_lived = LossModel(vacuum_lifetime_s=1e-3, loss_per_transfer=0.2)
+    _assert_replays_like_the_reference(
+        array, schedule, short_lived, MoveTimingModel(), seeds=16
+    )
+
+
+def test_rogue_bundle_moving_more_atoms_than_sites_like_the_reference():
+    # Six copies of one shift: six landings, and so six hand-off draws,
+    # on a grid of four sites.
+    geometry = ArrayGeometry.square(2, 2)
+    shift = LineShift.trusted(Direction.EAST, 0, 0, 1, steps=1)
+    rogue = ParallelMove.trusted(Direction.EAST, 1, (shift,) * 6)
+    array = AtomArray(geometry, np.array([[True, False], [False, True]]))
+    schedule = MoveSchedule(geometry, moves=[rogue])
+    loss = LossModel(loss_per_transfer=0.5)
+    _assert_replays_like_the_reference(array, schedule, loss, MoveTimingModel())
+
+
+def test_replay_that_empties_the_array_like_the_reference(geo20):
+    array = AtomArray(geo20, np.random.default_rng(3).random(geo20.shape) < 0.5)
+    schedule = _qrm_schedule(geo20, seed=3)
+    loss = LossModel(vacuum_lifetime_s=1e-3, loss_per_transfer=0.0, loss_per_site=0.0)
+    timing = MoveTimingModel(settle_us=300)
+    report = simulate_losses(array, schedule, loss, timing, rng=0)
+    assert report.atoms_final == 0  # emptied well before the last move
+    assert len(schedule) > 20
+    _assert_replays_like_the_reference(array, schedule, loss, timing)
+
+
+def test_empty_schedule_replays_without_draws(geo8):
+    array = AtomArray(geo8, np.random.default_rng(1).random(geo8.shape) < 0.5)
+    schedule = MoveSchedule(geo8)
+    gen = np.random.default_rng(0)
+    report = simulate_losses(array, schedule, rng=gen)
+    assert report.final_array == array and report.duration_us == 0.0
+    assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    _assert_replays_like_the_reference(array, schedule, LossModel(), MoveTimingModel())
+
+
+def test_zero_duration_moves_draw_no_vacuum_uniforms(geo20):
+    array = AtomArray(geo20, np.random.default_rng(2).random(geo20.shape) < 0.5)
+    schedule = _qrm_schedule(geo20, seed=2)
+    instant = MoveTimingModel(
+        pickup_us=0, drop_us=0, transfer_us_per_site=0, settle_us=0
+    )
+    # With no hand-off or transport loss either, nothing is drawn at all.
+    no_handling = LossModel(loss_per_transfer=0.0, loss_per_site=0.0)
+    gen = np.random.default_rng(0)
+    report = simulate_losses(array, schedule, no_handling, instant, rng=gen)
+    assert report.duration_us == 0.0 and report.atoms_lost == 0
+    assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    for loss in (no_handling, LossModel()):
+        _assert_replays_like_the_reference(array, schedule, loss, instant)
 
 
 def test_trusted_bundle_compiles_like_the_reference(geo8):
