@@ -392,10 +392,12 @@ def measure_lossy_replay_speedup(
 
     Both sides replay the trial's schedule on its loaded array under
     the default :class:`~repro.physics.loss.LossModel`, from generators
-    seeded alike: :func:`~repro.physics.loss.simulate_losses` (the
-    table-driven move applier, one draw call per move) against the
-    site-by-site :func:`~repro.physics.loss.simulate_losses_reference`
-    (move objects built included).
+    seeded alike: :func:`~repro.physics.loss.simulate_losses` (one label
+    walk over the table-driven move plan, then one lifetime draw per atom
+    and one hand-off draw per carried atom, in two bulk calls) against
+    its per-atom scalar twin
+    :func:`~repro.physics.loss.simulate_losses_reference` (move objects
+    built included).
     """
     from repro.physics.loss import simulate_losses, simulate_losses_reference
 

@@ -74,7 +74,7 @@ def _plan_line_shift(vec: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray] | 
     a, b = shift.span_start, shift.span_stop
     if a < 0 or b > vec.size:
         raise MoveError(f"span [{a}, {b}) outside line of length {vec.size}")
-    occupied = np.nonzero(vec[a:b])[0]
+    occupied = np.nonzero(vec[a : max(a, b)])[0]  # a reversed span selects nothing
     if occupied.size == 0:
         return None
     dr, dc = shift.direction.delta
@@ -145,7 +145,7 @@ class MoveApplier:
     offending shift) is exactly the per-shift path's; that is the only
     place a move object is built.  ``grid`` must be C-contiguous (every
     :class:`AtomArray` grid is): the applier writes through a flat view
-    of it.
+    of it.  :meth:`carry` walks atom labels along the same plan instead.
     """
 
     def __init__(self, grid: np.ndarray, schedule: MoveSchedule) -> None:
@@ -206,6 +206,90 @@ class MoveApplier:
             flat[src[occupied]] = False
             flat[landing] = True
         return landing
+
+    def carry(self, labels: np.ndarray) -> list[np.ndarray]:
+        """Carry atom labels through every move in place; returns what each carries.
+
+        ``labels`` is an int grid of the applier's shape holding an
+        atom's label on each occupied site and -1 on each empty one (the
+        applier's own grid is never written).  Labels move along the
+        per-site plan :meth:`apply` uses, and entry ``m`` of the result
+        holds the labels move ``m`` carries, in the order :meth:`apply`
+        returns their landing sites.  An invalid move raises the
+        :class:`MoveError` :meth:`apply` raises on the same occupancy.
+
+        Collisions are checked once, after the walk.  On a move whose
+        lines are distinct and inside the grid the only invalid landing
+        is onto a static atom, which overwrites that atom's label; labels
+        are never created, so a walk that ends with as many labels as it
+        began saw no collision.  Moves that drive one line twice or leave
+        the grid (only ``trusted`` bundles do) are checked as they come.
+        A walk that lost a label is redone with every move checked, which
+        raises the first error.  Only a bundle driving one line twice can
+        select a site twice or land two atoms on one site: such a site's
+        atom goes with the first shift that selects it, and of the atoms
+        landing on one site the lowest label keeps it (the others leave
+        the walk).
+        """
+        flat = labels.reshape(-1)
+        start = flat.copy()
+        shared = self._shares_a_line()
+        checked = [a or b for a, b in zip(self._per_shift, shared)]
+        try:
+            carried = self._carry(flat, checked, shared)
+            if np.count_nonzero(flat >= 0) == np.count_nonzero(start >= 0):
+                return carried
+        except MoveError:
+            pass
+        flat[:] = start
+        return self._carry(flat, [True] * len(shared), shared)
+
+    def _carry(self, flat: np.ndarray, checked, shared) -> list[np.ndarray]:
+        """One walk of :meth:`carry`, checking the moves ``checked`` marks."""
+        src_all, dst_all, outside = self._src, self._dst, self._outside
+        offsets = self._site_offsets
+        carried = []
+        for index, (a, b, check, twice) in enumerate(
+            zip(offsets, offsets[1:], checked, shared)
+        ):
+            src = src_all[a:b]
+            dst = dst_all[a:b]
+            moving = flat[src]
+            hit = moving >= 0
+            if check and (
+                self._per_shift[index]
+                or (hit & outside[a:b] & (flat[dst] >= 0)).any()
+            ):
+                grid = (flat >= 0).reshape(self.grid.shape)
+                apply_parallel_move(grid, self._schedule[index])
+            if twice:
+                hit = np.flatnonzero(hit)
+                hit = hit[np.sort(np.unique(src[hit], return_index=True)[1])]
+            flat[src] = -1  # unoccupied sources are -1 already
+            moving = moving[hit]
+            landing = dst[hit]
+            if twice:
+                flat[landing] = _UNPLACED
+                np.minimum.at(flat, landing, moving)
+            else:
+                flat[landing] = moving
+            carried.append(moving)
+        return carried
+
+    def _shares_a_line(self) -> list[bool]:
+        """Per move: whether two of its shifts drive the same line."""
+        table = self._schedule.table()
+        n_lines = max(self.grid.shape)
+        key = table.shift_move * n_lines + np.clip(table.line, 0, n_lines - 1)
+        if not (np.diff(key) > 0).all():
+            key = np.sort(key)
+        shared = np.zeros(len(table), dtype=bool)
+        shared[key[1:][key[1:] == key[:-1]] // n_lines] = True
+        return shared.tolist()
+
+
+#: Fills a landing site of a line-sharing move before its lowest label is kept.
+_UNPLACED = np.iinfo(np.intp).max
 
 
 @dataclass

@@ -22,7 +22,7 @@ from repro.aod.schedule import MoveSchedule
 from repro.aod.table import ScheduleTable
 from repro.aod.timing import DEFAULT_MOVE_TIMING, MoveTimingModel
 from repro.awg.tones import AodToneConfig
-from repro.awg.waveform import Segment, Tone, WaveformProgram
+from repro.awg.waveform import Segment, SegmentLabels, Tone, WaveformProgram
 from repro.lattice.geometry import Direction
 
 
@@ -261,9 +261,8 @@ def compile_schedule(
     durations = np.empty((n, per))
     durations[:] = (timing.pickup_us, 0.0, timing.drop_us, timing.settle_us)[:per]
     durations[:, 1] = timing.transfer_us_per_site * table.steps
-    labels = [f"move{i}.{kind}" for i in range(n) for kind in _KINDS[:per]]
     return WaveformProgram(
-        labels=labels[:n_segments],
+        labels=SegmentLabels(n_segments, _KINDS[:per]),
         durations=durations.ravel()[:n_segments],
         amplitude_start=np.tile(_AMPLITUDE_START[:per], n)[:n_segments],
         amplitude_end=np.tile(_AMPLITUDE_END[:per], n)[:n_segments],

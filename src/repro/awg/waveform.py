@@ -141,6 +141,30 @@ class WaveformProgram:
         return len(self.labels)
 
 
+class SegmentLabels(Sequence):
+    """Labels ``move{m}.{kind}`` of a compiled program, formatted on access.
+
+    Move ``m`` compiles to one segment per entry of ``kinds``, in order,
+    and the program holds the first ``n`` of those segments (the last
+    move has no settle gap).
+    """
+
+    __slots__ = ("_n", "_kinds")
+
+    def __init__(self, n: int, kinds: Sequence[str]) -> None:
+        self._n = n
+        self._kinds = tuple(kinds)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(self._n)[index]]
+        move, kind = divmod(range(self._n)[index], len(self._kinds))
+        return f"move{move}.{self._kinds[kind]}"
+
+
 class SegmentView(Sequence):
     """A :class:`WaveformProgram`'s segments, built on access.
 

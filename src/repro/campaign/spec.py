@@ -35,6 +35,13 @@ from repro.errors import ConfigurationError
 #: Bump to invalidate every cached trial when the metric schema changes.
 TRIAL_SCHEMA_VERSION = 3
 
+#: The random stream lossy replay draws from; bump it when replay's draws
+#: change.  It enters the trial key and the spec hash of lossy cells only,
+#: so lossy results drawn under another stream are neither served from a
+#: cache nor resumed into one table with fresh ones, while loss-free keys
+#: keep their bytes.
+LOSS_STREAM_VERSION = 2
+
 
 def stable_hash(payload: Any) -> str:
     """Hex SHA-256 of the canonical JSON rendering of ``payload``."""
@@ -551,5 +558,7 @@ class CampaignSpec:
         """Stable digest of everything that affects campaign results."""
         payload = self.to_dict()
         payload["version"] = TRIAL_SCHEMA_VERSION
+        if any(cell.loss is not None for cell in self.expand()):
+            payload["loss_stream"] = LOSS_STREAM_VERSION
         return stable_hash(payload)[:16]
 

@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.campaign.spec import (
+    LOSS_STREAM_VERSION,
     TRIAL_SCHEMA_VERSION,
     ScenarioCell,
     stable_entropy,
@@ -54,15 +55,16 @@ class TrialSpec:
         return np.random.SeedSequence(entropy, spawn_key=(self.seed_index,))
 
     def key(self) -> str:
-        """Cache key: depends on the full cell, the seed and the schema."""
-        return stable_hash(
-            {
-                "cell": self.cell.to_dict(),
-                "seed_index": self.seed_index,
-                "master_seed": self.master_seed,
-                "version": TRIAL_SCHEMA_VERSION,
-            }
-        )
+        """Cache key: the cell, the seed, the schema and a lossy cell's stream."""
+        payload = {
+            "cell": self.cell.to_dict(),
+            "seed_index": self.seed_index,
+            "master_seed": self.master_seed,
+            "version": TRIAL_SCHEMA_VERSION,
+        }
+        if self.cell.loss is not None:
+            payload["loss_stream"] = LOSS_STREAM_VERSION
+        return stable_hash(payload)
 
 
 def cell_sequence(cell: ScenarioCell, master_seed: int) -> np.random.SeedSequence:

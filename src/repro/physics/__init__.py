@@ -4,7 +4,6 @@ from repro.physics.loss import (
     DEFAULT_LOSS_MODEL,
     LossModel,
     LossReport,
-    expected_atom_survival,
     simulate_losses,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "DEFAULT_LOSS_MODEL",
     "LossModel",
     "LossReport",
-    "expected_atom_survival",
     "simulate_losses",
 ]

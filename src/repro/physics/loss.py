@@ -10,10 +10,19 @@ the paper's drive for parallelism, made measurable.
 
 Defaults are typical published magnitudes: tens-of-seconds vacuum
 lifetime, ~0.1-1 % loss per transfer pair.
+
+Replay costs atoms, not atoms x moves.  An atom's path through a
+schedule does not depend on which other atoms were lost, and vacuum
+loss is memoryless, so :func:`simulate_losses` walks the lossless
+trajectory once with atom labels, draws one lifetime per atom and one
+hand-off per carried atom, and resolves every atom at once.
+:func:`simulate_losses_reference` is its scalar twin, drawing the same
+uniforms one by one in the same order.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -93,24 +102,20 @@ class LossReport:
         return self.atoms_final / self.atoms_initial
 
 
-def expected_atom_survival(
-    schedule: MoveSchedule,
-    mean_moves_per_atom: float,
-    mean_steps_per_move: float = 1.0,
-    loss: LossModel = DEFAULT_LOSS_MODEL,
-    timing: MoveTimingModel = DEFAULT_MOVE_TIMING,
-) -> float:
-    """Analytic per-atom survival estimate for a schedule.
+def _hazards(steps, loss: LossModel, timing: MoveTimingModel) -> tuple:
+    """``(duration_us, p_move_loss, p_decay)`` of a move of ``steps`` sites.
 
-    Combines the vacuum decay over the schedule's motion time with the
-    hand-off/transport losses of the average atom.
+    ``p_move_loss`` is the chance a carried atom is lost to its hand-offs
+    and transport, ``p_decay`` that any atom decays over the move (its
+    settle gap included).  A negative duration raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    duration = timing.schedule_motion_us(schedule)
-    vacuum = loss.vacuum_survival(duration)
-    handling = loss.move_survival(
-        max(1, round(mean_steps_per_move))
-    ) ** mean_moves_per_atom
-    return vacuum * handling
+    duration = timing.steps_duration_us(steps) + timing.settle_us
+    return (
+        duration,
+        1.0 - loss.move_survival(steps),
+        1.0 - loss.vacuum_survival(duration),
+    )
 
 
 def simulate_losses(
@@ -122,72 +127,87 @@ def simulate_losses(
 ) -> LossReport:
     """Replay ``schedule`` with stochastic atom loss.
 
-    After each parallel move, every surviving atom faces the vacuum
-    hazard of the move's duration and every *moved* atom additionally
-    faces the hand-off/transport hazard.  Losing atoms only ever empties
-    traps, so the remaining schedule stays executable (suffix shifts
-    tolerate empty selected traps).  An invalid move raises
-    :class:`~repro.errors.MoveError`, exactly as
-    :func:`~repro.aod.executor.execute_schedule` would.
+    Within each move every carried atom first faces the hand-off and
+    transport hazard, then every living atom the vacuum hazard of the
+    move's duration.  Losing atoms only ever empties traps, and suffix
+    shifts tolerate empty traps, so an atom's path does not depend on
+    which other atoms were lost.  The replay therefore walks the lossless
+    trajectory once, carrying atom labels through the moves
+    (:meth:`~repro.aod.executor.MoveApplier.carry`), and then draws, in
+    two bulk calls:
 
-    Moves run through a :class:`~repro.aod.executor.MoveApplier`.  The
-    hazards are computed once per distinct step count, and each move's
-    hand-off and vacuum uniforms are drawn into one reused buffer with
-    ``gen.random(out=...)`` — the same stream as ``gen.random(n)`` and
-    as the ``n`` scalar draws of :func:`simulate_losses_reference`, so
-    the two agree bit for bit (grid, counters, duration and generator
-    state).  Atoms are only located when a draw falls below its hazard,
-    and an array with no atom left draws nothing.  Step counts come from
-    the schedule's table; no move object is built.
+    * one lifetime uniform per atom (atom ``k`` is the ``k``-th occupied
+      site of ``initial`` in row-major order), when some move can decay.
+      Vacuum loss is memoryless, so atom ``k`` decays in the first move
+      ``m`` where ``u_k >= S_m``, ``S`` being the running product of
+      ``1 - p_decay`` over the moves;
+    * one hand-off uniform per carried atom per move, in walk order, when
+      some move can lose a carried atom.  An atom fails at its first
+      entry with ``u < p_move_loss``.
+
+    An atom is lost in the earlier of its two moves; a tie is a transfer
+    loss, since a hand-off comes before the decay within a move.  The
+    final grid holds the walk's final sites of the atoms not lost.  A
+    channel with no atom or no positive hazard draws nothing.  Hazards
+    are computed once per distinct step count.
+
+    An invalid schedule raises the :class:`~repro.errors.MoveError` that
+    ``execute_schedule(initial, schedule, constraints=None)`` raises (it
+    is judged on the lossless trajectory), and a negative move duration
+    :class:`~repro.errors.ConfigurationError`; both before anything is
+    drawn, so the generator is untouched.  A ``trusted`` bundle that
+    lands two atoms on one site keeps the lowest label there; the others
+    leave the walk and count as neither loss.
+
+    :func:`simulate_losses_reference` draws the same uniforms one by one
+    in the same order, so the two agree bit for bit (grid, counters,
+    duration and generator state).
     """
     gen = as_rng(rng)
-    array = initial.copy()
-    report = LossReport(
-        atoms_initial=array.n_atoms,
-        atoms_final=array.n_atoms,
-        final_array=array,
+    distinct, inverse = np.unique(schedule.table().steps, return_inverse=True)
+    hazards = [_hazards(steps, loss, timing) for steps in distinct.tolist()]
+    duration, p_move_loss, p_decay = np.array(hazards).reshape(-1, 3)[inverse].T
+    n_moves = len(inverse)
+    duration_us = 0.0
+    for move_us in duration.tolist():
+        duration_us += move_us
+
+    # The lossless walk (any MoveError is raised here, before a draw).
+    occupied = np.flatnonzero(initial.grid)
+    n_atoms = occupied.size
+    labels = np.full(initial.grid.shape, -1, dtype=np.intp)
+    labels.reshape(-1)[occupied] = np.arange(n_atoms)
+    carried = MoveApplier(initial.grid, schedule).carry(labels)
+
+    decayed_at = np.full(n_atoms, n_moves)
+    if n_atoms and (p_decay > 0).any():
+        survival = np.cumprod(1.0 - p_decay)
+        decayed_at = np.searchsorted(-survival, -gen.random(n_atoms))
+    dropped_at = np.full(n_atoms, n_moves)
+    entries = np.concatenate(carried) if carried else np.zeros(0, dtype=np.intp)
+    if entries.size and (p_move_loss > 0).any():
+        entry_move = np.repeat(np.arange(n_moves), [len(c) for c in carried])
+        failed = np.flatnonzero(gen.random(entries.size) < p_move_loss[entry_move])
+        atoms, first = np.unique(entries[failed], return_index=True)
+        dropped_at[atoms] = entry_move[failed[first]]
+
+    # Each atom's verdict; atoms merged away by a rogue bundle have no site.
+    final = labels.reshape(-1)
+    sites = np.flatnonzero(final >= 0)
+    atoms = final[sites]
+    lost = np.minimum(decayed_at, dropped_at)[atoms] < n_moves
+    n_lost = int(np.count_nonzero(lost))
+    n_transfer = int(np.count_nonzero(lost & (dropped_at <= decayed_at)[atoms]))
+    grid = np.zeros(final.size, dtype=bool)
+    grid[sites[~lost]] = True
+    return LossReport(
+        atoms_initial=n_atoms,
+        atoms_final=int(np.count_nonzero(grid)),
+        lost_vacuum=n_lost - n_transfer,
+        lost_transfer=n_transfer,
+        duration_us=duration_us,
+        final_array=AtomArray(initial.geometry, grid.reshape(initial.grid.shape)),
     )
-    applier = MoveApplier(array.grid, schedule)
-    cells = applier.flat
-    steps_per_move = schedule.table().steps.tolist()
-    hazards = {}
-    for steps in set(steps_per_move):
-        duration = timing.steps_duration_us(steps) + timing.settle_us
-        hazards[steps] = (
-            duration,
-            1.0 - loss.move_survival(steps),
-            1.0 - loss.vacuum_survival(duration),
-        )
-    draws = np.empty(cells.size)
-    for index, steps in enumerate(steps_per_move):
-        duration, p_move_loss, p_decay = hazards[steps]
-        report.duration_us += duration
-        landing = applier.apply(index)
-
-        # Hand-off and transport loss for the moved atoms.
-        if p_move_loss > 0 and landing.size:
-            if landing.size > draws.size:  # a rogue bundle's repeated sites
-                draws = np.empty(landing.size)
-            u = gen.random(out=draws[: landing.size])
-            if u.min() < p_move_loss:
-                lost = landing[u < p_move_loss]
-                cells[lost] = False
-                report.lost_transfer += lost.size
-
-        # Vacuum decay for everyone, over this move's duration: one draw
-        # per atom in row-major order.  An atom merge (a rogue bundle
-        # landing two atoms on one site) makes any tracked count wrong,
-        # so the atoms are counted afresh.
-        atoms = np.count_nonzero(cells) if p_decay > 0 else 0
-        if atoms:
-            u = gen.random(out=draws[:atoms])
-            if u.min() < p_decay:
-                decayed = np.flatnonzero(u < p_decay)
-                cells[np.flatnonzero(cells)[decayed]] = False
-                report.lost_vacuum += decayed.size
-
-    report.atoms_final = array.n_atoms
-    return report
 
 
 def simulate_losses_reference(
@@ -197,51 +217,75 @@ def simulate_losses_reference(
     timing: MoveTimingModel = DEFAULT_MOVE_TIMING,
     rng: int | np.random.Generator | None = None,
 ) -> LossReport:
-    """Site-by-site object walker kept as the oracle for :func:`simulate_losses`.
+    """Per-atom scalar walker kept as the oracle for :func:`simulate_losses`.
 
-    Each move is applied first (so an invalid one raises its
-    :class:`~repro.errors.MoveError` before any site is read), then its
-    moved atoms are found by walking every shift's sites on a copy of
-    the grid from before the move, and each draws its own scalar
-    ``gen.random()``.
+    Walks the move objects site by site on a label grid: each move is
+    first checked by :func:`~repro.aod.executor.apply_parallel_move` on
+    the labels' occupancy (raising its :class:`~repro.errors.MoveError`),
+    then each selected site's atom is picked up (by the first shift that
+    selects it), and each lands where its shift takes it, the lowest
+    label keeping a site two atoms land on.  Only then does it draw, one
+    scalar ``gen.random()`` at a time: every atom's lifetime, then every
+    carried atom's hand-off, in walk order.  Each atom's decay move is a
+    bisection of the running survival product.
     """
     gen = as_rng(rng)
-    array = initial.copy()
-    report = LossReport(
-        atoms_initial=array.n_atoms,
-        atoms_final=array.n_atoms,
-        final_array=array,
-    )
-    for move in schedule:
-        duration = timing.move_duration_us(move) + timing.settle_us
+    moves = list(schedule)
+    hazards = [_hazards(move.steps, loss, timing) for move in moves]
+    n_moves = len(moves)
+    report = LossReport(atoms_initial=initial.n_atoms, atoms_final=0)
+    for duration, _, _ in hazards:
         report.duration_us += duration
 
-        # Which sites does this move displace?
-        before = array.grid.copy()
-        apply_parallel_move(array.grid, move)
-        moved_sites: list[tuple[int, int]] = []
+    labels = np.full(initial.grid.shape, -1, dtype=np.intp)
+    for label, site in enumerate(zip(*np.nonzero(initial.grid))):
+        labels[site] = label
+    entries: list[tuple[int, int]] = []  # (move, carried label), in walk order
+    for index, move in enumerate(moves):
+        apply_parallel_move(labels >= 0, move)
+        horizontal = move.is_horizontal
+        picked: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
         for shift in move.shifts:
-            for site in shift.sites():
-                if before[site]:
-                    moved_sites.append(shift.destination(site))
+            k = shift.steps * sum(shift.direction.delta)
+            for i in range(shift.span_start, shift.span_stop):
+                site = (shift.line, i) if horizontal else (i, shift.line)
+                if site not in picked and labels[site] >= 0:
+                    dest = (shift.line, i + k) if horizontal else (i + k, shift.line)
+                    picked[site] = (dest, int(labels[site]))
+        for site in picked:
+            labels[site] = -1
+        placed = set()
+        for dest, label in picked.values():
+            entries.append((index, label))
+            if dest not in placed or label < labels[dest]:
+                labels[dest] = label
+                placed.add(dest)
 
-        # Hand-off and transport loss for the moved atoms.
-        p_move_loss = 1.0 - loss.move_survival(move.steps)
-        if p_move_loss > 0:
-            for site in moved_sites:
-                if gen.random() < p_move_loss:
-                    array.grid[site] = False
-                    report.lost_transfer += 1
+    decayed_at = [n_moves] * initial.n_atoms
+    if initial.n_atoms and any(p_decay > 0 for _, _, p_decay in hazards):
+        survival = []  # -S_m, ascending
+        running = 1.0
+        for _, _, p_decay in hazards:
+            running *= 1.0 - p_decay
+            survival.append(-running)
+        for label in range(initial.n_atoms):
+            decayed_at[label] = bisect.bisect_left(survival, -gen.random())
+    dropped_at = [n_moves] * initial.n_atoms
+    if entries and any(p_move_loss > 0 for _, p_move_loss, _ in hazards):
+        for index, label in entries:
+            failed = gen.random() < hazards[index][1]
+            if failed and dropped_at[label] == n_moves:
+                dropped_at[label] = index
 
-        # Vacuum decay for everyone, over this move's duration.
-        p_decay = 1.0 - loss.vacuum_survival(duration)
-        if p_decay > 0:
-            occupied = np.argwhere(array.grid)
-            decays = gen.random(len(occupied)) < p_decay
-            for (row, col) in occupied[decays]:
-                array.grid[row, col] = False
-                report.lost_vacuum += 1
-
-    report.atoms_final = array.n_atoms
-    report.final_array = array
+    grid = np.zeros(initial.grid.shape, dtype=bool)
+    for site in zip(*np.nonzero(labels >= 0)):
+        label = labels[site]
+        if min(decayed_at[label], dropped_at[label]) == n_moves:
+            grid[site] = True
+        elif dropped_at[label] <= decayed_at[label]:
+            report.lost_transfer += 1
+        else:
+            report.lost_vacuum += 1
+    report.final_array = AtomArray(initial.geometry, grid)
+    report.atoms_final = report.final_array.n_atoms
     return report

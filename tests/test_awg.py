@@ -190,3 +190,20 @@ class TestWaveformProgram:
         assert not hasattr(view, "append")
         with pytest.raises(TypeError):
             view[0] = Segment("b", 1.0, ())
+
+    @pytest.mark.parametrize("settle_us", [20.0, 0.0], ids=["settle", "no-settle"])
+    def test_compiled_labels_are_formatted_on_access(self, geo8, settle_us):
+        move = ParallelMove.of([LineShift(Direction.EAST, 0, 0, 2)])
+        schedule = MoveSchedule(geo8, moves=[move, move])
+        timing = MoveTimingModel(settle_us=settle_us)
+        labels = compile_schedule(schedule, timing=timing).labels
+        kinds = ["pickup", "transport", "drop"] + ["settle"] * (settle_us > 0)
+        expected = [f"move{m}.{kind}" for m in range(2) for kind in kinds]
+        expected = expected[: len(labels)]
+        assert len(labels) == (7 if settle_us else 6)
+        assert list(labels) == expected
+        assert labels[-1] == "move1.drop" and labels[1:3] == expected[1:3]
+        with pytest.raises(IndexError):
+            labels[len(labels)]
+        with pytest.raises(TypeError):
+            labels[0] = "rogue"

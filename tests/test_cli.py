@@ -9,6 +9,7 @@ import pytest
 from test_dispatch import worker_daemon
 
 from repro.campaign import read_journal
+from repro.campaign.spec import TRIAL_SCHEMA_VERSION, stable_hash
 from repro.cli import build_parser, main
 
 
@@ -331,6 +332,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "2 replayed from journal" in out
         assert clean_csv.read_bytes() == resumed_csv.read_bytes()
+
+    def test_resume_refuses_a_lossy_journal_of_the_old_loss_stream(
+        self, capsys, tmp_path
+    ):
+        # A lossy journal started before the loss stream changed records
+        # the spec hash without the stream version.  Its trials were drawn
+        # from the old stream, so resuming it must refuse, not mix streams.
+        journal = tmp_path / "run.jsonl"
+        base = ["campaign", "--name", "old-stream", "--sizes", "8", "--seeds", "4"]
+        argv = base + ["--loss", "--no-cache", "--quiet", "--journal", str(journal)]
+        assert main(argv + ["--interrupt-after", "2"]) == 130
+        spec = read_journal(journal).spec
+        old_hash = stable_hash({**spec.to_dict(), "version": TRIAL_SCHEMA_VERSION})
+        old_hash = old_hash[:16]
+        assert old_hash != spec.spec_hash()
+        journal.write_text(journal.read_text().replace(spec.spec_hash(), old_hash))
+        capsys.readouterr()
+        resume = ["campaign", "--resume", str(journal), "--no-cache", "--quiet"]
+        assert main(resume) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"records spec {old_hash}" in err
 
     def test_pooled_campaign_interrupt_then_resume(self, capsys, tmp_path):
         # The interrupt lands while the pool still has trials in flight;

@@ -157,7 +157,9 @@ def test_rect_only_algorithms_reject_masked_geometries():
 # Produced by the pre-mask code (TRIAL_SCHEMA_VERSION 3) and pinned
 # verbatim: if any of these move, every committed trial cache, journal,
 # and campaign results directory keyed before the mask refactor is
-# silently invalidated.
+# silently invalidated.  The lossy trial key and the lossy spec hash
+# also carry LOSS_STREAM_VERSION 2, so they moved, on purpose, with the
+# loss stream; the loss-free pins and the trial's seed stream did not.
 PINNED_INSTANCE_HASHES = {
     (8, None, 0.5): "14e9412b8e8e11d42ab3222fe9894397c99bba4b70ba7e6835af255c0ac4e23f",
     (8, None, 0.7): "5d0a6c22060b24cd627e8603b49f008be7c8b5ec2dbf3e4a83dc8a739e06bfbf",
@@ -166,10 +168,10 @@ PINNED_TRIAL_KEY_PLAIN = (
     "61129f6550add429d88c80397d60eeb3b87ccba765497255bffe05799dfc6da9"
 )
 PINNED_TRIAL_KEY_FULL = (
-    "794791b1bcfcc07d2ac0c290dc8fc6a61acf1fce71b4c626998fd966c50c6e16"
+    "884b1e83d1b0a7e21b7d4d540c84be5dc819bb774c50f10383371ef2d851d270"
 )
 PINNED_TRIAL_STREAM_FULL = [1762682798, 2515118248, 3365019787, 3290816421]
-PINNED_SPEC_HASH = "d2955d982295bfd0"
+PINNED_SPEC_HASH = "4d72c9c61c694291"
 
 
 def test_rect_instance_keys_unchanged():
@@ -232,6 +234,32 @@ def test_rect_campaign_spec_hash_and_grid_unchanged():
     for cell in cells:
         assert "mask" not in cell.to_dict()
         assert "loading" not in cell.to_dict()
+
+
+def test_loss_stream_version_keys_lossy_cells_only(monkeypatch):
+    from repro.campaign import spec as spec_module
+    from repro.campaign import trial as trial_module
+    from repro.campaign.spec import CampaignSpec, LossSpec, ScenarioCell
+    from repro.campaign.trial import TrialSpec
+
+    def fingerprints():
+        cells = [
+            ScenarioCell(algorithm="qrm", size=8, target=None, fill=0.5, loss=loss)
+            for loss in (None, LossSpec())
+        ]
+        keys = [TrialSpec(cell, 0, 1).key() for cell in cells]
+        hashes = [
+            CampaignSpec(name="s", loss_models=(loss,)).spec_hash()
+            for loss in (None, LossSpec())
+        ]
+        return keys, hashes
+
+    (plain_key, lossy_key), (plain_hash, lossy_hash) = fingerprints()
+    monkeypatch.setattr(spec_module, "LOSS_STREAM_VERSION", 99)
+    monkeypatch.setattr(trial_module, "LOSS_STREAM_VERSION", 99)
+    (plain_key2, lossy_key2), (plain_hash2, lossy_hash2) = fingerprints()
+    assert (plain_key2, plain_hash2) == (plain_key, plain_hash)
+    assert lossy_key2 != lossy_key and lossy_hash2 != lossy_hash
 
 
 def test_masked_cells_key_differently():

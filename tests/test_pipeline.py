@@ -53,12 +53,12 @@ from repro.timing.latency import (
 
 #: Pinned lossy closed-loop traces: (size, target mask, trace digest).
 LOSSY_TRACE_PINS = [
-    (16, None, "141cd390545f3c5fa2a6b783e72f559d2ce5760d1903f1a120d8424de8dc84e5"),
-    (32, None, "124e8da0b65c8c115f050ab57559e0ae7417f15b15df198707d926eff11d789f"),
+    (16, None, "97af34d4164e4a588d7646b005d236fc0e08ab6bd7682a6f95128b0e5d4816cf"),
+    (32, None, "8d44d72ad696fba770eaad2d72f589ea6c42c64ca2d39155758af3f1e70cb103"),
     (
         16,
         TargetMask.ring(16, 16, 6.0, 2.0),
-        "7d428a214583b55b3fd7873844ff976bfb0660526746b6d80a27816c8dfd438c",
+        "4124fe6eef63cbb4268d92cf810f3cc51be8ebb5e3fa545a676f8be9fc437ddb",
     ),
 ]
 

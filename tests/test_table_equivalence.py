@@ -14,11 +14,13 @@ for bit:
   :func:`~repro.physics.loss.simulate_losses_reference` — final grid,
   loss counters, duration, the generator's state afterwards, and the
   exact :class:`~repro.errors.MoveError` when a move is invalid for the
-  array it replays on.
+  array it replays on (raised, like a negative move duration's
+  :class:`~repro.errors.ConfigurationError`, before anything is drawn).
 
 Inputs are schedules of every registered algorithm (wide QRM rounds,
 single-site MTA1 and repair moves) on rectangular and masked
-geometries, under drawn tone maps, timing and loss models.
+geometries, under drawn tone maps, timing and loss models, and for
+replay also ``trusted`` bundles that break the lockstep contract.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import atom_arrays, masked_atom_arrays
 
+from repro.aod.executor import MoveApplier, execute_schedule
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.aod.timing import MoveTimingModel
 from repro.awg.compiler import compile_schedule, compile_schedule_reference
 from repro.awg.tones import AodToneConfig, ToneMap
 from repro.baselines.base import get_algorithm, list_algorithms, supports_geometry
-from repro.errors import MoveError, WaveformError
+from repro.errors import ConfigurationError, MoveError, WaveformError
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Direction
 from repro.physics.loss import LossModel, simulate_losses, simulate_losses_reference
@@ -48,6 +51,50 @@ def schedules(draw):
     names = [n for n in list_algorithms() if supports_geometry(n, array.geometry)]
     name = draw(st.sampled_from(names))
     return array, get_algorithm(name, array.geometry).schedule(array).schedule
+
+
+@st.composite
+def rogue_schedules(draw):
+    """``(array, schedule)``: ``trusted`` bundles on a small drawn array.
+
+    Shifts may share a line, overlap, reach outside the grid, or carry
+    their own direction and step count, so moves can select a site twice,
+    land two atoms on one site, collide or leave the grid.
+    """
+    size = draw(st.sampled_from((4, 6)))
+    geometry = ArrayGeometry.square(size, 2)
+    fill = draw(st.sampled_from((0.2, 0.4)))
+    grid = np.random.default_rng(draw(st.integers(0, 2**16))).random((size, size))
+    # Lines and spans reach outside the grid in some schedules only, and
+    # shifts crowd onto two lines in the others.
+    reach = draw(st.booleans())
+    index = st.integers(-1, size) if reach else st.integers(0, size - 1)
+    line = st.integers(-1, size) if reach else st.integers(1, 2)
+    moves = []
+    for _ in range(draw(st.integers(1, 5))):
+        direction = draw(st.sampled_from(list(Direction)))
+        steps = draw(st.integers(1, 2))
+        shifts = []
+        for _ in range(draw(st.integers(1, 4))):
+            start = draw(index)
+            shifts.append(
+                LineShift.trusted(
+                    draw(st.sampled_from((direction,) * 3 + tuple(Direction))),
+                    draw(line),
+                    start,
+                    start + draw(st.integers(-1, 3 if reach else size - start)),
+                    draw(st.sampled_from((steps, steps, 1, 2))),
+                )
+            )
+        if draw(st.booleans()):
+            # Two one-site shifts on one line that land on one site.
+            first = draw(st.integers(0, size - 3))
+            far = first if sum(direction.delta) > 0 else first + 2
+            at = draw(line)
+            shifts.append(LineShift.trusted(direction, at, far, far + 1, 2))
+            shifts.append(LineShift.trusted(direction, at, first + 1, first + 2, 1))
+        moves.append(ParallelMove.trusted(direction, steps, tuple(shifts)))
+    return AtomArray(geometry, grid < fill), MoveSchedule(geometry, moves=moves)
 
 
 durations = st.one_of(
@@ -97,8 +144,8 @@ def _replayed(simulate, array, schedule, loss, timing, seed):
     gen = np.random.default_rng(seed)
     try:
         report = simulate(array, schedule, loss, timing, gen)
-    except MoveError as exc:
-        return "error", str(exc), gen.bit_generator.state
+    except (MoveError, ConfigurationError) as exc:
+        return type(exc), str(exc), gen.bit_generator.state
     return (
         report.final_array.grid.tobytes(),
         report.atoms_final,
@@ -129,6 +176,15 @@ def test_simulate_losses_matches_reference(scheduled, loss, timing, seed, pertur
     replay = (array, schedule, loss, timing, seed)
     ours = _replayed(simulate_losses, *replay)
     assert ours == _replayed(simulate_losses_reference, *replay)
+
+
+@given(rogue_schedules(), loss_models, st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_rogue_bundles_replay_like_the_reference(scheduled, loss, seed):
+    replay = (*scheduled, loss, MoveTimingModel(), seed)
+    assert _replayed(simulate_losses, *replay) == _replayed(
+        simulate_losses_reference, *replay
+    )
 
 
 def _qrm_schedule(geometry, seed=0):
@@ -195,7 +251,8 @@ def _assert_replays_like_the_reference(array, schedule, loss, timing, seeds=8):
 
 def test_atom_merging_rogue_bundle_replays_like_the_reference(geo8):
     # Two shifts on one row land (2, 0) and (2, 1) both on (2, 2): the
-    # atoms merge, so the atom count drops with no loss drawn.
+    # atoms merge, the lower label keeping the site, so the atom count
+    # drops by one that neither loss counter holds.
     rogue = ParallelMove.trusted(
         Direction.EAST,
         steps=1,
@@ -214,22 +271,75 @@ def test_atom_merging_rogue_bundle_replays_like_the_reference(geo8):
     merged = simulate_losses(array, schedule, lossless, rng=0)
     assert merged.atoms_final == array.n_atoms - 1
     assert merged.final_array.grid[2].tolist() == [0, 0, 1, 0, 0, 0, 0, 0]
+    labels = np.where(grid, np.cumsum(grid).reshape(grid.shape) - 1, -1)
+    carried = MoveApplier(grid, schedule).carry(labels)
+    assert [c.tolist() for c in carried] == [[0, 1], [], []]
+    assert labels[2].tolist() == [-1, -1, 0, -1, -1, -1, -1, -1]
     short_lived = LossModel(vacuum_lifetime_s=1e-3, loss_per_transfer=0.2)
+    for seed in range(8):
+        report = simulate_losses(array, schedule, short_lived, rng=seed)
+        lost = report.lost_vacuum + report.lost_transfer
+        assert report.atoms_initial - report.atoms_final == lost + 1
     _assert_replays_like_the_reference(
         array, schedule, short_lived, MoveTimingModel(), seeds=16
     )
 
 
+def test_landing_on_another_shifts_source_raises_like_the_executor(geo8):
+    # Two shifts on row 1: the first lands (1, 0)'s atom on (1, 2), which
+    # the second empties in the same move.  No label is overwritten, but
+    # the landing is outside the first shift's span on an occupied site,
+    # which the executor refuses; so must both replays.
+    rogue = ParallelMove.trusted(
+        Direction.EAST,
+        steps=1,
+        shifts=(
+            LineShift.trusted(Direction.EAST, 1, 0, 1, steps=2),
+            LineShift.trusted(Direction.EAST, 1, 2, 3, steps=1),
+        ),
+    )
+    grid = np.zeros(geo8.shape, dtype=bool)
+    grid[1, 0] = grid[1, 2] = True
+    array = AtomArray(geo8, grid)
+    schedule = MoveSchedule(geo8, moves=[rogue])
+    with pytest.raises(MoveError) as expected:
+        execute_schedule(array, schedule, constraints=None)
+    for simulate in (simulate_losses, simulate_losses_reference):
+        with pytest.raises(MoveError) as raised:
+            simulate(array, schedule, rng=0)
+        assert str(raised.value) == str(expected.value)
+
+
 def test_rogue_bundle_moving_more_atoms_than_sites_like_the_reference():
-    # Six copies of one shift: six landings, and so six hand-off draws,
-    # on a grid of four sites.
+    # Six copies of one shift select (0, 0) six times on a grid of four
+    # sites: its atom goes with the first, so one hand-off is drawn.
     geometry = ArrayGeometry.square(2, 2)
     shift = LineShift.trusted(Direction.EAST, 0, 0, 1, steps=1)
     rogue = ParallelMove.trusted(Direction.EAST, 1, (shift,) * 6)
     array = AtomArray(geometry, np.array([[True, False], [False, True]]))
     schedule = MoveSchedule(geometry, moves=[rogue])
+    labels = np.array([[0, -1], [-1, 1]])
+    carried = MoveApplier(array.grid, schedule).carry(labels)
+    assert [c.tolist() for c in carried] == [[0]]
+    assert labels.tolist() == [[-1, 0], [-1, 1]]
     loss = LossModel(loss_per_transfer=0.5)
     _assert_replays_like_the_reference(array, schedule, loss, MoveTimingModel())
+
+
+def test_negative_duration_raises_before_any_draw(geo8):
+    # A trusted bundle with a negative step count lasts a negative time,
+    # which no vacuum hazard exists for: both replays refuse it up front.
+    valid = ParallelMove.of([LineShift(Direction.EAST, 0, 0, 2)])
+    rogue = ParallelMove.trusted(
+        Direction.EAST, -20, (LineShift.trusted(Direction.EAST, 3, 0, 2, -20),)
+    )
+    array = AtomArray(geo8, np.random.default_rng(4).random(geo8.shape) < 0.5)
+    schedule = MoveSchedule(geo8, moves=[valid, rogue])
+    for simulate in (simulate_losses, simulate_losses_reference):
+        gen = np.random.default_rng(0)
+        with pytest.raises(ConfigurationError, match="duration_us must be >= 0"):
+            simulate(array, schedule, rng=gen)
+        assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_replay_that_empties_the_array_like_the_reference(geo20):
