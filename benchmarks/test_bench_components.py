@@ -1,7 +1,7 @@
 """Micro-benchmarks of the individual substrates.
 
 Not a paper figure — these guard the performance of the hot paths the
-other benchmarks depend on (scan kernel, executor, packing, detection).
+other benchmarks depend on (scan kernel, executor, detection).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.core.scan import scan_axis, scan_line
 from repro.detection.detect import detect_occupancy
 from repro.detection.imaging import render_image
 from repro.fpga.bitvec import BitVector
-from repro.fpga.packets import pack_occupancy, unpack_occupancy
 from repro.fpga.shift_kernel import ShiftKernelLane
 from repro.lattice.geometry import ArrayGeometry, Direction
 from repro.lattice.loading import load_uniform
@@ -69,17 +68,6 @@ def test_executor_parallel_move_50_lines(benchmark, grid50):
 
     moved = benchmark(run)
     assert moved > 0
-
-
-def test_packet_round_trip_50(benchmark):
-    geometry = ArrayGeometry.square(50, 30)
-    array = load_uniform(geometry, 0.5, rng=3)
-
-    def round_trip():
-        return unpack_occupancy(pack_occupancy(array), geometry)
-
-    recovered = benchmark(round_trip)
-    assert recovered == array
 
 
 def test_detection_20(benchmark):

@@ -31,10 +31,9 @@ from repro.aod import (
     MoveSchedule,
     ParallelMove,
     execute_schedule,
-    require_valid,
     validate_schedule,
 )
-from repro.baselines import get_algorithm, schedule_batch, supports_batch
+from repro.baselines import get_algorithm, schedule_batch
 from repro.campaign import CampaignSpec, ExperimentCampaign, run_campaign
 from repro.config import DEFAULT_QRM_PARAMETERS, QrmParameters, ScanMode
 from repro.core import QrmScheduler, RearrangementResult, TypicalScheduler
@@ -76,8 +75,6 @@ __all__ = [
     "render_array",
     "run_campaign",
     "render_side_by_side",
-    "require_valid",
     "schedule_batch",
-    "supports_batch",
     "validate_schedule",
 ]

@@ -35,8 +35,6 @@ from repro.workflow.system import compare_architectures
 
 #: Fig. 7(a) anchors: FPGA analysis latency (us) the paper reports.
 PAPER_FIG7A_FPGA_US = {10: 0.8, 50: 1.0, 90: 1.9}
-#: Fig. 7(a) anchors: FPGA-over-CPU speedups quoted in the text.
-PAPER_FIG7A_SPEEDUP = {50: 54.0, 90: 134.0}
 #: Fig. 7(b) anchors at 20x20, reconstructed from the quoted ratios
 #: (QRM-FPGA 0.9 us; Tetris 120x that; PSCA 246x and MTA1 ~1000x QRM-CPU,
 #: with QRM-CPU ~20x faster than Tetris).

@@ -10,7 +10,6 @@ from repro.aod.constraints import (
     TONE_BUDGET,
     Violation,
     check_parallel_move,
-    is_move_safe,
 )
 from repro.aod.executor import (
     ExecutionReport,
@@ -20,16 +19,14 @@ from repro.aod.executor import (
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.aod.serialize import (
-    load as load_schedule,
     loads as schedule_from_json,
     dumps as schedule_to_json,
-    save as save_schedule,
     schedule_from_dict,
     schedule_to_dict,
 )
 from repro.aod.table import ScheduleTable
 from repro.aod.timing import DEFAULT_MOVE_TIMING, MoveTimingModel
-from repro.aod.validator import ValidationReport, require_valid, validate_schedule
+from repro.aod.validator import ValidationReport, validate_schedule
 
 __all__ = [
     "AodConstraints",
@@ -51,10 +48,6 @@ __all__ = [
     "apply_parallel_move",
     "check_parallel_move",
     "execute_schedule",
-    "is_move_safe",
-    "load_schedule",
-    "require_valid",
-    "save_schedule",
     "schedule_from_dict",
     "schedule_from_json",
     "schedule_to_dict",

@@ -150,12 +150,3 @@ def check_parallel_move(
         violations.append(Violation(EMPTY_MOVE, "move displaces zero atoms"))
 
     return violations
-
-
-def is_move_safe(
-    grid: np.ndarray,
-    move: ParallelMove,
-    constraints: AodConstraints = DEFAULT_CONSTRAINTS,
-) -> bool:
-    """Convenience wrapper: True when :func:`check_parallel_move` is clean."""
-    return not check_parallel_move(grid, move, constraints)

@@ -1,9 +1,12 @@
 """Replay of move schedules on occupancy grids (lockstep semantics).
 
-The executor is the single source of truth for what a move *does*: both
-the pure-Python scheduler and the FPGA functional model apply moves
-through these functions, so their outputs stay bit-identical and the
-validator can replay any schedule independently.
+The executor is the single source of truth for what a move *does*: the
+schedulers, the validator and lossy replay all apply moves through
+these functions, so every replay of a schedule agrees.  Every path
+first refuses a move with a shift off the move's axis or with two
+shifts on one line, raising the :class:`~repro.aod.move.ParallelMove`
+constructor's :class:`~repro.errors.MoveError`; only ``trusted``
+bundles can hold such a move.
 """
 
 from __future__ import annotations
@@ -24,6 +27,22 @@ from repro.errors import MoveError
 from repro.lattice.array import AtomArray
 
 
+def _check_bundle(move: ParallelMove) -> None:
+    """Raise the constructor's :class:`MoveError` for a shift off the
+    move's axis or a line that two shifts drive."""
+    horizontal = move.direction.is_horizontal
+    seen = set()
+    for shift in move.shifts:
+        if shift.direction.is_horizontal != horizontal:
+            raise MoveError(
+                f"shift direction {shift.direction} differs from move "
+                f"direction {move.direction}"
+            )
+        if shift.line in seen:
+            raise MoveError(f"two shifts target the same line {shift.line}")
+        seen.add(shift.line)
+
+
 def apply_parallel_move_reference(grid: np.ndarray, move: ParallelMove) -> int:
     """Site-by-site reference implementation of lockstep move semantics.
 
@@ -31,14 +50,19 @@ def apply_parallel_move_reference(grid: np.ndarray, move: ParallelMove) -> int:
     vectorised :func:`apply_parallel_move`, which must behave
     identically (including which violations raise).
     """
+    _check_bundle(move)
     height, width = grid.shape
+    n_lines, length = (height, width) if move.is_horizontal else (width, height)
+    for shift in move.shifts:  # even a shift that selects no site
+        if not (0 <= shift.line < n_lines and 0 <= shift.span_start) or (
+            shift.span_stop > length
+        ):
+            raise MoveError(f"shift on line {shift.line} reaches outside the grid")
     sources: list[tuple[int, int]] = []
     dests: list[tuple[int, int]] = []
     source_set: set[tuple[int, int]] = set()
     for shift in move.shifts:
         for site in shift.sites():
-            if not (0 <= site[0] < height and 0 <= site[1] < width):
-                raise MoveError(f"selected site {site} outside grid")
             if grid[site]:
                 dest = shift.destination(site)
                 if not (0 <= dest[0] < height and 0 <= dest[1] < width):
@@ -102,6 +126,7 @@ def apply_parallel_move(grid: np.ndarray, move: ParallelMove) -> int:
     and leave the grid untouched (all lines are validated before any is
     mutated; lines of one move are distinct, so they are independent).
     """
+    _check_bundle(move)
     height, width = grid.shape
     horizontal = move.direction.is_horizontal
     planned: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -138,12 +163,13 @@ class MoveApplier:
     then costs one gather, one check and one scatter per move, however
     many lines the move drives.
 
-    A move the table cannot vouch for — a shift outside the grid, a
-    selected site whose destination would leave its line, or an atom
-    landing on a static one — goes to :func:`apply_parallel_move` on
-    the still-untouched grid, so the raised :class:`MoveError` (message,
-    offending shift) is exactly the per-shift path's; that is the only
-    place a move object is built.  ``grid`` must be C-contiguous (every
+    A move the table cannot vouch for — a shift off the move's direction,
+    two shifts on one line, a shift outside the grid, a selected site whose
+    destination would leave its line, or an atom landing on a static
+    one — goes to :func:`apply_parallel_move` on the still-untouched
+    grid, so the raised :class:`MoveError` (message, offending shift)
+    is exactly the per-shift path's; that is the only place a move
+    object is built.  ``grid`` must be C-contiguous (every
     :class:`AtomArray` grid is): the applier writes through a flat view
     of it.  :meth:`carry` walks atom labels along the same plan instead.
     """
@@ -167,8 +193,10 @@ class MoveApplier:
             & (stop <= size)
         )
         leaves = (lengths > 0) & ((start + shift < 0) | (stop - 1 + shift >= size))
-        per_shift = np.zeros(len(table), dtype=bool)
-        per_shift[shift_move[~in_grid | leaves]] = True
+        # A shift off its move's direction may be off its axis too.
+        own = table.shift_direction != table.direction[shift_move]
+        per_shift = self._shares_a_line()
+        per_shift[shift_move[~in_grid | leaves | own]] = True
         self._per_shift = per_shift.tolist()
         lengths[~in_grid] = 0
         shift_sites = np.zeros(len(lengths) + 1, dtype=np.intp)
@@ -222,36 +250,28 @@ class MoveApplier:
         lines are distinct and inside the grid the only invalid landing
         is onto a static atom, which overwrites that atom's label; labels
         are never created, so a walk that ends with as many labels as it
-        began saw no collision.  Moves that drive one line twice or leave
-        the grid (only ``trusted`` bundles do) are checked as they come.
-        A walk that lost a label is redone with every move checked, which
-        raises the first error.  Only a bundle driving one line twice can
-        select a site twice or land two atoms on one site: such a site's
-        atom goes with the first shift that selects it, and of the atoms
-        landing on one site the lowest label keeps it (the others leave
-        the walk).
+        began saw no collision.  Moves that break the lockstep contract
+        or leave the grid are checked as they come.  A walk that lost a
+        label is redone with every move checked, which raises the first
+        error.
         """
         flat = labels.reshape(-1)
         start = flat.copy()
-        shared = self._shares_a_line()
-        checked = [a or b for a, b in zip(self._per_shift, shared)]
         try:
-            carried = self._carry(flat, checked, shared)
+            carried = self._carry(flat, self._per_shift)
             if np.count_nonzero(flat >= 0) == np.count_nonzero(start >= 0):
                 return carried
         except MoveError:
             pass
         flat[:] = start
-        return self._carry(flat, [True] * len(shared), shared)
+        return self._carry(flat, [True] * len(self._per_shift))
 
-    def _carry(self, flat: np.ndarray, checked, shared) -> list[np.ndarray]:
+    def _carry(self, flat: np.ndarray, checked) -> list[np.ndarray]:
         """One walk of :meth:`carry`, checking the moves ``checked`` marks."""
         src_all, dst_all, outside = self._src, self._dst, self._outside
         offsets = self._site_offsets
         carried = []
-        for index, (a, b, check, twice) in enumerate(
-            zip(offsets, offsets[1:], checked, shared)
-        ):
+        for index, (a, b, check) in enumerate(zip(offsets, offsets[1:], checked)):
             src = src_all[a:b]
             dst = dst_all[a:b]
             moving = flat[src]
@@ -262,21 +282,13 @@ class MoveApplier:
             ):
                 grid = (flat >= 0).reshape(self.grid.shape)
                 apply_parallel_move(grid, self._schedule[index])
-            if twice:
-                hit = np.flatnonzero(hit)
-                hit = hit[np.sort(np.unique(src[hit], return_index=True)[1])]
             flat[src] = -1  # unoccupied sources are -1 already
             moving = moving[hit]
-            landing = dst[hit]
-            if twice:
-                flat[landing] = _UNPLACED
-                np.minimum.at(flat, landing, moving)
-            else:
-                flat[landing] = moving
+            flat[dst[hit]] = moving
             carried.append(moving)
         return carried
 
-    def _shares_a_line(self) -> list[bool]:
+    def _shares_a_line(self) -> np.ndarray:
         """Per move: whether two of its shifts drive the same line."""
         table = self._schedule.table()
         n_lines = max(self.grid.shape)
@@ -285,11 +297,7 @@ class MoveApplier:
             key = np.sort(key)
         shared = np.zeros(len(table), dtype=bool)
         shared[key[1:][key[1:] == key[:-1]] // n_lines] = True
-        return shared.tolist()
-
-
-#: Fills a landing site of a line-sharing move before its lowest label is kept.
-_UNPLACED = np.iinfo(np.intp).max
+        return shared
 
 
 @dataclass
@@ -323,19 +331,26 @@ def execute_schedule(
     Moves are applied through a :class:`MoveApplier`, which plans every
     site of the schedule up front — replaying the wide parallel moves
     the vectorised schedulers emit would pay a per-shift Python loop
-    otherwise.  Only the constraint checks need move objects.
+    otherwise.  Only the constraint checks need move objects, and a move
+    with a shift off its axis or on another shift's line fails before
+    they run.
     """
     array = initial.copy()
     report = ExecutionReport()
     applier = MoveApplier(array.grid, schedule)
     moves = schedule.moves if constraints is not None else None
     for index in range(len(schedule)):
-        if moves is not None:
-            for violation in check_parallel_move(array.grid, moves[index], constraints):
-                report.violations.append((index, violation))
-                if strict:
-                    raise MoveError(f"move {index} violates constraints: {violation}")
         try:
+            if moves is not None:
+                _check_bundle(moves[index])
+                for violation in check_parallel_move(
+                    array.grid, moves[index], constraints
+                ):
+                    report.violations.append((index, violation))
+                    if strict:
+                        raise MoveError(
+                            f"move {index} violates constraints: {violation}"
+                        )
             moved = applier.apply(index).size
         except MoveError:
             if strict:

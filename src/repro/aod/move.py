@@ -75,10 +75,6 @@ class LineShift:
         fields["steps"] = steps
         return shift
 
-    @property
-    def span_length(self) -> int:
-        return self.span_stop - self.span_start
-
     def sites(self) -> list[tuple[int, int]]:
         """Selected trap sites ``(row, col)`` of this shift."""
         if self.direction.is_horizontal:
@@ -103,21 +99,6 @@ class LineShift:
         if self.direction.is_horizontal:
             return [(self.line, c) for c in lead]
         return [(r, self.line) for r in lead]
-
-    def vacated_sites(self) -> list[tuple[int, int]]:
-        """Sites guaranteed empty after the shift (the trailing edge)."""
-        dr, dc = self.direction.delta
-        if dr + dc > 0:
-            trail = range(
-                self.span_start, self.span_start + min(self.steps, self.span_length)
-            )
-        else:
-            trail = range(
-                max(self.span_start, self.span_stop - self.steps), self.span_stop
-            )
-        if self.direction.is_horizontal:
-            return [(self.line, c) for c in trail]
-        return [(r, self.line) for r in trail]
 
 
 @dataclass(frozen=True)

@@ -125,11 +125,6 @@ class MoveSchedule:
     def n_line_shifts(self) -> int:
         return self._table.n_shifts
 
-    @property
-    def total_steps(self) -> int:
-        """Sum over moves of step count (proportional to ramp time)."""
-        return int(self._table.steps.sum())
-
     def direction_histogram(self) -> dict[Direction, int]:
         counts = np.bincount(self._table.direction, minlength=len(DIRECTIONS))
         by_direction = dict(zip(DIRECTIONS, counts.tolist()))

@@ -161,15 +161,3 @@ def loads(text: str) -> MoveSchedule:
     except json.JSONDecodeError as exc:
         raise ScheduleValidationError(f"invalid JSON: {exc}") from exc
     return schedule_from_dict(data)
-
-
-def save(schedule: MoveSchedule, path) -> None:
-    """Write a schedule to ``path`` as JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(schedule, indent=2))
-
-
-def load(path) -> MoveSchedule:
-    """Read a schedule from ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())

@@ -40,7 +40,8 @@ class ScheduleTable:
     is 0), in the order of ``move.shifts``.  Direction columns hold
     codes into :data:`DIRECTIONS`.  A shift's own direction and steps
     equal its move's unless a ``ParallelMove.trusted`` bundle broke the
-    lockstep contract; the executor honours the shift's (as
+    lockstep contract; the executor honours the shift's steps and sign
+    and refuses a shift off its move's axis (as
     :func:`~repro.aod.executor.apply_parallel_move` does), the AWG
     compiler the move's (as :func:`~repro.awg.compiler.compile_move`
     does).  Every column is read-only.

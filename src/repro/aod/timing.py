@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.aod.move import ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.errors import ConfigurationError
 
@@ -43,10 +42,6 @@ class MoveTimingModel:
         for name in ("pickup_us", "drop_us", "transfer_us_per_site", "settle_us"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-
-    def move_duration_us(self, move: ParallelMove) -> float:
-        """Duration of one parallel move (all lines ramp together)."""
-        return self.steps_duration_us(move.steps)
 
     def steps_duration_us(self, steps: int) -> float:
         """Duration of one parallel move of ``steps`` sites."""

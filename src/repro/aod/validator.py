@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from repro.aod.constraints import AodConstraints, DEFAULT_CONSTRAINTS, Violation
 from repro.aod.executor import execute_schedule
 from repro.aod.schedule import MoveSchedule
-from repro.errors import ScheduleValidationError
 from repro.lattice.array import AtomArray
 from repro.lattice.metrics import defect_count, target_fill_fraction
 
@@ -79,21 +78,3 @@ def validate_schedule(
         final_target_fill=target_fill_fraction(final),
         final_array=final,
     )
-
-
-def require_valid(
-    initial: AtomArray,
-    schedule: MoveSchedule,
-    constraints: AodConstraints = DEFAULT_CONSTRAINTS,
-) -> ValidationReport:
-    """Validate and raise :class:`ScheduleValidationError` when not ok."""
-    report = validate_schedule(initial, schedule, constraints)
-    if not report.ok:
-        first = report.violations[0] if report.violations else None
-        detail = f"; first violation: move {first[0]}: {first[1]}" if first else ""
-        raise ScheduleValidationError(
-            f"schedule '{schedule.algorithm}' failed validation "
-            f"(conserved={report.atoms_conserved}, "
-            f"{len(report.violations)} violations){detail}"
-        )
-    return report

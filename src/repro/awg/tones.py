@@ -40,15 +40,6 @@ class ToneMap:
     def frequencies(self, indices: list[int]) -> list[float]:
         return [self.frequency(i) for i in indices]
 
-    def index_of(self, frequency_mhz: float) -> int:
-        """Inverse map (nearest index)."""
-        index = round((frequency_mhz - self.base_mhz) / self.spacing_mhz)
-        if not 0 <= index < self.n_sites:
-            raise WaveformError(
-                f"frequency {frequency_mhz} MHz maps outside the lattice"
-            )
-        return int(index)
-
 
 @dataclass(frozen=True)
 class AodToneConfig:

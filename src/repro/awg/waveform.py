@@ -27,10 +27,6 @@ class Tone:
     start_mhz: float
     end_mhz: float
 
-    @property
-    def is_static(self) -> bool:
-        return self.start_mhz == self.end_mhz
-
 
 @dataclass(frozen=True)
 class Segment:

@@ -8,7 +8,6 @@ from repro.baselines.base import (
     register_algorithm,
     resolve_algorithms,
     schedule_batch,
-    supports_batch,
     supports_geometry,
     unregister_algorithm,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "register_algorithm",
     "resolve_algorithms",
     "schedule_batch",
-    "supports_batch",
     "supports_geometry",
     "unregister_algorithm",
 ]

@@ -139,8 +139,10 @@ def resolve_algorithms(
         raise KeyError(
             f"unknown algorithm(s): {', '.join(unknown)}; known: {known}"
         )
-    if geometry is not None and not geometry.is_rect_target:
-        rect_only = [name for name in chosen if name in _RECT_ONLY]
+    if geometry is not None:
+        rect_only = [
+            name for name in chosen if not supports_geometry(name, geometry)
+        ]
         if rect_only:
             capable = ", ".join(sorted(set(_REGISTRY) - _RECT_ONLY))
             raise UnsupportedGeometryError(
@@ -149,11 +151,6 @@ def resolve_algorithms(
                 f"non-rectangular mask; mask-capable algorithms: {capable}"
             )
     return chosen
-
-
-def supports_batch(algorithm: RearrangementAlgorithm) -> bool:
-    """Does the algorithm expose a native cross-trial batched path?"""
-    return callable(getattr(algorithm, "schedule_batch", None))
 
 
 def schedule_batch(

@@ -43,7 +43,6 @@ from repro.campaign.observer import (
     ConsoleObserver,
     InterruptingObserver,
     NullObserver,
-    RecordingObserver,
 )
 from repro.campaign.spec import (
     CampaignSpec,
@@ -56,8 +55,6 @@ from repro.campaign.trial import (
     TrialFailure,
     TrialResult,
     TrialSpec,
-    cell_sequence,
-    run_trial,
 )
 
 __all__ = [
@@ -77,7 +74,6 @@ __all__ = [
     "MultiprocessingExecutor",
     "NullObserver",
     "QrmSpec",
-    "RecordingObserver",
     "RunJournal",
     "ScenarioCell",
     "SerialExecutor",
@@ -89,12 +85,10 @@ __all__ = [
     "WorkerSpec",
     "WorkerTransport",
     "aggregate_cell",
-    "cell_sequence",
     "default_cache_dir",
     "make_executor",
     "parse_workers",
     "read_journal",
     "run_campaign",
-    "run_trial",
     "stable_hash",
 ]

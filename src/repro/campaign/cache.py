@@ -16,6 +16,7 @@ import os
 from pathlib import Path
 
 from repro.campaign.trial import TrialResult, TrialSpec
+from repro.errors import ConfigurationError
 
 #: Default cache root, overridable via the environment.
 DEFAULT_CACHE_DIR = ".repro-cache/campaigns"
@@ -38,18 +39,22 @@ class TrialCache:
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, trial: TrialSpec) -> TrialResult | None:
-        """The cached result for ``trial``, or None on a miss."""
+        """The cached result for ``trial``, or None on a miss.
+
+        An unreadable, undecodable or malformed entry is a miss, and the
+        trial's next :meth:`put` overwrites it.
+        """
         path = self._path(trial.key())
         try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
+            result = TrialResult.from_dict(json.loads(path.read_text()))
+        except (OSError, ValueError, ConfigurationError):
             self.misses += 1
             return None
-        if data.get("key") != trial.key():
+        if result.key != trial.key():
             self.misses += 1
             return None
         self.hits += 1
-        return TrialResult.from_dict(data)
+        return result
 
     def put(self, trial: TrialSpec, result: TrialResult) -> Path:
         """Persist ``result`` atomically (write + rename)."""

@@ -101,11 +101,6 @@ class CampaignResult:
     def n_trials(self) -> int:
         return sum(aggregate.trials for aggregate in self.aggregates)
 
-    @property
-    def cache_hit_fraction(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     def aggregate_for(self, **cell_fields) -> CellAggregate:
         """The unique aggregate whose cell matches all given fields."""
         matches = [

@@ -18,7 +18,10 @@ Every line is flushed as it is written, so a crash — SIGKILL included —
 loses at most the line being appended.  The reader is correspondingly
 crash-consistent: it accepts a journal truncated at *any* byte offset
 by parsing complete lines until the first undecodable one and ignoring
-the torn tail (``JournalReplay.truncated``).  Resuming from a truncated
+the torn tail (``JournalReplay.valid_bytes`` marks where it starts).  A
+complete line that decodes but is not a well-formed event is corruption,
+not a torn tail, and raises :class:`~repro.errors.ConfigurationError`
+naming the file and the line.  Resuming from a truncated
 journal therefore replays exactly the trials whose ``trial_finished``
 lines survived, and the engine re-executes the remainder — aggregates
 come out identical to an uninterrupted run because per-trial results
@@ -39,7 +42,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.trial import TrialResult, TrialSpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.campaign.engine import CampaignResult, CellAggregate
@@ -51,30 +54,14 @@ JOURNAL_SCHEMA_VERSION = 1
 
 @dataclass
 class JournalReplay:
-    """Everything recovered from an existing journal file."""
+    """Everything a resume recovers from an existing journal file."""
 
     path: Path
     spec: CampaignSpec | None = None
     spec_hash: str | None = None
     results: dict[str, TrialResult] = field(default_factory=dict)
     started_keys: set[str] = field(default_factory=set)
-    errors: list[tuple[str, str]] = field(default_factory=list)
-    n_events: int = 0
-    n_runs: int = 0
-    completed: bool = False
-    truncated: bool = False
     valid_bytes: int = 0
-
-    @property
-    def in_flight_keys(self) -> set[str]:
-        """Trials submitted to an executor but never finished.
-
-        The engine dispatches every pending trial to the executor in
-        one batch, so after a crash this is the unexecuted remainder
-        (which includes whatever was genuinely mid-flight) — exactly
-        the set a resume will run.
-        """
-        return self.started_keys - set(self.results)
 
 
 def read_journal(path: str | Path) -> JournalReplay:
@@ -82,10 +69,12 @@ def read_journal(path: str | Path) -> JournalReplay:
 
     Lines parse in order until the first one that is not a complete,
     newline-terminated JSON object; that line and everything after it
-    are ignored (and ``truncated`` is set), which makes recovery
-    insensitive to *where* a crash cut the file.  ``valid_bytes`` marks
-    the end of the committed prefix — the writer truncates back to it
-    before appending, so a resumed journal stays parseable end to end.
+    are ignored, which makes recovery insensitive to *where* a crash cut
+    the file.  ``valid_bytes`` marks the end of the committed prefix —
+    the writer truncates back to it before appending, so a resumed
+    journal stays parseable end to end.  An event that parses but cannot
+    be applied raises :class:`~repro.errors.ConfigurationError` naming
+    the file and the line.
     """
     path = Path(path)
     replay = JournalReplay(path=path)
@@ -93,24 +82,26 @@ def read_journal(path: str | Path) -> JournalReplay:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigurationError(f"cannot read journal {path}: {exc}") from exc
-    for line in raw.splitlines(keepends=True):
+    for number, line in enumerate(raw.splitlines(keepends=True), start=1):
         if not line.endswith(b"\n"):
-            # A line the crash cut before its newline committed.
-            replay.truncated = True
-            break
+            break  # a line the crash cut before its newline committed
         if not line.strip():
             replay.valid_bytes += len(line)
             continue
         try:
             event = json.loads(line.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
-            replay.truncated = True
             break
         if not isinstance(event, dict) or "event" not in event:
-            replay.truncated = True
             break
-        _apply_event(replay, event)
-        replay.n_events += 1
+        try:
+            _apply_event(replay, event)
+        except (ReproError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            detail = exc if isinstance(exc, ReproError) else repr(exc)
+            raise ConfigurationError(
+                f"journal {path}, line {number}: bad {event['event']!r} "
+                f"event: {detail}"
+            ) from exc
         replay.valid_bytes += len(line)
     return replay
 
@@ -121,25 +112,19 @@ def _apply_event(replay: JournalReplay, event: dict[str, Any]) -> None:
         spec_hash = event.get("spec_hash")
         if replay.spec_hash is not None and spec_hash != replay.spec_hash:
             raise ConfigurationError(
-                f"journal {replay.path} mixes campaigns: spec hash "
-                f"{spec_hash} after {replay.spec_hash}"
+                f"the journal mixes campaigns: spec hash {spec_hash} "
+                f"after {replay.spec_hash}"
             )
         replay.spec_hash = spec_hash
         if replay.spec is None and event.get("spec") is not None:
             replay.spec = CampaignSpec.from_dict(event["spec"])
-        replay.n_runs += 1
-        replay.completed = False
     elif name == "trial_started":
         replay.started_keys.add(event["key"])
     elif name == "trial_finished":
-        replay.results[event["key"]] = TrialResult(
-            key=event["key"], metrics=dict(event["metrics"])
-        )
-    elif name == "trial_error":
-        replay.errors.append((event["key"], event.get("error", "")))
-    elif name == "campaign_completed":
-        replay.completed = True
-    # Unknown events (cell_checkpoint, future additions) replay as no-ops.
+        result = TrialResult.from_dict(event)
+        replay.results[result.key] = result
+    # Other events (trial errors, checkpoints, completion, future
+    # additions) carry nothing a resume needs and replay as no-ops.
 
 
 class RunJournal:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.campaign.engine import CampaignResult, CellAggregate
@@ -97,39 +97,6 @@ class ConsoleObserver:
             f"{result.duration_s:.1f}s — {result.cache_hits} cached, "
             f"{result.cache_misses} executed"
         )
-
-
-class RecordingObserver:
-    """Records ``(event_name, payload)`` tuples — for tests and audits."""
-
-    def __init__(self) -> None:
-        self.events: list[tuple[str, dict[str, Any]]] = []
-
-    @property
-    def event_names(self) -> list[str]:
-        return [name for name, _ in self.events]
-
-    def campaign_started(self, spec, n_trials, n_cached) -> None:
-        self.events.append(
-            (
-                "campaign_started",
-                {"spec": spec, "n_trials": n_trials, "n_cached": n_cached},
-            )
-        )
-
-    def trial_completed(self, trial, result, from_cache) -> None:
-        self.events.append(
-            (
-                "trial_completed",
-                {"trial": trial, "result": result, "from_cache": from_cache},
-            )
-        )
-
-    def cell_completed(self, cell, aggregate) -> None:
-        self.events.append(("cell_completed", {"cell": cell, "aggregate": aggregate}))
-
-    def campaign_completed(self, result) -> None:
-        self.events.append(("campaign_completed", {"result": result}))
 
 
 class InterruptingObserver:

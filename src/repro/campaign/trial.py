@@ -12,10 +12,9 @@ The unit of work the executors move between processes is a *batch*: a
 group of same-cell trials that :func:`run_trial_batch_guarded` runs
 through one :func:`repro.baselines.base.schedule_batch` call, so
 algorithms with a native batched engine (QRM) amortise their dispatch
-overhead across the group.  A lone trial is a batch of one
-(:func:`run_trial`).  Batched results are bit-identical to per-trial
-scheduling — only the wall-clock ``cpu_us`` convention is amortised
-(batch time / N).
+overhead across the group.  A lone trial is a batch of one.  Batched
+results are bit-identical to per-trial scheduling — only the wall-clock
+``cpu_us`` convention is amortised (batch time / N).
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from repro.campaign.spec import (
     stable_entropy,
     stable_hash,
 )
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,10 @@ class TrialSpec:
     def seed_sequence(self) -> np.random.SeedSequence:
         """The trial's root ``SeedSequence``.
 
-        Equivalent to ``cell_sequence(...).spawn(n)[seed_index]``: a
-        ``SeedSequence`` constructed with ``spawn_key=(i,)`` is exactly
-        the ``i``-th child ``spawn`` would return, without having to
-        materialise the earlier siblings.
+        Equivalent to ``SeedSequence(entropy).spawn(n)[seed_index]`` over
+        the cell's entropy: a ``SeedSequence`` constructed with
+        ``spawn_key=(i,)`` is exactly the ``i``-th child ``spawn`` would
+        return, without having to materialise the earlier siblings.
         """
         entropy = [self.master_seed, stable_entropy(self.cell.instance_key())]
         return np.random.SeedSequence(entropy, spawn_key=(self.seed_index,))
@@ -67,11 +67,6 @@ class TrialSpec:
         return stable_hash(payload)
 
 
-def cell_sequence(cell: ScenarioCell, master_seed: int) -> np.random.SeedSequence:
-    """The per-cell parent sequence whose ``spawn`` children seed trials."""
-    return np.random.SeedSequence([master_seed, stable_entropy(cell.instance_key())])
-
-
 @dataclass(frozen=True)
 class TrialResult:
     """Flat metric mapping produced by one trial (JSON-serialisable)."""
@@ -84,7 +79,22 @@ class TrialResult:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TrialResult":
-        return cls(key=data["key"], metrics=dict(data["metrics"]))
+        """Inverse of :meth:`to_dict`; a malformed mapping is a
+        :class:`~repro.errors.ConfigurationError`."""
+        try:
+            key, metrics = data["key"], dict(data["metrics"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed trial result: {exc!r}") from exc
+        numeric = all(
+            isinstance(name, str) and isinstance(value, (int, float))
+            for name, value in metrics.items()
+        )
+        if not isinstance(key, str) or not numeric:
+            raise ConfigurationError(
+                "malformed trial result: the key must be a string and the "
+                "metrics a mapping of names to numbers"
+            )
+        return cls(key=key, metrics=metrics)
 
 
 @dataclass(frozen=True)
@@ -130,11 +140,6 @@ def _resolve_algorithm(cell: ScenarioCell, geometry):
 
         return QrmScheduler(geometry, cell.qrm.to_params())
     return get_algorithm(cell.algorithm, geometry)
-
-
-def run_trial(trial: TrialSpec) -> TrialResult:
-    """Execute one trial and return its metrics: a batch of one."""
-    return run_trial_batch([trial])[0]
 
 
 def _closed_loop_trial(trial: TrialSpec, algorithm) -> TrialResult:

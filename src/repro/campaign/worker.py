@@ -8,9 +8,9 @@ Each connection:
 
 * opens with the magic/version handshake whose payload is
   ``{"fn": "module:qualname"}``, naming the work function as an import
-  path (e.g. ``"repro.campaign.trial:run_trial"``).  Resolution is
-  per-connection, so one daemon serves campaigns with different work
-  functions back to back;
+  path (e.g. ``"repro.campaign.trial:run_trial_batch_guarded"``).
+  Resolution is per-connection, so one daemon serves campaigns with
+  different work functions back to back;
 * every following inbound frame is one ``(index, item)`` work unit or a
   ``("ping", token)`` liveness probe;
 * outbound frames are ``("ok", index, result)``, ``("error", index,

@@ -13,10 +13,6 @@ from repro.core.result import IterationStats, RearrangementResult
 from repro.core.scan import (
     LineScanResult,
     QuadrantScan,
-    compact_line,
-    current_hole_position,
-    is_prefix_line,
-    is_young_diagram,
     scan_axis,
     scan_line,
     scan_quadrant,
@@ -35,10 +31,6 @@ __all__ = [
     "RepairOutcome",
     "TypicalScheduler",
     "batch_order_key",
-    "compact_line",
-    "current_hole_position",
-    "is_prefix_line",
-    "is_young_diagram",
     "repair_defects",
     "run_pass",
     "run_pass_reference",

@@ -144,9 +144,6 @@ class PassOutcome:
         self.schedule_tags = tuple(move.tag for move in moves)
         self.move_start, self.move_stop = 0, len(moves)
 
-    def lines_with_commands(self, quadrant: Quadrant) -> int:
-        return sum(1 for n in self.line_commands.get(quadrant, []) if n)
-
 
 def schedule_from_outcomes(
     geometry: ArrayGeometry,

@@ -123,11 +123,6 @@ class QuadrantScan:
     def n_scanned_bits(self) -> int:
         return self.n_lines * self.n_positions
 
-    def holes_of_line(self, line: int) -> np.ndarray:
-        """The ascending hole positions of one line."""
-        start = int(self.line_counts[:line].sum())
-        return self.hole_positions[start : start + int(self.line_counts[line])]
-
     def results(self) -> list[LineScanResult]:
         """Per-line :class:`LineScanResult` bridge (lazy tuples)."""
         splits = np.split(self.hole_positions, np.cumsum(self.line_counts)[:-1])
@@ -219,40 +214,3 @@ def scan_axis(
     ``s_en`` scan bound, see :func:`scan_line`.
     """
     return scan_quadrant(local_grid, axis, limit=limit).results()
-
-
-def compact_line(bits: np.ndarray) -> np.ndarray:
-    """Reference full compaction of a line toward index 0.
-
-    Equivalent to executing every command from :func:`scan_line`; used by
-    property tests as an independent oracle.
-    """
-    occ = np.asarray(bits, dtype=bool)
-    out = np.zeros_like(occ)
-    out[: int(occ.sum())] = True
-    return out
-
-
-def current_hole_position(hole: int, executed_before: int) -> int:
-    """Where a scanned hole sits after ``executed_before`` suffix shifts.
-
-    Each executed command of the same line consumed one hole below this
-    one, pulling the whole outboard content (this hole included) one site
-    inward.
-    """
-    return hole - executed_before
-
-
-def is_prefix_line(bits: np.ndarray) -> bool:
-    """True when the line is fully compacted (all atoms form a prefix)."""
-    occ = np.asarray(bits, dtype=bool)
-    count = int(occ.sum())
-    return bool(occ[:count].all())
-
-
-def is_young_diagram(local_grid: np.ndarray) -> bool:
-    """True when rows and columns are all prefixes (compaction fixpoint)."""
-    grid = np.asarray(local_grid, dtype=bool)
-    rows_ok = all(is_prefix_line(grid[u, :]) for u in range(grid.shape[0]))
-    cols_ok = all(is_prefix_line(grid[:, v]) for v in range(grid.shape[1]))
-    return rows_ok and cols_ok

@@ -8,30 +8,8 @@ from repro.fpga.accelerator import (
 from repro.fpga.axi import AxiTransferModel
 from repro.fpga.bitvec import BitVector
 from repro.fpga.config import DEFAULT_FPGA_CONFIG, FpgaConfig
-from repro.fpga.device import (
-    DEFAULT_DEVICE,
-    DEVICES,
-    FpgaDevice,
-    ZU7EV,
-    ZU28DR,
-    ZU49DR,
-    get_device,
-)
-from repro.fpga.load_data import LoadDataModule, LoadedQuadrant, LoadVectorUnit
-from repro.fpga.movement_record import (
-    RECORD_BITS,
-    decode_shift,
-    encode_move,
-    encode_schedule,
-    encode_shift,
-)
-from repro.fpga.packets import (
-    pack_occupancy,
-    pack_words,
-    packets_needed,
-    unpack_occupancy,
-    unpack_words,
-)
+from repro.fpga.device import DEFAULT_DEVICE, ZU49DR, FpgaDevice
+from repro.fpga.packets import packets_needed
 from repro.fpga.resources import ModuleResources, ResourceModel, ResourceReport
 from repro.fpga.shift_kernel import (
     PipelinedShiftKernel,
@@ -46,31 +24,15 @@ __all__ = [
     "BitVector",
     "DEFAULT_DEVICE",
     "DEFAULT_FPGA_CONFIG",
-    "DEVICES",
     "FpgaConfig",
     "FpgaDevice",
-    "LoadDataModule",
-    "LoadVectorUnit",
-    "LoadedQuadrant",
     "ModuleResources",
     "PipelinedShiftKernel",
     "QrmAccelerator",
-    "RECORD_BITS",
     "ResourceModel",
     "ResourceReport",
     "RowScanTrace",
     "ShiftKernelLane",
-    "ZU28DR",
     "ZU49DR",
-    "ZU7EV",
-    "decode_shift",
-    "encode_move",
-    "encode_schedule",
-    "encode_shift",
-    "get_device",
-    "pack_occupancy",
-    "pack_words",
     "packets_needed",
-    "unpack_occupancy",
-    "unpack_words",
 ]

@@ -6,10 +6,9 @@ Layering:
   as the pure-Python golden scheduler (:class:`~repro.core.qrm.QrmScheduler`
   with the paper's pipelined parameters), so the accelerator's output is
   bit-identical to the golden model by construction.  The hardware-truth
-  links are tested separately: the register-level shift kernel
+  link is tested separately: the register-level shift kernel
   (:mod:`repro.fpga.shift_kernel`) is asserted bit-exact against the
-  functional scan, and the Load Vector flip path against the frame
-  transforms.
+  functional scan.
 * **cycles** — the Fig. 5 pipeline (4x Load Vector -> 4x Shift Kernel
   -> 4x Recorder -> Row Combination -> Output Concatenation -> AXI) is
   costed per iteration in closed form from the two passes' per-line
@@ -108,28 +107,6 @@ class AcceleratorRun:
     @property
     def schedule(self):
         return self.result.schedule
-
-    def record_words(self) -> list[int]:
-        """The movement records as 32-bit words, in execution order."""
-        from repro.fpga.movement_record import encode_schedule
-
-        return encode_schedule(self.schedule)
-
-    def output_packets(self, packet_bits: int = 1024):
-        """The packed output stream the PS reads back from DDR."""
-        from repro.fpga.movement_record import RECORD_BITS
-        from repro.fpga.packets import pack_words
-
-        return pack_words(self.record_words(), RECORD_BITS, packet_bits)
-
-    def decode_output(self, packets, packet_bits: int = 1024):
-        """PS-side decode: packets back into line shifts (round trip)."""
-        from repro.fpga.movement_record import RECORD_BITS, decode_shift
-        from repro.fpga.packets import unpack_words
-
-        n_words = len(self.record_words())
-        words = unpack_words(packets, RECORD_BITS, n_words, packet_bits)
-        return [decode_shift(word) for word in words]
 
 
 class QrmAccelerator:

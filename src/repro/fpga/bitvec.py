@@ -56,17 +56,11 @@ class BitVector:
             raise SimulationError("empty BitVector has no LSB")
         return bool(self.value & 1)
 
-    def popcount(self) -> int:
-        return bin(self.value).count("1")
-
     def any(self) -> bool:
         return self.value != 0
 
     def to_bools(self) -> list[bool]:
         return [bool((self.value >> i) & 1) for i in range(self.width)]
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.to_bools(), dtype=bool)
 
     # -- transforms (all return new vectors) --------------------------------
 
@@ -79,9 +73,6 @@ class BitVector:
     def shift_right(self, n: int = 1) -> "BitVector":
         """Drop the ``n`` lowest bits (the hardware's scan shift)."""
         return BitVector(self.width, self.value >> n)
-
-    def shift_left(self, n: int = 1) -> "BitVector":
-        return BitVector(self.width, (self.value << n))
 
     def reversed(self) -> "BitVector":
         return BitVector.from_bits(reversed(self.to_bools()))

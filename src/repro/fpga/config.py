@@ -28,7 +28,11 @@ class FpgaConfig:
     packet_bits:
         DDR transfer packing ("we pack 1024-bit data into one packet").
     record_bits:
-        Width of one movement record (origin, direction, step count).
+        Width of one movement record.  The recording unit writes each
+        line shift as one word, LSB first: 2-bit direction (N, S, E, W),
+        6-bit step count (1-63), then three 8-bit coordinates (line, span
+        start, exclusive span stop), which cover arrays up to 256x256.
+        The cycle model charges this width per record.
     kernel_pipeline_depth_extra:
         Register stages of the shift kernel beyond the ``Qw`` bit-serial
         scan stages.
@@ -79,13 +83,6 @@ class FpgaConfig:
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-
-    def cycles_to_us(self, cycles: int | float) -> float:
-        """Convert a cycle count to microseconds at the configured clock."""
-        return cycles / self.clock_mhz
-
-    def us_to_cycles(self, us: float) -> int:
-        return int(round(us * self.clock_mhz))
 
 
 DEFAULT_FPGA_CONFIG = FpgaConfig()

@@ -2,8 +2,8 @@
 
 The paper deploys on a Zynq UltraScale+ RFSoC ZCU216 evaluation board,
 whose XCZU49DR device provides the resource budget against which Fig. 8
-reports percentages.  A few neighbouring devices are included so the
-resource model can answer "would this fit elsewhere" questions.
+reports percentages.  Another part's budget is one more
+:class:`FpgaDevice` passed to the resource model.
 """
 
 from __future__ import annotations
@@ -46,34 +46,4 @@ ZU49DR = FpgaDevice(
     dsp_slices=4272,
 )
 
-#: XCZU28DR — the smaller RFSoC (ZCU111 board), for what-if studies.
-ZU28DR = FpgaDevice(
-    name="xczu28dr",
-    luts=425_280,
-    flip_flops=850_560,
-    bram_36k=1080,
-    dsp_slices=4272,
-)
-
-#: XCZU7EV — a mid-range MPSoC, to show the design also fits small parts.
-ZU7EV = FpgaDevice(
-    name="xczu7ev",
-    luts=230_400,
-    flip_flops=460_800,
-    bram_36k=312,
-    dsp_slices=1728,
-)
-
-DEVICES: dict[str, FpgaDevice] = {
-    device.name: device for device in (ZU49DR, ZU28DR, ZU7EV)
-}
-
 DEFAULT_DEVICE = ZU49DR
-
-
-def get_device(name: str) -> FpgaDevice:
-    try:
-        return DEVICES[name]
-    except KeyError:
-        known = ", ".join(sorted(DEVICES))
-        raise KeyError(f"unknown device '{name}'; known: {known}") from None

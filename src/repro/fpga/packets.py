@@ -1,21 +1,16 @@
-"""1024-bit DDR packet packing, as used on the accelerator's AXI link.
+"""1024-bit DDR packet counts, as used on the accelerator's AXI link.
 
 "To enhance data transmission efficiency, we pack 1024-bit data into one
-packet to move the data from DDR memory into our accelerator" — this
-module implements that packing for the occupancy bitfield (input side)
-and for movement records (output side), with exact round-trip tests.
+packet to move the data from DDR memory into our accelerator" — the
+cycle model charges the occupancy bitfield (input side) and the
+movement records (output side) by the packets they fill.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.errors import SimulationError
-from repro.fpga.bitvec import BitVector
-from repro.lattice.array import AtomArray
-from repro.lattice.geometry import ArrayGeometry
 
 
 def packets_needed(n_bits: int, packet_bits: int = 1024) -> int:
@@ -23,73 +18,3 @@ def packets_needed(n_bits: int, packet_bits: int = 1024) -> int:
     if packet_bits < 1:
         raise SimulationError(f"packet_bits must be >= 1, got {packet_bits}")
     return max(1, math.ceil(n_bits / packet_bits)) if n_bits else 0
-
-
-def pack_occupancy(array: AtomArray, packet_bits: int = 1024) -> list[BitVector]:
-    """Row-major occupancy bitfield split into fixed-width packets.
-
-    Bit 0 of packet 0 is site (0, 0); the final packet is zero-padded.
-    """
-    flat = array.grid.reshape(-1)
-    packets: list[BitVector] = []
-    for start in range(0, flat.size, packet_bits):
-        chunk = flat[start : start + packet_bits]
-        value = 0
-        for i, bit in enumerate(chunk):
-            if bit:
-                value |= 1 << i
-        packets.append(BitVector(packet_bits, value))
-    return packets
-
-
-def unpack_occupancy(packets: list[BitVector], geometry: ArrayGeometry) -> AtomArray:
-    """Inverse of :func:`pack_occupancy`."""
-    n_sites = geometry.n_sites
-    bits: list[bool] = []
-    for packet in packets:
-        bits.extend(packet.to_bools())
-    if len(bits) < n_sites:
-        raise SimulationError(f"{len(bits)} packed bits cannot fill {n_sites} sites")
-    grid = np.array(bits[:n_sites], dtype=bool).reshape(geometry.shape)
-    return AtomArray(geometry, grid)
-
-
-def pack_words(
-    words: list[int], word_bits: int, packet_bits: int = 1024
-) -> list[BitVector]:
-    """Pack fixed-width words (e.g. movement records) into packets."""
-    if word_bits < 1 or word_bits > packet_bits:
-        raise SimulationError(
-            f"word_bits must be in [1, {packet_bits}], got {word_bits}"
-        )
-    per_packet = packet_bits // word_bits
-    packets: list[BitVector] = []
-    for start in range(0, len(words), per_packet):
-        chunk = words[start : start + per_packet]
-        value = 0
-        for i, word in enumerate(chunk):
-            if word < 0 or word >= (1 << word_bits):
-                raise SimulationError(f"word {word} does not fit in {word_bits} bits")
-            value |= word << (i * word_bits)
-        packets.append(BitVector(packet_bits, value))
-    return packets
-
-
-def unpack_words(
-    packets: list[BitVector],
-    word_bits: int,
-    n_words: int,
-    packet_bits: int = 1024,
-) -> list[int]:
-    """Inverse of :func:`pack_words` for the first ``n_words`` entries."""
-    per_packet = packet_bits // word_bits
-    words: list[int] = []
-    mask = (1 << word_bits) - 1
-    for packet in packets:
-        for i in range(per_packet):
-            if len(words) >= n_words:
-                return words
-            words.append((packet.value >> (i * word_bits)) & mask)
-    if len(words) < n_words:
-        raise SimulationError(f"packets held {len(words)} words, expected {n_words}")
-    return words

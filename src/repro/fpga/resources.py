@@ -76,10 +76,6 @@ class ResourceReport:
             self.total_luts, self.total_ffs, self.total_brams
         )
 
-    def fits(self) -> bool:
-        util = self.utilisation()
-        return all(value <= 100.0 for value in util.values())
-
     def format_table(self) -> str:
         lines = [
             f"resource estimate, {self.size}x{self.size} array on "

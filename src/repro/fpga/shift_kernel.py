@@ -46,10 +46,6 @@ class RowScanTrace:
     input_bits: BitVector
     stages: list[StageTrace] = field(default_factory=list)
 
-    @property
-    def command_bits(self) -> BitVector:
-        return BitVector.from_bits(stage.command for stage in self.stages)
-
     def hole_positions(self) -> tuple[int, ...]:
         return tuple(stage.stage for stage in self.stages if stage.command)
 

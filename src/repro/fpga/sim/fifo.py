@@ -62,9 +62,6 @@ class Fifo:
         self.stats.total_popped += 1
         return self._items.popleft()
 
-    def peek(self) -> Any:
-        return self._items[0] if self._items else None
-
     def __len__(self) -> int:
         return len(self._items)
 

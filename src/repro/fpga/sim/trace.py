@@ -39,17 +39,9 @@ class SimulationTrace:
             )
         )
 
-    @property
-    def n_cycles(self) -> int:
-        return self.samples[-1].cycle + 1 if self.samples else 0
-
     def occupancy_series(self, fifo_name: str) -> list[int]:
         """Occupancy of one FIFO over the sampled cycles."""
         return [s.fifo_occupancy.get(fifo_name, 0) for s in self.samples]
-
-    def peak_occupancy(self, fifo_name: str) -> int:
-        series = self.occupancy_series(fifo_name)
-        return max(series) if series else 0
 
     def render_timeline(self, max_width: int = 72) -> str:
         """A text occupancy timeline, one row per FIFO.

@@ -12,10 +12,6 @@ from repro.lattice.loading import (
     DEFAULT_FILL,
     LOADERS,
     as_rng,
-    load_checkerboard,
-    load_exact,
-    load_feasible,
-    load_gradient,
     load_named,
     load_poisson_clusters,
     load_uniform,
@@ -48,10 +44,6 @@ __all__ = [
     "defect_count",
     "fill_fraction",
     "is_defect_free",
-    "load_checkerboard",
-    "load_exact",
-    "load_feasible",
-    "load_gradient",
     "load_named",
     "load_poisson_clusters",
     "load_uniform",

@@ -98,19 +98,12 @@ class AtomArray:
     def region_count(self, region: Region) -> int:
         return int(self.grid[region.row_slice, region.col_slice].sum())
 
-    def region_defects(self, region: Region) -> list[tuple[int, int]]:
-        """Empty sites inside ``region``, row-major."""
-        block = self.grid[region.row_slice, region.col_slice]
-        return [
-            (int(r) + region.row0, int(c) + region.col0) for r, c in np.argwhere(~block)
-        ]
-
     def mask_count(self, mask) -> int:
         """Atoms sitting on the sites of a :class:`TargetMask`."""
         return int(self.grid[mask.mask].sum())
 
     def mask_defects(self, mask) -> list[tuple[int, int]]:
-        """Empty mask sites, row-major (same order as :meth:`region_defects`)."""
+        """Empty mask sites, row-major."""
         return [
             (int(r), int(c)) for r, c in np.argwhere(~self.grid & mask.mask)
         ]

@@ -46,23 +46,12 @@ class Direction(enum.Enum):
     def is_horizontal(self) -> bool:
         return self in (Direction.EAST, Direction.WEST)
 
-    @property
-    def opposite(self) -> "Direction":
-        return _OPPOSITES[self]
-
 
 _DELTAS = {
     Direction.NORTH: (-1, 0),
     Direction.SOUTH: (1, 0),
     Direction.EAST: (0, 1),
     Direction.WEST: (0, -1),
-}
-
-_OPPOSITES = {
-    Direction.NORTH: Direction.SOUTH,
-    Direction.SOUTH: Direction.NORTH,
-    Direction.EAST: Direction.WEST,
-    Direction.WEST: Direction.EAST,
 }
 
 
@@ -81,31 +70,6 @@ class Quadrant(enum.Enum):
     @property
     def is_west(self) -> bool:
         return self in (Quadrant.NW, Quadrant.SW)
-
-    @property
-    def horizontal_mirror(self) -> "Quadrant":
-        """The quadrant sharing this one's column range (N/S mirror)."""
-        return _H_MIRROR[self]
-
-    @property
-    def vertical_mirror(self) -> "Quadrant":
-        """The quadrant sharing this one's row range (E/W mirror)."""
-        return _V_MIRROR[self]
-
-
-_H_MIRROR = {
-    Quadrant.NW: Quadrant.SW,
-    Quadrant.SW: Quadrant.NW,
-    Quadrant.NE: Quadrant.SE,
-    Quadrant.SE: Quadrant.NE,
-}
-
-_V_MIRROR = {
-    Quadrant.NW: Quadrant.NE,
-    Quadrant.NE: Quadrant.NW,
-    Quadrant.SW: Quadrant.SE,
-    Quadrant.SE: Quadrant.SW,
-}
 
 
 @dataclass(frozen=True)
@@ -157,13 +121,6 @@ class Region:
             for c in range(self.col0, self.col_stop)
         ]
 
-    def intersect(self, other: "Region") -> "Region":
-        r0 = max(self.row0, other.row0)
-        c0 = max(self.col0, other.col0)
-        r1 = min(self.row_stop, other.row_stop)
-        c1 = min(self.col_stop, other.col_stop)
-        return Region(r0, c0, max(0, r1 - r0), max(0, c1 - c0))
-
 
 @dataclass(frozen=True)
 class QuadrantFrame:
@@ -188,29 +145,15 @@ class QuadrantFrame:
     def affine(self) -> tuple[int, int, int, int]:
         """The frame transform as ``(row_base, row_sign, col_base, col_sign)``.
 
-        ``to_full(u, v) == (row_base + row_sign * u, col_base + col_sign * v)``
-        for every local coordinate, so hot paths can map whole batches of
-        coordinates with plain int (or NumPy array) arithmetic instead of
-        one :meth:`to_full` call per site.
+        Local ``(u, v)`` sits at full-array ``(row_base + row_sign * u,
+        col_base + col_sign * v)``, so hot paths map whole batches of
+        coordinates with plain int (or NumPy array) arithmetic.
         """
         row_sign = -1 if self.flip_rows else 1
         col_sign = -1 if self.flip_cols else 1
         row_base = self.row0 + (self.n_rows - 1 if self.flip_rows else 0)
         col_base = self.col0 + (self.n_cols - 1 if self.flip_cols else 0)
         return row_base, row_sign, col_base, col_sign
-
-    def to_full(self, u: int, v: int) -> tuple[int, int]:
-        """Convert local ``(u, v)`` to full-array ``(row, col)``."""
-        row_base, row_sign, col_base, col_sign = self.affine
-        return row_base + row_sign * u, col_base + col_sign * v
-
-    def to_local(self, row: int, col: int) -> tuple[int, int]:
-        """Convert full-array ``(row, col)`` to local ``(u, v)``."""
-        dr = row - self.row0
-        dc = col - self.col0
-        u = self.n_rows - 1 - dr if self.flip_rows else dr
-        v = self.n_cols - 1 - dc if self.flip_cols else dc
-        return u, v
 
     @property
     def region(self) -> Region:
@@ -362,10 +305,6 @@ class ArrayGeometry:
             mask=mask,
         )
 
-    def masked(self, mask: "TargetMask") -> "ArrayGeometry":
-        """This array re-targeted at ``mask`` (same trap extents)."""
-        return ArrayGeometry.with_mask(self.width, self.height, mask)
-
     @property
     def n_sites(self) -> int:
         return self.width * self.height
@@ -452,10 +391,6 @@ class ArrayGeometry:
     def quadrant_frames(self) -> tuple[QuadrantFrame, ...]:
         """All four frames in the fixed order NW, NE, SW, SE."""
         return tuple(self.quadrant_frame(q) for q in Quadrant)
-
-    def quadrant_target_region(self, quadrant: Quadrant) -> Region:
-        """The part of the target region that falls inside ``quadrant``."""
-        return self.target_region.intersect(self.quadrant_frame(quadrant).region)
 
     def quadrant_mask_limits(self, axis: int) -> dict[Quadrant, np.ndarray]:
         """Per-line ``s_en`` bounds derived from the target mask.

@@ -3,9 +3,7 @@
 Real neutral-atom machines load each optical trap independently with a
 probability of roughly 50 % (collisional blockade).  The paper evaluates
 on "a randomly generated matrix representing a random distribution of
-atoms", which :func:`load_uniform` reproduces.  The other loaders exist
-for experiments beyond the paper (success-probability sweeps, detection
-stress tests) and for deterministic unit-test fixtures.
+atoms", which :func:`load_uniform` reproduces.
 """
 
 from __future__ import annotations
@@ -37,80 +35,6 @@ def load_uniform(
         raise LoadingError(f"fill probability must be in [0, 1], got {fill}")
     gen = as_rng(rng)
     grid = gen.random(geometry.shape) < fill
-    return AtomArray(geometry, grid)
-
-
-def load_exact(
-    geometry: ArrayGeometry,
-    n_atoms: int,
-    rng: int | np.random.Generator | None = None,
-) -> AtomArray:
-    """Exactly ``n_atoms`` atoms placed uniformly at random."""
-    if not 0 <= n_atoms <= geometry.n_sites:
-        raise LoadingError(f"n_atoms must be in [0, {geometry.n_sites}], got {n_atoms}")
-    gen = as_rng(rng)
-    flat = np.zeros(geometry.n_sites, dtype=bool)
-    flat[gen.choice(geometry.n_sites, size=n_atoms, replace=False)] = True
-    return AtomArray(geometry, flat.reshape(geometry.shape))
-
-
-def load_gradient(
-    geometry: ArrayGeometry,
-    centre_fill: float = 0.6,
-    edge_fill: float = 0.4,
-    rng: int | np.random.Generator | None = None,
-) -> AtomArray:
-    """Radially varying loading probability (centre loads better).
-
-    Models the Gaussian intensity profile of the trapping light: the fill
-    probability interpolates linearly in normalised radial distance from
-    ``centre_fill`` at the array centre to ``edge_fill`` at the corners.
-    """
-    for name, value in (("centre_fill", centre_fill), ("edge_fill", edge_fill)):
-        if not 0.0 <= value <= 1.0:
-            raise LoadingError(f"{name} must be in [0, 1], got {value}")
-    gen = as_rng(rng)
-    rows = np.arange(geometry.height)[:, None]
-    cols = np.arange(geometry.width)[None, :]
-    cr = (geometry.height - 1) / 2.0
-    cc = (geometry.width - 1) / 2.0
-    radius = np.sqrt((rows - cr) ** 2 + (cols - cc) ** 2)
-    radius /= float(radius.max()) if radius.max() > 0 else 1.0
-    prob = centre_fill + (edge_fill - centre_fill) * radius
-    grid = gen.random(geometry.shape) < prob
-    return AtomArray(geometry, grid)
-
-
-def load_feasible(
-    geometry: ArrayGeometry,
-    fill: float = DEFAULT_FILL,
-    rng: int | np.random.Generator | None = None,
-    max_attempts: int = 100,
-) -> AtomArray:
-    """Uniform loading, resampled until globally enough atoms exist.
-
-    Guarantees ``n_atoms >= n_target_sites`` so that assembling the target
-    is at least not ruled out by global atom count.  Raises
-    :class:`~repro.errors.LoadingError` after ``max_attempts`` failures —
-    with the paper's 50 % fill and 0.6 W target this virtually never
-    triggers (the target needs 36 % of the sites).
-    """
-    gen = as_rng(rng)
-    for _ in range(max_attempts):
-        array = load_uniform(geometry, fill, gen)
-        if array.n_atoms >= geometry.n_target_sites:
-            return array
-    raise LoadingError(
-        f"could not load >= {geometry.n_target_sites} atoms at fill={fill} "
-        f"within {max_attempts} attempts"
-    )
-
-
-def load_checkerboard(geometry: ArrayGeometry, phase: int = 0) -> AtomArray:
-    """Deterministic checkerboard pattern (50 % fill) for tests."""
-    rows = np.arange(geometry.height)[:, None]
-    cols = np.arange(geometry.width)[None, :]
-    grid = (rows + cols + phase) % 2 == 0
     return AtomArray(geometry, grid)
 
 

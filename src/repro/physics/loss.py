@@ -92,10 +92,6 @@ class LossReport:
     final_array: AtomArray = field(default=None, repr=False)
 
     @property
-    def atoms_lost(self) -> int:
-        return self.atoms_initial - self.atoms_final
-
-    @property
     def survival_fraction(self) -> float:
         if self.atoms_initial == 0:
             return 1.0
@@ -153,11 +149,10 @@ def simulate_losses(
 
     An invalid schedule raises the :class:`~repro.errors.MoveError` that
     ``execute_schedule(initial, schedule, constraints=None)`` raises (it
-    is judged on the lossless trajectory), and a negative move duration
+    is judged on the lossless trajectory; a move that drives one line
+    twice is refused first), and a negative move duration
     :class:`~repro.errors.ConfigurationError`; both before anything is
-    drawn, so the generator is untouched.  A ``trusted`` bundle that
-    lands two atoms on one site keeps the lowest label there; the others
-    leave the walk and count as neither loss.
+    drawn, so the generator is untouched.
 
     :func:`simulate_losses_reference` draws the same uniforms one by one
     in the same order, so the two agree bit for bit (grid, counters,
@@ -191,7 +186,7 @@ def simulate_losses(
         atoms, first = np.unique(entries[failed], return_index=True)
         dropped_at[atoms] = entry_move[failed[first]]
 
-    # Each atom's verdict; atoms merged away by a rogue bundle have no site.
+    # Each atom's verdict, at the site the walk left it on.
     final = labels.reshape(-1)
     sites = np.flatnonzero(final >= 0)
     atoms = final[sites]
@@ -222,12 +217,11 @@ def simulate_losses_reference(
     Walks the move objects site by site on a label grid: each move is
     first checked by :func:`~repro.aod.executor.apply_parallel_move` on
     the labels' occupancy (raising its :class:`~repro.errors.MoveError`),
-    then each selected site's atom is picked up (by the first shift that
-    selects it), and each lands where its shift takes it, the lowest
-    label keeping a site two atoms land on.  Only then does it draw, one
-    scalar ``gen.random()`` at a time: every atom's lifetime, then every
-    carried atom's hand-off, in walk order.  Each atom's decay move is a
-    bisection of the running survival product.
+    then every selected site's atom is picked up and lands where its
+    shift takes it.  Only then does it draw, one scalar ``gen.random()``
+    at a time: every atom's lifetime, then every carried atom's hand-off,
+    in walk order.  Each atom's decay move is a bisection of the running
+    survival product.
     """
     gen = as_rng(rng)
     moves = list(schedule)
@@ -244,22 +238,19 @@ def simulate_losses_reference(
     for index, move in enumerate(moves):
         apply_parallel_move(labels >= 0, move)
         horizontal = move.is_horizontal
-        picked: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
+        picked: list[tuple[tuple[int, int], tuple[int, int], int]] = []
         for shift in move.shifts:
             k = shift.steps * sum(shift.direction.delta)
             for i in range(shift.span_start, shift.span_stop):
                 site = (shift.line, i) if horizontal else (i, shift.line)
-                if site not in picked and labels[site] >= 0:
+                if labels[site] >= 0:
                     dest = (shift.line, i + k) if horizontal else (i + k, shift.line)
-                    picked[site] = (dest, int(labels[site]))
-        for site in picked:
+                    picked.append((site, dest, int(labels[site])))
+        for site, _, _ in picked:
             labels[site] = -1
-        placed = set()
-        for dest, label in picked.values():
+        for _, dest, label in picked:
             entries.append((index, label))
-            if dest not in placed or label < labels[dest]:
-                labels[dest] = label
-                placed.add(dest)
+            labels[dest] = label
 
     decayed_at = [n_moves] * initial.n_atoms
     if initial.n_atoms and any(p_decay > 0 for _, _, p_decay in hazards):

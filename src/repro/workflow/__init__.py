@@ -3,8 +3,6 @@
 from repro.workflow.links import (
     AXI_DDR,
     COAXPRESS_12,
-    GIGE,
-    LINKS,
     LinkModel,
     PCIE_GEN3_X8,
 )
@@ -22,8 +20,6 @@ __all__ = [
     "BudgetItem",
     "COAXPRESS_12",
     "ControlSystemModel",
-    "GIGE",
-    "LINKS",
     "LatencyBudget",
     "LinkModel",
     "PCIE_GEN3_X8",

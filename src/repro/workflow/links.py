@@ -40,10 +40,5 @@ COAXPRESS_12 = LinkModel("coaxpress-12", bandwidth_gbps=12.5, latency_us=5.0)
 #: PCIe Gen3 x8, frame-grabber to host memory (effective).
 PCIE_GEN3_X8 = LinkModel("pcie-gen3-x8", bandwidth_gbps=52.0, latency_us=2.0)
 
-#: Gigabit Ethernet, lab-network hop to a control server.
-GIGE = LinkModel("gige", bandwidth_gbps=0.94, latency_us=50.0)
-
 #: On-chip AXI to DDR (PL <-> PS of the RFSoC).
 AXI_DDR = LinkModel("axi-ddr", bandwidth_gbps=128.0, latency_us=0.1)
-
-LINKS = {link.name: link for link in (COAXPRESS_12, PCIE_GEN3_X8, GIGE, AXI_DDR)}

@@ -17,7 +17,13 @@ on:
   (:func:`assert_moves_identical`, :func:`assert_results_identical`,
   :func:`assert_pass_outcomes_identical`,
   :func:`assert_repair_outcomes_identical`) that spell out exactly what
-  "bit-identical" means for each artefact.
+  "bit-identical" means for each artefact;
+* independent compaction oracles (:func:`compact_line`,
+  :func:`is_prefix_line`, :func:`is_young_diagram`) and the pointwise
+  frame transform :func:`to_full`, which the scan, pass and scheduler
+  tests check the vectorised paths against;
+* :func:`journal_events`, the event names a run journal holds, read
+  straight from the file.
 
 Used by ``test_pass_equivalence.py`` (QRM pass, guarded drain x
 ``s_en``), ``test_repair_equivalence.py`` (repair stage),
@@ -32,6 +38,9 @@ oracle).
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -266,6 +275,50 @@ def pass_of_one(runner, array: AtomArray, phase, scan_source=None, **kwargs):
     sources = None if scan_source is None else [scan_source]
     (outcome,) = pass_of_stack(runner, [array], phase, sources, **kwargs)
     return outcome
+
+
+# ---------------------------------------------------------------------------
+# Compaction oracles
+# ---------------------------------------------------------------------------
+
+
+def compact_line(bits) -> np.ndarray:
+    """Full compaction of a line toward index 0.
+
+    Equivalent to executing every command a line scan emits, computed
+    without scanning: the line's atoms, as a prefix.
+    """
+    occ = np.asarray(bits, dtype=bool)
+    out = np.zeros_like(occ)
+    out[: int(occ.sum())] = True
+    return out
+
+
+def is_prefix_line(bits) -> bool:
+    """True when the line is fully compacted (all atoms form a prefix)."""
+    occ = np.asarray(bits, dtype=bool)
+    count = int(occ.sum())
+    return bool(occ[:count].all())
+
+
+def is_young_diagram(local_grid) -> bool:
+    """True when rows and columns are all prefixes (compaction fixpoint)."""
+    grid = np.asarray(local_grid, dtype=bool)
+    rows_ok = all(is_prefix_line(grid[u, :]) for u in range(grid.shape[0]))
+    cols_ok = all(is_prefix_line(grid[:, v]) for v in range(grid.shape[1]))
+    return rows_ok and cols_ok
+
+
+def to_full(frame, u: int, v: int) -> tuple[int, int]:
+    """Full-array ``(row, col)`` of one local site, through ``frame.affine``."""
+    row_base, row_sign, col_base, col_sign = frame.affine
+    return row_base + row_sign * u, col_base + col_sign * v
+
+
+def journal_events(path) -> list[str]:
+    """The ``event`` names of a run journal's lines, in file order."""
+    lines = Path(path).read_text().splitlines()
+    return [json.loads(line)["event"] for line in lines if line.strip()]
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,11 @@ class TestQueries:
         assert array.row_counts()[0] == 2
         assert array.col_counts()[0] == 2
 
-    def test_region_count_and_defects(self, geo8):
+    def test_region_count(self, geo8):
         array = AtomArray(geo8)
         region = Region(0, 0, 2, 2)
         array.set_site(0, 0, True)
         assert array.region_count(region) == 1
-        assert set(array.region_defects(region)) == {(0, 1), (1, 0), (1, 1)}
 
     def test_target_queries(self, geo8):
         array = AtomArray.full(geo8)

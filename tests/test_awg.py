@@ -21,17 +21,10 @@ class TestToneMap:
         assert tones.frequency(0) == 100.0
         assert tones.frequency(10) == 105.0
 
-    def test_inverse(self):
-        tones = ToneMap(base_mhz=100.0, spacing_mhz=0.5)
-        assert tones.index_of(102.5) == 5
-        assert tones.index_of(102.6) == 5  # nearest
-
     def test_out_of_range(self):
         tones = ToneMap(n_sites=4)
         with pytest.raises(WaveformError):
             tones.frequency(4)
-        with pytest.raises(WaveformError):
-            tones.index_of(tones.base_mhz - 10)
 
     def test_validation(self):
         with pytest.raises(WaveformError):
@@ -123,8 +116,8 @@ class TestCompiler:
         tones = AodToneConfig()
         segments = compile_move(self._move(Direction.EAST, steps=2), tones)
         transport = segments[1]
-        chirped = [t for t in transport.tones if not t.is_static]
-        static = [t for t in transport.tones if t.is_static]
+        chirped = [t for t in transport.tones if t.start_mhz != t.end_mhz]
+        static = [t for t in transport.tones if t.start_mhz == t.end_mhz]
         assert len(chirped) == 3  # the three selected columns
         assert len(static) == 2  # the two selected rows
         for tone in chirped:
@@ -134,7 +127,7 @@ class TestCompiler:
     def test_westward_move_chirps_down(self):
         tones = AodToneConfig()
         segments = compile_move(self._move(Direction.WEST), tones)
-        chirped = [t for t in segments[1].tones if not t.is_static]
+        chirped = [t for t in segments[1].tones if t.start_mhz != t.end_mhz]
         assert all(t.end_mhz < t.start_mhz for t in chirped)
 
     def test_vertical_move_chirps_rows(self):
@@ -143,7 +136,7 @@ class TestCompiler:
         )
         tones = AodToneConfig()
         segments = compile_move(move, tones)
-        chirped = [t for t in segments[1].tones if not t.is_static]
+        chirped = [t for t in segments[1].tones if t.start_mhz != t.end_mhz]
         assert len(chirped) == 2  # the two selected rows chirp
 
     def test_program_synthesis_length(self, geo8):

@@ -155,7 +155,8 @@ class TestMta1Specifics:
     def test_moves_are_single_atom(self, array20):
         result = Mta1Scheduler(array20.geometry).schedule(array20)
         assert all(len(move) == 1 for move in result.schedule)
-        assert all(move.shifts[0].span_length == 1 for move in result.schedule)
+        shifts = [move.shifts[0] for move in result.schedule]
+        assert all(s.span_stop - s.span_start == 1 for s in shifts)
 
     def test_at_most_two_legs_per_defect(self, array20):
         result = Mta1Scheduler(array20.geometry).schedule(array20)

@@ -37,7 +37,6 @@ from repro.baselines.base import (
     register_algorithm,
     resolve_algorithms,
     schedule_batch,
-    supports_batch,
     unregister_algorithm,
 )
 from repro.config import MASK_SCAN_LIMIT, QrmParameters, ScanMode
@@ -168,7 +167,7 @@ class TestScheduleBatchDispatch:
     @given(array=atom_arrays(), count=st.integers(min_value=1, max_value=4))
     def test_fallback_loops_schedule(self, array, count):
         algorithm = get_algorithm("tetris", array.geometry)
-        assert not supports_batch(algorithm)
+        assert not callable(getattr(algorithm, "schedule_batch", None))
         expected = [algorithm.schedule(array) for _ in range(count)]
         actual = schedule_batch(algorithm, [array] * count)
         for ours, reference in zip(actual, expected):
@@ -177,7 +176,7 @@ class TestScheduleBatchDispatch:
     def test_qrm_scheduler_dispatches_to_batched_engine(self):
         geometry = ArrayGeometry.square(12, 6)
         scheduler = get_algorithm("qrm", geometry)
-        assert supports_batch(scheduler)
+        assert callable(getattr(scheduler, "schedule_batch", None))
         arrays = [load_uniform(geometry, 0.5, rng=seed) for seed in range(3)]
         expected = [scheduler.schedule(array) for array in arrays]
         for ours, reference in zip(schedule_batch(scheduler, arrays), expected):

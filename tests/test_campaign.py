@@ -13,15 +13,13 @@ from repro.campaign import (
     ExperimentCampaign,
     LossSpec,
     QrmSpec,
-    RecordingObserver,
     ScenarioCell,
     TrialCache,
     TrialSpec,
-    cell_sequence,
     run_campaign,
-    run_trial,
 )
-from repro.campaign.trial import cell_geometry
+from repro.campaign.spec import stable_entropy
+from repro.campaign.trial import cell_geometry, run_trial_batch
 from repro.core.qrm import QrmScheduler
 from repro.errors import ConfigurationError
 from repro.fpga.accelerator import QrmAccelerator
@@ -29,6 +27,39 @@ from repro.lattice.array import AtomArray
 from repro.lattice.loading import load_named
 from repro.pipeline.stages import PipelineConfig, run_shot
 from repro.timing.latency import StageReport
+
+
+class RecordingObserver:
+    """Records ``(event_name, payload)`` tuples for the observer tests."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, dict]] = []
+
+    @property
+    def event_names(self) -> list[str]:
+        return [name for name, _ in self.events]
+
+    def campaign_started(self, spec, n_trials, n_cached) -> None:
+        self.events.append(
+            (
+                "campaign_started",
+                {"spec": spec, "n_trials": n_trials, "n_cached": n_cached},
+            )
+        )
+
+    def trial_completed(self, trial, result, from_cache) -> None:
+        self.events.append(
+            (
+                "trial_completed",
+                {"trial": trial, "result": result, "from_cache": from_cache},
+            )
+        )
+
+    def cell_completed(self, cell, aggregate) -> None:
+        self.events.append(("cell_completed", {"cell": cell, "aggregate": aggregate}))
+
+    def campaign_completed(self, result) -> None:
+        self.events.append(("campaign_completed", {"result": result}))
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -104,7 +135,9 @@ class TestSpec:
 class TestSeeding:
     def test_trial_seed_matches_seedsequence_spawn(self):
         cell = ScenarioCell(size=10)
-        children = cell_sequence(cell, master_seed=3).spawn(4)
+        # The per-cell parent sequence whose ``spawn`` children seed trials.
+        entropy = [3, stable_entropy(cell.instance_key())]
+        children = np.random.SeedSequence(entropy).spawn(4)
         for index, child in enumerate(children):
             trial = TrialSpec(cell=cell, seed_index=index, master_seed=3)
             assert list(trial.seed_sequence().generate_state(4)) == list(
@@ -133,7 +166,8 @@ class TestSeeding:
 
     def test_trial_is_deterministic(self):
         trial = TrialSpec(cell=ScenarioCell(size=10), seed_index=1, master_seed=5)
-        assert run_trial(trial).metrics == run_trial(trial).metrics
+        (first,), (second,) = run_trial_batch([trial]), run_trial_batch([trial])
+        assert first.metrics == second.metrics
 
 
 class TestCache:
@@ -146,7 +180,6 @@ class TestCache:
         second = ExperimentCampaign(spec, cache=TrialCache(tmp_path)).run()
         assert second.cache_hits == spec.n_trials
         assert second.cache_misses == 0
-        assert second.cache_hit_fraction == 1.0
         assert second.to_csv() == first.to_csv()
 
     def test_spec_change_invalidates(self, tmp_path):
@@ -351,7 +384,8 @@ class TestQrmSpecCells:
             load_seed, _ = trial.seed_sequence().spawn(2)
             rng = np.random.default_rng(load_seed)
             array = load_named(single.loading, geometry, single.fill, rng=rng)
-            assert run_trial(trial).metrics["fpga_cycles"] == cost(array.grid)
+            (result,) = run_trial_batch([trial])
+            assert result.metrics["fpga_cycles"] == cost(array.grid)
 
             # Same instance, so the closed loop loads the same array.  It
             # costs every frame it schedules: replay the loop without the
@@ -369,7 +403,8 @@ class TestQrmSpecCells:
                 for record in shot.records
                 if not record.converged_at_detect
             )
-            assert run_trial(trial).metrics["fpga_cycles"] == expected
+            (result,) = run_trial_batch([trial])
+            assert result.metrics["fpga_cycles"] == expected
 
     def test_skipped_stale_metric_present(self):
         result = run_campaign(small_spec(algorithms=("qrm",), n_seeds=1))

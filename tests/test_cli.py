@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 
 import pytest
+from oracles import journal_events
 
 from test_dispatch import worker_daemon
 
@@ -388,14 +389,14 @@ class TestCommands:
         capsys.readouterr()
         replay = read_journal(journal)
         assert len(replay.results) == 5
-        assert not replay.completed
+        assert journal_events(journal)[-1] != "campaign_completed"
 
         resumed_csv = tmp_path / "resumed.csv"
         resume = ["campaign", "--resume", str(journal), "--no-cache", "--quiet"]
         assert main(resume + ["--workers", "2", "--csv", str(resumed_csv)]) == 0
         assert "5 replayed from journal" in capsys.readouterr().out
         assert clean_csv.read_bytes() == resumed_csv.read_bytes()
-        assert read_journal(journal).completed
+        assert journal_events(journal)[-1] == "campaign_completed"
 
     def test_campaign_interrupt_without_journal(self, capsys):
         # No --journal: the interrupt still exits with the conventional

@@ -12,7 +12,6 @@ from repro.aod.constraints import (
     OUT_OF_BOUNDS,
     TONE_BUDGET,
     check_parallel_move,
-    is_move_safe,
 )
 from repro.aod.move import LineShift, ParallelMove
 from repro.lattice.geometry import Direction
@@ -67,7 +66,7 @@ class TestLeadCollision:
     def test_clean_shift_passes(self):
         grid = _grid()
         grid[0, 1] = True
-        assert is_move_safe(grid, _east(0, 0, 3))
+        assert not check_parallel_move(grid, _east(0, 0, 3))
 
 
 class TestCrossProduct:
@@ -91,7 +90,7 @@ class TestCrossProduct:
         grid = _grid()
         grid[0, 0] = True
         grid[1, 4] = True
-        assert is_move_safe(grid, self._two_row_move())
+        assert not check_parallel_move(grid, self._two_row_move())
 
     def test_check_disabled(self):
         grid = _grid()
@@ -123,7 +122,7 @@ class TestToneBudget:
     def test_unlimited_by_default(self):
         grid = _grid()
         move = ParallelMove.of([LineShift(Direction.EAST, r, 0, 7) for r in range(8)])
-        assert is_move_safe(grid, move)
+        assert not check_parallel_move(grid, move)
 
 
 class TestEmptyMove:
@@ -135,7 +134,7 @@ class TestEmptyMove:
 
     def test_allowed_by_default(self):
         grid = _grid()
-        assert is_move_safe(grid, _east(0, 0, 3))
+        assert not check_parallel_move(grid, _east(0, 0, 3))
 
 
 class TestViolationFormatting:

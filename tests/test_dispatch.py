@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import journal_events
 
 import dispatch_sleeper
 
@@ -34,7 +35,6 @@ from repro.campaign import (
     WorkerSpec,
     parse_workers,
     read_journal,
-    run_trial,
 )
 from repro.campaign.protocol import (
     PROTOCOL_MAGIC,
@@ -48,6 +48,7 @@ from repro.campaign.protocol import (
     write_frame,
     write_handshake,
 )
+from repro.campaign.trial import run_trial_batch
 from repro.campaign.worker import serve, serve_connections
 from repro.errors import ConfigurationError, ExecutionError
 
@@ -147,9 +148,9 @@ class TestProtocol:
             read_frame(io.BytesIO(data[:2]))
 
     def test_function_path_round_trip(self):
-        path = function_path(run_trial)
-        assert path == "repro.campaign.trial:run_trial"
-        assert resolve_function(path) is run_trial
+        path = function_path(run_trial_batch)
+        assert path == "repro.campaign.trial:run_trial_batch"
+        assert resolve_function(path) is run_trial_batch
 
     def test_function_path_rejects_non_module_level(self):
         with pytest.raises(ConfigurationError):
@@ -289,10 +290,11 @@ class TestWorkerLoop:
             serve(io.BytesIO(data), io.BytesIO())
 
 
-def trial_items(n_seeds: int = 4) -> list[TrialSpec]:
+def trial_batches(n_seeds: int = 4) -> list[list[TrialSpec]]:
+    """One single-trial batch per seed, the items ``run_trial_batch`` takes."""
     cell = ScenarioCell(algorithm="qrm", size=8, fill=0.5)
     return [
-        TrialSpec(cell=cell, seed_index=index, master_seed=7)
+        [TrialSpec(cell=cell, seed_index=index, master_seed=7)]
         for index in range(n_seeds)
     ]
 
@@ -334,11 +336,11 @@ class TestWorkerSpec:
 
 class TestDistributedExecutor:
     def test_matches_in_process_results(self):
-        items = trial_items(4)
-        expected = {index: run_trial(item) for index, item in enumerate(items)}
+        items = trial_batches(4)
+        expected = {index: run_trial_batch(item) for index, item in enumerate(items)}
         with worker_daemon() as (_, spec):
             executor = DistributedExecutor(workers=[spec])
-            assert dict(executor.run(run_trial, items)) == expected
+            assert dict(executor.run(run_trial_batch, items)) == expected
 
     def test_campaign_aggregates_match_serial(self):
         spec = CampaignSpec(
@@ -359,7 +361,7 @@ class TestDistributedExecutor:
 
     def test_empty_items(self):
         executor = DistributedExecutor(workers=scripted_workers(1))
-        assert list(executor.run(run_trial, [])) == []
+        assert list(executor.run(run_trial_batch, [])) == []
 
     def test_remote_error_surfaces_with_traceback(self):
         bad = TrialSpec(
@@ -370,7 +372,7 @@ class TestDistributedExecutor:
         with worker_daemon() as (_, spec):
             executor = DistributedExecutor(workers=[spec])
             with pytest.raises(ExecutionError, match="remotely") as excinfo:
-                list(executor.run(run_trial, [bad]))
+                list(executor.run(run_trial_batch, [[bad]]))
         assert "Traceback (most recent call last)" in str(excinfo.value)
 
     def test_executor_validation(self):
@@ -445,11 +447,11 @@ class TestTcpTransport:
             transport.start("builtins:abs")
 
     def test_executor_over_two_daemons_matches_serial(self):
-        items = trial_items(6)
-        expected = {index: run_trial(item) for index, item in enumerate(items)}
+        items = trial_batches(6)
+        expected = {index: run_trial_batch(item) for index, item in enumerate(items)}
         with worker_daemon() as (_, spec_a), worker_daemon() as (_, spec_b):
             executor = DistributedExecutor(workers=[spec_a, spec_b])
-            assert dict(executor.run(run_trial, items)) == expected
+            assert dict(executor.run(run_trial_batch, items)) == expected
 
     def test_kill_one_daemon_mid_run_redispatches(self):
         # 20 units of 50 ms over two daemons: the kill after the third
@@ -528,9 +530,8 @@ class TestTcpTransport:
             ).run()
             journal.close()
         assert serial.to_csv() == distributed.to_csv()
-        replay = read_journal(journal_path)
-        assert replay.completed
-        assert len(replay.results) == 6
+        assert journal_events(journal_path)[-1] == "campaign_completed"
+        assert len(read_journal(journal_path).results) == 6
         # The single coordinator journal is resumable: a re-run replays
         # every sharded trial without touching an executor.
         resumed = ExperimentCampaign(

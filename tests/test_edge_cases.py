@@ -12,7 +12,7 @@ from repro.core.passes import Phase, run_pass
 from repro.core.qrm import QrmScheduler
 from repro.fpga.accelerator import QrmAccelerator
 from repro.lattice.array import AtomArray
-from repro.lattice.geometry import ArrayGeometry, Quadrant
+from repro.lattice.geometry import ArrayGeometry
 
 
 class TestDegenerateGeometries:
@@ -89,14 +89,6 @@ class TestPassEdgeCases:
         array = load_uniform(geometry, 0.5, rng=2)
         result = QrmScheduler(geometry).schedule(array)
         assert validate_schedule(array, result.schedule).ok
-
-    def test_lines_with_commands_accounting(self, geo8, rng):
-        array = AtomArray(geo8, rng.random(geo8.shape) < 0.5)
-        outcome = pass_of_one(run_pass, array, Phase.ROW)
-        for quadrant in Quadrant:
-            counted = outcome.lines_with_commands(quadrant)
-            raw = sum(1 for n in outcome.line_commands[quadrant] if n > 0)
-            assert counted == raw
 
 
 class TestIterationBudgets:

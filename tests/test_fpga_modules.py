@@ -7,13 +7,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fpga.axi import AxiTransferModel
 from repro.fpga.config import DEFAULT_FPGA_CONFIG, FpgaConfig
-from repro.fpga.load_data import LoadDataModule, LoadVectorUnit
 from repro.fpga.quadrant_processor import LineToken, build_lane, iteration_tokens
 from repro.fpga.output_concat import AxiWriteSink, OutputConcatUnit
 from repro.fpga.row_combination import RowCombinationUnit
 from repro.fpga.sim import Simulator, SourceModule
 from repro.lattice.geometry import Quadrant
-from repro.lattice.loading import load_uniform
 
 
 class TestAxiModel:
@@ -34,30 +32,6 @@ class TestAxiModel:
             AxiTransferModel(setup_cycles=-1)
         with pytest.raises(ConfigurationError):
             AxiTransferModel(packets_per_cycle=0)
-
-
-class TestLoadVectorUnit:
-    @pytest.mark.parametrize("quadrant", list(Quadrant))
-    def test_flip_matches_frame_extract(self, geo20, quadrant, rng):
-        """The bit-level flip path agrees with the numpy frame transform."""
-        array = load_uniform(geo20, 0.5, rng=rng)
-        frame = geo20.quadrant_frame(quadrant)
-        loaded = LoadVectorUnit(frame).load(array)
-        expected = frame.extract(array.grid)
-        assert loaded.n_rows == frame.n_rows
-        for u in range(frame.n_rows):
-            assert loaded.rows[u].to_bools() == list(expected[u])
-
-    def test_atom_count_preserved(self, geo20):
-        array = load_uniform(geo20, 0.5, rng=4)
-        ldm = LoadDataModule({q: geo20.quadrant_frame(q) for q in Quadrant})
-        loaded = ldm.load_all(array)
-        assert sum(lq.n_atoms for lq in loaded.values()) == array.n_atoms
-
-    def test_packet_count(self, geo50):
-        array = load_uniform(geo50, 0.5, rng=4)
-        ldm = LoadDataModule({q: geo50.quadrant_frame(q) for q in Quadrant})
-        assert ldm.n_input_packets(array) == 3  # 2500 bits / 1024
 
 
 class TestIterationTokens:
@@ -165,11 +139,6 @@ class TestOutputConcat:
 
 
 class TestFpgaConfig:
-    def test_cycle_conversions(self):
-        config = FpgaConfig()
-        assert config.cycles_to_us(250) == pytest.approx(1.0)
-        assert config.us_to_cycles(1.0) == 250
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             FpgaConfig(clock_mhz=0)

@@ -19,8 +19,7 @@ from repro.core.qrm import QrmScheduler
 from repro.detection.detect import detect_occupancy, detection_fidelity
 from repro.detection.imaging import render_image
 from repro.fpga.accelerator import QrmAccelerator
-from repro.fpga.load_data import LoadDataModule
-from repro.lattice.geometry import ArrayGeometry, Quadrant
+from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
 
 
@@ -71,18 +70,6 @@ class TestGoldenEquivalences:
         golden = QrmScheduler(geometry).schedule(array)
         assert run.result.schedule.moves == golden.schedule.moves
         assert run.result.final == golden.final
-
-    def test_ldm_flip_matches_scheduler_frames(self, geo20):
-        """The packet->flip hardware path sees the scheduler's quadrants."""
-        array = load_uniform(geo20, 0.5, rng=5)
-        frames = {q: geo20.quadrant_frame(q) for q in Quadrant}
-        ldm = LoadDataModule(frames)
-        loaded = ldm.load_all(array)
-        for quadrant, frame in frames.items():
-            expected = frame.extract(array.grid)
-            rows = loaded[quadrant].rows
-            for u in range(frame.n_rows):
-                assert rows[u].to_bools() == list(expected[u])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_all_algorithms_validate_on_same_input(self, geo20, seed):

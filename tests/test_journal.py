@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import campaign_specs
+from oracles import campaign_specs, journal_events
 from repro.campaign import (
     CampaignSpec,
     ExperimentCampaign,
@@ -63,11 +63,12 @@ class TestWriterReader:
         replay = read_journal(path)
         assert replay.spec == spec
         assert replay.spec_hash == spec.spec_hash()
-        assert replay.completed
-        assert not replay.truncated
-        assert replay.n_runs == 1
+        assert replay.valid_bytes == path.stat().st_size
         assert len(replay.results) == spec.n_trials
-        assert replay.in_flight_keys == set()
+        assert replay.started_keys == set(replay.results)
+        events = journal_events(path)
+        assert events.count("campaign_started") == 1
+        assert events[-1] == "campaign_completed"
         assert result.journal_replays == 0
 
     def test_events_in_order(self, tmp_path):
@@ -110,7 +111,7 @@ class TestWriterReader:
         run_with_journal(small_spec(n_seeds=1), path)
         path.write_text(path.read_text().replace("\n", "\n\n"))
         replay = read_journal(path)
-        assert not replay.truncated
+        assert replay.valid_bytes == path.stat().st_size
         assert len(replay.results) == 1
 
     def test_mixed_campaigns_rejected(self, tmp_path):
@@ -146,13 +147,13 @@ class TestResume:
 
         replay = read_journal(path)
         assert len(replay.results) == 3
-        assert not replay.completed
+        assert journal_events(path)[-1] != "campaign_completed"
 
         resumed = run_with_journal(spec, path)
         assert resumed.journal_replays == 3
         assert resumed.cache_misses == spec.n_trials - 3
         assert resumed.to_csv() == clean.to_csv()
-        assert read_journal(path).completed
+        assert journal_events(path)[-1] == "campaign_completed"
 
     def test_resume_executes_only_remainder(self, tmp_path):
         spec = small_spec(n_seeds=3)
@@ -225,9 +226,13 @@ class TestErrorEvents:
             ExperimentCampaign(spec, journal=journal).run()
         journal.close()
 
-        replay = read_journal(path)
-        assert len(replay.errors) == 1
-        key, message = replay.errors[0]
+        errors = [
+            json.loads(line)
+            for line in path.read_text().splitlines()
+            if json.loads(line)["event"] == "trial_error"
+        ]
+        assert len(errors) == 1
+        key, message = errors[0]["key"], errors[0]["error"]
         trial = TrialSpec(
             cell=ScenarioCell(algorithm="no-such-algorithm", size=8),
             seed_index=0,
@@ -272,7 +277,7 @@ class TestCrashConsistency:
             replays = len(journal.replay.results)
             result = ExperimentCampaign(spec, journal=journal).run()
             journal.close()
-            assert read_journal(path).completed
+            assert journal_events(path)[-1] == "campaign_completed"
         assert result.to_csv() == clean_csv
         assert result.journal_replays == replays
         assert result.journal_replays + result.cache_misses == spec.n_trials

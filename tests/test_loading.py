@@ -5,16 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import LoadingError
+from repro.campaign import ScenarioCell
+from repro.errors import ConfigurationError, LoadingError
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import (
+    LOADERS,
     as_rng,
-    load_checkerboard,
-    load_exact,
-    load_feasible,
-    load_gradient,
+    load_named,
+    load_poisson_clusters,
     load_uniform,
 )
+
+
+def _neighbour_correlation(grids: list[np.ndarray]) -> float:
+    """Pearson correlation of horizontally adjacent sites, pooled."""
+    left = np.concatenate([grid[:, :-1].ravel() for grid in grids])
+    right = np.concatenate([grid[:, 1:].ravel() for grid in grids])
+    return float(np.corrcoef(left, right)[0, 1])
 
 
 class TestUniform:
@@ -43,57 +50,69 @@ class TestUniform:
             load_uniform(geo20, -0.1)
 
 
-class TestExact:
-    def test_exact_count(self, geo20):
-        array = load_exact(geo20, 123, rng=5)
-        assert array.n_atoms == 123
+class TestPoissonClusters:
+    def test_seed_reproducible(self, geo20):
+        assert load_poisson_clusters(geo20, 0.5, rng=7) == load_poisson_clusters(
+            geo20, 0.5, rng=7
+        )
 
-    def test_bounds(self, geo20):
-        assert load_exact(geo20, 0, rng=0).n_atoms == 0
-        assert load_exact(geo20, geo20.n_sites, rng=0).n_atoms == geo20.n_sites
+    def test_different_seeds_differ(self, geo20):
+        assert load_poisson_clusters(geo20, 0.5, rng=1) != load_poisson_clusters(
+            geo20, 0.5, rng=2
+        )
 
-    def test_out_of_range_rejected(self, geo20):
+    def test_mean_fill_is_kept(self):
+        # The boost is normalised so the expected fill stays ``fill``:
+        # 20 loads of 2500 sites pool to within a few standard errors.
+        geo = ArrayGeometry.square(50, 30)
+        for fill in (0.3, 0.5):
+            atoms = [load_poisson_clusters(geo, fill, rng=s).n_atoms for s in range(20)]
+            assert abs(np.mean(atoms) / geo.n_sites - fill) < 0.01
+
+    def test_neighbours_are_correlated(self):
+        # Clusters load neighbouring traps together, which independent
+        # Bernoulli loading never does.
+        geo = ArrayGeometry.square(50, 30)
+        seeds = range(20)
+        clustered = [load_poisson_clusters(geo, 0.5, rng=s).grid for s in seeds]
+        uniform = [load_uniform(geo, 0.5, rng=s).grid for s in seeds]
+        assert _neighbour_correlation(clustered) > 0.04
+        assert abs(_neighbour_correlation(uniform)) < 0.02
+
+    def test_zero_fill_is_empty(self, geo20):
+        assert load_poisson_clusters(geo20, 0.0, rng=0).n_atoms == 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"fill": 1.5},
+            {"fill": -0.1},
+            {"cluster_rate": 0.0},
+            {"cluster_sigma": 0.0},
+        ],
+        ids=["fill-above-1", "fill-below-0", "no-clusters", "no-width"],
+    )
+    def test_invalid_parameters_rejected(self, geo20, kwargs):
         with pytest.raises(LoadingError):
-            load_exact(geo20, geo20.n_sites + 1)
-        with pytest.raises(LoadingError):
-            load_exact(geo20, -1)
+            load_poisson_clusters(geo20, **kwargs)
 
 
-class TestGradient:
-    def test_centre_denser_than_edge(self):
-        geo = ArrayGeometry.square(40, 20)
-        array = load_gradient(geo, centre_fill=0.9, edge_fill=0.1, rng=11)
-        centre = array.region_count(geo.target_region) / geo.n_target_sites
-        edge_mask = np.ones(geo.shape, dtype=bool)
-        tr = geo.target_region
-        edge_mask[tr.row_slice, tr.col_slice] = False
-        edge = array.grid[edge_mask].mean()
-        assert centre > edge
+class TestLoadNamed:
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    def test_dispatches_to_the_registered_loader(self, geo20, name):
+        assert load_named(name, geo20, 0.4, rng=5) == LOADERS[name](geo20, 0.4, 5)
 
-    def test_invalid_fill_rejected(self, geo20):
-        with pytest.raises(LoadingError):
-            load_gradient(geo20, centre_fill=1.2)
+    def test_registry_names_the_campaign_models(self):
+        assert LOADERS == {"uniform": load_uniform, "poisson": load_poisson_clusters}
 
+    def test_unknown_model_rejected(self, geo20):
+        with pytest.raises(LoadingError, match="known: \\['poisson', 'uniform'\\]"):
+            load_named("gradient", geo20)
 
-class TestFeasible:
-    def test_guarantees_enough_atoms(self, geo20):
-        array = load_feasible(geo20, 0.5, rng=2)
-        assert array.n_atoms >= geo20.n_target_sites
-
-    def test_impossible_fill_raises(self, geo20):
-        with pytest.raises(LoadingError):
-            load_feasible(geo20, 0.01, rng=0, max_attempts=3)
-
-
-class TestCheckerboard:
-    def test_half_fill(self, geo20):
-        assert load_checkerboard(geo20).n_atoms == geo20.n_sites // 2
-
-    def test_phases_complement(self, geo20):
-        a = load_checkerboard(geo20, phase=0)
-        b = load_checkerboard(geo20, phase=1)
-        assert not np.any(a.grid & b.grid)
-        assert np.all(a.grid | b.grid)
+    def test_campaign_cells_accept_only_registered_models(self):
+        assert ScenarioCell(size=8, loading="poisson").loading == "poisson"
+        with pytest.raises(ConfigurationError, match="unknown loading model"):
+            ScenarioCell(size=8, loading="gradient")
 
 
 class TestAsRng:

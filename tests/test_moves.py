@@ -42,17 +42,6 @@ class TestLineShift:
         shift = LineShift(Direction.SOUTH, 2, 4, 7)
         assert shift.leading_sites() == [(7, 2)]
 
-    def test_vacated_sites_east(self):
-        shift = LineShift(Direction.EAST, 0, 2, 6)
-        assert shift.vacated_sites() == [(0, 2)]
-
-    def test_vacated_sites_west(self):
-        shift = LineShift(Direction.WEST, 0, 2, 6)
-        assert shift.vacated_sites() == [(0, 5)]
-
-    def test_span_length(self):
-        assert LineShift(Direction.EAST, 0, 3, 8).span_length == 5
-
     def test_invalid_span_rejected(self):
         with pytest.raises(MoveError):
             LineShift(Direction.EAST, 0, 3, 3)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-from oracles import pass_of_one
+from oracles import is_prefix_line, pass_of_one
 
 from repro.core.passes import Phase, run_pass
-from repro.core.scan import is_prefix_line
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Direction, Quadrant
 

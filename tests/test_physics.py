@@ -81,7 +81,9 @@ class TestSimulateLosses:
         )
         loss = LossModel(vacuum_lifetime_s=1e12)
         report = simulate_losses(array20, schedule, loss=loss, timing=timing, rng=3)
-        expected = sum(timing.move_duration_us(m) + timing.settle_us for m in schedule)
+        expected = sum(
+            timing.steps_duration_us(m.steps) + timing.settle_us for m in schedule
+        )
         assert report.duration_us == pytest.approx(expected)
 
     def test_reproducible_with_seed(self, array20):
@@ -184,7 +186,10 @@ class TestLossLaw:
         transfer losses; every atom is walked alone, move by move."""
         loss, timing = self.LOSS, self.TIMING
         p_decay = [
-            1 - loss.vacuum_survival(timing.move_duration_us(m) + timing.settle_us)
+            1
+            - loss.vacuum_survival(
+                timing.steps_duration_us(m.steps) + timing.settle_us
+            )
             for m in schedule
         ]
         survival = np.zeros(array.geometry.shape)
@@ -205,7 +210,7 @@ class TestLossLaw:
     def test_site_occupancy_matches_exact_survival(self, replayed):
         array, schedule, (occupancy, _, _) = replayed
         exact, _ = self._exact(array, schedule)
-        duration = sum(self.TIMING.move_duration_us(m) for m in schedule)
+        duration = sum(self.TIMING.steps_duration_us(m.steps) for m in schedule)
         duration += self.TIMING.settle_us * len(schedule)
         vacuum = math.exp(-duration * 1e-6 / self.LOSS.vacuum_lifetime_s)
         assert exact.max() == pytest.approx(vacuum, rel=1e-9)  # a never-moved atom

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import campaign_specs, pipeline_configs
+from oracles import campaign_specs, journal_events, pipeline_configs
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.campaign import (
@@ -33,9 +33,8 @@ from repro.campaign import (
     RunJournal,
     ScenarioCell,
     TrialSpec,
-    read_journal,
-    run_trial,
 )
+from repro.campaign.trial import run_trial_batch
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.lattice.array import AtomArray
@@ -370,14 +369,14 @@ CYCLES_CELL = ScenarioCell(
 class TestCampaignCycles:
     def test_trial_is_deterministic(self):
         trial = TrialSpec(cell=CYCLES_CELL, seed_index=0, master_seed=7)
-        first = run_trial(trial)
-        second = run_trial(trial)
+        (first,), (second,) = run_trial_batch([trial]), run_trial_batch([trial])
         assert first.key == second.key
         assert dict(first.metrics) == dict(second.metrics)
 
     def test_trial_reports_cycles_used(self):
         trial = TrialSpec(cell=CYCLES_CELL, seed_index=0, master_seed=7)
-        metrics = run_trial(trial).metrics
+        (result,) = run_trial_batch([trial])
+        metrics = result.metrics
         assert 1 <= metrics["cycles_used"] <= CYCLES_CELL.cycles
         assert "survival" in metrics
         assert 0.0 <= metrics["survival"] <= 1.0
@@ -428,7 +427,7 @@ class TestCampaignCycles:
         journal.close()
         assert resumed.journal_replays == 2
         assert resumed.to_csv() == clean.to_csv()
-        assert read_journal(path).completed
+        assert journal_events(path)[-1] == "campaign_completed"
 
 
 # ---------------------------------------------------------------------------

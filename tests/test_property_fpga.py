@@ -1,22 +1,11 @@
-"""Property tests for bit vectors, packets and record encoding."""
+"""Property tests for the register-level bit vectors."""
 
 from __future__ import annotations
 
-import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.aod.move import LineShift
 from repro.fpga.bitvec import BitVector
-from repro.fpga.movement_record import decode_shift, encode_shift
-from repro.fpga.packets import (
-    pack_occupancy,
-    pack_words,
-    unpack_occupancy,
-    unpack_words,
-)
-from repro.lattice.array import AtomArray
-from repro.lattice.geometry import ArrayGeometry, Direction
 
 bit_lists = st.lists(st.booleans(), min_size=1, max_size=80)
 
@@ -25,7 +14,6 @@ bit_lists = st.lists(st.booleans(), min_size=1, max_size=80)
 def test_bitvector_round_trip(bits):
     vec = BitVector.from_bits(bits)
     assert vec.to_bools() == bits
-    assert vec.popcount() == sum(bits)
 
 
 @given(bit_lists)
@@ -49,55 +37,3 @@ def test_concat_width_and_content(low_bits, high_bits):
     combined = low.concat(high)
     assert combined.width == low.width + high.width
     assert combined.to_bools() == low_bits + high_bits
-
-
-@st.composite
-def geometries_and_grids(draw):
-    size = draw(st.sampled_from([4, 6, 10, 16]))
-    geometry = ArrayGeometry.square(size, 2)
-    bits = draw(
-        st.lists(
-            st.booleans(),
-            min_size=geometry.n_sites,
-            max_size=geometry.n_sites,
-        )
-    )
-    grid = np.array(bits, dtype=bool).reshape(geometry.shape)
-    return AtomArray(geometry, grid)
-
-
-@given(geometries_and_grids())
-@settings(max_examples=50)
-def test_occupancy_packets_round_trip(array):
-    packets = pack_occupancy(array)
-    assert unpack_occupancy(packets, array.geometry) == array
-
-
-@given(
-    st.lists(st.integers(0, (1 << 32) - 1), min_size=0, max_size=200),
-)
-def test_word_packing_round_trip(words):
-    packets = pack_words(words, word_bits=32)
-    assert unpack_words(packets, 32, len(words)) == words
-
-
-@st.composite
-def shifts(draw):
-    direction = draw(st.sampled_from(list(Direction)))
-    line = draw(st.integers(0, 255))
-    start = draw(st.integers(0, 254))
-    stop = draw(st.integers(start + 1, 255))
-    steps = draw(st.integers(1, 63))
-    return LineShift(direction, line, start, stop, steps)
-
-
-@given(shifts())
-@settings(max_examples=200)
-def test_record_encoding_round_trip(shift):
-    assert decode_shift(encode_shift(shift)) == shift
-
-
-@given(shifts())
-def test_record_fits_32_bits(shift):
-    word = encode_shift(shift)
-    assert 0 <= word < (1 << 32)

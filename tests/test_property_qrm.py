@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import is_young_diagram, to_full
 
 from repro.aod.validator import validate_schedule
 from repro.config import QrmParameters, ScanMode
 from repro.core.qrm import QrmScheduler
-from repro.core.scan import is_young_diagram
 from repro.core.typical import TypicalScheduler
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Quadrant
@@ -110,10 +110,10 @@ def test_coordinate_transform_bijective(frame_grid):
     seen = set()
     for u in range(frame.n_rows):
         for v in range(frame.n_cols):
-            full = frame.to_full(u, v)
+            full = to_full(frame, u, v)
             assert full not in seen
             seen.add(full)
-            assert frame.to_local(*full) == (u, v)
+    assert seen == set(frame.region.sites())
 
 
 @given(frames_and_grids())
@@ -123,4 +123,4 @@ def test_extract_agrees_with_pointwise_transform(frame_grid):
     local = frame.extract(grid)
     for u in range(frame.n_rows):
         for v in range(frame.n_cols):
-            assert local[u, v] == grid[frame.to_full(u, v)]
+            assert local[u, v] == grid[to_full(frame, u, v)]

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import is_young_diagram
 
 from repro.aod.validator import validate_schedule
 from repro.config import QrmParameters, ScanMode
 from repro.core.qrm import QrmScheduler
-from repro.core.scan import is_young_diagram
 from repro.errors import ConfigurationError
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Quadrant

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fpga.device import DEVICES, ZU49DR, ZU7EV, FpgaDevice, get_device
+from repro.fpga.device import ZU49DR, FpgaDevice
 from repro.fpga.resources import ResourceModel
 
 
@@ -14,15 +14,6 @@ class TestDeviceCatalogue:
         assert ZU49DR.luts == 425_280
         assert ZU49DR.flip_flops == 850_560
         assert ZU49DR.bram_36k == 1080
-
-    def test_lookup(self):
-        assert get_device("xczu49dr") is ZU49DR
-        with pytest.raises(KeyError):
-            get_device("xc7z020")
-
-    def test_catalogue_consistent(self):
-        for name, device in DEVICES.items():
-            assert device.name == name
 
     def test_utilisation_percentages(self):
         util = ZU49DR.utilisation(42528, 85056, 108)
@@ -71,10 +62,20 @@ class TestResourceModel:
         assert qpm.luts / report.total_luts == pytest.approx(0.5, abs=0.02)
 
     def test_fits_on_default_device(self):
-        assert ResourceModel().estimate(90).fits()
+        util = ResourceModel().estimate(90).utilisation()
+        assert max(util.values()) <= 100.0
 
     def test_fits_even_small_device(self):
-        assert ResourceModel(device=ZU7EV).estimate(90).fits()
+        """A mid-range MPSoC (the XCZU7EV's budget) still holds 90x90."""
+        small = FpgaDevice(
+            name="xczu7ev",
+            luts=230_400,
+            flip_flops=460_800,
+            bram_36k=312,
+            dsp_slices=1728,
+        )
+        util = ResourceModel(device=small).estimate(90).utilisation()
+        assert max(util.values()) <= 100.0
 
     def test_invalid_sizes_rejected(self):
         model = ResourceModel()

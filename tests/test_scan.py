@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import compact_line, is_prefix_line, is_young_diagram
 
-from repro.core.scan import (
-    compact_line,
-    current_hole_position,
-    is_prefix_line,
-    is_young_diagram,
-    scan_axis,
-    scan_line,
-)
+from repro.core.scan import scan_axis, scan_line
 
 
 def bits(text: str) -> np.ndarray:
@@ -80,7 +74,7 @@ class TestCompactLine:
             result = scan_line(line)
             state = line.copy()
             for k, hole in enumerate(result.hole_positions):
-                cur = current_hole_position(hole, k)
+                cur = hole - k  # k earlier suffix shifts pulled it inward
                 # suffix shift: everything above cur moves one inboard
                 state[cur:-1] = state[cur + 1 :]
                 state[-1] = False

@@ -35,7 +35,8 @@ def test_scan_quadrant_matches_per_line_scan(grid, axis, limit):
         vector = grid[line, :] if axis == 0 else grid[:, line]
         expected = scan_line(vector, line=line, limit=limit)
         assert scan.line_counts[line] == expected.n_commands
-        assert tuple(scan.holes_of_line(line)) == expected.hole_positions
+        holes = scan.hole_positions[scan.hole_lines == line]
+        assert tuple(holes) == expected.hole_positions
         total += expected.n_commands
     assert scan.n_commands == total
     # Flat arrays are line-major with ascending positions per line.

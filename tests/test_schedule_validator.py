@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
-from repro.aod.validator import require_valid, validate_schedule
-from repro.errors import ScheduleValidationError
+from repro.aod.validator import validate_schedule
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import Direction
 
@@ -40,7 +37,6 @@ class TestMoveSchedule:
             )
         )
         assert schedule.n_line_shifts == 2
-        assert schedule.total_steps == 1
         assert schedule.max_line_tones() == 2
         assert schedule.max_cross_tones() == 3
 
@@ -62,7 +58,6 @@ class TestMoveSchedule:
     def test_empty_schedule_stats(self, geo8):
         schedule = MoveSchedule(geo8)
         assert schedule.max_line_tones() == 0
-        assert schedule.total_steps == 0
 
 
 class TestValidator:
@@ -99,19 +94,3 @@ class TestValidator:
         schedule = MoveSchedule(geo8, algorithm="fmt")
         report = validate_schedule(AtomArray(geo8), schedule)
         assert "fmt" in report.format()
-
-    def test_require_valid_passes(self, geo8):
-        array = AtomArray(geo8)
-        array.set_site(0, 0, True)
-        schedule = MoveSchedule(geo8, algorithm="ok")
-        schedule.append(_east(0, 0, 2))
-        assert require_valid(array, schedule).ok
-
-    def test_require_valid_raises(self, geo8):
-        array = AtomArray(geo8)
-        array.set_site(0, 0, True)
-        array.set_site(0, 2, True)
-        schedule = MoveSchedule(geo8, algorithm="bad")
-        schedule.append(_east(0, 0, 2))
-        with pytest.raises(ScheduleValidationError):
-            require_valid(array, schedule)

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from repro.aod.serialize import (
     FORMAT_VERSION,
     dumps,
-    load,
     loads,
-    save,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -37,12 +35,6 @@ class TestRoundTrip:
 
     def test_json_round_trip(self, schedule):
         recovered = loads(dumps(schedule))
-        assert recovered.moves == schedule.moves
-
-    def test_file_round_trip(self, schedule, tmp_path):
-        path = tmp_path / "schedule.json"
-        save(schedule, path)
-        recovered = load(path)
         assert recovered.moves == schedule.moves
 
     def test_tags_preserved(self, schedule):

@@ -31,11 +31,6 @@ class TestSingleRowScan:
             assert state.register_before.value == (0b0101 >> stage)
             assert state.register_after.value == (0b0101 >> (stage + 1))
 
-    def test_command_bits_vector(self):
-        lane = ShiftKernelLane(4)
-        trace = lane.scan_row(vec("1011"))  # hole at index 1
-        assert trace.command_bits.to_bools() == [False, True, False, False]
-
     def test_no_commands_without_outboard_atoms(self):
         lane = ShiftKernelLane(4)
         trace = lane.scan_row(vec("1100"))

@@ -31,12 +31,6 @@ class TestFifo:
     def test_pop_empty_returns_none(self):
         assert Fifo("f", 1).pop() is None
 
-    def test_peek(self):
-        fifo = Fifo("f", 2)
-        fifo.push("a")
-        assert fifo.peek() == "a"
-        assert len(fifo) == 1
-
     def test_occupancy_stats(self):
         fifo = Fifo("f", 8)
         for i in range(5):

@@ -31,7 +31,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import atom_arrays, masked_atom_arrays
 
-from repro.aod.executor import MoveApplier, execute_schedule
+from repro.aod.constraints import DEFAULT_CONSTRAINTS
+from repro.aod.executor import (
+    MoveApplier,
+    apply_parallel_move,
+    apply_parallel_move_reference,
+    execute_schedule,
+)
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.aod.timing import MoveTimingModel
@@ -58,8 +64,8 @@ def rogue_schedules(draw):
     """``(array, schedule)``: ``trusted`` bundles on a small drawn array.
 
     Shifts may share a line, overlap, reach outside the grid, or carry
-    their own direction and step count, so moves can select a site twice,
-    land two atoms on one site, collide or leave the grid.
+    their own direction and step count, so moves can drive one line
+    twice (which every path refuses), collide or leave the grid.
     """
     size = draw(st.sampled_from((4, 6)))
     geometry = ArrayGeometry.square(size, 2)
@@ -187,6 +193,52 @@ def test_rogue_bundles_replay_like_the_reference(scheduled, loss, seed):
     )
 
 
+def _walked(apply, array, schedule):
+    grid = array.grid.copy()
+    for move in schedule:
+        apply(grid, move)
+    return grid
+
+
+def _lossless(simulate, array, schedule):
+    no_loss = LossModel(loss_per_transfer=0.0, loss_per_site=0.0)
+    instant = MoveTimingModel(pickup_us=0, drop_us=0, transfer_us_per_site=0)
+    return simulate(array, schedule, no_loss, instant, rng=0).final_array.grid
+
+
+#: Every replay of a schedule, lossless, as ``(array, schedule) -> grid``.
+REPLAY_PATHS = {
+    "apply_parallel_move": lambda a, s: _walked(apply_parallel_move, a, s),
+    "apply_parallel_move_reference": (
+        lambda a, s: _walked(apply_parallel_move_reference, a, s)
+    ),
+    "execute_schedule": lambda a, s: execute_schedule(a, s, None)[0].grid,
+    "simulate_losses": lambda a, s: _lossless(simulate_losses, a, s),
+    "simulate_losses_reference": (
+        lambda a, s: _lossless(simulate_losses_reference, a, s)
+    ),
+}
+
+
+@given(rogue_schedules())
+@settings(max_examples=200, deadline=None)
+def test_rogue_bundles_have_one_outcome_on_every_path(scheduled):
+    """Same final grid everywhere, or a refusal everywhere.
+
+    Every path refuses a move driving one line twice before anything
+    else, with the same message; other refusals may word it their own
+    way.
+    """
+    outcomes = {}
+    for name, replay in REPLAY_PATHS.items():
+        try:
+            outcomes[name] = replay(*scheduled).tobytes()
+        except MoveError as exc:
+            shared = str(exc).startswith("two shifts target the same line")
+            outcomes[name] = str(exc) if shared else "refused"
+    assert len(set(outcomes.values())) == 1, outcomes
+
+
 def _qrm_schedule(geometry, seed=0):
     array = AtomArray(
         geometry, np.random.default_rng(seed).random(geometry.shape) < 0.5
@@ -249,81 +301,101 @@ def _assert_replays_like_the_reference(array, schedule, loss, timing, seeds=8):
         assert ours == _replayed(simulate_losses_reference, *replay)
 
 
-def test_atom_merging_rogue_bundle_replays_like_the_reference(geo8):
-    # Two shifts on one row land (2, 0) and (2, 1) both on (2, 2): the
-    # atoms merge, the lower label keeping the site, so the atom count
-    # drops by one that neither loss counter holds.
-    rogue = ParallelMove.trusted(
-        Direction.EAST,
-        steps=1,
-        shifts=(
-            LineShift.trusted(Direction.EAST, 2, 0, 1, steps=2),
-            LineShift.trusted(Direction.EAST, 2, 1, 2, steps=1),
-        ),
-    )
-    grid = np.zeros(geo8.shape, dtype=bool)
-    grid[2, :2] = grid[5] = True
-    array = AtomArray(geo8, grid)
-    schedule = MoveSchedule(geo8, moves=[rogue, rogue, rogue])
-    lossless = LossModel(
-        vacuum_lifetime_s=1e9, loss_per_transfer=0.0, loss_per_site=0.0
-    )
-    merged = simulate_losses(array, schedule, lossless, rng=0)
-    assert merged.atoms_final == array.n_atoms - 1
-    assert merged.final_array.grid[2].tolist() == [0, 0, 1, 0, 0, 0, 0, 0]
+#: ``trusted`` bundles of EAST shifts that drive one line twice, as
+#: ``(size, atoms, shifts)`` with each shift ``(line, start, stop, steps)``.
+LINE_SHARING_BUNDLES = {
+    # Overlapping spans: lifting both selections at once creates an atom,
+    # while applying them shift by shift clears the first one's landing.
+    "overlapping-spans": (6, [(1, 0), (1, 1)], [(1, 0, 2, 1), (1, 1, 2, 2)]),
+    # (2, 0) and (2, 1) both land on (2, 2).
+    "two-atoms-one-site": (8, [(2, 0), (2, 1)], [(2, 0, 1, 2), (2, 1, 2, 1)]),
+    # The first lands (1, 0)'s atom on (1, 2), which the second empties.
+    "landing-on-a-source": (8, [(1, 0), (1, 2)], [(1, 0, 1, 2), (1, 2, 3, 1)]),
+    # Six copies of one shift select (0, 0) six times.
+    "one-shift-six-times": (2, [(0, 0), (1, 1)], [(0, 0, 1, 1)] * 6),
+}
+
+
+def _refused_by(apply):
+    def check(array, schedule, message):
+        work = array.grid.copy()
+        with pytest.raises(MoveError, match=message):
+            apply(work, schedule[0])
+        assert np.array_equal(work, array.grid)
+
+    return check
+
+
+def _refused_by_applier_apply(array, schedule, message):
+    work = array.grid.copy()
+    with pytest.raises(MoveError, match=message):
+        MoveApplier(work, schedule).apply(0)
+    assert np.array_equal(work, array.grid)
+
+
+def _refused_by_applier_carry(array, schedule, message):
+    grid = array.grid
     labels = np.where(grid, np.cumsum(grid).reshape(grid.shape) - 1, -1)
-    carried = MoveApplier(grid, schedule).carry(labels)
-    assert [c.tolist() for c in carried] == [[0, 1], [], []]
-    assert labels[2].tolist() == [-1, -1, 0, -1, -1, -1, -1, -1]
-    short_lived = LossModel(vacuum_lifetime_s=1e-3, loss_per_transfer=0.2)
-    for seed in range(8):
-        report = simulate_losses(array, schedule, short_lived, rng=seed)
-        lost = report.lost_vacuum + report.lost_transfer
-        assert report.atoms_initial - report.atoms_final == lost + 1
-    _assert_replays_like_the_reference(
-        array, schedule, short_lived, MoveTimingModel(), seeds=16
-    )
+    work = labels.copy()
+    with pytest.raises(MoveError, match=message):
+        MoveApplier(grid.copy(), schedule).carry(work)
+    assert np.array_equal(work, labels)
 
 
-def test_landing_on_another_shifts_source_raises_like_the_executor(geo8):
-    # Two shifts on row 1: the first lands (1, 0)'s atom on (1, 2), which
-    # the second empties in the same move.  No label is overwritten, but
-    # the landing is outside the first shift's span on an occupied site,
-    # which the executor refuses; so must both replays.
+def _refused_by_strict_execution(array, schedule, message):
+    for constraints in (None, DEFAULT_CONSTRAINTS):
+        with pytest.raises(MoveError, match=message):
+            execute_schedule(array, schedule, constraints)
+
+
+def _skipped_by_lenient_execution(array, schedule, message):
+    for constraints in (None, DEFAULT_CONSTRAINTS):
+        final, report = execute_schedule(array, schedule, constraints, strict=False)
+        assert final == array
+        assert report.n_failed_moves == 1 and not report.violations
+
+
+def _refused_by_lossy(simulate):
+    def check(array, schedule, message):
+        gen = np.random.default_rng(0)
+        with pytest.raises(MoveError, match=message):
+            simulate(array, schedule, LossModel(loss_per_transfer=0.5), rng=gen)
+        assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    return check
+
+
+#: How each replay path meets a line-sharing bundle, as
+#: ``(array, schedule, message) -> None``: it raises the constructor's
+#: message before the grid, the labels or the generator change, and
+#: non-strict execution counts the move as failed and keeps the array.
+LINE_SHARING_REFUSALS = {
+    "apply_parallel_move": _refused_by(apply_parallel_move),
+    "apply_parallel_move_reference": _refused_by(apply_parallel_move_reference),
+    "MoveApplier.apply": _refused_by_applier_apply,
+    "MoveApplier.carry": _refused_by_applier_carry,
+    "execute_schedule": _refused_by_strict_execution,
+    "execute_schedule-non-strict": _skipped_by_lenient_execution,
+    "simulate_losses": _refused_by_lossy(simulate_losses),
+    "simulate_losses_reference": _refused_by_lossy(simulate_losses_reference),
+}
+
+
+@pytest.mark.parametrize("path", list(LINE_SHARING_REFUSALS))
+@pytest.mark.parametrize("name", list(LINE_SHARING_BUNDLES))
+def test_a_bundle_driving_one_line_twice_is_refused_on_every_path(name, path):
+    size, atoms, shifts = LINE_SHARING_BUNDLES[name]
+    geometry = ArrayGeometry.square(size, 2)
+    grid = np.zeros(geometry.shape, dtype=bool)
+    grid[tuple(zip(*atoms))] = True
     rogue = ParallelMove.trusted(
         Direction.EAST,
-        steps=1,
-        shifts=(
-            LineShift.trusted(Direction.EAST, 1, 0, 1, steps=2),
-            LineShift.trusted(Direction.EAST, 1, 2, 3, steps=1),
-        ),
+        1,
+        tuple(LineShift.trusted(Direction.EAST, *shift) for shift in shifts),
     )
-    grid = np.zeros(geo8.shape, dtype=bool)
-    grid[1, 0] = grid[1, 2] = True
-    array = AtomArray(geo8, grid)
-    schedule = MoveSchedule(geo8, moves=[rogue])
-    with pytest.raises(MoveError) as expected:
-        execute_schedule(array, schedule, constraints=None)
-    for simulate in (simulate_losses, simulate_losses_reference):
-        with pytest.raises(MoveError) as raised:
-            simulate(array, schedule, rng=0)
-        assert str(raised.value) == str(expected.value)
-
-
-def test_rogue_bundle_moving_more_atoms_than_sites_like_the_reference():
-    # Six copies of one shift select (0, 0) six times on a grid of four
-    # sites: its atom goes with the first, so one hand-off is drawn.
-    geometry = ArrayGeometry.square(2, 2)
-    shift = LineShift.trusted(Direction.EAST, 0, 0, 1, steps=1)
-    rogue = ParallelMove.trusted(Direction.EAST, 1, (shift,) * 6)
-    array = AtomArray(geometry, np.array([[True, False], [False, True]]))
     schedule = MoveSchedule(geometry, moves=[rogue])
-    labels = np.array([[0, -1], [-1, 1]])
-    carried = MoveApplier(array.grid, schedule).carry(labels)
-    assert [c.tolist() for c in carried] == [[0]]
-    assert labels.tolist() == [[-1, 0], [-1, 1]]
-    loss = LossModel(loss_per_transfer=0.5)
-    _assert_replays_like_the_reference(array, schedule, loss, MoveTimingModel())
+    message = f"two shifts target the same line {shifts[0][0]}"
+    LINE_SHARING_REFUSALS[path](AtomArray(geometry, grid), schedule, message)
 
 
 def test_negative_duration_raises_before_any_draw(geo8):
@@ -373,7 +445,8 @@ def test_zero_duration_moves_draw_no_vacuum_uniforms(geo20):
     no_handling = LossModel(loss_per_transfer=0.0, loss_per_site=0.0)
     gen = np.random.default_rng(0)
     report = simulate_losses(array, schedule, no_handling, instant, rng=gen)
-    assert report.duration_us == 0.0 and report.atoms_lost == 0
+    assert report.duration_us == 0.0
+    assert report.atoms_final == report.atoms_initial
     assert gen.bit_generator.state == np.random.default_rng(0).bit_generator.state
     for loss in (no_handling, LossModel()):
         _assert_replays_like_the_reference(array, schedule, loss, instant)

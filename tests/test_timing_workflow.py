@@ -21,7 +21,7 @@ from repro.timing.latency import (
     StageReport,
     measure_wall,
 )
-from repro.workflow.links import AXI_DDR, COAXPRESS_12, GIGE, LinkModel
+from repro.workflow.links import AXI_DDR, COAXPRESS_12, LinkModel
 from repro.workflow.system import (
     architecture_a_budget,
     architecture_b_budget,
@@ -42,7 +42,7 @@ class TestMoveTiming:
             pickup_us=100, drop_us=100, transfer_us_per_site=10, settle_us=5
         )
         move = ParallelMove.of([LineShift(Direction.EAST, 0, 0, 3, steps=4)])
-        assert timing.move_duration_us(move) == 100 + 40 + 100
+        assert timing.steps_duration_us(move.steps) == 100 + 40 + 100
 
     def test_schedule_motion_time(self, geo8):
         timing = MoveTimingModel(
@@ -69,7 +69,7 @@ class TestLinks:
         assert link.transfer_us(1000) == pytest.approx(11.0)
 
     def test_zero_bits_is_latency(self):
-        assert GIGE.transfer_us(0) == GIGE.latency_us
+        assert COAXPRESS_12.transfer_us(0) == COAXPRESS_12.latency_us
 
     def test_faster_link_faster(self):
         bits = 1_000_000

@@ -32,8 +32,7 @@ def _traced_run(n_tokens=5, every=1):
 class TestSimulationTrace:
     def test_samples_every_cycle(self):
         trace, result = _traced_run(n_tokens=5)
-        assert len(trace.samples) == result.cycles
-        assert trace.n_cycles == result.cycles
+        assert [s.cycle for s in trace.samples] == list(range(result.cycles))
 
     def test_subsampling(self):
         trace, result = _traced_run(n_tokens=8, every=2)
@@ -43,11 +42,10 @@ class TestSimulationTrace:
         trace, _ = _traced_run(n_tokens=5)
         series = trace.occupancy_series("in")
         assert all(0 <= v <= 8 for v in series)
-        assert trace.peak_occupancy("in") == max(series)
 
     def test_unknown_fifo_gives_zeros(self):
         trace, _ = _traced_run()
-        assert trace.peak_occupancy("nope") == 0
+        assert set(trace.occupancy_series("nope")) == {0}
 
     def test_timeline_rendering(self):
         trace, _ = _traced_run(n_tokens=5)
@@ -69,9 +67,9 @@ class TestAcceleratorTimeline:
         accelerator = QrmAccelerator(array20.geometry)
         trace = accelerator.trace_iteration(array20, iteration=0)
         assert trace is not None
-        assert trace.n_cycles > 0
+        assert trace.samples
         # The merged-record queue must actually see traffic.
-        assert trace.peak_occupancy("merged") > 0
+        assert max(trace.occupancy_series("merged")) > 0
         text = trace.render_timeline()
         assert "merged" in text
 
@@ -80,7 +78,7 @@ class TestAcceleratorTimeline:
 
         accelerator = QrmAccelerator(geo8)
         trace = accelerator.trace_iteration(AtomArray(geo8), iteration=3)
-        assert trace.n_cycles > 0
+        assert trace.samples
 
     def test_iteration_out_of_range(self, array20):
         accelerator = QrmAccelerator(array20.geometry)
