@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 from repro.analysis.stats import FillStats
 from repro.analysis.tables import format_table, to_csv
 from repro.baselines.cost_model import model_cpu_time_us
-from repro.campaign.spec import CampaignSpec, LossSpec, QrmSpec, ScenarioCell
-from repro.config import ScanMode
+from repro.campaign.spec import CampaignSpec, ScenarioCell
+from repro.config import QrmParameters, ScanMode
 from repro.fpga.accelerator import QrmAccelerator
 from repro.fpga.resources import ResourceModel
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
+from repro.physics.loss import DEFAULT_LOSS_MODEL, LossModel
 from repro.workflow.system import compare_architectures
 
 #: Fig. 7(a) anchors: FPGA analysis latency (us) the paper reports.
@@ -440,26 +441,26 @@ def run_ablation(
     """Design-choice ablation for the column-pass staleness and merging.
 
     Runs on the campaign engine: every variant is one grid cell with a
-    :class:`~repro.campaign.spec.QrmSpec` parameter override, so the
+    :class:`~repro.config.QrmParameters` override, so the
     paired seeding guarantees all variants analyse identical loaded
     arrays, and ``executor=``/``cache=`` add parallelism and incremental
     re-runs like every other grid-shaped experiment.
     """
     geometry = ArrayGeometry.square(size)
     variants = [
-        ("pipelined", QrmSpec(scan_mode=ScanMode.PIPELINED.value)),
-        ("fresh", QrmSpec(scan_mode=ScanMode.FRESH.value)),
+        ("pipelined", QrmParameters(scan_mode=ScanMode.PIPELINED)),
+        ("fresh", QrmParameters(scan_mode=ScanMode.FRESH)),
         (
             "pipelined",
-            QrmSpec(
-                scan_mode=ScanMode.PIPELINED.value,
+            QrmParameters(
+                scan_mode=ScanMode.PIPELINED,
                 merge_mirror_quadrants=False,
             ),
         ),
         (
             "pipelined+s_en",
-            QrmSpec(
-                scan_mode=ScanMode.PIPELINED.value,
+            QrmParameters(
+                scan_mode=ScanMode.PIPELINED,
                 scan_limit=max(1, geometry.target_width // 2),
             ),
         ),
@@ -602,7 +603,7 @@ def run_loss_comparison(
     seed_base: int = 0,
     algorithms: tuple[str, ...] = ("qrm", "tetris", "psca", "mta1"),
     fill: float = 0.5,
-    loss: LossSpec | None = None,
+    loss: LossModel = DEFAULT_LOSS_MODEL,
     executor=None,
     cache=None,
     journal=None,
@@ -615,7 +616,7 @@ def run_loss_comparison(
         fills=(fill,),
         n_seeds=trials,
         master_seed=seed_base,
-        loss_models=(loss if loss is not None else LossSpec(),),
+        loss_models=(loss,),
     )
     campaign = _run_campaign(spec, executor, cache, journal=journal)
     result = LossComparisonResult(size=size)

@@ -199,18 +199,18 @@ def _register_builtins() -> None:
     def qrm_variant(**preset):
         def factory(geometry, *, rng=None, **params):
             del rng  # deterministic; accepted for signature uniformity
-            return QrmScheduler(geometry, QrmParameters(**{**preset, **params}))
+            return QrmScheduler(geometry, QrmParameters.from_dict({**preset, **params}))
 
         return factory
 
     def qrm_sen(geometry, *, rng=None, **params):
         del rng
         params.setdefault("scan_limit", max(1, geometry.target_width // 2))
-        return QrmScheduler(geometry, QrmParameters(**params))
+        return QrmScheduler(geometry, QrmParameters.from_dict(params))
 
     def qrm_reference(geometry, *, rng=None, **params):
         del rng
-        return QrmSchedulerReference(geometry, QrmParameters(**params))
+        return QrmSchedulerReference(geometry, QrmParameters.from_dict(params))
 
     def plain(cls):
         def factory(geometry, *, rng=None, **params):

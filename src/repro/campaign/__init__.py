@@ -46,8 +46,6 @@ from repro.campaign.observer import (
 )
 from repro.campaign.spec import (
     CampaignSpec,
-    LossSpec,
-    QrmSpec,
     ScenarioCell,
     stable_hash,
 )
@@ -70,10 +68,8 @@ __all__ = [
     "ExperimentCampaign",
     "InterruptingObserver",
     "JournalReplay",
-    "LossSpec",
     "MultiprocessingExecutor",
     "NullObserver",
-    "QrmSpec",
     "RunJournal",
     "ScenarioCell",
     "SerialExecutor",

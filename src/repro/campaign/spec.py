@@ -30,7 +30,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.config import QrmParameters, is_int, known_fields
 from repro.errors import ConfigurationError
+from repro.physics.loss import LossModel
 
 #: Bump to invalidate every cached trial when the metric schema changes.
 TRIAL_SCHEMA_VERSION = 3
@@ -54,85 +56,35 @@ def stable_entropy(payload: Any) -> int:
     return int(stable_hash(payload)[:32], 16)
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Serialisable mirror of :class:`repro.physics.loss.LossModel`."""
+def _is_kind(value: Any, kind: str) -> bool:
+    """Does decoded JSON ``value`` have ``kind``?
 
-    vacuum_lifetime_s: float = 30.0
-    loss_per_transfer: float = 2e-3
-    loss_per_site: float = 1e-4
-
-    def to_model(self):
-        from repro.physics.loss import LossModel
-
-        return LossModel(
-            vacuum_lifetime_s=self.vacuum_lifetime_s,
-            loss_per_transfer=self.loss_per_transfer,
-            loss_per_site=self.loss_per_site,
-        )
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "vacuum_lifetime_s": self.vacuum_lifetime_s,
-            "loss_per_transfer": self.loss_per_transfer,
-            "loss_per_site": self.loss_per_site,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, float]) -> "LossSpec":
-        return cls(**dict(data))
-
-
-@dataclass(frozen=True)
-class QrmSpec:
-    """Serialisable mirror of :class:`repro.config.QrmParameters`.
-
-    Attaching one to a cell runs that cell's QRM scheduler (and FPGA
-    cycle model) with non-default algorithm parameters — the ablation
-    study sweeps scan modes, mirror merging, and the ``s_en`` bound this
-    way.  ``scan_mode`` is the string value of
-    :class:`repro.config.ScanMode` so specs stay plain JSON.
+    Kinds are ``int``, ``number``, ``str``, ``bool``, ``list`` and
+    ``object``; a trailing ``?`` also admits null, and ``[kind]`` is a
+    list of them.
     """
-
-    n_iterations: int = 4
-    scan_mode: str = "pipelined"
-    merge_mirror_quadrants: bool = True
-    enable_repair: bool = False
-    scan_limit: int | None = None
-
-    def to_params(self):
-        from repro.config import QrmParameters, ScanMode
-
-        return QrmParameters(
-            n_iterations=self.n_iterations,
-            scan_mode=ScanMode(self.scan_mode),
-            merge_mirror_quadrants=self.merge_mirror_quadrants,
-            enable_repair=self.enable_repair,
-            scan_limit=self.scan_limit,
+    if kind.startswith("["):
+        return isinstance(value, (list, tuple)) and all(
+            _is_kind(item, kind[1:-1]) for item in value
         )
+    if kind.endswith("?"):
+        return value is None or _is_kind(value, kind[:-1])
+    if kind in ("int", "number"):
+        return is_int(value) or (kind == "number" and isinstance(value, float))
+    types = {"str": str, "bool": bool, "list": (list, tuple), "object": Mapping}
+    return isinstance(value, types[kind])
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_iterations": self.n_iterations,
-            "scan_mode": self.scan_mode,
-            "merge_mirror_quadrants": self.merge_mirror_quadrants,
-            "enable_repair": self.enable_repair,
-            "scan_limit": self.scan_limit,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QrmSpec":
-        return cls(**dict(data))
-
-    def label(self) -> str:
-        parts = [self.scan_mode]
-        if not self.merge_mirror_quadrants:
-            parts.append("split")
-        if self.scan_limit is not None:
-            parts.append(f"s_en={self.scan_limit}")
-        if self.enable_repair:
-            parts.append("repair")
-        return "+".join(parts)
+def _decoded(cls: type, data: Any, **kinds: str) -> dict[str, Any]:
+    """``data`` as keyword arguments of ``cls``, each field of its ``kind``."""
+    payload = known_fields(cls, data)
+    for name, kind in kinds.items():
+        if name in payload and not _is_kind(payload[name], kind):
+            raise ConfigurationError(
+                f"{cls.__name__} field {name!r} must be {kind}, "
+                f"got {payload[name]!r}"
+            )
+    return payload
 
 
 def _freeze(value: Any) -> Any:
@@ -267,9 +219,9 @@ class MaskSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MaskSpec":
+        payload = _decoded(cls, data, kind="str", params="object")
         return cls(
-            kind=data["kind"],
-            params=tuple(dict(data.get("params", {})).items()),
+            kind=payload["kind"], params=tuple(payload.get("params", {}).items())
         )
 
     def label(self) -> str:
@@ -306,10 +258,10 @@ class ScenarioCell:
     size: int = 20
     target: int | None = None
     fill: float = 0.5
-    loss: LossSpec | None = None
+    loss: LossModel | None = None
     fpga: bool = False
     timing: bool = False
-    qrm: QrmSpec | None = None
+    qrm: QrmParameters | None = None
     cycles: int = 1
     mask: MaskSpec | None = None
     loading: str = "uniform"
@@ -387,16 +339,23 @@ class ScenarioCell:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioCell":
-        payload = dict(data)
-        loss = payload.get("loss")
-        if loss is not None:
-            payload["loss"] = LossSpec.from_dict(loss)
-        qrm = payload.get("qrm")
-        if qrm is not None:
-            payload["qrm"] = QrmSpec.from_dict(qrm)
-        mask = payload.get("mask")
-        if mask is not None:
-            payload["mask"] = MaskSpec.from_dict(mask)
+        payload = _decoded(
+            cls,
+            data,
+            algorithm="str",
+            size="int",
+            target="int?",
+            fill="number",
+            fpga="bool",
+            timing="bool",
+            cycles="int",
+            loading="str",
+        )
+        for name, model in (
+            ("loss", LossModel), ("qrm", QrmParameters), ("mask", MaskSpec)
+        ):
+            if payload.get(name) is not None:
+                payload[name] = model.from_dict(payload[name])
         return cls(**payload)
 
     def label(self) -> str:
@@ -430,7 +389,7 @@ class CampaignSpec:
     sizes: tuple[int, ...] = (20,)
     fills: tuple[float, ...] = (0.5,)
     targets: tuple[int | None, ...] = (None,)
-    loss_models: tuple[LossSpec | None, ...] = (None,)
+    loss_models: tuple[LossModel | None, ...] = (None,)
     masks: tuple[MaskSpec | None, ...] = (None,)
     loading: str = "uniform"
     n_seeds: int = 1
@@ -527,20 +486,33 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        payload = dict(data)
+        payload = _decoded(
+            cls,
+            data,
+            name="str",
+            algorithms="[str]",
+            sizes="[int]",
+            fills="[number]",
+            targets="[int?]",
+            loss_models="list",
+            masks="list",
+            loading="str",
+            n_seeds="int",
+            master_seed="int",
+            fpga="bool",
+            timing="bool",
+            cycles="int",
+            extra_cells="list",
+        )
         for axis in ("algorithms", "sizes", "fills", "targets"):
             if axis in payload:
                 payload[axis] = tuple(payload[axis])
-        if "loss_models" in payload:
-            payload["loss_models"] = tuple(
-                LossSpec.from_dict(loss) if loss is not None else None
-                for loss in payload["loss_models"]
-            )
-        if "masks" in payload:
-            payload["masks"] = tuple(
-                MaskSpec.from_dict(mask) if mask is not None else None
-                for mask in payload["masks"]
-            )
+        for axis, model in (("loss_models", LossModel), ("masks", MaskSpec)):
+            if axis in payload:
+                payload[axis] = tuple(
+                    model.from_dict(item) if item is not None else None
+                    for item in payload[axis]
+                )
         if "extra_cells" in payload:
             payload["extra_cells"] = tuple(
                 ScenarioCell.from_dict(cell) for cell in payload["extra_cells"]

@@ -138,7 +138,7 @@ def _resolve_algorithm(cell: ScenarioCell, geometry):
     if cell.qrm is not None:
         from repro.core.qrm import QrmScheduler
 
-        return QrmScheduler(geometry, cell.qrm.to_params())
+        return QrmScheduler(geometry, cell.qrm)
     return get_algorithm(cell.algorithm, geometry)
 
 
@@ -164,7 +164,7 @@ def _closed_loop_trial(trial: TrialSpec, algorithm) -> TrialResult:
         fill=cell.fill,
         algorithm=cell.algorithm,
         cycles=cell.cycles,
-        loss=cell.loss.to_model() if cell.loss is not None else None,
+        loss=cell.loss,
         fpga_timing=cell.fpga,
         mask=cell.mask.build(cell.size) if cell.mask is not None else None,
     )
@@ -297,12 +297,12 @@ def _trial_metrics(
         metrics["cpu_us"] = elapsed_us
 
     if cell.fpga:
+        from repro.config import DEFAULT_QRM_PARAMETERS
         from repro.fpga.accelerator import QrmAccelerator
 
-        if cell.qrm is not None:
-            accelerator = QrmAccelerator(array.geometry, params=cell.qrm.to_params())
-        else:
-            accelerator = QrmAccelerator(array.geometry)
+        accelerator = QrmAccelerator(
+            array.geometry, params=cell.qrm or DEFAULT_QRM_PARAMETERS
+        )
         run = accelerator.run(array)
         metrics["fpga_cycles"] = float(run.report.total_cycles)
         metrics["fpga_us"] = float(run.report.time_us)
@@ -314,7 +314,7 @@ def _trial_metrics(
         report = simulate_losses(
             array,
             result.schedule,
-            loss=cell.loss.to_model(),
+            loss=cell.loss,
             rng=np.random.default_rng(loss_seed),
         )
         from repro.lattice.metrics import target_fill_fraction

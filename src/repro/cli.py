@@ -307,7 +307,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         ConsoleObserver,
         ExperimentCampaign,
         InterruptingObserver,
-        LossSpec,
         NullObserver,
         RunJournal,
         TrialCache,
@@ -344,11 +343,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return 2
         try:
             spec = CampaignSpec.from_json(spec_path.read_text())
-        except (ValueError, TypeError, KeyError) as exc:
-            print(f"invalid spec file {spec_path}: {exc}", file=sys.stderr)
-            return 2
+        except (ReproError, ValueError, TypeError, KeyError) as exc:
+            raise ConfigurationError(
+                f"invalid spec file {spec_path}: {exc}"
+            ) from exc
     else:
         from repro.campaign.spec import MaskSpec
+        from repro.physics.loss import LossModel
 
         masks: tuple = (None,)
         if args.mask:
@@ -366,7 +367,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             fpga=args.fpga,
             timing=args.timing,
             cycles=args.cycles,
-            loss_models=(LossSpec(),) if args.loss else (None,),
+            loss_models=(LossModel(),) if args.loss else (None,),
             masks=masks,
             loading=args.loading,
         )

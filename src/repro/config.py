@@ -10,13 +10,38 @@ scheduler (:mod:`repro.core`) and the FPGA accelerator model
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 
 
 #: Sentinel ``scan_limit`` value selecting mask-derived per-line bounds.
 MASK_SCAN_LIMIT = "mask"
+
+
+def is_int(value: Any) -> bool:
+    """Is ``value`` an ``int`` (a ``bool`` is not)?"""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def known_fields(cls: type, data: Any) -> dict[str, Any]:
+    """``data`` as keyword arguments of the dataclass ``cls``.
+
+    Refuses anything but a mapping of ``cls``'s field names with a
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"{cls.__name__} must be a mapping, got {data!r}"
+        )
+    unknown = set(data) - {item.name for item in fields(cls)}
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {cls.__name__} field(s): "
+            f"{', '.join(sorted(map(str, unknown)))}"
+        )
+    return dict(data)
 
 
 class ScanMode(enum.Enum):
@@ -50,7 +75,8 @@ class QrmParameters:
         Maximum number of row-pass + column-pass rounds.  The paper uses
         four; the scheduler stops early once a round emits no commands.
     scan_mode:
-        Staleness model for the column pass, see :class:`ScanMode`.
+        Staleness model for the column pass, see :class:`ScanMode`; its
+        string value is accepted too.
     merge_mirror_quadrants:
         When true (paper behaviour), commands of mirror quadrants that
         share a scan ordinal and hole position are merged into one
@@ -60,8 +86,6 @@ class QrmParameters:
         Run the optional repair stage (individual atom moves) after the
         quadrant compaction to fix residual target defects.  Off by
         default: the paper's QRM does not include it.
-    max_repair_moves:
-        Safety bound on the number of individual repair moves.
     scan_limit:
         The ``s_en`` manual-control bound (paper Sec. IV-C): scan stages
         at quadrant-local positions >= this value never issue shift
@@ -77,28 +101,53 @@ class QrmParameters:
     scan_mode: ScanMode = ScanMode.PIPELINED
     merge_mirror_quadrants: bool = True
     enable_repair: bool = False
-    max_repair_moves: int = 4096
     scan_limit: int | str | None = None
 
     def __post_init__(self) -> None:
-        if self.n_iterations < 1:
+        if not is_int(self.n_iterations) or self.n_iterations < 1:
             raise ConfigurationError(
-                f"n_iterations must be >= 1, got {self.n_iterations}"
+                f"n_iterations must be an int >= 1, got {self.n_iterations!r}"
             )
-        if self.max_repair_moves < 0:
+        try:
+            object.__setattr__(self, "scan_mode", ScanMode(self.scan_mode))
+        except ValueError:
             raise ConfigurationError(
-                f"max_repair_moves must be >= 0, got {self.max_repair_moves}"
-            )
-        if isinstance(self.scan_limit, str):
-            if self.scan_limit != MASK_SCAN_LIMIT:
+                f"scan_mode must be one of "
+                f"{', '.join(repr(mode.value) for mode in ScanMode)}, "
+                f"got {self.scan_mode!r}"
+            ) from None
+        for name in ("merge_mirror_quadrants", "enable_repair"):
+            if not isinstance(getattr(self, name), bool):
                 raise ConfigurationError(
-                    f"scan_limit must be an int >= 1, None, or "
-                    f"{MASK_SCAN_LIMIT!r}, got {self.scan_limit!r}"
+                    f"{name} must be a bool, got {getattr(self, name)!r}"
                 )
-        elif self.scan_limit is not None and self.scan_limit < 1:
+        if not (
+            self.scan_limit is None
+            or self.scan_limit == MASK_SCAN_LIMIT
+            or (is_int(self.scan_limit) and self.scan_limit >= 1)
+        ):
             raise ConfigurationError(
-                f"scan_limit must be >= 1 or None, got {self.scan_limit}"
+                f"scan_limit must be an int >= 1, None, or "
+                f"{MASK_SCAN_LIMIT!r}, got {self.scan_limit!r}"
             )
+
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON form campaign specs, trial keys and journals carry."""
+        return {**vars(self), "scan_mode": self.scan_mode.value}
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "QrmParameters":
+        return cls(**known_fields(cls, data))
+
+    def label(self) -> str:
+        parts = [self.scan_mode.value]
+        if not self.merge_mirror_quadrants:
+            parts.append("split")
+        if self.scan_limit is not None:
+            parts.append(f"s_en={self.scan_limit}")
+        if self.enable_repair:
+            parts.append("repair")
+        return "+".join(parts)
 
 
 DEFAULT_QRM_PARAMETERS = QrmParameters()

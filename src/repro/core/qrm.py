@@ -258,7 +258,7 @@ class QrmScheduler:
             return [], 0
         from repro.core.repair import repair_defects
 
-        outcome = repair_defects(final, max_moves=self.params.max_repair_moves)
+        outcome = repair_defects(final)
         return outcome.moves, outcome.unresolved
 
     def _result(

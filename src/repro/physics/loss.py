@@ -25,12 +25,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.aod.executor import MoveApplier, apply_parallel_move
 from repro.aod.schedule import MoveSchedule
 from repro.aod.timing import DEFAULT_MOVE_TIMING, MoveTimingModel
+from repro.config import known_fields
 from repro.errors import ConfigurationError
 from repro.lattice.array import AtomArray
 from repro.lattice.loading import as_rng
@@ -58,11 +60,26 @@ class LossModel:
     loss_per_site: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.vacuum_lifetime_s <= 0:
-            raise ConfigurationError("vacuum_lifetime_s must be positive")
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
+        if not self.vacuum_lifetime_s > 0:
+            raise ConfigurationError(
+                f"vacuum_lifetime_s must be positive, got {self.vacuum_lifetime_s}"
+            )
         for name in ("loss_per_transfer", "loss_per_site"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1)")
+                raise ConfigurationError(
+                    f"{name} must be in [0, 1), got {getattr(self, name)}"
+                )
+
+    def to_dict(self) -> dict[str, float]:
+        """The JSON form campaign specs, trial keys and journals carry."""
+        return dict(vars(self))
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "LossModel":
+        return cls(**known_fields(cls, data))
 
     def vacuum_survival(self, duration_us: float) -> float:
         """Survival probability over ``duration_us`` of wall time."""

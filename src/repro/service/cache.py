@@ -22,23 +22,28 @@ from typing import Any, Mapping, NamedTuple
 
 from repro.errors import ConfigurationError
 
+#: The answer to a request that still names QRM overrides in ``qrm``.
+QRM_FIELD_REFUSAL = (
+    "'qrm' is not a request field; send QRM overrides in 'params', "
+    "e.g. {\"params\": {\"scan_mode\": \"fresh\"}}"
+)
+
 
 class SchedulerKey(NamedTuple):
     """Hashable identity of one scheduler configuration.
 
     ``geometry`` is ``(width, height, target_width, target_height)``;
-    ``params`` and ``qrm`` are sorted item tuples (or None) so the key
-    hashes while round-tripping to plain dicts for the wire.  ``mask``
-    is the :meth:`repro.lattice.mask.TargetMask.token` encoding of a
-    non-rectangular target (or None for the paper's centred rectangle);
-    it is a trailing field with a default so keys pickled by pre-mask
-    clients keep resolving.
+    ``params`` holds the registry factory's keyword arguments (QRM's
+    :class:`~repro.config.QrmParameters` fields, PSCA's tweezer budget)
+    as a sorted item tuple, so the key hashes while round-tripping to a
+    plain dict for the wire.  ``mask`` is the
+    :meth:`repro.lattice.mask.TargetMask.token` encoding of a
+    non-rectangular target (or None for the paper's centred rectangle).
     """
 
     geometry: tuple[int, int, int, int]
     algorithm: str = "qrm"
     params: tuple[tuple[str, Any], ...] = ()
-    qrm: tuple[tuple[str, Any], ...] | None = None
     mask: str | None = None
 
     @classmethod
@@ -55,21 +60,21 @@ class SchedulerKey(NamedTuple):
                 f"geometry must be (width, height, target_width, "
                 f"target_height), got {len(geometry)} values"
             )
+        if payload.get("qrm") is not None:
+            raise ConfigurationError(QRM_FIELD_REFUSAL)
         params = payload.get("params") or {}
-        qrm = payload.get("qrm")
         mask = payload.get("mask")
         try:
             key = cls(
                 geometry=geometry,
                 algorithm=str(payload.get("algorithm", "qrm")),
                 params=tuple(sorted(params.items())),
-                qrm=tuple(sorted(qrm.items())) if qrm is not None else None,
                 mask=str(mask) if mask is not None else None,
             )
             hash(key)  # the micro-batcher groups requests by key
         except (AttributeError, TypeError) as exc:
             raise ConfigurationError(
-                "'params' and 'qrm' must map names to hashable values"
+                "'params' must map names to hashable values"
             ) from exc
         return key
 
@@ -79,7 +84,6 @@ class SchedulerKey(NamedTuple):
             "geometry": self.geometry,
             "algorithm": self.algorithm,
             "params": dict(self.params),
-            "qrm": dict(self.qrm) if self.qrm is not None else None,
         }
         if self.mask is not None:
             payload["mask"] = self.mask
@@ -109,14 +113,8 @@ def resolve_scheduler(key: SchedulerKey):
     """Construct the scheduler a key names (the cache's factory)."""
     from repro.baselines.base import get_algorithm
 
-    geometry = key.to_geometry()
-    if key.qrm is not None:
-        from repro.campaign.spec import QrmSpec
-        from repro.core.qrm import QrmScheduler
-
-        return QrmScheduler(geometry, QrmSpec.from_dict(dict(key.qrm)).to_params())
     try:
-        return get_algorithm(key.algorithm, geometry, **dict(key.params))
+        return get_algorithm(key.algorithm, key.to_geometry(), **dict(key.params))
     except KeyError as exc:
         raise ConfigurationError(str(exc)) from exc
 

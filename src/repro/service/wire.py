@@ -40,6 +40,7 @@ from repro.campaign.protocol import (
     decode_payload,
 )
 from repro.errors import ConfigurationError, ReproError
+from repro.service.cache import QRM_FIELD_REFUSAL
 
 _HEADER = struct.Struct(">I")
 
@@ -119,11 +120,14 @@ def decode_json_request(line: bytes) -> dict[str, Any]:
         {"id": 7, "algorithm": "qrm-repair", "size": 16,
          "mask": ["....", ".##.", ".##.", "...."],
          "grid": [[0, 1, ...]]}
+        {"id": 7, "size": 16, "params": {"scan_mode": "fresh"},
+         "grid": [[0, 1, ...]]}
 
     A ``"mask"`` (row strings of ``'#'`` target sites, or the
     ``/``-joined token form) names a non-rectangular target; it
     overrides any ``target`` extents, which are re-derived from the
-    mask's bounding box.
+    mask's bounding box.  ``"params"`` is the one override field: the
+    algorithm factory's keyword arguments, which the factory validates.
 
     Returns ``{"op", "id", ...}`` with ``"geometry"`` normalised to a
     ``(width, height, target_width, target_height)`` tuple, ``"mask"``
@@ -222,11 +226,12 @@ def _schedule_fields(data: dict[str, Any], reject) -> dict[str, Any]:
         )
     else:
         raise reject("a schedule request needs either 'geometry' or 'size'")
+    if data.get("qrm") is not None:
+        raise reject(QRM_FIELD_REFUSAL)
     fields = dict(
         geometry=geometry,
         algorithm=data.get("algorithm", "qrm"),
         params=data.get("params") or {},
-        qrm=data.get("qrm"),
         grid=grid,
     )
     if mask_token is not None:

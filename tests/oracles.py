@@ -194,7 +194,8 @@ def campaign_specs(draw, max_seeds: int = 3, cycles=(1,)):
     perturbed run per example.  Pass ``cycles`` with values > 1 to draw
     closed-loop (multi-cycle) campaigns.
     """
-    from repro.campaign.spec import CampaignSpec, LossSpec
+    from repro.campaign.spec import CampaignSpec
+    from repro.physics.loss import LossModel
 
     algorithms = draw(st.sampled_from([("qrm",), ("tetris",), ("qrm", "tetris")]))
     size = draw(st.sampled_from((4, 6, 8)))
@@ -205,7 +206,7 @@ def campaign_specs(draw, max_seeds: int = 3, cycles=(1,)):
     # Multi-cycle runs only differ from single-cycle ones when replay is
     # stochastic, so closed-loop grids always carry an aggressive loss
     # model (otherwise a converged shot would stay converged forever).
-    loss_models = (LossSpec(vacuum_lifetime_s=0.05),) if n_cycles > 1 else (None,)
+    loss_models = (LossModel(vacuum_lifetime_s=0.05),) if n_cycles > 1 else (None,)
     return CampaignSpec(
         name="oracle",
         algorithms=algorithms,

@@ -11,8 +11,6 @@ import pytest
 from repro.campaign import (
     CampaignSpec,
     ExperimentCampaign,
-    LossSpec,
-    QrmSpec,
     ScenarioCell,
     TrialCache,
     TrialSpec,
@@ -20,11 +18,13 @@ from repro.campaign import (
 )
 from repro.campaign.spec import stable_entropy
 from repro.campaign.trial import cell_geometry, run_trial_batch
+from repro.config import QrmParameters
 from repro.core.qrm import QrmScheduler
 from repro.errors import ConfigurationError
 from repro.fpga.accelerator import QrmAccelerator
 from repro.lattice.array import AtomArray
 from repro.lattice.loading import load_named
+from repro.physics.loss import LossModel
 from repro.pipeline.stages import PipelineConfig, run_shot
 from repro.timing.latency import StageReport
 
@@ -117,11 +117,44 @@ class TestSpec:
 
     def test_json_round_trip(self):
         spec = small_spec(
-            loss_models=(LossSpec(), None),
+            loss_models=(LossModel(), None),
             fpga=False,
             master_seed=7,
         )
         assert CampaignSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"name": 7},
+            {"algorithms": "qrm"},
+            {"algorithms": [1]},
+            {"sizes": "ab"},
+            {"sizes": [8.0]},
+            {"sizes": [True]},
+            {"fills": ["0.5"]},
+            {"targets": ["4"]},
+            {"n_seeds": "2"},
+            {"master_seed": 1.5},
+            {"cycles": None},
+            {"loading": 0},
+            {"fpga": "yes"},
+            {"loss_models": [{"vacuum_lifetime_s": "30"}]},
+            {"masks": [{"kind": 3}]},
+            {"masks": [{"kind": "ring", "params": [1, 2]}]},
+            {"extra_cells": "ab"},
+            {"extra_cells": [{"size": "8"}]},
+            {"extra_cells": [{"fill": "0.5"}]},
+            {"extra_cells": [{"algorithm": None}]},
+            {"extra_cells": [{"cycles": 2.0}]},
+            {"extra_cells": [{"loading": ["uniform"]}]},
+            {"extra_cells": [{"qrm": {"n_iterations": "4"}}]},
+            {"no_such_axis": [1]},
+        ],
+    )
+    def test_from_dict_refuses_wrong_field_types(self, fields):
+        with pytest.raises(ConfigurationError):
+            CampaignSpec.from_dict({"name": "typed", **fields})
 
     def test_spec_hash_stability_and_invalidation(self):
         spec = small_spec()
@@ -286,7 +319,7 @@ class TestAggregation:
             result.aggregate_for(size=10)  # ambiguous: two algorithms
 
     def test_loss_metrics_present(self):
-        spec = small_spec(algorithms=("qrm",), n_seeds=2, loss_models=(LossSpec(),))
+        spec = small_spec(algorithms=("qrm",), n_seeds=2, loss_models=(LossModel(),))
         result = run_campaign(spec)
         metrics = result.aggregates[0].metrics
         assert "survival" in metrics
@@ -329,9 +362,9 @@ class TestAggregation:
         assert headers.index("moves_max") == index + 1
 
 
-class TestQrmSpecCells:
+class TestQrmOverrideCells:
     def test_round_trip_and_label(self):
-        qrm = QrmSpec(scan_mode="fresh", merge_mirror_quadrants=False, scan_limit=4)
+        qrm = QrmParameters(scan_mode="fresh", merge_mirror_quadrants=False, scan_limit=4)
         cell = ScenarioCell(size=10, qrm=qrm)
         restored = ScenarioCell.from_dict(json.loads(json.dumps(cell.to_dict())))
         assert restored == cell
@@ -339,7 +372,7 @@ class TestQrmSpecCells:
 
     def test_qrm_override_requires_qrm_algorithm(self):
         with pytest.raises(ConfigurationError):
-            ScenarioCell(algorithm="tetris", size=10, qrm=QrmSpec())
+            ScenarioCell(algorithm="tetris", size=10, qrm=QrmParameters())
 
     def test_parameter_override_changes_results(self):
         base = ScenarioCell(algorithm="qrm", size=10, fill=0.5)
@@ -347,7 +380,7 @@ class TestQrmSpecCells:
             algorithm="qrm",
             size=10,
             fill=0.5,
-            qrm=QrmSpec(scan_mode="fresh", n_iterations=2),
+            qrm=QrmParameters(scan_mode="fresh", n_iterations=2),
         )
         spec = CampaignSpec(
             name="qrm-variants",
@@ -369,11 +402,11 @@ class TestQrmSpecCells:
         # --fpga must cost the preset the trial scheduled with, not the
         # default parameters, on both the single-cycle and the
         # closed-loop trial paths.
-        preset = QrmSpec(scan_mode="fresh", n_iterations=2)
+        preset = QrmParameters(scan_mode="fresh", n_iterations=2)
         single = ScenarioCell(algorithm="qrm", size=16, fpga=True, qrm=preset)
-        looped = dataclasses.replace(single, cycles=2, loss=LossSpec())
+        looped = dataclasses.replace(single, cycles=2, loss=LossModel())
         geometry = cell_geometry(single)
-        accelerator = QrmAccelerator(geometry, params=preset.to_params())
+        accelerator = QrmAccelerator(geometry, params=preset)
 
         def cost(occupancy) -> int:
             array = AtomArray(geometry, occupancy)
@@ -393,9 +426,9 @@ class TestQrmSpecCells:
             trial = dataclasses.replace(trial, cell=looped)
             _, loop_seed = trial.seed_sequence().spawn(2)
             config = PipelineConfig(
-                size=16, fill=looped.fill, cycles=2, loss=looped.loss.to_model()
+                size=16, fill=looped.fill, cycles=2, loss=looped.loss
             )
-            scheduler = QrmScheduler(geometry, preset.to_params())
+            scheduler = QrmScheduler(geometry, preset)
             streams = loop_seed.spawn(4)
             shot = run_shot(0, array, streams, config, scheduler, StageReport())
             expected = sum(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import socket
 
 import pytest
@@ -457,3 +458,42 @@ class TestCommands:
             ["campaign", "--spec", str(spec_path), "--no-cache", "--quiet"]
         ) == 0
         assert "Campaign 'fromfile'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"sizes": "ab"},
+            {"loss_models": [{"vacuum_lifetime_s": -1}]},
+            {
+                "extra_cells": [
+                    {"algorithm": "qrm", "size": 8, "qrm": {"scan_mode": "sideways"}}
+                ]
+            },
+        ],
+        ids=["sizes-a-string", "negative-vacuum-lifetime", "sideways-scan-mode"],
+    )
+    def test_campaign_refuses_a_bad_spec_file_at_load(self, capsys, tmp_path, fields):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps({"name": "bad", "sizes": [8], "n_seeds": 1, **fields})
+        )
+        journal = tmp_path / "run.jsonl"
+        code = main(
+            [
+                "campaign",
+                "--spec",
+                str(spec_path),
+                "--journal",
+                str(journal),
+                "--no-cache",
+                "--quiet",
+            ]
+        )
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith(f"error: invalid spec file {spec_path}: ")
+        # Refused before the journal opens or any trial runs.
+        assert not journal.exists()
+        assert captured.out == ""

@@ -172,6 +172,7 @@ class TestJournalLines:
             ("trial_finished", lambda event: event["metrics"].update(moves="x")),
             ("trial_started", lambda event: event.pop("key")),
             ("campaign_started", lambda event: event.update(spec=[1, 2])),
+            ("campaign_started", lambda event: event["spec"].update(sizes="ab")),
         ],
         ids=[
             "finished-without-metrics",
@@ -181,6 +182,7 @@ class TestJournalLines:
             "text-metric",
             "started-without-key",
             "spec-a-list",
+            "spec-sizes-a-string",
         ],
     )
     def test_resume_exits_2_with_one_error_line(self, tmp_path, capsys, event, edit):

@@ -173,6 +173,22 @@ PINNED_TRIAL_KEY_FULL = (
 PINNED_TRIAL_STREAM_FULL = [1762682798, 2515118248, 3365019787, 3290816421]
 PINNED_SPEC_HASH = "4d72c9c61c694291"
 
+# Trial keys of a 16x16 cell (seed 0, master seed 7) with one QRM
+# parameter off its default each, and the spec hash of a lossy campaign
+# with every loss field off its default, pinned from the code that
+# spelt these parameter sets as campaign-only mirror types: the model
+# types must serialise to the same bytes, field by field.
+PINNED_QRM_OVERRIDE_KEYS = {
+    "fresh": "92bdf123becf393f1a89e5f5db784854887903db18fe4f1680f3a01237233cfd",
+    "split": "bc03b8578e9e5e119a16c04ed4c95e26cfc0642e144728af5bff021a6884d881",
+    "repair": "92a64b46443970efff58423dc6b2cf18b9e0172f1b205fd81978772c4ce292f1",
+    "scan_limit": "c9ea341cdc89dc17a2a711d8c7f262b6789382fbb41442dbac50302218dae5f1",
+    "n_iterations": (
+        "1b0a186101aa69d0e277bbbce94ab06151aa4787040598b03c182d93b2d715d8"
+    ),
+}
+PINNED_LOSSY_SPEC_HASH = "ad37b9598db3fd2b"
+
 
 def test_rect_instance_keys_unchanged():
     from repro.campaign.spec import ScenarioCell, stable_hash
@@ -185,8 +201,10 @@ def test_rect_instance_keys_unchanged():
 
 
 def test_rect_trial_cache_keys_and_seed_streams_unchanged():
-    from repro.campaign.spec import LossSpec, QrmSpec, ScenarioCell
+    from repro.campaign.spec import ScenarioCell
     from repro.campaign.trial import TrialSpec
+    from repro.config import QrmParameters
+    from repro.physics.loss import LossModel
 
     plain = TrialSpec(
         ScenarioCell(algorithm="qrm", size=8, target=None, fill=0.5),
@@ -201,8 +219,8 @@ def test_rect_trial_cache_keys_and_seed_streams_unchanged():
             size=16,
             target=4,
             fill=0.7,
-            loss=LossSpec(vacuum_lifetime_s=1.0),
-            qrm=QrmSpec(scan_limit=2),
+            loss=LossModel(vacuum_lifetime_s=1.0),
+            qrm=QrmParameters(scan_limit=2),
             cycles=2,
         ),
         seed_index=0,
@@ -214,7 +232,8 @@ def test_rect_trial_cache_keys_and_seed_streams_unchanged():
 
 
 def test_rect_campaign_spec_hash_and_grid_unchanged():
-    from repro.campaign.spec import CampaignSpec, LossSpec
+    from repro.campaign.spec import CampaignSpec
+    from repro.physics.loss import LossModel
 
     spec = CampaignSpec(
         name="pin",
@@ -222,7 +241,7 @@ def test_rect_campaign_spec_hash_and_grid_unchanged():
         sizes=(8, 16),
         fills=(0.5, 0.7),
         targets=(None, 4),
-        loss_models=(None, LossSpec(vacuum_lifetime_s=1.0)),
+        loss_models=(None, LossModel(vacuum_lifetime_s=1.0)),
         n_seeds=2,
         master_seed=1234,
     )
@@ -236,21 +255,56 @@ def test_rect_campaign_spec_hash_and_grid_unchanged():
         assert "loading" not in cell.to_dict()
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("fresh", {"scan_mode": "fresh"}),
+        ("split", {"merge_mirror_quadrants": False}),
+        ("repair", {"enable_repair": True}),
+        ("scan_limit", {"scan_limit": 2}),
+        ("n_iterations", {"n_iterations": 2}),
+    ],
+)
+def test_qrm_override_trial_keys_unchanged(name, params):
+    from repro.campaign.spec import ScenarioCell
+    from repro.campaign.trial import TrialSpec
+    from repro.config import QrmParameters
+
+    cell = ScenarioCell(
+        algorithm="qrm", size=16, fill=0.5, qrm=QrmParameters(**params)
+    )
+    assert TrialSpec(cell, 0, 7).key() == PINNED_QRM_OVERRIDE_KEYS[name]
+
+
+def test_lossy_spec_hash_unchanged():
+    from repro.campaign.spec import CampaignSpec
+    from repro.physics.loss import LossModel
+
+    loss = LossModel(
+        vacuum_lifetime_s=2.5, loss_per_transfer=0.01, loss_per_site=0.001
+    )
+    spec = CampaignSpec(
+        name="pin-loss", sizes=(16,), loss_models=(loss,), n_seeds=2, master_seed=5
+    )
+    assert spec.spec_hash() == PINNED_LOSSY_SPEC_HASH
+
+
 def test_loss_stream_version_keys_lossy_cells_only(monkeypatch):
     from repro.campaign import spec as spec_module
     from repro.campaign import trial as trial_module
-    from repro.campaign.spec import CampaignSpec, LossSpec, ScenarioCell
+    from repro.campaign.spec import CampaignSpec, ScenarioCell
     from repro.campaign.trial import TrialSpec
+    from repro.physics.loss import LossModel
 
     def fingerprints():
         cells = [
             ScenarioCell(algorithm="qrm", size=8, target=None, fill=0.5, loss=loss)
-            for loss in (None, LossSpec())
+            for loss in (None, LossModel())
         ]
         keys = [TrialSpec(cell, 0, 1).key() for cell in cells]
         hashes = [
             CampaignSpec(name="s", loss_models=(loss,)).spec_hash()
-            for loss in (None, LossSpec())
+            for loss in (None, LossModel())
         ]
         return keys, hashes
 

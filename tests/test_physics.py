@@ -46,6 +46,33 @@ class TestLossModel:
         with pytest.raises(ConfigurationError):
             LossModel().vacuum_survival(-1.0)
 
+    def test_dict_round_trip(self):
+        loss = LossModel(vacuum_lifetime_s=2.5, loss_per_transfer=0.01)
+        assert loss.to_dict() == {
+            "vacuum_lifetime_s": 2.5,
+            "loss_per_transfer": 0.01,
+            "loss_per_site": 1e-4,
+        }
+        assert LossModel.from_dict(loss.to_dict()) == loss
+        assert LossModel.from_dict({}) == LossModel()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vacuum_lifetime_s": -1},
+            {"vacuum_lifetime_s": float("nan")},
+            {"vacuum_lifetime_s": "30"},
+            {"loss_per_transfer": True},
+            {"loss_per_site": None},
+            {"loss_per_site": 1.5},
+            {"lifetime": 30.0},
+            [30.0, 2e-3, 1e-4],
+        ],
+    )
+    def test_from_dict_refuses_wrong_types_and_values(self, data):
+        with pytest.raises(ConfigurationError):
+            LossModel.from_dict(data)
+
 
 class TestSimulateLosses:
     def _schedule(self, array):

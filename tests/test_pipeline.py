@@ -29,7 +29,6 @@ from repro.campaign import (
     CampaignSpec,
     ExperimentCampaign,
     InterruptingObserver,
-    LossSpec,
     RunJournal,
     ScenarioCell,
     TrialSpec,
@@ -361,7 +360,7 @@ CYCLES_CELL = ScenarioCell(
     algorithm="qrm",
     size=8,
     fill=0.5,
-    loss=LossSpec(vacuum_lifetime_s=0.05),
+    loss=LossModel(vacuum_lifetime_s=0.05),
     cycles=3,
 )
 
@@ -408,7 +407,7 @@ class TestCampaignCycles:
             algorithms=("qrm",),
             sizes=(8,),
             fills=(0.5,),
-            loss_models=(LossSpec(vacuum_lifetime_s=0.05),),
+            loss_models=(LossModel(vacuum_lifetime_s=0.05),),
             n_seeds=4,
             cycles=2,
         )

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import is_young_diagram
+from oracles import assert_results_identical, is_young_diagram
 
 from repro.aod.validator import validate_schedule
+from repro.baselines.base import get_algorithm
 from repro.config import QrmParameters, ScanMode
 from repro.core.qrm import QrmScheduler
 from repro.errors import ConfigurationError
@@ -27,9 +28,56 @@ class TestParameters:
         with pytest.raises(ConfigurationError):
             QrmParameters(n_iterations=0)
 
-    def test_invalid_repair_budget(self):
+    def test_string_scan_mode_is_the_enum(self):
+        assert QrmParameters(scan_mode="fresh").scan_mode is ScanMode.FRESH
+        assert QrmParameters(scan_mode="pipelined") == QrmParameters()
+
+    def test_string_scan_mode_schedules_like_the_default(self):
+        geometry = ArrayGeometry.square(16)
+        array = load_uniform(geometry, 0.5, rng=3)
+        assert_results_identical(
+            get_algorithm("qrm", geometry, scan_mode="pipelined").schedule(array),
+            get_algorithm("qrm", geometry).schedule(array),
+        )
+
+    def test_dict_round_trip(self):
+        params = QrmParameters(
+            n_iterations=2,
+            scan_mode=ScanMode.FRESH,
+            merge_mirror_quadrants=False,
+            enable_repair=True,
+            scan_limit="mask",
+        )
+        assert params.to_dict() == {
+            "n_iterations": 2,
+            "scan_mode": "fresh",
+            "merge_mirror_quadrants": False,
+            "enable_repair": True,
+            "scan_limit": "mask",
+        }
+        assert QrmParameters.from_dict(params.to_dict()) == params
+        assert QrmParameters.from_dict({}) == QrmParameters()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"scan_mode": "sideways"},
+            {"scan_mode": None},
+            {"n_iterations": "4"},
+            {"n_iterations": 2.0},
+            {"n_iterations": True},
+            {"merge_mirror_quadrants": "no"},
+            {"enable_repair": 1},
+            {"scan_limit": 0},
+            {"scan_limit": "all"},
+            {"scan_limit": False},
+            {"max_repair_moves": 10},
+            ["pipelined"],
+        ],
+    )
+    def test_from_dict_refuses_wrong_types_and_values(self, data):
         with pytest.raises(ConfigurationError):
-            QrmParameters(max_repair_moves=-1)
+            QrmParameters.from_dict(data)
 
 
 class TestScheduleBasics:

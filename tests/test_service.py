@@ -30,7 +30,9 @@ from repro.aod.serialize import schedule_to_dict
 from repro.baselines.base import register_algorithm, unregister_algorithm
 from repro.campaign.protocol import read_frame, write_handshake
 from repro.campaign.spec import MaskSpec
-from repro.errors import ServiceError, ServiceTimeoutError
+from repro.config import QrmParameters, ScanMode
+from repro.core.qrm import QrmScheduler
+from repro.errors import ConfigurationError, ServiceError, ServiceTimeoutError
 from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry
 from repro.lattice.loading import load_uniform
@@ -392,6 +394,54 @@ def test_json_front_door_serves_requests_over_64_kib(server):
     local = resolve_scheduler(key_for(geometry)).schedule(array)
     assert response["ok"] is True
     assert response["schedule"] == schedule_to_dict(local.schedule)
+
+
+def test_json_front_door_params_reach_qrm_parameters(server):
+    # A string scan mode is the enum: "pipelined" schedules the default
+    # way, not in fresh mode.
+    geometry = ArrayGeometry.square(16)
+    array = load_uniform(geometry, 0.5, rng=3)
+    grid = array.grid.astype(int).tolist()
+    responses = json_roundtrip(
+        server.address,
+        {"id": 1, "size": 16, "params": {"scan_mode": "pipelined"}, "grid": grid},
+        {"id": 2, "size": 16, "params": {"scan_mode": "fresh"}, "grid": grid},
+    )
+    pipelined, fresh = sorted(responses, key=lambda response: response["id"])
+    default = QrmScheduler(geometry).schedule(array)
+    fresh_mode = QrmScheduler(geometry, QrmParameters(scan_mode=ScanMode.FRESH))
+    assert pipelined["schedule"] == schedule_to_dict(default.schedule)
+    assert fresh["schedule"] == schedule_to_dict(fresh_mode.schedule(array).schedule)
+    assert pipelined["moves"] != fresh["moves"]
+
+
+@pytest.mark.parametrize(
+    "fields, answer",
+    [
+        (b'"params": {"scan_mode": "sideways"}', "ConfigurationError: scan_mode"),
+        (b'"params": {"n_iterations": "4"}', "ConfigurationError: n_iterations"),
+        (b'"params": {"no_such_parameter": 1}', "ConfigurationError: unknown"),
+        (b'"qrm": {"scan_mode": "fresh"}', "send QRM overrides in 'params'"),
+    ],
+    ids=["sideways-scan-mode", "text-iterations", "unknown-parameter", "qrm-field"],
+)
+def test_json_front_door_refuses_bad_qrm_overrides(server, fields, answer):
+    grid = json.dumps(np.zeros((8, 8), int).tolist()).encode()
+    line = b'{"id": 5, "size": 8, ' + fields + b', "grid": ' + grid + b"}"
+    responses = json_lines(server.address, [line, b'{"id": 6, "op": "ping"}'], 2)
+    bad, ping = sorted(responses, key=lambda response: response["id"])
+    assert bad["id"] == 5 and bad["ok"] is False
+    assert answer in bad["error"].splitlines()[0]
+    assert ping == {"id": 6, "ok": True, "value": "pong"}
+
+
+def test_scheduler_key_refuses_the_qrm_field():
+    payload = key_for(ArrayGeometry.square(8)).to_payload()
+    assert "qrm" not in payload
+    key = SchedulerKey.from_payload(payload)
+    assert SchedulerKey.from_payload({**payload, "qrm": None}) == key
+    with pytest.raises(ConfigurationError, match="'params'"):
+        SchedulerKey.from_payload({**payload, "qrm": {"scan_mode": "fresh"}})
 
 
 def test_json_front_door_answers_an_over_limit_line(server):
