@@ -393,8 +393,9 @@ def measure_lossy_replay_speedup(
     Both sides replay the trial's schedule on its loaded array under
     the default :class:`~repro.physics.loss.LossModel`, from generators
     seeded alike: :func:`~repro.physics.loss.simulate_losses` (one label
-    walk over the table-driven move plan, then one lifetime draw per atom
-    and one hand-off draw per carried atom, in two bulk calls) against
+    walk over the table-driven move plan, in runs of line-disjoint moves,
+    then one lifetime draw per atom and one hand-off draw per carried
+    atom, in two bulk calls) against
     its per-atom scalar twin
     :func:`~repro.physics.loss.simulate_losses_reference` (move objects
     built included).

@@ -171,7 +171,11 @@ class MoveApplier:
     is exactly the per-shift path's; that is the only place a move
     object is built.  ``grid`` must be C-contiguous (every
     :class:`AtomArray` grid is): the applier writes through a flat view
-    of it.  :meth:`carry` walks atom labels along the same plan instead.
+    of it.  :meth:`carry` walks atom labels along the same plan instead,
+    a run of moves at a time: moves on one axis that drive distinct
+    lines touch disjoint sites, so a run of them moves in one step.  The
+    runs are planned only when labels are carried; :meth:`apply` and
+    :func:`execute_schedule` never plan them.
     """
 
     def __init__(self, grid: np.ndarray, schedule: MoveSchedule) -> None:
@@ -235,58 +239,118 @@ class MoveApplier:
             flat[landing] = True
         return landing
 
-    def carry(self, labels: np.ndarray) -> list[np.ndarray]:
-        """Carry atom labels through every move in place; returns what each carries.
+    def carry(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Carry atom labels through every move in place; returns what moves carry.
 
         ``labels`` is an int grid of the applier's shape holding an
         atom's label on each occupied site and -1 on each empty one (the
         applier's own grid is never written).  Labels move along the
-        per-site plan :meth:`apply` uses, and entry ``m`` of the result
-        holds the labels move ``m`` carries, in the order :meth:`apply`
-        returns their landing sites.  An invalid move raises the
-        :class:`MoveError` :meth:`apply` raises on the same occupancy.
+        per-site plan :meth:`apply` uses.  The result is ``(carried,
+        moves)``: the label of every atom a move carries and the index of
+        that move, in walk order — move by move and, within a move, in
+        the order :meth:`apply` returns their landing sites.  An invalid
+        move raises the :class:`MoveError` :meth:`apply` raises on the
+        same occupancy.
+
+        Labels move one run at a time (:meth:`_runs`).  Consecutive moves
+        on one axis that drive distinct lines touch disjoint sites, so
+        they commute, and a run of them costs one gather, one clear and
+        one scatter, however many moves it holds.  Every gather lands in
+        one walk-order array of the plan's sites, from which the carried
+        labels are read once the walk ends.
 
         Collisions are checked once, after the walk.  On a move whose
         lines are distinct and inside the grid the only invalid landing
         is onto a static atom, which overwrites that atom's label; labels
         are never created, so a walk that ends with as many labels as it
-        began saw no collision.  Moves that break the lockstep contract
-        or leave the grid are checked as they come.  A walk that lost a
-        label is redone with every move checked, which raises the first
-        error.
+        began saw no collision.  A move that breaks the lockstep contract
+        or leaves the grid is a run of its own, checked as it comes.  A
+        walk that lost a label is redone move by move with every move
+        checked, which raises the first error.
         """
         flat = labels.reshape(-1)
         start = flat.copy()
-        try:
-            carried = self._carry(flat, self._per_shift)
-            if np.count_nonzero(flat >= 0) == np.count_nonzero(start >= 0):
-                return carried
-        except MoveError:
-            pass
-        flat[:] = start
-        return self._carry(flat, [True] * len(self._per_shift))
-
-    def _carry(self, flat: np.ndarray, checked) -> list[np.ndarray]:
-        """One walk of :meth:`carry`, checking the moves ``checked`` marks."""
-        src_all, dst_all, outside = self._src, self._dst, self._outside
+        walk = np.empty(self._src.size, dtype=flat.dtype)
         offsets = self._site_offsets
-        carried = []
-        for index, (a, b, check) in enumerate(zip(offsets, offsets[1:], checked)):
+        try:
+            self._walk(flat, walk, self._runs())
+            lost = np.count_nonzero(flat >= 0) != np.count_nonzero(start >= 0)
+        except MoveError:
+            lost = True
+        if lost:
+            flat[:] = start
+            self._walk(flat, walk, zip(offsets, offsets[1:], range(len(offsets) - 1)))
+        hit = (walk >= 0).nonzero()[0]
+        moves = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        return walk[hit], moves[hit]
+
+    def _runs(self) -> list[tuple[int, int, int | None]]:
+        """The runs :meth:`carry` walks, as ``(first site, stop site, move)``.
+
+        A run is a maximal stretch of consecutive moves on one axis that
+        drive distinct lines: it ends where the axis changes and before
+        a move that drives a line the run already drives.  A move
+        :meth:`apply` cannot vouch for is a run of its own, whose
+        ``move`` is its index, to be checked; every other run's is None.
+        """
+        table = self._schedule.table()
+        n_moves = len(table)
+        if not n_moves:
+            return []
+        horizontal = table.horizontal
+        flagged = np.array(self._per_shift)
+        # Per move, the last earlier move on its axis that drives one of
+        # its lines (-1 for none).  A stable sort by (line, axis) keeps
+        # each line's shifts in move order; lines outside the grid (only
+        # flagged moves have them) clip to keep the key small.
+        shift_move = table.shift_move
+        n_lines = max(self.grid.shape)
+        key = (np.clip(table.line, -1, n_lines) + 1) * 2 + horizontal[shift_move]
+        key = key.astype(np.min_scalar_type(2 * n_lines + 3))
+        order = np.argsort(key, kind="stable")
+        mover, key = shift_move[order], key[order]
+        again = key[1:] == key[:-1]
+        previous = np.full(n_moves, -1)
+        np.maximum.at(previous, mover[1:][again], mover[:-1][again])
+        # A flagged move, the move after it and an axis change always
+        # start a run: they conflict with themselves.
+        breaks = flagged.copy()
+        breaks[1:] |= flagged[:-1] | (horizontal[1:] != horizontal[:-1])
+        previous = np.where(breaks, np.arange(n_moves), previous)
+        starts = [0]
+        for move, last in enumerate(previous[1:].tolist(), start=1):
+            if last >= starts[-1]:
+                starts.append(move)
+        offsets = self._site_offsets
+        return [
+            (offsets[first], offsets[stop], first if self._per_shift[first] else None)
+            for first, stop in zip(starts, starts[1:] + [n_moves])
+        ]
+
+    def _walk(self, flat: np.ndarray, walk: np.ndarray, runs) -> None:
+        """Carry ``flat``'s labels along ``runs``, gathering into ``walk``.
+
+        ``runs`` yields ``(first site, stop site, move)``: the sites'
+        labels are gathered into ``walk`` at the sites' plan positions
+        and lifted, and the carried ones land on their destinations.  A
+        run whose ``move`` is not None is that one move, checked first.
+        """
+        src_all, dst_all, outside = self._src, self._dst, self._outside
+        for a, b, check in runs:
             src = src_all[a:b]
-            dst = dst_all[a:b]
             moving = flat[src]
-            hit = moving >= 0
-            if check and (
-                self._per_shift[index]
-                or (hit & outside[a:b] & (flat[dst] >= 0)).any()
+            # Index arrays, not masks: a sparse mask indexes far slower.
+            hit = (moving >= 0).nonzero()[0]
+            landing = dst_all[a:b][hit]
+            if check is not None and (
+                self._per_shift[check]
+                or (outside[a:b][hit] & (flat[landing] >= 0)).any()
             ):
                 grid = (flat >= 0).reshape(self.grid.shape)
-                apply_parallel_move(grid, self._schedule[index])
+                apply_parallel_move(grid, self._schedule[check])
+            walk[a:b] = moving
             flat[src] = -1  # unoccupied sources are -1 already
-            moving = moving[hit]
-            flat[dst[hit]] = moving
-            carried.append(moving)
-        return carried
+            flat[landing] = moving[hit]
 
     def _shares_a_line(self) -> np.ndarray:
         """Per move: whether two of its shifts drive the same line."""

@@ -59,14 +59,16 @@ def stable_entropy(payload: Any) -> int:
 def _is_kind(value: Any, kind: str) -> bool:
     """Does decoded JSON ``value`` have ``kind``?
 
-    Kinds are ``int``, ``number``, ``str``, ``bool``, ``list`` and
-    ``object``; a trailing ``?`` also admits null, and ``[kind]`` is a
-    list of them.
+    Kinds are ``int``, ``number``, ``str``, ``bool``, ``list``,
+    ``object`` and ``pair`` (a list of two ints); a trailing ``?`` also
+    admits null, and ``[kind]`` is a list of them.
     """
     if kind.startswith("["):
         return isinstance(value, (list, tuple)) and all(
             _is_kind(item, kind[1:-1]) for item in value
         )
+    if kind == "pair":
+        return _is_kind(value, "[int]") and len(value) == 2
     if kind.endswith("?"):
         return value is None or _is_kind(value, kind[:-1])
     if kind in ("int", "number"):
@@ -122,18 +124,40 @@ class MaskSpec:
     kind: str
     params: tuple[tuple[str, Any], ...] = ()
 
-    KINDS = ("rect", "ring", "triangular", "sparse")
+    #: Each family's parameters, with the kind of value each takes.
+    PARAMS = {
+        "rect": {"height": "number", "width": "number"},
+        "ring": {"outer": "number", "inner": "number"},
+        "triangular": {"pitch": "number", "margin": "number"},
+        "sparse": {"sites": "[pair]"},
+    }
 
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
+        if self.kind not in self.PARAMS:
             raise ConfigurationError(
-                f"unknown mask kind {self.kind!r}; known: {', '.join(self.KINDS)}"
+                f"unknown mask kind {self.kind!r}; known: {', '.join(self.PARAMS)}"
             )
         object.__setattr__(
             self,
             "params",
             tuple(sorted((str(key), _freeze(value)) for key, value in self.params)),
         )
+        known = self.PARAMS[self.kind]
+        for key, value in self.params:
+            if key not in known:
+                raise ConfigurationError(
+                    f"a {self.kind} mask has no parameter {key!r}; "
+                    f"known: {', '.join(known)}"
+                )
+            if not _is_kind(value, known[key]):
+                raise ConfigurationError(
+                    f"{self.kind} mask parameter {key!r} must be {known[key]}, "
+                    f"got {_thaw(value)!r}"
+                )
+        if self.kind == "sparse" and not self.param_dict().get("sites"):
+            raise ConfigurationError(
+                "a sparse mask needs a non-empty 'sites' parameter"
+            )
 
     @classmethod
     def of(cls, kind: str, **params: Any) -> "MaskSpec":
@@ -199,13 +223,8 @@ class MaskSpec:
                 margin=int(params.get("margin", 1)),
             )
         if self.kind == "sparse":
-            sites = params.get("sites")
-            if not sites:
-                raise ConfigurationError(
-                    "a sparse mask needs a non-empty 'sites' parameter"
-                )
             return TargetMask.sparse_sites(
-                size, size, [(int(row), int(col)) for row, col in sites]
+                size, size, [(int(row), int(col)) for row, col in params["sites"]]
             )
         height = int(params.get("height", max(2, size // 2)))
         width = int(params.get("width", height))
@@ -273,6 +292,10 @@ class ScenarioCell:
             raise ConfigurationError(f"fill must be in [0, 1], got {self.fill}")
         if self.cycles < 1:
             raise ConfigurationError(f"cycles must be >= 1, got {self.cycles}")
+        if self.target is not None and not 0 < self.target <= self.size:
+            raise ConfigurationError(
+                f"target must be in [1, size], got {self.target} for size {self.size}"
+            )
         if self.mask is not None and self.target is not None:
             raise ConfigurationError(
                 "a cell takes either a rectangular 'target' size or a "
@@ -406,6 +429,7 @@ class CampaignSpec:
             raise ConfigurationError(f"n_seeds must be >= 0, got {self.n_seeds}")
         if self.cycles < 1:
             raise ConfigurationError(f"cycles must be >= 1, got {self.cycles}")
+        self.expand()  # every cell is checked here, not at its first trial
 
     def expand(self) -> list[ScenarioCell]:
         """Expand the grid into scenario cells (may be empty).

@@ -152,6 +152,7 @@ def serve_connections(
             break
         with conn:
             conn.settimeout(HANDSHAKE_TIMEOUT)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             rfile = conn.makefile("rb")
             wfile = conn.makefile("wb")
             try:

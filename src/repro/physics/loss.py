@@ -15,7 +15,10 @@ Replay costs atoms, not atoms x moves.  An atom's path through a
 schedule does not depend on which other atoms were lost, and vacuum
 loss is memoryless, so :func:`simulate_losses` walks the lossless
 trajectory once with atom labels, draws one lifetime per atom and one
-hand-off per carried atom, and resolves every atom at once.
+hand-off per carried atom, and resolves every atom at once.  The walk
+steps through runs of moves rather than moves: consecutive moves on one
+axis that drive distinct lines touch disjoint sites, so a run of them
+moves its labels in one gather, clear and scatter.
 :func:`simulate_losses_reference` is its scalar twin, drawing the same
 uniforms one by one in the same order.
 """
@@ -145,9 +148,11 @@ def simulate_losses(
     move's duration.  Losing atoms only ever empties traps, and suffix
     shifts tolerate empty traps, so an atom's path does not depend on
     which other atoms were lost.  The replay therefore walks the lossless
-    trajectory once, carrying atom labels through the moves
-    (:meth:`~repro.aod.executor.MoveApplier.carry`), and then draws, in
-    two bulk calls:
+    trajectory once, carrying atom labels through the moves a run at a
+    time (:meth:`~repro.aod.executor.MoveApplier.carry`: a run is a
+    stretch of consecutive moves on one axis driving distinct lines,
+    which commute), reads every carried atom and its move off the walk,
+    and then draws, in two bulk calls:
 
     * one lifetime uniform per atom (atom ``k`` is the ``k``-th occupied
       site of ``initial`` in row-major order), when some move can decay.
@@ -189,16 +194,14 @@ def simulate_losses(
     n_atoms = occupied.size
     labels = np.full(initial.grid.shape, -1, dtype=np.intp)
     labels.reshape(-1)[occupied] = np.arange(n_atoms)
-    carried = MoveApplier(initial.grid, schedule).carry(labels)
+    entries, entry_move = MoveApplier(initial.grid, schedule).carry(labels)
 
     decayed_at = np.full(n_atoms, n_moves)
     if n_atoms and (p_decay > 0).any():
         survival = np.cumprod(1.0 - p_decay)
         decayed_at = np.searchsorted(-survival, -gen.random(n_atoms))
     dropped_at = np.full(n_atoms, n_moves)
-    entries = np.concatenate(carried) if carried else np.zeros(0, dtype=np.intp)
     if entries.size and (p_move_loss > 0).any():
-        entry_move = np.repeat(np.arange(n_moves), [len(c) for c in carried])
         failed = np.flatnonzero(gen.random(entries.size) < p_move_loss[entry_move])
         atoms, first = np.unique(entries[failed], return_index=True)
         dropped_at[atoms] = entry_move[failed[first]]

@@ -261,6 +261,9 @@ class ServiceClient:
                     ) from exc
                 time.sleep(self.backoff_base * 2 ** (attempt - 1))
         sock.settimeout(None)
+        # Without it, Nagle holds every frame of a burst but the first
+        # until the server acknowledges that one.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._rfile = sock.makefile("rb")
         self._wfile = sock.makefile("wb")

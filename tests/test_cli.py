@@ -469,8 +469,16 @@ class TestCommands:
                     {"algorithm": "qrm", "size": 8, "qrm": {"scan_mode": "sideways"}}
                 ]
             },
+            {"masks": [{"kind": "ring", "params": {"outer": "x"}}]},
+            {"targets": [12]},
         ],
-        ids=["sizes-a-string", "negative-vacuum-lifetime", "sideways-scan-mode"],
+        ids=[
+            "sizes-a-string",
+            "negative-vacuum-lifetime",
+            "sideways-scan-mode",
+            "ring-radius-a-string",
+            "target-over-size",
+        ],
     )
     def test_campaign_refuses_a_bad_spec_file_at_load(self, capsys, tmp_path, fields):
         spec_path = tmp_path / "spec.json"

@@ -173,6 +173,13 @@ class TestJournalLines:
             ("trial_started", lambda event: event.pop("key")),
             ("campaign_started", lambda event: event.update(spec=[1, 2])),
             ("campaign_started", lambda event: event["spec"].update(sizes="ab")),
+            (
+                "campaign_started",
+                lambda event: event["spec"].update(
+                    masks=[{"kind": "ring", "params": {"outer": "x"}}]
+                ),
+            ),
+            ("campaign_started", lambda event: event["spec"].update(targets=[12])),
         ],
         ids=[
             "finished-without-metrics",
@@ -183,6 +190,8 @@ class TestJournalLines:
             "started-without-key",
             "spec-a-list",
             "spec-sizes-a-string",
+            "spec-ring-radius-a-string",
+            "spec-target-over-size",
         ],
     )
     def test_resume_exits_2_with_one_error_line(self, tmp_path, capsys, event, edit):

@@ -494,6 +494,31 @@ class TestTcpTransport:
         assert "failed: timed out" in messages[0]
         assert messages[1].startswith("served 2 units")
 
+    def test_accepted_connections_send_without_nagle(self, monkeypatch):
+        # Results and pongs leave as written, not after the peer's ack.
+        accepted, options = [], []
+
+        class RecordingListener:
+            def __init__(self, listener):
+                self.listener = listener
+
+            def accept(self):
+                conn, peer = self.listener.accept()
+                accepted.append(conn)
+                return conn, peer
+
+        def read_option(rfile, wfile, on_handshake):
+            options.append(
+                accepted[-1].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            return 0
+
+        monkeypatch.setattr("repro.campaign.worker.serve", read_option)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with socket.create_connection(listener.getsockname()[:2], timeout=10):
+                serve_connections(RecordingListener(listener), max_connections=1)
+        assert len(options) == 1 and options[0]
+
     @malformed_peers
     def test_malformed_peer_is_dropped_and_the_daemon_serves_on(self, data):
         with worker_daemon() as (process, spec):

@@ -22,6 +22,7 @@ from repro.aod.schedule import MoveSchedule
 from repro.baselines.tetris import TetrisScheduler
 from repro.core.qrm import QrmScheduler
 from repro.errors import MoveError
+from repro.lattice.array import AtomArray
 from repro.lattice.geometry import ArrayGeometry, Direction
 
 GRID_N = 10
@@ -157,3 +158,53 @@ def test_schedule_replay_matches_scheduler_final(array):
         assert report.ok
         assert final == result.final
         assert report.n_moves == len(result.schedule)
+
+
+def _run_plan_schedule() -> MoveSchedule:
+    """Eight moves whose runs break for each reason the plan knows."""
+
+    def shift(direction, line, start=0, stop=2):
+        return LineShift(direction, line, span_start=start, span_stop=stop)
+
+    east, south = Direction.EAST, Direction.SOUTH
+    # Column 3's span reaches the last row, whose atom would leave the
+    # grid: the applier checks that move on its own.
+    leaving = LineShift.trusted(south, 3, GRID_N - 2, GRID_N, 1)
+    return MoveSchedule(
+        GEOMETRY,
+        moves=[
+            ParallelMove.of([shift(east, 1), shift(east, 2)]),
+            ParallelMove.of([shift(east, 3)]),
+            ParallelMove.of([shift(Direction.WEST, 4, 2, 4)]),
+            ParallelMove.of([shift(east, 2)]),  # row 2 again
+            ParallelMove.of([shift(south, 1)]),  # a column move
+            ParallelMove.of([shift(south, 2)]),
+            ParallelMove.trusted(south, 1, (leaving,)),
+            ParallelMove.of([shift(south, 4)]),
+        ],
+    )
+
+
+def test_runs_break_at_a_repeated_line_an_axis_change_and_a_flagged_move():
+    applier = MoveApplier(np.zeros(GEOMETRY.shape, dtype=bool), _run_plan_schedule())
+    offsets = applier._site_offsets  # every move selects a site
+    runs = [(offsets.index(a), offsets.index(b), m) for a, b, m in applier._runs()]
+    # Rows driven either way form one run, until row 2 comes back; the
+    # column moves form another, which the flagged move splits, alone
+    # and checked.
+    assert runs == [(0, 3, None), (3, 4, None), (4, 6, None), (6, 7, 6), (7, 8, None)]
+
+
+def test_apply_and_execute_schedule_do_not_plan_runs(monkeypatch):
+    def unplanned(self):
+        raise AssertionError("only carry plans runs")
+
+    monkeypatch.setattr(MoveApplier, "_runs", unplanned)
+    schedule = _run_plan_schedule()
+    grid = np.zeros(GEOMETRY.shape, dtype=bool)
+    grid[1, 0] = grid[0, 4] = True
+    applier = MoveApplier(grid.copy(), schedule)
+    for index in range(len(schedule)):
+        applier.apply(index)
+    final, report = execute_schedule(AtomArray(GEOMETRY, grid), schedule, None)
+    assert report.ok and np.array_equal(final.grid, applier.grid)

@@ -603,6 +603,11 @@ def test_client_reconnects_after_server_restart():
         client.close()
 
 
+def test_client_socket_sends_without_nagle(client):
+    # A burst's frames leave together, not one per server acknowledgement.
+    assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
 def test_client_rejects_bad_configuration():
     with pytest.raises(ServiceError, match="max_in_flight"):
         ServiceClient(("127.0.0.1", 1), max_in_flight=0)

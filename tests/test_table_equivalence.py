@@ -20,7 +20,10 @@ for bit:
 Inputs are schedules of every registered algorithm (wide QRM rounds,
 single-site MTA1 and repair moves) on rectangular and masked
 geometries, under drawn tone maps, timing and loss models, and for
-replay also ``trusted`` bundles that break the lockstep contract.
+replay also ``trusted`` bundles that break the lockstep contract and
+hand-built schedules whose moves start and end the runs replay walks
+(a line driven again, a turn of axis, a rogue bundle or a collision
+mid-run).
 """
 
 from __future__ import annotations
@@ -101,6 +104,114 @@ def rogue_schedules(draw):
             shifts.append(LineShift.trusted(direction, at, first + 1, first + 2, 1))
         moves.append(ParallelMove.trusted(direction, steps, tuple(shifts)))
     return AtomArray(geometry, grid < fill), MoveSchedule(geometry, moves=moves)
+
+
+#: The direction of a move, by (horizontal, towards higher indices).
+HEADINGS = {
+    (True, True): Direction.EAST,
+    (True, False): Direction.WEST,
+    (False, True): Direction.SOUTH,
+    (False, False): Direction.NORTH,
+}
+
+
+def _drawn_shift(draw, grid, direction, line, steps, collide):
+    """A shift of ``steps`` along ``line`` that is valid on ``grid`` or,
+    with ``collide``, lands an atom on a static atom; None if none is."""
+    vec = grid[line] if direction.is_horizontal else grid[:, line]
+    forward = sum(direction.delta) > 0
+    if not forward:
+        vec = vec[::-1]  # the move runs towards higher indices of ``vec``
+    size = vec.size
+    ends = range(1, size - steps + 1)
+    if collide:  # the span's last atom lands on an atom
+        stops = [b for b in ends if vec[b - 1] and vec[b - 1 + steps]]
+    else:  # the sites its last atoms land on, just past it, are empty
+        stops = [b for b in ends if not vec[b : b + steps].any()]
+    if not stops:
+        return None
+    stop = draw(st.sampled_from(stops))
+    start = draw(st.integers(0, stop - 1))
+    if not forward:
+        start, stop = size - stop, size - start
+    return LineShift(direction, line, start, stop, steps)
+
+
+def _drawn_rogue(draw, grid, direction, steps, shifts):
+    """A ``trusted`` shift breaking the lockstep contract, or None."""
+    size = grid.shape[0]
+    line = draw(st.integers(0, size - 1))
+    rogue = draw(st.sampled_from(("leaves", "leaves", "outside", "twice", "axis")))
+    if rogue == "leaves":  # a span over the edge, whose edge sites are empty
+        vec = grid[line] if direction.is_horizontal else grid[:, line]
+        if sum(direction.delta) > 0 and not vec[size - steps :].any():
+            return LineShift.trusted(direction, line, size - steps - 1, size, steps)
+        if sum(direction.delta) < 0 and not vec[:steps].any():
+            return LineShift.trusted(direction, line, 0, steps + 1, steps)
+        return None
+    if rogue == "outside":
+        return LineShift.trusted(direction, size, 0, 1, steps)
+    if rogue == "twice":
+        return shifts[0] if shifts else None
+    turned = Direction.SOUTH if direction.is_horizontal else Direction.EAST
+    return LineShift.trusted(turned, line, 0, 1, steps)
+
+
+@st.composite
+def run_boundary_schedules(draw):
+    """``(array, schedule)``: moves that start and end the replay's runs.
+
+    Each move keeps the previous move's axis or turns, and drives fresh
+    lines or one that a move on its axis drove ``k`` moves back, so runs
+    of line-disjoint moves form and break.  Moves are valid on the grid
+    the moves before them leave, except where a drawn move lands an
+    atom on a static atom or adds a ``trusted`` rogue shift: a span over
+    the grid's edge whose edge sites are empty (which every path
+    accepts), a line outside the grid, a line driven twice or a shift
+    off the move's axis.  Either can come in the middle of a run.
+    """
+    size = draw(st.sampled_from((6, 8)))
+    geometry = ArrayGeometry.square(size, 2)
+    fill = draw(st.sampled_from((0.3, 0.5)))
+    grid = np.random.default_rng(draw(st.integers(0, 2**16))).random((size, size))
+    array = AtomArray(geometry, grid < fill)
+    work = array.grid.copy()
+    horizontal = draw(st.booleans())
+    driven = {True: [], False: []}  # per axis, the lines each move drove
+    since_turn: set[int] = set()  # lines driven since the axis last turned
+    moves = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 4)) == 0:  # turns one move in five
+            horizontal, since_turn = not horizontal, set()
+        direction = HEADINGS[horizontal, draw(st.booleans())]
+        steps = draw(st.integers(1, 2))
+        kind = draw(st.sampled_from(("fresh",) * 4 + ("again", "collide", "rogue")))
+        # Lines not driven since the turn keep a run going.
+        line = st.sampled_from(sorted(set(range(size)) - since_turn) or [0])
+        lines = draw(st.lists(line, min_size=1, max_size=2, unique=True))
+        if kind == "again" and driven[horizontal]:
+            back = draw(st.integers(1, len(driven[horizontal])))
+            lines = [draw(st.sampled_from(driven[horizontal][-back]))]
+        shifts = [
+            _drawn_shift(draw, work, direction, at, steps, kind == "collide")
+            for at in lines
+        ]
+        shifts = [shift for shift in shifts if shift is not None]
+        if kind == "rogue":
+            shifts.append(_drawn_rogue(draw, work, direction, steps, shifts))
+            shifts = [shift for shift in shifts if shift is not None]
+        if not shifts:
+            continue
+        moves.append(ParallelMove.trusted(direction, steps, tuple(shifts)))
+        inside = [shift.line for shift in shifts if 0 <= shift.line < size]
+        if inside:
+            driven[horizontal].append(inside)
+            since_turn.update(inside)
+        try:
+            apply_parallel_move(work, moves[-1])  # a refused move leaves ``work``
+        except MoveError:
+            pass
+    return array, MoveSchedule(geometry, moves=moves)
 
 
 durations = st.one_of(
@@ -187,6 +298,15 @@ def test_simulate_losses_matches_reference(scheduled, loss, timing, seed, pertur
 @given(rogue_schedules(), loss_models, st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_rogue_bundles_replay_like_the_reference(scheduled, loss, seed):
+    replay = (*scheduled, loss, MoveTimingModel(), seed)
+    assert _replayed(simulate_losses, *replay) == _replayed(
+        simulate_losses_reference, *replay
+    )
+
+
+@given(run_boundary_schedules(), loss_models, st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_runs_of_moves_replay_like_the_reference(scheduled, loss, seed):
     replay = (*scheduled, loss, MoveTimingModel(), seed)
     assert _replayed(simulate_losses, *replay) == _replayed(
         simulate_losses_reference, *replay
