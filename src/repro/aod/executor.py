@@ -2,11 +2,13 @@
 
 The executor is the single source of truth for what a move *does*: the
 schedulers, the validator and lossy replay all apply moves through
-these functions, so every replay of a schedule agrees.  Every path
-first refuses a move with a shift off the move's axis or with two
-shifts on one line, raising the :class:`~repro.aod.move.ParallelMove`
-constructor's :class:`~repro.errors.MoveError`; only ``trusted``
-bundles can hold such a move.
+these functions, so every replay of a schedule agrees.  Every shift
+moves in lockstep with its move: the paths that take move objects first
+run :meth:`~repro.aod.move.ParallelMove.check_lockstep`, and a schedule
+table stores one direction and step count per move.  A table built from
+raw columns can still hold a move with no shift or with two shifts on
+one line, which every path refuses first with the check's
+:class:`~repro.errors.MoveError`.
 """
 
 from __future__ import annotations
@@ -27,22 +29,6 @@ from repro.errors import MoveError
 from repro.lattice.array import AtomArray
 
 
-def _check_bundle(move: ParallelMove) -> None:
-    """Raise the constructor's :class:`MoveError` for a shift off the
-    move's axis or a line that two shifts drive."""
-    horizontal = move.direction.is_horizontal
-    seen = set()
-    for shift in move.shifts:
-        if shift.direction.is_horizontal != horizontal:
-            raise MoveError(
-                f"shift direction {shift.direction} differs from move "
-                f"direction {move.direction}"
-            )
-        if shift.line in seen:
-            raise MoveError(f"two shifts target the same line {shift.line}")
-        seen.add(shift.line)
-
-
 def apply_parallel_move_reference(grid: np.ndarray, move: ParallelMove) -> int:
     """Site-by-site reference implementation of lockstep move semantics.
 
@@ -50,7 +36,7 @@ def apply_parallel_move_reference(grid: np.ndarray, move: ParallelMove) -> int:
     vectorised :func:`apply_parallel_move`, which must behave
     identically (including which violations raise).
     """
-    _check_bundle(move)
+    move.check_lockstep()
     height, width = grid.shape
     n_lines, length = (height, width) if move.is_horizontal else (width, height)
     for shift in move.shifts:  # even a shift that selects no site
@@ -126,7 +112,7 @@ def apply_parallel_move(grid: np.ndarray, move: ParallelMove) -> int:
     and leave the grid untouched (all lines are validated before any is
     mutated; lines of one move are distinct, so they are independent).
     """
-    _check_bundle(move)
+    move.check_lockstep()
     height, width = grid.shape
     horizontal = move.direction.is_horizontal
     planned: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -163,10 +149,12 @@ class MoveApplier:
     then costs one gather, one check and one scatter per move, however
     many lines the move drives.
 
-    A move the table cannot vouch for — a shift off the move's direction,
-    two shifts on one line, a shift outside the grid, a selected site whose
-    destination would leave its line, or an atom landing on a static
-    one — goes to :func:`apply_parallel_move` on the still-untouched
+    Every shift moves by its move's displacement.  A move the table
+    cannot vouch for — one that :meth:`ParallelMove.check_lockstep`
+    refuses (a table built from raw columns may hold a move with no
+    shift or with two on one line), a shift outside the grid, a selected
+    site whose destination would leave its line, or an atom landing on
+    a static one — goes to :func:`apply_parallel_move` on the untouched
     grid, so the raised :class:`MoveError` (message, offending shift)
     is exactly the per-shift path's; that is the only place a move
     object is built.  ``grid`` must be C-contiguous (every
@@ -188,7 +176,7 @@ class MoveApplier:
         horizontal = table.horizontal[shift_move]
         size = np.where(horizontal, width, height)
         start, stop, line = table.span_start, table.span_stop, table.line
-        shift = table.shift_displacement
+        shift = table.displacement[shift_move]
         lengths = np.maximum(stop - start, 0)
         in_grid = (
             (line >= 0)
@@ -197,10 +185,8 @@ class MoveApplier:
             & (stop <= size)
         )
         leaves = (lengths > 0) & ((start + shift < 0) | (stop - 1 + shift >= size))
-        # A shift off its move's direction may be off its axis too.
-        own = table.shift_direction != table.direction[shift_move]
-        per_shift = self._shares_a_line()
-        per_shift[shift_move[~in_grid | leaves | own]] = True
+        per_shift = self._shares_a_line() | (np.diff(table.offsets) == 0)
+        per_shift[shift_move[~in_grid | leaves]] = True
         self._per_shift = per_shift.tolist()
         lengths[~in_grid] = 0
         shift_sites = np.zeros(len(lengths) + 1, dtype=np.intp)
@@ -263,8 +249,8 @@ class MoveApplier:
         lines are distinct and inside the grid the only invalid landing
         is onto a static atom, which overwrites that atom's label; labels
         are never created, so a walk that ends with as many labels as it
-        began saw no collision.  A move that breaks the lockstep contract
-        or leaves the grid is a run of its own, checked as it comes.  A
+        began saw no collision.  A move that the lockstep check refuses
+        or that leaves the grid is a run of its own, checked as it comes.  A
         walk that lost a label is redone move by move with every move
         checked, which raises the first error.
         """
@@ -396,8 +382,8 @@ def execute_schedule(
     site of the schedule up front — replaying the wide parallel moves
     the vectorised schedulers emit would pay a per-shift Python loop
     otherwise.  Only the constraint checks need move objects, and a move
-    with a shift off its axis or on another shift's line fails before
-    they run.
+    that breaks :meth:`~repro.aod.move.ParallelMove.check_lockstep` fails
+    before they run.
     """
     array = initial.copy()
     report = ExecutionReport()
@@ -406,7 +392,7 @@ def execute_schedule(
     for index in range(len(schedule)):
         try:
             if moves is not None:
-                _check_bundle(moves[index])
+                moves[index].check_lockstep()
                 for violation in check_parallel_move(
                     array.grid, moves[index], constraints
                 ):

@@ -118,19 +118,28 @@ class ParallelMove:
     tag: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
+        self.check_lockstep()
+
+    def check_lockstep(self) -> None:
+        """Raise :class:`MoveError` unless the shifts move in lockstep.
+
+        The rules every constructed move obeys: at least one shift,
+        each with the move's direction and step count, and no two on
+        one line.  A ``trusted`` bundle skips them until it is replayed
+        or becomes a schedule, where this same check refuses it.
+        """
         if not self.shifts:
             raise MoveError("a ParallelMove needs at least one LineShift")
-        lines_seen = set()
+        direction, steps, lines_seen = self.direction, self.steps, set()
         for shift in self.shifts:
-            if shift.direction is not self.direction:
+            if shift.direction is not direction:
                 raise MoveError(
                     f"shift direction {shift.direction} differs from move "
-                    f"direction {self.direction}"
+                    f"direction {direction}"
                 )
-            if shift.steps != self.steps:
+            if shift.steps != steps:
                 raise MoveError(
-                    f"shift steps {shift.steps} differ from move steps "
-                    f"{self.steps}"
+                    f"shift steps {shift.steps} differ from move steps {steps}"
                 )
             if shift.line in lines_seen:
                 raise MoveError(f"two shifts target the same line {shift.line}")
@@ -144,10 +153,13 @@ class ParallelMove:
         shifts: tuple[LineShift, ...],
         tag: str = "",
     ) -> "ParallelMove":
-        """Bundle shifts without the lockstep re-validation.
+        """Bundle shifts without :meth:`check_lockstep`.
 
         Counterpart of :meth:`LineShift.trusted` for bulk producers that
-        guarantee uniform direction/steps and distinct lines upfront.
+        guarantee uniform direction/steps and distinct lines upfront, and
+        for the views a schedule table builds.  A bundle that breaks the
+        rules anyway is refused where it becomes a schedule
+        (:meth:`~repro.aod.table.ScheduleTable.from_moves`) or is replayed.
         """
         move = object.__new__(cls)
         fields = move.__dict__
@@ -170,10 +182,6 @@ class ParallelMove:
         )
 
     @property
-    def n_lines(self) -> int:
-        return len(self.shifts)
-
-    @property
     def is_horizontal(self) -> bool:
         return self.direction.is_horizontal
 
@@ -187,13 +195,6 @@ class ParallelMove:
         for shift in self.shifts:
             cross.update(range(shift.span_start, shift.span_stop))
         return sorted(cross)
-
-    def sites(self) -> list[tuple[int, int]]:
-        """All intended trap sites across the shifts."""
-        out: list[tuple[int, int]] = []
-        for shift in self.shifts:
-            out.extend(shift.sites())
-        return out
 
     def cross_product_sites(self) -> list[tuple[int, int]]:
         """Every site of selected-lines x selected-cross (the AOD grid).

@@ -22,7 +22,9 @@ class MoveSchedule:
     It is stored as a :class:`~repro.aod.table.ScheduleTable` plus one
     tag per move, and nothing else: the vectorised schedulers hand over
     their columns (:meth:`from_table`), and a schedule built from
-    :class:`ParallelMove` objects flattens them once, at construction.
+    :class:`ParallelMove` objects flattens them once, at construction
+    (refusing a ``trusted`` bundle that breaks the lockstep rules, as
+    :meth:`~repro.aod.table.ScheduleTable.from_moves` does).
     Iteration, indexing and :attr:`moves` build fresh objects on every
     access, so a pickled schedule carries only columns and strings.
     """
@@ -59,17 +61,6 @@ class MoveSchedule:
         schedule._table = table
         schedule._tags = tags
         return schedule
-
-    def append(self, move: ParallelMove) -> None:
-        self.extend([move])
-
-    def extend(self, moves: Iterable[ParallelMove]) -> None:
-        """Append ``moves``; copies the table, so build long schedules at once."""
-        moves = list(moves)
-        self._table = ScheduleTable.concat(
-            [self._table, ScheduleTable.from_moves(moves)]
-        )
-        self._tags += tuple(move.tag for move in moves)
 
     def table(self) -> ScheduleTable:
         """This schedule in columnar form: the stored table itself."""

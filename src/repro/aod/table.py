@@ -1,16 +1,18 @@
 """Columnar form of a move schedule — the form a schedule is stored in.
 
-A :class:`ScheduleTable` holds a schedule as a few integer arrays: one
+A :class:`ScheduleTable` holds a schedule as six integer arrays: one
 entry per move (direction code, steps, shift offsets) and one per line
-shift (direction code, steps, line, span).  The vectorised schedulers
-write these columns directly, and the consumers — AWG compilation and
-replay — run NumPy passes over them.  :class:`ParallelMove` and
-:class:`LineShift` objects are built from the columns only on request,
-as views (:meth:`ScheduleTable.moves`); schedules assembled from
-objects (the baselines, repair, deserialisation) are flattened once by
-:meth:`ScheduleTable.from_moves`.  The two directions are exact
-inverses, rogue ``trusted`` bundles included: every field of every
-object has its own column.
+shift (line, span).  Lockstep is the format: every shift of a move
+moves in the move's direction by the move's step count (paper
+Sec. II-B), so a shift stores only where it is.  The vectorised
+schedulers write these columns directly, and the consumers — AWG
+compilation and replay — run NumPy passes over them.
+:class:`ParallelMove` and :class:`LineShift` objects are built from the
+columns only on request, as views (:meth:`ScheduleTable.moves`);
+schedules assembled from objects (the baselines, repair,
+deserialisation) are flattened once by :meth:`ScheduleTable.from_moves`,
+which refuses a ``trusted`` bundle that breaks the lockstep rules.  The
+two directions are exact inverses.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.lattice.geometry import Direction
 #: The direction each code of the direction columns stands for.
 DIRECTIONS = tuple(Direction)
 DIRECTION_CODE = {direction: code for code, direction in enumerate(DIRECTIONS)}
+_DIRECTION_OF = np.array(DIRECTIONS, dtype=object)  # indexed by code arrays
 _HORIZONTAL = np.array([direction.is_horizontal for direction in DIRECTIONS])
 #: +1 for SOUTH/EAST (towards larger indices), -1 for NORTH/WEST.
 _SIGN = np.array([sum(direction.delta) for direction in DIRECTIONS])
@@ -37,21 +40,18 @@ class ScheduleTable:
     """A move schedule as move arrays plus flat shift arrays.
 
     Move ``m`` owns shifts ``offsets[m]:offsets[m + 1]`` (``offsets[0]``
-    is 0), in the order of ``move.shifts``.  Direction columns hold
-    codes into :data:`DIRECTIONS`.  A shift's own direction and steps
-    equal its move's unless a ``ParallelMove.trusted`` bundle broke the
-    lockstep contract; the executor honours the shift's steps and sign
-    and refuses a shift off its move's axis (as
-    :func:`~repro.aod.executor.apply_parallel_move` does), the AWG
-    compiler the move's (as :func:`~repro.awg.compiler.compile_move`
-    does).  Every column is read-only.
+    is 0), in the order of ``move.shifts``, and each of them moves in
+    the move's direction (a code into :data:`DIRECTIONS`) by the move's
+    steps.  A table built from columns rather than objects
+    (:meth:`MoveSchedule.from_table
+    <repro.aod.schedule.MoveSchedule.from_table>`, or unpickled) is not
+    checked: it may hold a move with no shift or with two shifts on one
+    line, which every replay refuses.  Every column is read-only.
     """
 
     direction: np.ndarray
     steps: np.ndarray
     offsets: np.ndarray
-    shift_direction: np.ndarray
-    shift_steps: np.ndarray
     line: np.ndarray
     span_start: np.ndarray
     span_stop: np.ndarray
@@ -81,7 +81,14 @@ class ScheduleTable:
 
     @classmethod
     def from_moves(cls, moves: Sequence[ParallelMove]) -> ScheduleTable:
-        """Flatten ``moves``: each column read straight off the objects."""
+        """Flatten ``moves``: each column read straight off the objects.
+
+        Raises the :class:`~repro.errors.MoveError` of
+        :meth:`ParallelMove.check_lockstep` for the first move that
+        breaks the lockstep rules, as constructing it would have.
+        """
+        for move in moves:
+            move.check_lockstep()
         n_moves = len(moves)
         shifts = [shift for move in moves for shift in move.shifts]
         n_shifts = len(shifts)
@@ -89,18 +96,13 @@ class ScheduleTable:
         def column(items, name: str, n: int) -> np.ndarray:
             return np.fromiter(map(attrgetter(name), items), np.intp, n)
 
-        def codes(items, n: int) -> np.ndarray:
-            directions = map(attrgetter("direction"), items)
-            return np.fromiter(map(DIRECTION_CODE.__getitem__, directions), np.int8, n)
-
+        codes = map(DIRECTION_CODE.__getitem__, map(attrgetter("direction"), moves))
         offsets = np.zeros(n_moves + 1, dtype=np.intp)
         offsets[1:] = np.cumsum([len(move.shifts) for move in moves], dtype=np.intp)
         return cls(
-            direction=codes(moves, n_moves),
+            direction=np.fromiter(codes, np.int8, n_moves),
             steps=column(moves, "steps", n_moves),
             offsets=offsets,
-            shift_direction=codes(shifts, n_shifts),
-            shift_steps=column(shifts, "steps", n_shifts),
             line=column(shifts, "line", n_shifts),
             span_start=column(shifts, "span_start", n_shifts),
             span_stop=column(shifts, "span_stop", n_shifts),
@@ -134,8 +136,6 @@ class ScheduleTable:
             direction=self.direction[start:stop],
             steps=self.steps[start:stop],
             offsets=self.offsets[start : stop + 1] - lo,
-            shift_direction=self.shift_direction[lo:hi],
-            shift_steps=self.shift_steps[lo:hi],
             line=self.line[lo:hi],
             span_start=self.span_start[lo:hi],
             span_stop=self.span_stop[lo:hi],
@@ -157,11 +157,6 @@ class ScheduleTable:
     def displacement(self) -> np.ndarray:
         """Each move's signed step count along its line axis."""
         return self.steps * _SIGN[self.direction]
-
-    @property
-    def shift_displacement(self) -> np.ndarray:
-        """Each shift's own signed step count (see the class docstring)."""
-        return self.shift_steps * _SIGN[self.shift_direction]
 
     @property
     def shift_move(self) -> np.ndarray:
@@ -196,22 +191,24 @@ class ScheduleTable:
         """Moves ``start:stop`` as new objects, ``tags`` holding every move's tag.
 
         Nothing is cached: every call builds fresh, equal objects
-        through the ``trusted`` constructors.
+        through the ``trusted`` constructors, each shift with its move's
+        direction and steps.
         """
         stop = len(self) if stop is None else stop
         if start >= stop:
             return []
         bounds = self.offsets[start : stop + 1]
         lo, hi = int(bounds[0]), int(bounds[-1])
-        direction_of = DIRECTIONS.__getitem__
+        direction, steps = self.direction[start:stop], self.steps[start:stop]
+        counts = np.diff(bounds)
         shifts = list(
             map(
                 LineShift.trusted,
-                map(direction_of, self.shift_direction[lo:hi].tolist()),
+                _DIRECTION_OF[np.repeat(direction, counts)].tolist(),
                 self.line[lo:hi].tolist(),
                 self.span_start[lo:hi].tolist(),
                 self.span_stop[lo:hi].tolist(),
-                self.shift_steps[lo:hi].tolist(),
+                np.repeat(steps, counts).tolist(),
             )
         )
         edges = (bounds - lo).tolist()
@@ -219,8 +216,8 @@ class ScheduleTable:
         return list(
             map(
                 ParallelMove.trusted,
-                map(direction_of, self.direction[start:stop].tolist()),
-                self.steps[start:stop].tolist(),
+                _DIRECTION_OF[direction].tolist(),
+                steps.tolist(),
                 groups,
                 tags[start:stop],
             )

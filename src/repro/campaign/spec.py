@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.config import QrmParameters, is_int, known_fields
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GeometryError
 from repro.physics.loss import LossModel
 
 #: Bump to invalidate every cached trial when the metric schema changes.
@@ -184,8 +184,8 @@ class MaskSpec:
                 if key == "sites":
                     sites = []
                     for pair in raw.split("+"):
-                        row, sep, col = pair.partition("-")
-                        if not sep:
+                        row, _, col = pair.partition("-")
+                        if not (row.isdecimal() and col.isdecimal()):
                             raise ConfigurationError(
                                 f"mask site {pair!r} is not of the form row-col"
                             )
@@ -319,6 +319,13 @@ class ScenarioCell:
                 "qrm parameter overrides only apply to the 'qrm' algorithm; "
                 f"cell requested them for '{self.algorithm}'"
             )
+        # A geometry that cannot be built fails here, not at the first trial.
+        from repro.campaign.trial import cell_geometry
+
+        try:
+            cell_geometry(self)
+        except GeometryError as exc:
+            raise ConfigurationError(f"{self.label()}: {exc}") from None
 
     def instance_key(self) -> dict[str, Any]:
         """The part of the cell that defines the random *instance*.

@@ -809,14 +809,10 @@ def _emit(
     span_sign = constants[_SPAN_SIGN]
     a = constants[_SPAN_BASE] + span_sign * (cur + 1)
     b = constants[_SPAN_END] - span_sign * executed_before
-    shift_direction = constants[_DIR_CODE, order].astype(np.int8)
-    ones = np.ones(n, dtype=np.intp)  # every QRM shift moves one step
     table = ScheduleTable(
-        direction=shift_direction[starts],
-        steps=ones[: starts.size],
+        direction=constants[_DIR_CODE, first].astype(np.int8),
+        steps=np.ones(starts.size, dtype=np.intp),  # every QRM shift moves one step
         offsets=np.append(starts, n),
-        shift_direction=shift_direction,
-        shift_steps=ones,
         line=line_full[order],
         span_start=np.minimum(a, b)[order],
         span_stop=np.maximum(a, b)[order] + 1,

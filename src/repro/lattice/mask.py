@@ -266,13 +266,5 @@ class TargetMask:
 
     # -- pickling (slots + write-protected array) --------------------------
 
-    def __getstate__(self) -> dict:
-        return {"rows": self.to_rows()}
-
-    def __setstate__(self, state: dict) -> None:
-        rebuilt = TargetMask.from_rows(state["rows"])
-        object.__setattr__(self, "mask", rebuilt.mask)
-        object.__setattr__(self, "_hash", rebuilt._hash)
-
     def __reduce__(self):
         return (TargetMask.from_rows, (self.to_rows(),))

@@ -105,9 +105,8 @@ class TestCompiler:
             transfer_us_per_site=10.0,
             settle_us=5.0,
         )
-        schedule = MoveSchedule(geo8)
-        schedule.append(self._move())
-        schedule.append(self._move(Direction.WEST))
+        moves = [self._move(), self._move(Direction.WEST)]
+        schedule = MoveSchedule(geo8, moves=moves)
         program = compile_schedule(schedule, timing=timing)
         expected = timing.schedule_motion_us(schedule)
         assert program.total_duration_us == pytest.approx(expected)
@@ -140,8 +139,7 @@ class TestCompiler:
         assert len(chirped) == 2  # the two selected rows chirp
 
     def test_program_synthesis_length(self, geo8):
-        schedule = MoveSchedule(geo8)
-        schedule.append(self._move())
+        schedule = MoveSchedule(geo8, moves=[self._move()])
         timing = MoveTimingModel(
             pickup_us=1.0, drop_us=1.0, transfer_us_per_site=1.0, settle_us=0.0
         )

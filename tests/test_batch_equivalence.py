@@ -359,16 +359,26 @@ class TestBatchedCampaign:
         from repro.campaign.spec import CampaignSpec
         from repro.errors import ExecutionError
 
+        register_algorithm(
+            "flaky-campaign",
+            lambda geometry, **params: _FlakyScheduler(geometry, poison_index=1),
+        )
         spec = CampaignSpec(
             name="boom",
-            algorithms=("qrm",),
-            sizes=(7,),  # odd width -> GeometryError inside the batch
+            algorithms=("flaky-campaign",),
+            sizes=(10,),
             fills=(0.5,),
             n_seeds=2,
             master_seed=0,
         )
-        with pytest.raises(ExecutionError, match="seed 0"):
-            run_campaign(spec, batch_size=2)
+        try:
+            with pytest.raises(ExecutionError) as excinfo:
+                run_campaign(spec, batch_size=2)
+        finally:
+            unregister_algorithm("flaky-campaign")
+        message = str(excinfo.value)
+        assert "'flaky-campaign 10x10 fill=0.5' (seed 0) failed" in message
+        assert "trial 1 of 2 failed in 'flaky'" in message
 
     def test_fallback_failure_keeps_the_original_error(self):
         """A lone trial of a loop-fallback algorithm fails as a batch of one."""

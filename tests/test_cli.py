@@ -235,6 +235,32 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: port 99999 out of range")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rearrange", "--size", "12", "--mask", "sparse:sites=a-b"],
+            ["rearrange", "--size", "12", "--mask", "sparse:sites=1-2-3"],
+            ["campaign", "--sizes", "12", "--mask", "sparse:sites=x-1"],
+            ["campaign", "--sizes", "12", "--mask", "ring:outer"],
+            ["campaign", "--sizes", "12", "--mask", "sparse:sites="],
+            ["campaign", "--sizes", "12", "--mask", "triangular:pitch=0"],
+        ],
+        ids=[
+            "site-not-a-number",
+            "site-of-three-numbers",
+            "campaign-site-not-a-number",
+            "parameter-without-value",
+            "no-sites",
+            "zero-pitch",
+        ],
+    )
+    def test_a_malformed_mask_is_one_error_line(self, capsys, argv):
+        if argv[0] == "campaign":
+            argv = argv + ["--no-cache", "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("port", ["99999", "-1"])
     def test_serve_port_out_of_range(self, capsys, port):
         assert main(["serve", "--port", port, "--quiet"]) == 2
@@ -471,6 +497,9 @@ class TestCommands:
             },
             {"masks": [{"kind": "ring", "params": {"outer": "x"}}]},
             {"targets": [12]},
+            {"sizes": [7]},
+            {"targets": [3]},
+            {"sizes": [2]},
         ],
         ids=[
             "sizes-a-string",
@@ -478,6 +507,9 @@ class TestCommands:
             "sideways-scan-mode",
             "ring-radius-a-string",
             "target-over-size",
+            "odd-size",
+            "odd-target",
+            "size-too-small-for-a-target",
         ],
     )
     def test_campaign_refuses_a_bad_spec_file_at_load(self, capsys, tmp_path, fields):

@@ -108,9 +108,7 @@ class TestApplyParallelMove:
 
 class TestExecuteSchedule:
     def _schedule(self, geo, moves):
-        schedule = MoveSchedule(geo, algorithm="test")
-        schedule.extend(moves)
-        return schedule
+        return MoveSchedule(geo, algorithm="test", moves=moves)
 
     def test_conserves_atoms(self, geo8):
         array = AtomArray(geo8)

@@ -12,11 +12,17 @@ untouched grid — on the exact :class:`~repro.errors.MoveError` raised.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import atom_arrays
 
-from repro.aod.executor import MoveApplier, apply_parallel_move, execute_schedule
+from repro.aod.executor import (
+    MoveApplier,
+    apply_parallel_move,
+    apply_parallel_move_reference,
+    execute_schedule,
+)
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
 from repro.baselines.tetris import TetrisScheduler
@@ -116,33 +122,32 @@ def test_applier_tracks_the_grid_across_a_schedule(grid, schedule_moves):
             assert np.array_equal(live, before)
 
 
-def test_nonuniform_trusted_bundle_keeps_per_shift_semantics():
-    # ParallelMove.trusted skips the uniform-steps validation; a buggy
-    # bulk producer could bundle a shift whose own steps differ from
-    # the move's.  The table applier must honour each shift's own fields
-    # (as the per-shift executor does) instead of silently applying the
-    # move-level displacement everywhere.
+#: A shift that breaks lockstep in an EAST move of one step, by how.
+OFF_LOCKSTEP = {
+    "reversed": LineShift(Direction.WEST, 3, 1, 2),
+    "longer": LineShift(Direction.EAST, 3, 1, 2, steps=2),
+}
+
+
+@pytest.mark.parametrize("rogue", list(OFF_LOCKSTEP))
+def test_a_shift_off_lockstep_is_refused_by_both_object_appliers(rogue):
+    # ParallelMove.trusted skips the lockstep check, so a buggy bulk
+    # producer could bundle a shift that moves unlike its move.  Both
+    # object paths refuse it with the constructor's message before
+    # touching the grid, although the shift alone would be valid here.
     grid = np.zeros((8, 8), dtype=bool)
-    grid[[0, 1, 2, 3], 0] = True
-    rogue = ParallelMove.trusted(
-        Direction.EAST,
-        steps=1,
-        shifts=tuple(
-            LineShift(Direction.EAST, line, 0, 1, steps=2 if line == 3 else 1)
-            for line in range(4)
-        ),
-        tag="rogue",
-    )
-    schedule = MoveSchedule(ArrayGeometry.square(8), moves=[rogue])
-    # Stored as columns, the bundle comes back field for field, tag too.
-    assert schedule.moves == [rogue] and schedule[0].tag == "rogue"
-    assert schedule[0].shifts[3].steps == 2
-    batched = grid.copy()
-    per_shift = grid.copy()
-    applier = MoveApplier(batched, schedule)
-    assert applier.apply(0).size == apply_parallel_move(per_shift, rogue)
-    assert np.array_equal(batched, per_shift)
-    assert batched[3, 2] and not batched[3, 1]  # the rogue shift moved 2
+    grid[[0, 1, 2, 3], 1] = True
+    shifts = tuple(LineShift(Direction.EAST, line, 1, 2) for line in range(3))
+    shifts += (OFF_LOCKSTEP[rogue],)
+    with pytest.raises(MoveError) as constructed:
+        ParallelMove(Direction.EAST, 1, shifts)
+    bundle = ParallelMove.trusted(Direction.EAST, 1, shifts)
+    for apply in (apply_parallel_move, apply_parallel_move_reference):
+        work = grid.copy()
+        with pytest.raises(MoveError) as refused:
+            apply(work, bundle)
+        assert str(refused.value) == str(constructed.value)
+        assert np.array_equal(work, grid)
 
 
 @given(atom_arrays())

@@ -68,7 +68,7 @@ class TestParallelMove:
         move = ParallelMove.of(self._shifts([0, 1]))
         assert move.direction is Direction.EAST
         assert move.steps == 1
-        assert move.n_lines == 2
+        assert len(move.shifts) == 2
 
     def test_empty_rejected(self):
         with pytest.raises(MoveError):
@@ -114,10 +114,6 @@ class TestParallelMove:
         shifts = [LineShift(Direction.SOUTH, 2, 0, 2)]
         move = ParallelMove.of(shifts)
         assert set(move.cross_product_sites()) == {(0, 2), (1, 2)}
-
-    def test_sites_concatenates_shifts(self):
-        move = ParallelMove.of(self._shifts([0, 1]))
-        assert len(move.sites()) == 6
 
     def test_len(self):
         assert len(ParallelMove.of(self._shifts([0, 1, 2]))) == 3

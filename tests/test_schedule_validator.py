@@ -18,39 +18,31 @@ def _north(line, start, stop):
 
 
 class TestMoveSchedule:
-    def test_append_extend_iter(self, geo8):
-        schedule = MoveSchedule(geo8, algorithm="t")
-        schedule.append(_east(0, 0, 2))
-        schedule.extend([_east(1, 0, 2), _north(0, 4, 6)])
+    def test_build_index_iter(self, geo8):
+        moves = [_east(0, 0, 2), _east(1, 0, 2), _north(0, 4, 6)]
+        schedule = MoveSchedule(geo8, algorithm="t", moves=moves)
         assert len(schedule) == 3
         assert schedule[0].direction is Direction.EAST
         assert [m.direction for m in schedule].count(Direction.NORTH) == 1
 
     def test_counters(self, geo8):
-        schedule = MoveSchedule(geo8)
-        schedule.append(
-            ParallelMove.of(
-                [
-                    LineShift(Direction.EAST, 0, 0, 3),
-                    LineShift(Direction.EAST, 1, 0, 3),
-                ]
-            )
+        move = ParallelMove.of(
+            [LineShift(Direction.EAST, 0, 0, 3), LineShift(Direction.EAST, 1, 0, 3)]
         )
+        schedule = MoveSchedule(geo8, moves=[move])
         assert schedule.n_line_shifts == 2
         assert schedule.max_line_tones() == 2
         assert schedule.max_cross_tones() == 3
 
     def test_direction_histogram_complete(self, geo8):
-        schedule = MoveSchedule(geo8)
-        schedule.append(_east(0, 0, 2))
+        schedule = MoveSchedule(geo8, moves=[_east(0, 0, 2)])
         hist = schedule.direction_histogram()
         assert set(hist) == set(Direction)
         assert hist[Direction.EAST] == 1
         assert hist[Direction.WEST] == 0
 
     def test_summary_text(self, geo8):
-        schedule = MoveSchedule(geo8, algorithm="demo")
-        schedule.append(_east(0, 0, 2))
+        schedule = MoveSchedule(geo8, algorithm="demo", moves=[_east(0, 0, 2)])
         text = schedule.summary()
         assert "demo" in text
         assert "1 parallel moves" in text
@@ -64,8 +56,7 @@ class TestValidator:
     def test_clean_schedule_ok(self, geo8):
         array = AtomArray(geo8)
         array.set_site(0, 0, True)
-        schedule = MoveSchedule(geo8, algorithm="ok")
-        schedule.append(_east(0, 0, 2))
+        schedule = MoveSchedule(geo8, algorithm="ok", moves=[_east(0, 0, 2)])
         report = validate_schedule(array, schedule)
         assert report.ok
         assert report.atoms_conserved
@@ -76,8 +67,7 @@ class TestValidator:
         array = AtomArray(geo8)
         array.set_site(0, 0, True)
         array.set_site(0, 2, True)
-        schedule = MoveSchedule(geo8, algorithm="bad")
-        schedule.append(_east(0, 0, 2))
+        schedule = MoveSchedule(geo8, algorithm="bad", moves=[_east(0, 0, 2)])
         report = validate_schedule(array, schedule)
         assert not report.ok
         assert report.violations

@@ -20,10 +20,12 @@ for bit:
 Inputs are schedules of every registered algorithm (wide QRM rounds,
 single-site MTA1 and repair moves) on rectangular and masked
 geometries, under drawn tone maps, timing and loss models, and for
-replay also ``trusted`` bundles that break the lockstep contract and
-hand-built schedules whose moves start and end the runs replay walks
-(a line driven again, a turn of axis, a rogue bundle or a collision
-mid-run).
+replay also rogue bundles held as raw columns (shared lines, overlapping
+or reversed spans, lines outside the grid) and hand-built schedules
+whose moves start and end the runs replay walks (a line driven again, a
+turn of axis, a rogue bundle or a collision mid-run).  A bundle whose
+shifts do not move in lockstep never becomes a schedule: building one
+raises the :class:`~repro.aod.move.ParallelMove` constructor's error.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.aod.executor import (
 )
 from repro.aod.move import LineShift, ParallelMove
 from repro.aod.schedule import MoveSchedule
+from repro.aod.table import DIRECTION_CODE, ScheduleTable
 from repro.aod.timing import MoveTimingModel
 from repro.awg.compiler import compile_schedule, compile_schedule_reference
 from repro.awg.tones import AodToneConfig, ToneMap
@@ -62,13 +65,75 @@ def schedules(draw):
     return array, get_algorithm(name, array.geometry).schedule(array).schedule
 
 
+def _raw_schedule(geometry, moves):
+    """``moves`` held as raw columns (:meth:`MoveSchedule.from_table`).
+
+    A table built from columns is not checked, so a move may drive one
+    line twice or hold no shift; each shift takes its move's direction
+    and steps, as in every table.
+    """
+    shifts = [shift for move in moves for shift in move.shifts]
+
+    def column(items, name):
+        return np.array([getattr(item, name) for item in items], dtype=np.intp)
+
+    table = ScheduleTable(
+        direction=np.array([DIRECTION_CODE[m.direction] for m in moves], np.int8),
+        steps=column(moves, "steps"),
+        offsets=np.cumsum([0] + [len(move.shifts) for move in moves]),
+        line=column(shifts, "line"),
+        span_start=column(shifts, "span_start"),
+        span_stop=column(shifts, "span_stop"),
+    )
+    return MoveSchedule.from_table(geometry, table, [move.tag for move in moves])
+
+
+def _raised(build) -> str | None:
+    """The message of the :class:`MoveError` ``build()`` raises, or None."""
+    try:
+        build()
+    except MoveError as exc:
+        return str(exc)
+    return None
+
+
+def _built_and_constructed(geometry, direction, steps, shifts):
+    """What building a schedule of a ``trusted`` bundle raises, and what
+    constructing the bundle raises (see :func:`_raised`)."""
+    bundle = ParallelMove.trusted(direction, steps, shifts)
+    return (
+        _raised(lambda: MoveSchedule(geometry, moves=[bundle])),
+        _raised(lambda: ParallelMove(direction, steps, shifts)),
+    )
+
+
+def _assert_off_lockstep_refused(draw, geometry, direction, steps, shifts):
+    """Turn one of ``shifts`` off the move's direction or steps; building
+    a schedule of the bundle must raise the constructor's message."""
+    k = draw(st.integers(0, len(shifts) - 1))
+    turned = draw(st.sampled_from(list(Direction)))
+    longer = steps + draw(st.integers(int(turned is direction), 1))
+    shift = shifts[k]
+    rogue = list(shifts)
+    rogue[k] = LineShift.trusted(
+        turned, shift.line, shift.span_start, shift.span_stop, longer
+    )
+    built, constructed = _built_and_constructed(
+        geometry, direction, steps, tuple(rogue)
+    )
+    assert constructed is not None and built == constructed
+
+
 @st.composite
 def rogue_schedules(draw):
-    """``(array, schedule)``: ``trusted`` bundles on a small drawn array.
+    """``(array, schedule)``: rogue bundles on a small drawn array.
 
-    Shifts may share a line, overlap, reach outside the grid, or carry
-    their own direction and step count, so moves can drive one line
-    twice (which every path refuses), collide or leave the grid.
+    Every shift moves with its move, but shifts may share a line,
+    overlap, reverse their span or reach outside the grid, so moves can
+    drive one line twice (which every path refuses), collide or leave
+    the grid.  The schedule holds them as raw columns.  A bundle drawn
+    with a shift off its move's direction or steps is only checked to
+    be refused where it would become a schedule.
     """
     size = draw(st.sampled_from((4, 6)))
     geometry = ArrayGeometry.square(size, 2)
@@ -86,24 +151,17 @@ def rogue_schedules(draw):
         shifts = []
         for _ in range(draw(st.integers(1, 4))):
             start = draw(index)
-            shifts.append(
-                LineShift.trusted(
-                    draw(st.sampled_from((direction,) * 3 + tuple(Direction))),
-                    draw(line),
-                    start,
-                    start + draw(st.integers(-1, 3 if reach else size - start)),
-                    draw(st.sampled_from((steps, steps, 1, 2))),
-                )
-            )
+            stop = start + draw(st.integers(-1, 3 if reach else size - start))
+            shifts.append(LineShift.trusted(direction, draw(line), start, stop, steps))
         if draw(st.booleans()):
-            # Two one-site shifts on one line that land on one site.
-            first = draw(st.integers(0, size - 3))
-            far = first if sum(direction.delta) > 0 else first + 2
-            at = draw(line)
-            shifts.append(LineShift.trusted(direction, at, far, far + 1, 2))
-            shifts.append(LineShift.trusted(direction, at, first + 1, first + 2, 1))
+            # Two one-site shifts on one line, one landing on the other's site.
+            first, at = draw(st.integers(0, size - 1 - steps)), draw(line)
+            for site in (first, first + steps):
+                shifts.append(LineShift.trusted(direction, at, site, site + 1, steps))
+        if draw(st.booleans()):
+            _assert_off_lockstep_refused(draw, geometry, direction, steps, shifts)
         moves.append(ParallelMove.trusted(direction, steps, tuple(shifts)))
-    return AtomArray(geometry, grid < fill), MoveSchedule(geometry, moves=moves)
+    return AtomArray(geometry, grid < fill), _raw_schedule(geometry, moves)
 
 
 #: The direction of a move, by (horizontal, towards higher indices).
@@ -137,11 +195,15 @@ def _drawn_shift(draw, grid, direction, line, steps, collide):
     return LineShift(direction, line, start, stop, steps)
 
 
-def _drawn_rogue(draw, grid, direction, steps, shifts):
-    """A ``trusted`` shift breaking the lockstep contract, or None."""
+def _drawn_rogue(draw, geometry, grid, direction, steps, shifts):
+    """A rogue ``trusted`` shift that moves with its move, or None.
+
+    A shift drawn off the move's direction or steps is None, once the
+    bundle holding it is checked to be refused as a schedule.
+    """
     size = grid.shape[0]
     line = draw(st.integers(0, size - 1))
-    rogue = draw(st.sampled_from(("leaves", "leaves", "outside", "twice", "axis")))
+    rogue = draw(st.sampled_from(("leaves", "leaves", "outside", "twice", "off")))
     if rogue == "leaves":  # a span over the edge, whose edge sites are empty
         vec = grid[line] if direction.is_horizontal else grid[:, line]
         if sum(direction.delta) > 0 and not vec[size - steps :].any():
@@ -153,8 +215,9 @@ def _drawn_rogue(draw, grid, direction, steps, shifts):
         return LineShift.trusted(direction, size, 0, 1, steps)
     if rogue == "twice":
         return shifts[0] if shifts else None
-    turned = Direction.SOUTH if direction.is_horizontal else Direction.EAST
-    return LineShift.trusted(turned, line, 0, 1, steps)
+    shifts = shifts + [LineShift.trusted(direction, line, 0, 1, steps)]
+    _assert_off_lockstep_refused(draw, geometry, direction, steps, shifts)
+    return None
 
 
 @st.composite
@@ -167,8 +230,10 @@ def run_boundary_schedules(draw):
     the moves before them leave, except where a drawn move lands an
     atom on a static atom or adds a ``trusted`` rogue shift: a span over
     the grid's edge whose edge sites are empty (which every path
-    accepts), a line outside the grid, a line driven twice or a shift
-    off the move's axis.  Either can come in the middle of a run.
+    accepts), a line outside the grid or a line driven twice.  Either
+    can come in the middle of a run.  The schedule holds its moves as
+    raw columns; a shift drawn off the move's direction or steps is only
+    checked to be refused where it would become a schedule.
     """
     size = draw(st.sampled_from((6, 8)))
     geometry = ArrayGeometry.square(size, 2)
@@ -198,7 +263,7 @@ def run_boundary_schedules(draw):
         ]
         shifts = [shift for shift in shifts if shift is not None]
         if kind == "rogue":
-            shifts.append(_drawn_rogue(draw, work, direction, steps, shifts))
+            shifts.append(_drawn_rogue(draw, geometry, work, direction, steps, shifts))
             shifts = [shift for shift in shifts if shift is not None]
         if not shifts:
             continue
@@ -211,7 +276,7 @@ def run_boundary_schedules(draw):
             apply_parallel_move(work, moves[-1])  # a refused move leaves ``work``
         except MoveError:
             pass
-    return array, MoveSchedule(geometry, moves=moves)
+    return array, _raw_schedule(geometry, moves)
 
 
 durations = st.one_of(
@@ -403,7 +468,6 @@ def test_table_columns_match_the_objects(geo20):
         assert table.displacement[index] == move.steps * (dr + dc)
         a, b = table.offsets[index], table.offsets[index + 1]
         assert b - a == len(move.shifts)
-        assert (table.shift_displacement[a:b] == table.displacement[index]).all()
 
 
 def test_empty_schedule_table_and_program(geo8):
@@ -421,18 +485,18 @@ def _assert_replays_like_the_reference(array, schedule, loss, timing, seeds=8):
         assert ours == _replayed(simulate_losses_reference, *replay)
 
 
-#: ``trusted`` bundles of EAST shifts that drive one line twice, as
-#: ``(size, atoms, shifts)`` with each shift ``(line, start, stop, steps)``.
+#: Raw-column EAST moves that drive one line twice, as ``(size, atoms,
+#: steps, shifts)`` with each shift ``(line, start, stop)``.
 LINE_SHARING_BUNDLES = {
-    # Overlapping spans: lifting both selections at once creates an atom,
-    # while applying them shift by shift clears the first one's landing.
-    "overlapping-spans": (6, [(1, 0), (1, 1)], [(1, 0, 2, 1), (1, 1, 2, 2)]),
-    # (2, 0) and (2, 1) both land on (2, 2).
-    "two-atoms-one-site": (8, [(2, 0), (2, 1)], [(2, 0, 1, 2), (2, 1, 2, 1)]),
+    # Overlapping spans select (1, 1) twice: lifting both selections at
+    # once carries its atom twice.
+    "overlapping-spans": (6, [(1, 0), (1, 1)], 1, [(1, 0, 2), (1, 1, 2)]),
+    # Each shift alone is valid; together they still drive row 2 twice.
+    "disjoint-spans": (8, [(2, 0), (2, 4)], 1, [(2, 0, 1), (2, 4, 5)]),
     # The first lands (1, 0)'s atom on (1, 2), which the second empties.
-    "landing-on-a-source": (8, [(1, 0), (1, 2)], [(1, 0, 1, 2), (1, 2, 3, 1)]),
+    "landing-on-a-source": (8, [(1, 0), (1, 2)], 2, [(1, 0, 1), (1, 2, 3)]),
     # Six copies of one shift select (0, 0) six times.
-    "one-shift-six-times": (2, [(0, 0), (1, 1)], [(0, 0, 1, 1)] * 6),
+    "one-shift-six-times": (2, [(0, 0), (1, 1)], 1, [(0, 0, 1)] * 6),
 }
 
 
@@ -485,11 +549,12 @@ def _refused_by_lossy(simulate):
     return check
 
 
-#: How each replay path meets a line-sharing bundle, as
-#: ``(array, schedule, message) -> None``: it raises the constructor's
-#: message before the grid, the labels or the generator change, and
-#: non-strict execution counts the move as failed and keeps the array.
-LINE_SHARING_REFUSALS = {
+#: How each replay path meets a raw-column move that
+#: :meth:`ParallelMove.check_lockstep` refuses, as ``(array, schedule,
+#: message) -> None``: it raises the check's message before the grid, the
+#: labels or the generator change, and non-strict execution counts the
+#: move as failed and keeps the array.
+RAW_MOVE_REFUSALS = {
     "apply_parallel_move": _refused_by(apply_parallel_move),
     "apply_parallel_move_reference": _refused_by(apply_parallel_move_reference),
     "MoveApplier.apply": _refused_by_applier_apply,
@@ -501,21 +566,29 @@ LINE_SHARING_REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("path", list(LINE_SHARING_REFUSALS))
+@pytest.mark.parametrize("path", list(RAW_MOVE_REFUSALS))
 @pytest.mark.parametrize("name", list(LINE_SHARING_BUNDLES))
 def test_a_bundle_driving_one_line_twice_is_refused_on_every_path(name, path):
-    size, atoms, shifts = LINE_SHARING_BUNDLES[name]
+    size, atoms, steps, shifts = LINE_SHARING_BUNDLES[name]
     geometry = ArrayGeometry.square(size, 2)
     grid = np.zeros(geometry.shape, dtype=bool)
     grid[tuple(zip(*atoms))] = True
     rogue = ParallelMove.trusted(
         Direction.EAST,
-        1,
-        tuple(LineShift.trusted(Direction.EAST, *shift) for shift in shifts),
+        steps,
+        tuple(LineShift.trusted(Direction.EAST, *shift, steps) for shift in shifts),
     )
-    schedule = MoveSchedule(geometry, moves=[rogue])
+    schedule = _raw_schedule(geometry, [rogue])
     message = f"two shifts target the same line {shifts[0][0]}"
-    LINE_SHARING_REFUSALS[path](AtomArray(geometry, grid), schedule, message)
+    RAW_MOVE_REFUSALS[path](AtomArray(geometry, grid), schedule, message)
+
+
+@pytest.mark.parametrize("path", list(RAW_MOVE_REFUSALS))
+def test_a_move_with_no_shift_is_refused_on_every_path(geo8, path):
+    array = AtomArray(geo8, np.random.default_rng(5).random(geo8.shape) < 0.5)
+    schedule = _raw_schedule(geo8, [ParallelMove.trusted(Direction.WEST, 1, ())])
+    message = "a ParallelMove needs at least one LineShift"
+    RAW_MOVE_REFUSALS[path](array, schedule, message)
 
 
 def test_negative_duration_raises_before_any_draw(geo8):
@@ -572,21 +645,54 @@ def test_zero_duration_moves_draw_no_vacuum_uniforms(geo20):
         _assert_replays_like_the_reference(array, schedule, loss, instant)
 
 
-def test_trusted_bundle_compiles_like_the_reference(geo8):
-    # compile_move reads the move's direction and steps, not the shifts'.
-    rogue = ParallelMove.trusted(
-        Direction.SOUTH,
-        steps=1,
-        shifts=(
-            LineShift(Direction.SOUTH, 5, 0, 3),
-            LineShift(Direction.SOUTH, 1, 2, 6, steps=2),
-        ),
-        tag="rogue",
+#: ``trusted`` bundles of a one-step SOUTH move that its constructor refuses.
+REFUSED_BUNDLES = {
+    "reversed-shift": (
+        LineShift(Direction.SOUTH, 5, 0, 3),
+        LineShift(Direction.NORTH, 1, 2, 6),
+    ),
+    "longer-shift": (
+        LineShift(Direction.SOUTH, 5, 0, 3),
+        LineShift(Direction.SOUTH, 1, 2, 6, steps=2),
+    ),
+    "empty": (),
+    "two-shifts-one-line": (
+        LineShift(Direction.SOUTH, 5, 0, 3),
+        LineShift(Direction.SOUTH, 5, 4, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_BUNDLES))
+def test_a_bundle_the_constructor_refuses_never_becomes_a_schedule(geo8, name):
+    # The AWG compiler and the loss model read a move's direction and
+    # steps, replay used to read each shift's: no schedule holds a move
+    # on which they could disagree.
+    shifts = REFUSED_BUNDLES[name]
+    built, constructed = _built_and_constructed(geo8, Direction.SOUTH, 1, shifts)
+    assert constructed is not None and built == constructed
+
+
+@st.composite
+def bundles(draw):
+    """``(direction, steps, shifts)`` of a ``trusted`` bundle, lockstep or not."""
+    direction = draw(st.sampled_from(list(Direction)))
+    steps = draw(st.integers(1, 2))
+    shifts = tuple(
+        LineShift.trusted(
+            draw(st.sampled_from((direction,) * 3 + tuple(Direction))),
+            draw(st.integers(0, 3)),
+            0,
+            1,
+            draw(st.sampled_from((steps, steps, 1, 2))),
+        )
+        for _ in range(draw(st.integers(0, 3)))
     )
-    schedule = MoveSchedule(geo8, moves=[rogue, rogue])
-    assert schedule.moves == [rogue, rogue]
-    assert [move.shifts for move in schedule] == [rogue.shifts] * 2
-    assert schedule.tags == ("rogue", "rogue")
-    tones, timing = AodToneConfig(), MoveTimingModel()
-    ours = _compiled(compile_schedule, schedule, tones, timing)
-    assert ours == _compiled(compile_schedule_reference, schedule, tones, timing)
+    return direction, steps, shifts
+
+
+@given(bundles())
+@settings(max_examples=200, deadline=None)
+def test_a_schedule_takes_exactly_the_bundles_the_constructor_takes(bundle):
+    built, constructed = _built_and_constructed(ArrayGeometry.square(4, 2), *bundle)
+    assert built == constructed

@@ -48,10 +48,8 @@ class TestMoveTiming:
         timing = MoveTimingModel(
             pickup_us=10, drop_us=10, transfer_us_per_site=1, settle_us=2
         )
-        schedule = MoveSchedule(geo8)
         move = ParallelMove.of([LineShift(Direction.EAST, 0, 0, 2)])
-        schedule.append(move)
-        schedule.append(move)
+        schedule = MoveSchedule(geo8, moves=[move, move])
         assert timing.schedule_motion_us(schedule) == 21 + 21 + 2
 
     def test_empty_schedule_zero(self, geo8):
